@@ -38,7 +38,7 @@ from enum import Enum
 from .contour import Contour, integrate
 from .errors import GeometryError, HypothesisError, PreconditionError
 from .kernels import KernelKind, kernel_fn
-from .operators import CommutingOperator, s_spectrum
+from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .slicefn import SlicePoly
 
@@ -88,7 +88,7 @@ _PROJECTOR = {
 def _check_encloses(c: Contour, T: CommutingOperator, full: bool):
     """Contour boundaries must avoid the spectrum; with full=True every
     sphere must additionally lie inside."""
-    spheres = s_spectrum(T)
+    spheres = T.spheres
     enclosed = []
     for sp in spheres:
         for (u, v) in {(sp.u, sp.v), (sp.u, -sp.v)}:
@@ -115,7 +115,7 @@ def apply_calculus(kind: CalculusKind, f: SlicePoly, T: CommutingOperator,
     if c.components:
         _check_encloses(c, T, full=True)
     K = kernel_fn(_KERNELS[(kind, f.side)], T)
-    out = integrate(c, K, f.evaluate, side=f.side, n=T.n)
+    out = integrate(c, K, f, side=f.side, n=T.n)
     return out * _PREFACTOR[kind]
 
 
@@ -145,7 +145,7 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
             return kvals
 
     shared = _Shared()
-    return [integrate(c, shared, g.evaluate, side=side, n=T.n) * _PREFACTOR[kind]
+    return [integrate(c, shared, g, side=side, n=T.n) * _PREFACTOR[kind]
             for g in stems]
 
 
@@ -225,5 +225,4 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour,
     _check_encloses(c, T, full=False)
     prefactor, kk, degree = _PROJECTOR[kind]
     K = kernel_fn(kk, T)
-    monomial = lambda s: s ** degree
-    return integrate(c, K, monomial, side="left", n=T.n) * prefactor
+    return integrate(c, K, SlicePoly.monomial(degree), side="left", n=T.n) * prefactor

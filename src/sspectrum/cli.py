@@ -23,7 +23,7 @@ from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import auto_contour, load_contour
 from .errors import (CalculusError, InputError, NumericError,
                      PreconditionError)
-from .operators import load_operator, s_spectrum
+from .operators import load_operator
 from .quat import E1
 from .slicefn import load_stem
 
@@ -99,7 +99,7 @@ def _resolve_contour(config: RunConfig, T, selection=None):
         if config.nodes is not None:
             c = c.with_nodes(config.nodes)
         return c
-    spheres = s_spectrum(T)
+    spheres = T.spheres
     if selection is None:
         selection = range(len(spheres))
     return auto_contour(spheres, selection, J=E1, N=_nodes(config))
@@ -112,7 +112,7 @@ def _matrix_doc(M) -> list:
 def _cmd_spectrum(config: RunConfig):
     T = load_operator(_require(config.operator, "--operator"))
     doc = [{"u": sp.u, "v": sp.v, "multiplicity": sp.multiplicity}
-           for sp in s_spectrum(T)]
+           for sp in T.spheres]
     return 0, doc
 
 

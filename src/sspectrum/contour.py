@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .qlinalg import QuatMatrix, qmul_arr
+from .qlinalg import QuatMatrix, product_matrices, qmul_arr
 from .quat import E1, Quaternion, imaginary_unit
 
 __all__ = [
@@ -149,9 +149,10 @@ def integrate(c: Contour, K, f, side: str = "left", n: int | None = None) -> Qua
     """Discrete pairing of a matrix kernel with a scalar function.
 
     side='left' accumulates K(s_k) w_k f(s_k); side='right' accumulates
-    f(s_k) w_k K(s_k).  No prefactor is applied.  K may expose a batched
-    ``at_nodes`` method; otherwise it is called per node.  The reduction
-    runs in ascending node order so results are bit-reproducible.
+    f(s_k) w_k K(s_k).  No prefactor is applied.  K and f may each expose
+    a batched ``at_nodes`` method; otherwise they are called per node.
+    The reduction runs in ascending node order so results are
+    bit-reproducible.
     """
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
@@ -167,19 +168,20 @@ def integrate(c: Contour, K, f, side: str = "left", n: int | None = None) -> Qua
         kvals = K.at_nodes(s_arr)
     else:
         kvals = np.stack([K(Quaternion.from_array(s)).data for s in s_arr])
-    fvals = np.stack([f(Quaternion.from_array(s)).as_array() for s in s_arr])
-
-    if side == "left":
-        scal = qmul_arr(w_arr, fvals)
-        terms = qmul_arr(kvals, scal[:, None, None, :])
+    if hasattr(f, "at_nodes"):
+        fvals = f.at_nodes(s_arr)
     else:
-        scal = qmul_arr(fvals, w_arr)
-        terms = qmul_arr(scal[:, None, None, :], kvals)
+        fvals = np.stack([f(Quaternion.from_array(s)).as_array() for s in s_arr])
 
-    acc = terms[0].copy()
-    for k in range(1, terms.shape[0]):
-        acc += terms[k]
-    return QuatMatrix(acc)
+    # each term K_k (w_k f_k), or (f_k w_k) K_k, is the (n^2, 4) block of
+    # K_k times the 4 x 4 real matrix of that scalar product
+    if side == "left":
+        R = product_matrices(qmul_arr(w_arr, fvals), "right")
+    else:
+        R = product_matrices(qmul_arr(fvals, w_arr), "left")
+    count, dim = kvals.shape[:2]
+    terms = np.matmul(kvals.reshape(count, dim * dim, 4), R)
+    return QuatMatrix(np.add.reduce(terms, axis=0).reshape(dim, dim, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import Contour, auto_contour, enclosing_circle, integrate
 from .errors import GeometryError, InputError, PreconditionError
 from .kernels import KernelKind, kernel
-from .operators import CommutingOperator, s_spectrum
+from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
 from .slicefn import SlicePoly, stem_product, stem_shift
@@ -509,7 +509,7 @@ def random_resolvent_point(rng, T: CommutingOperator, min_dist: float = 0.3,
                            avoid=None, min_sep: float = 0.25) -> Quaternion:
     """Seeded point at distance >= min_dist from every spectral sphere
     (and, when avoid is given, off that point's sphere by min_sep)."""
-    spheres = s_spectrum(T)
+    spheres = T.spheres
     reach = max([math.hypot(sp.u, sp.v) for sp in spheres] + [1.0])
     if avoid is not None:
         au, av = avoid.w, avoid.vec_norm()
@@ -587,14 +587,14 @@ def verify_all(seed: int = 0, tol: float = DEFAULT_TOL, nodes: int = 256):
                                   "p2_vanishing_integral", "q_vanishing_integral")
         if projector_like:
             T = split_spectrum_operator()
-            spheres = s_spectrum(T)
+            spheres = T.spheres
             J = random_imaginary_unit(rng)
             c_in = auto_contour(spheres, [0], J=J, N=nodes)
             c_out = None
             f = g = None
         else:
             T = random_commuting_operator(rng, 1 + idx % 3, zero_e3=True)
-            spheres = s_spectrum(T)
+            spheres = T.spheres
             J = random_imaginary_unit(rng)
             c_in = enclosing_circle(spheres, margin=0.5, J=J, N=nodes)
             c_out = enclosing_circle(spheres, margin=1.0, J=J, N=nodes)

@@ -9,9 +9,15 @@ inverse of the pencil s^2 I - s(T + conj(T)) + T conj(T):
 
 The P2 kernels are the conjugate-Fueter images of the Cauchy kernels
 and drive the order-2 polyanalytic calculus; F produces the Laplacian
-image, and Q^-1 itself the harmonic one.  One batched evaluation
-factors the pencil once per node and derives Q^-2 from the computed
-inverse, which is what the quadrature loop leans on.
+image, and Q^-1 itself the harmonic one.
+
+Batched evaluation works in the complex slice of each node.  Writing
+s = a + b J_s, every entry of the pencil lies in span{1, J_s}, which is
+a copy of C, so Q^-1 is one batched complex LAPACK inverse and Q^-2 one
+complex matrix product.  The factor sI - conj(T) splits into s - T0,
+which stays in the slice, and the vector part T1 e1 + T2 e2 + T3 e3,
+applied as real matrix products on the complex blocks.  Only the final
+result is mapped to quaternion components, X + iY -> X + Y J_s.
 
 Scalar (n = 1) closed forms of the same kernels are provided separately
 as the function-theory oracles.
@@ -23,10 +29,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergenceError
-from .operators import CommutingOperator, qcs_pencil_at
-from .qlinalg import (QuatMatrix, eye_arr, matmul, real_left, scal_left,
-                      scal_right, solve_arr)
+from .errors import DivergenceError, SingularMatrixError
+from .operators import CommutingOperator, gram
+from .qlinalg import PIVOT_RTOL, QuatMatrix
 from .quat import Quaternion, qinv, qs_poly
 
 __all__ = [
@@ -45,6 +50,13 @@ __all__ = [
     "pseudo_kernel",
 ]
 
+# A pencil whose 1-norm condition number exceeds this counts as singular:
+# the node sits on, or numerically grazes, the S-spectrum.
+COND_LIMIT = 1.0 / PIVOT_RTOL
+# Matrix entries per batch of nodes (nodes times n^2), so that each
+# complex work array stays near one megabyte however long the contour.
+CHUNK_ENTRIES = 1 << 16
+
 
 class KernelKind(Enum):
     QCS_INV = "qcs_inv"
@@ -54,6 +66,11 @@ class KernelKind(Enum):
     F_RIGHT = "f_right"
     P2_LEFT = "p2_left"
     P2_RIGHT = "p2_right"
+
+
+_LEFT = (KernelKind.S_LEFT, KernelKind.F_LEFT, KernelKind.P2_LEFT)
+_FACTOR = {KernelKind.F_LEFT: -4.0, KernelKind.F_RIGHT: -4.0,
+           KernelKind.P2_LEFT: 4.0, KernelKind.P2_RIGHT: 4.0}
 
 
 def kernel_at_nodes(kind: KernelKind, T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:
@@ -68,32 +85,135 @@ def kernel_at_nodes(kind: KernelKind, T: CommutingOperator, s_arr: np.ndarray) -
     if squeeze:
         s_arr = s_arr[None, :]
     n = T.n
-    Q = qcs_pencil_at(T, s_arr)
-    Qinv = solve_arr(Q, np.broadcast_to(eye_arr(n), Q.shape))
-    if kind is KernelKind.QCS_INV:
-        out = Qinv
+    T0, T1, T2, T3 = T.components
+    if kind is KernelKind.P2_LEFT:
+        # T0 (sI - conj(T)) Q^-2 needs T0 T_k on the vector part
+        blocks = np.concatenate((T0, T0 @ T0, T1, T2, T3, T0 @ T1, T0 @ T2, T0 @ T3))
+    elif kind in _LEFT:
+        blocks = np.concatenate((T0, T1, T2, T3))
     else:
-        cbar = np.stack((T.T0, -T.T1, -T.T2, -T.T3), axis=-1)
-        B = np.broadcast_to(-cbar, Qinv.shape).copy()
-        idx = np.arange(n)
-        B[:, idx, idx, :] += s_arr[:, None, :]
-        if kind is KernelKind.S_LEFT:
-            out = matmul(B, Qinv)
-        elif kind is KernelKind.S_RIGHT:
-            out = matmul(Qinv, B)
-        else:
-            Qinv2 = matmul(Qinv, Qinv)
-            if kind is KernelKind.F_LEFT:
-                out = -4.0 * matmul(B, Qinv2)
-            elif kind is KernelKind.F_RIGHT:
-                out = -4.0 * matmul(Qinv2, B)
-            elif kind is KernelKind.P2_LEFT:
-                FL = -4.0 * matmul(B, Qinv2)
-                out = -scal_right(FL, s_arr) + real_left(T.T0, FL)
-            else:
-                FR = -4.0 * matmul(Qinv2, B)
-                out = -scal_left(s_arr, FR) + real_left(T.T0, FR)
+        blocks = np.concatenate((T0, T1, T2, T3), axis=1)
+    K = gram(T)
+    out = np.empty(s_arr.shape[:1] + (n, n, 4))
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    for lo in range(0, len(s_arr), chunk):
+        hi = lo + chunk
+        z, J = _slice_coordinates(s_arr[lo:hi])
+        _kernel_chunk(kind, T0, K, blocks, z, J, lo, out[lo:hi])
     return out[0] if squeeze else out
+
+
+def _slice_coordinates(s_arr):
+    """Each node as s = a + b J_s: the slice value z = a + ib and the unit
+    J_s as (N, 3) vector parts (e1 for real nodes, where any unit does)."""
+    vec = s_arr[:, 1:]
+    b = np.sqrt(np.sum(vec * vec, axis=1))
+    J = np.zeros_like(vec)
+    J[:, 0] = 1.0
+    off_axis = b > 0.0
+    J[off_axis] = vec[off_axis] / b[off_axis, None]
+    return s_arr[:, 0] + 1j * b, J
+
+
+def _pencil_inverse(T0, K, z, offset):
+    """Q(z)^-1 = (z^2 I - 2 z T0 + K)^-1 for complex nodes z (N,)."""
+    n = T0.shape[0]
+    Q = K - 2.0 * z[:, None, None] * T0
+    idx = np.arange(n)
+    Q[:, idx, idx] += (z * z)[:, None]
+    try:
+        Qinv = np.linalg.inv(Q)
+    except np.linalg.LinAlgError:
+        Qinv = np.stack([_inv_or_nan(M) for M in Q])
+    norm1 = lambda M: np.max(np.sum(np.abs(M), axis=-2), axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cond = norm1(Q) * norm1(Qinv)
+    bad = ~(cond <= COND_LIMIT)
+    if np.any(bad):
+        which = int(np.argmax(bad))
+        raise SingularMatrixError(
+            f"pencil at node {offset + which} has condition {cond[which]:.3e} "
+            f"above {COND_LIMIT:.0e}",
+            batch_index=offset + which)
+    return Qinv
+
+
+def _inv_or_nan(M):
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full_like(M, np.nan)
+
+
+def _left_products(blocks, G):
+    """R_j G for the real blocks R_j stacked in (k n, n) and complex G
+    (N, n, n): (N, k, n, n).  G is viewed as a real (N, n, 2n) array, so
+    this is one real matrix product."""
+    N, n, _ = G.shape
+    W = np.matmul(blocks, G.view(np.float64)).view(np.complex128)
+    return W.reshape(N, -1, n, n)
+
+
+def _right_products(G, blocks):
+    """G R_j for complex G (N, n, n) and real blocks R_j side by side in
+    (n, k n): (N, k, n, n), from one real product of [Re G; Im G]."""
+    N, n, _ = G.shape
+    W = np.matmul(np.concatenate((G.real, G.imag), axis=1), blocks)
+    W = W[:, :n] + 1j * W[:, n:]
+    return W.reshape(N, n, -1, n).transpose(0, 2, 1, 3)
+
+
+def _kernel_chunk(kind, T0, K, blocks, z, J, offset, out):
+    """Write one kernel kind at the slice nodes z into out (N, n, n, 4)."""
+    Qinv = _pencil_inverse(T0, K, z, offset)
+    if kind is KernelKind.QCS_INV:
+        _to_quaternion(Qinv, None, J, True, out)
+        return
+    if kind in (KernelKind.S_LEFT, KernelKind.S_RIGHT):
+        G = Qinv
+    else:
+        # the F and P2 prefactors -4 and 4 are linear, so they go on Q^-2
+        G = np.matmul(_FACTOR[kind] * Qinv, Qinv)
+    zc = z[:, None, None]
+    if kind is KernelKind.P2_LEFT:
+        # B G s - T0 B G with G = 4 Q^-2 and B = (s - T0) + V: the slice
+        # part is (s - T0)^2 G, the vector part V G s - (T0 V) G
+        W = _left_products(blocks, G)
+        C = zc * (zc * G - 2.0 * W[:, 0]) + W[:, 1]
+        Z = zc[:, None] * W[:, 2:5] - W[:, 5:8]
+    elif kind is KernelKind.P2_RIGHT:
+        # s G B - T0 G B = H B with G = 4 Q^-2 and H = (s - T0) G
+        H = zc * G - _left_products(T0, G)[:, 0]
+        W = _right_products(H, blocks)
+        C = zc * H - W[:, 0]
+        Z = W[:, 1:]
+    elif kind in _LEFT:
+        W = _left_products(blocks, G)
+        C = zc * G - W[:, 0]
+        Z = W[:, 1:]
+    else:
+        W = _right_products(G, blocks)
+        C = zc * G - W[:, 0]
+        Z = W[:, 1:]
+    _to_quaternion(C, Z, J, kind in _LEFT, out)
+
+
+def _to_quaternion(C, Z, J, left, out):
+    """Write into out (N, n, n, 4) the quaternion form of C + sum_k e_k Z_k
+    (left) or C + sum_k Z_k e_k (right), where the complex C and Z_k (Z
+    is (N, 3, n, n) or None) stand for X + Y J_s."""
+    j = [J[:, k, None, None] for k in range(3)]
+    if Z is None:
+        out[..., 0] = C.real
+        for k in range(3):
+            out[..., k + 1] = C.imag * j[k]
+        return
+    X, Y = Z.real, Z.imag
+    # e_k J = -J_k + e_k x J and J e_k = -J_k - e_k x J
+    out[..., 0] = C.real - (Y[:, 0] * j[0] + Y[:, 1] * j[1] + Y[:, 2] * j[2])
+    for k in range(3):
+        a, b = ((k + 1) % 3, (k + 2) % 3) if left else ((k + 2) % 3, (k + 1) % 3)
+        out[..., k + 1] = C.imag * j[k] + X[:, k] + (Y[:, a] * j[b] - Y[:, b] * j[a])
 
 
 def kernel(kind: KernelKind, T: CommutingOperator, s: Quaternion) -> QuatMatrix:

@@ -6,10 +6,14 @@ this module accept arbitrary leading batch axes, so a stack of matrices
 evaluated at many contour nodes is processed in one call; the
 :class:`QuatMatrix` wrapper is the single-matrix public face.
 
-The linear solver is Gaussian elimination with partial pivoting by
-entry modulus.  Quaternions form a division ring, so elimination with
-a modulus pivot is well defined; row operations multiply from the left
-throughout, which is what solving A X = B requires.
+Kernel evaluation does not solve here: it inverts pencils in the
+complex slice of each node with LAPACK (see :mod:`sspectrum.kernels`).
+This module keeps two independent references for that path.
+``solve_arr`` is Gaussian elimination with partial pivoting by entry
+modulus; quaternions form a division ring, so elimination with a
+modulus pivot is well defined, and row operations multiply from the
+left throughout, which is what solving A X = B requires.
+``real_adjoint`` is the real 4n x 4n left-regular representation.
 """
 
 from __future__ import annotations
@@ -59,6 +63,18 @@ def qinv_arr(a):
     return qconj_arr(a) / n2
 
 
+def product_matrices(q, side: str):
+    """Real (..., 4, 4) matrices R of the product with q on one side:
+    x @ R equals qmul_arr(x, q) for side='right' and qmul_arr(q, x) for
+    side='left', for any (..., 4) quaternion row x."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    if side == "right":
+        rows = ((w, x, y, z), (-x, w, -z, y), (-y, z, w, -x), (-z, -y, x, w))
+    else:
+        rows = ((w, x, y, z), (-x, w, z, -y), (-y, -z, w, x), (-z, y, -x, w))
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
 def matmul(A, B):
     """Quaternion matrix product on (..., n, n, 4) stacks.
 
@@ -88,11 +104,6 @@ def scal_left(s, A):
 def scal_right(A, s):
     """A * s with the quaternion scalar acting entrywise from the right."""
     return qmul_arr(A, s[..., None, None, :])
-
-
-def real_left(R, A):
-    """Product of a real matrix R with a quaternion stack A."""
-    return np.einsum("ij,...jkc->...ikc", R, A)
 
 
 def eye_arr(n):
@@ -163,11 +174,6 @@ def solve_arr(A, B, rtol: float = PIVOT_RTOL):
         X[:, k, :, :] = qmul_arr(qinv_arr(U[:, k, k, :])[:, None, :], rhs)
 
     return X.reshape(batch + B.shape[-3:])
-
-
-def inv_arr(A, rtol: float = PIVOT_RTOL):
-    n = A.shape[-3]
-    return solve_arr(A, np.broadcast_to(eye_arr(n), A.shape), rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import InputError, IntrinsicError
+from .qlinalg import qmul_arr
 from .quat import E1, E2, E3, ONE, Quaternion
 
 __all__ = [
@@ -96,6 +99,17 @@ class SlicePoly:
         return acc
 
     __call__ = evaluate
+
+    def at_nodes(self, s_arr: np.ndarray) -> np.ndarray:
+        """evaluate at every row of an (M, 4) node array, by Horner's
+        rule on the whole array; the same floating-point operations in
+        the same order as evaluate, so the values agree bit for bit."""
+        s_arr = np.asarray(s_arr, dtype=np.float64)
+        acc = np.zeros_like(s_arr)
+        for c in reversed(self.coeffs):
+            acc = qmul_arr(s_arr, acc) if self.side == "left" else qmul_arr(acc, s_arr)
+            acc += c.as_array()
+        return acc
 
     def add_constant(self, a) -> "SlicePoly":
         a = _as_quat(a)

@@ -143,3 +143,33 @@ def test_float_format_is_lossless():
     for x, y in zip(values, back):
         assert float(y) == x
     assert dump_json(back) == text
+
+
+def test_projector_computes_spectrum_once(split_op, monkeypatch):
+    from sspectrum import operators
+
+    calls = []
+    compute = operators.s_spectrum
+    monkeypatch.setattr(operators, "s_spectrum",
+                        lambda *args: calls.append(args) or compute(*args))
+    status, _ = run(RunConfig("projector", operator=split_op, calculus="p2",
+                              cluster="0", nodes=64))
+    assert status == 0 and len(calls) == 1
+
+
+def test_projector_on_non_normal_real_spectrum(tmp_path, capsys):
+    op = write_json(tmp_path / "op.json", {"n": 2, "T0": [[1, 2], [3, 4]]})
+    assert cli.main(["projector", "--operator", op, "--calculus", "p2",
+                     "--cluster", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "T0": [[1.0, float("nan")], [0.0, 2.0]]},
+    {"n": 2, "T1": [[1.0, float("inf")], [0.0, 2.0]]},
+])
+def test_non_finite_operator_is_a_parse_error(tmp_path, capsys, doc):
+    op = write_json(tmp_path / "op.json", doc)
+    assert cli.main(["projector", "--operator", op, "--calculus", "p2",
+                     "--cluster", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"

@@ -12,7 +12,9 @@ from sspectrum.identities import (random_commuting_operator,
 from sspectrum.kernels import (cauchy_kernel_left, cauchy_kernel_right,
                                f_kernel_left, f_kernel_right, kernel_at_nodes,
                                p2_kernel_left, p2_kernel_right, pseudo_kernel)
-from sspectrum.operators import s_spectrum
+from sspectrum.operators import qcs_op, qcs_pencil_at, s_spectrum
+from sspectrum.qlinalg import (eye_arr, matmul, real_adjoint, scal_left,
+                               scal_right, solve_arr)
 from sspectrum.quat import E1, qs_poly, random_quaternion
 from sspectrum.slicefn import FueterOp, fd_fueter_oracle
 
@@ -82,6 +84,16 @@ def test_batch_matches_single(rng):
         for i in range(6):
             single = kernel(kind, T, Quaternion(*pts[i]))
             assert rel(QuatMatrix(batch[i]), single) < 1e-13
+
+
+def test_batch_across_chunks_matches_single(rng):
+    # at n = 32 a chunk holds 64 nodes, so 70 nodes take two
+    T = random_commuting_operator(rng, 32)
+    pts = _mixed_nodes(rng, T, 70)
+    batch = kernel_at_nodes(KernelKind.P2_RIGHT, T, pts)
+    for i in (0, 63, 64, 69):
+        single = kernel(KernelKind.P2_RIGHT, T, Quaternion(*pts[i]))
+        assert rel(QuatMatrix(batch[i]), single) < 1e-13
 
 
 def test_f_kernel_shift_spot(rng):
@@ -232,3 +244,92 @@ def test_series_domain_error(rng):
         p2_series(T, Quaternion(0.5), 10)
     with pytest.raises(DivergenceError):
         s_series(T, Quaternion(0.5), 10)
+
+
+# -- complex slice path against the quaternion elimination -------------------
+
+
+def _elimination_kernel(kind, T, s_arr):
+    """The kernels assembled entrywise in quaternion arithmetic from the
+    modulus-pivot elimination solve_arr and the 16-product matmul."""
+    n = T.n
+    Q = qcs_pencil_at(T, s_arr)
+    Qinv = solve_arr(Q, np.broadcast_to(eye_arr(n), Q.shape))
+    if kind is KernelKind.QCS_INV:
+        return Qinv
+    B = np.broadcast_to(-np.stack((T.T0, -T.T1, -T.T2, -T.T3), axis=-1), Qinv.shape).copy()
+    B[:, np.arange(n), np.arange(n), :] += s_arr[:, None, :]
+    if kind is KernelKind.S_LEFT:
+        return matmul(B, Qinv)
+    if kind is KernelKind.S_RIGHT:
+        return matmul(Qinv, B)
+    T0 = np.broadcast_to(QuatMatrix.from_real(T.T0).data, Qinv.shape)
+    Qinv2 = matmul(Qinv, Qinv)
+    F = -4.0 * (matmul(B, Qinv2) if kind in (KernelKind.F_LEFT, KernelKind.P2_LEFT)
+                else matmul(Qinv2, B))
+    if kind is KernelKind.P2_LEFT:
+        return -scal_right(F, s_arr) + matmul(T0, F)
+    if kind is KernelKind.P2_RIGHT:
+        return -scal_left(s_arr, F) + matmul(T0, F)
+    return F
+
+
+def _adjoint_kernel(kind, T, s):
+    """The same kernel built in the real 4n x 4n representation, where
+    every quaternion matrix product is a real one."""
+    n = T.n
+    sI = real_adjoint(QuatMatrix.from_scalar(s, n))
+    Qinv = np.linalg.inv(real_adjoint(qcs_op(T, s)))
+    B = sI - real_adjoint(T.conjugate().as_matrix())
+    T0 = real_adjoint(QuatMatrix.from_real(T.T0))
+    return {
+        KernelKind.QCS_INV: Qinv,
+        KernelKind.S_LEFT: B @ Qinv,
+        KernelKind.S_RIGHT: Qinv @ B,
+        KernelKind.F_LEFT: -4.0 * B @ Qinv @ Qinv,
+        KernelKind.F_RIGHT: -4.0 * Qinv @ Qinv @ B,
+        KernelKind.P2_LEFT: 4.0 * (B @ Qinv @ Qinv @ sI - T0 @ B @ Qinv @ Qinv),
+        KernelKind.P2_RIGHT: 4.0 * (sI @ Qinv @ Qinv @ B - T0 @ Qinv @ Qinv @ B),
+    }[kind]
+
+
+def _mixed_nodes(rng, T, count):
+    """Resolvent points with random imaginary units, every third one real."""
+    pts = []
+    for k in range(count):
+        q = random_resolvent_point(rng, T, min_dist=0.5)
+        pts.append([q.w, 0.0, 0.0, 0.0] if k % 3 == 0 else q.as_array())
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 32])
+def test_slice_kernels_match_elimination_oracle(rng, n):
+    T = random_commuting_operator(rng, n)
+    pts = _mixed_nodes(rng, T, 6 if n == 32 else 12)
+    assert np.any(pts[:, 1:].any(axis=1)) and not np.all(pts[:, 1:].any(axis=1))
+    for kind in KernelKind:
+        got = kernel_at_nodes(kind, T, pts)
+        want = _elimination_kernel(kind, T, pts)
+        for i in range(len(pts)):
+            assert rel(QuatMatrix(got[i]), QuatMatrix(want[i])) < 1e-12, (kind, i)
+        # the elimination oracle itself against the real representation
+        for i in (0, 1):
+            rho_want = real_adjoint(QuatMatrix(want[i]))
+            rho_ref = _adjoint_kernel(kind, T, Quaternion(*pts[i]))
+            err = np.linalg.norm(rho_want - rho_ref) / max(np.linalg.norm(rho_ref), 1.0)
+            assert err < 1e-12, (kind, i)
+
+
+@pytest.mark.parametrize("n, bad", [(8, 41), (32, 66)])
+def test_node_on_sphere_in_large_batch_raises(rng, n, bad):
+    # at n = 32 the 70 nodes span two chunks, so the index crosses one
+    T = random_commuting_operator(rng, n)
+    pts = _mixed_nodes(rng, T, 70)
+    sp = s_spectrum(T)[0]
+    J = Quaternion(0.0, 0.6, 0.0, 0.8)
+    pts[bad] = Quaternion.embed(sp.u, J, sp.v).as_array() if sp.v > 0 else [sp.u, 0, 0, 0]
+    for kind in (KernelKind.QCS_INV, KernelKind.P2_RIGHT):
+        with pytest.raises(SingularMatrixError) as err:
+            kernel_at_nodes(kind, T, pts)
+        assert err.value.batch_index == bad
+    kernel_at_nodes(KernelKind.S_LEFT, T, np.delete(pts, bad, axis=0))

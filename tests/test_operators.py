@@ -1,10 +1,15 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sspectrum import (E1, CommutingOperator, Quaternion, QuatMatrix, conj_op,
-                       gram, qcs_op, qm_solve, s_spectrum)
+from sspectrum import (E1, CalculusKind, CommutingOperator, Quaternion,
+                       QuatMatrix, auto_contour, conj_op, gram, qcs_op,
+                       qm_solve, riesz_projector, s_spectrum)
+from sspectrum import operators
 from sspectrum.errors import CommutationError, InputError, SingularMatrixError
 from sspectrum.operators import (load_operator, operator_from_dict,
                                  operator_to_dict, qcs_pencil_at, save_operator)
@@ -172,3 +177,104 @@ def test_hypothesis_predicates():
     assert not skew.has_real_component_spectra()
     T3 = CommutingOperator(z, z, z, np.eye(2))
     assert not T3.has_zero_e3()
+
+
+# -- repeated roots of the pencil ---------------------------------------------
+
+
+def similar_op(V, d, b):
+    """T0 = V diag(d) V^-1 and T1 = V diag(b) V^-1, T2 = T3 = 0."""
+    Vi = np.linalg.inv(V)
+    z = np.zeros((len(d), len(d)))
+    return CommutingOperator(V @ np.diag(d) @ Vi, V @ np.diag(b) @ Vi, z, z)
+
+
+def test_real_points_of_non_normal_operators():
+    # every real point is a double root that rounding splits; each must
+    # come back as one point of multiplicity 2
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((3, 3))
+        d = rng.standard_normal(3)
+        sp = s_spectrum(similar_op(V, d, np.zeros(3)))
+        assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 2)] * 3, seed
+        assert np.allclose([s.u for s in sp], np.sort(d), atol=1e-6), seed
+
+
+def test_non_normal_real_example():
+    z = np.zeros((2, 2))
+    sp = s_spectrum(CommutingOperator(np.array([[1.0, 2.0], [3.0, 4.0]]), z, z, z))
+    root = np.sqrt(33.0) / 2.0
+    assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 2), (0.0, 2)]
+    assert np.allclose([s.u for s in sp], [2.5 - root, 2.5 + root], atol=1e-12)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_repeated_root_clustering_is_batched(monkeypatch, shift):
+    # 2 I (shift 0) and 2 I plus a nilpotent Jordan part (shift 1) at
+    # n = 32: one real point of multiplicity 64, which rounding splits so
+    # far that every pair of roots may be a midpoint candidate
+    n = 32
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    T0 = Q @ (2.0 * np.eye(n) + shift * np.diag(np.ones(n - 1), 1)) @ Q.T
+    z = np.zeros((n, n))
+    batches = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M, **kw: batches.append(len(M)) or svd(M, **kw))
+    sp = s_spectrum(CommutingOperator(T0, z, z, z))
+    assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 2 * n)]
+    assert abs(sp[0].u - 2.0) < 1e-8
+    m = 2 * n
+    assert all(b * m * m <= operators.CLUSTER_BATCH_ENTRIES for b in batches)
+    assert sum(batches) < m * (m - 1) // 4
+
+
+JOINT = st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                  st.sampled_from([0.0, 0.7, -0.7, 1.5]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(JOINT, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_similarity_transformed_spectrum(joint, seed):
+    # joint eigenvalues (d_i, b_i) from a grid, so real, complex and
+    # repeated ones all occur, under a non-orthogonal V of condition <= 3
+    n = len(joint)
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    V = np.eye(n) + 0.5 * G / max(np.linalg.norm(G, 2), 1e-12)
+    T = similar_op(V, [d for d, _ in joint], [b for _, b in joint])
+    expect = Counter()
+    for d, b in joint:
+        expect[(d, abs(b))] += 2 if b == 0.0 else 1
+    spheres = s_spectrum(T)
+    assert len(spheres) == len(expect)
+    for (u, v), m in expect.items():
+        sp = min(spheres, key=lambda sp: sp.point_distance(u, v))
+        assert sp.point_distance(u, v) < 1e-8
+        assert sp.multiplicity == m
+        assert (sp.v == 0.0) == (v == 0.0)
+    # the S-projector of the first sphere has the rank of its joint eigenvalues
+    P = riesz_projector(CalculusKind.S, T, auto_contour(spheres, [0]))
+    assert (P @ P - P).norm() <= 1e-8 * max(P.norm(), 1.0)
+    rank = sum(1 for d, b in joint if spheres[0].point_distance(d, b) < 1e-8)
+    assert abs(np.trace(P.data[..., 0]) - rank) < 1e-6
+
+
+def test_spectrum_computed_once_per_operator(monkeypatch):
+    T = diag_op([0.0, 5.0], [1.0, 0.0])
+    calls = []
+    compute = operators.s_spectrum
+    monkeypatch.setattr(operators, "s_spectrum",
+                        lambda *args: calls.append(args) or compute(*args))
+    assert T.spheres == T.spheres == tuple(compute(T))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_components_rejected(bad):
+    M = np.array([[1.0, bad], [0.0, 2.0]])
+    z = np.zeros((2, 2))
+    with pytest.raises(InputError):
+        CommutingOperator(M, z, z, z)
+    with pytest.raises(InputError):
+        CommutingOperator(z, M, z, z)

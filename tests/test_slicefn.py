@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,3 +214,15 @@ def test_stem_json_roundtrip(tmp_path):
     save_stem(f, path)
     assert load_stem(path) == f
     assert stem_from_dict(stem_to_dict(f)) == f
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_at_nodes_equals_evaluate(side):
+    rng = np.random.default_rng(11)
+    for degree in (0, 1, 4):
+        f = SlicePoly(side, [random_quaternion(rng) for _ in range(degree + 1)])
+        pts = rng.standard_normal((40, 4))
+        pts[::5, 1:] = 0.0
+        got = f.at_nodes(pts)
+        want = np.array([f.evaluate(Quaternion(*p)).as_array() for p in pts])
+        assert np.array_equal(got, want)
