@@ -111,18 +111,15 @@ def apply_calculus(kind: CalculusKind, f: SlicePoly, T: CommutingOperator,
                    c: Contour) -> QuatMatrix:
     """Evaluate one calculus: prefactor times the pairing of the stem f
     with the kind's kernel over a contour enclosing all of sigma_S(T)."""
-    kind = CalculusKind(kind)
-    if c.components:
-        _check_encloses(c, T, full=True)
-    K = kernel_fn(_KERNELS[(kind, f.side)], T)
-    out = integrate(c, K, f, side=f.side, n=T.n)
-    return out * _PREFACTOR[kind]
+    return apply_stems(kind, [f], T, c)[0]
 
 
 def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
                 c: Contour):
-    """Evaluate one calculus on several stems of a common side, reusing
-    a single kernel evaluation over the contour nodes."""
+    """Evaluate one calculus on several stems of a common side, from one
+    pass of pencil inversions over the contour nodes; each stem's
+    weights are contracted with their own product, so every value equals
+    the single-stem apply_calculus bit for bit."""
     stems = list(stems)
     if not stems:
         return []
@@ -132,21 +129,9 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
     kind = CalculusKind(kind)
     if c.components:
         _check_encloses(c, T, full=True)
-    kvals = None
     K = kernel_fn(_KERNELS[(kind, side)], T)
-
-    class _Shared:
-        n = T.n
-
-        def at_nodes(self, s_arr):
-            nonlocal kvals
-            if kvals is None:
-                kvals = K.at_nodes(s_arr)
-            return kvals
-
-    shared = _Shared()
-    return [integrate(c, shared, g, side=side, n=T.n) * _PREFACTOR[kind]
-            for g in stems]
+    return [val * _PREFACTOR[kind]
+            for val in integrate(c, K, stems, side=side, n=T.n)]
 
 
 def moment_closed_form(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:

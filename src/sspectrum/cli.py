@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -64,6 +65,38 @@ def _fmt_float(x: float) -> str:
     return text
 
 
+def _float_template(obj, values):
+    """A %-format template for a nest of lists whose leaves are all
+    floats, appending the floats to values in order; None for any other
+    nest.  One format call then renders a whole matrix."""
+    if all(type(v) is float for v in obj):
+        values.extend(obj)
+        return "[" + ",".join(("%.17g",) * len(obj)) + "]"
+    parts = []
+    for v in obj:
+        if type(v) not in (list, tuple):
+            return None
+        part = _float_template(v, values)
+        if part is None:
+            return None
+        parts.append(part)
+    return "[" + ",".join(parts) + "]"
+
+
+# a whole '%.17g' token with neither a point nor an exponent
+_INTEGRAL_TOKEN = re.compile(r"(?<=[\[,])(-?\d+)(?=[\],])")
+
+
+def _mend_floats(text, values):
+    """Turn '%.17g' tokens into _fmt_float's: NaN, Infinity, -Infinity,
+    and '.0' after integral values."""
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    if any(map(float.is_integer, values)):
+        text = _INTEGRAL_TOKEN.sub(r"\1.0", text)
+    return text
+
+
 def dump_json(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -78,6 +111,10 @@ def dump_json(obj) -> str:
 
         return _json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        values = []
+        template = _float_template(obj, values)
+        if template is not None:
+            return _mend_floats(template % tuple(values), values)
         return "[" + ",".join(dump_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ",".join(f"{dump_json(str(k))}:{dump_json(v)}"
@@ -128,7 +165,10 @@ def _cmd_projector(config: RunConfig):
     T = load_operator(_require(config.operator, "--operator"))
     selection = None
     if config.cluster is not None:
-        selection = [int(tok) for tok in config.cluster.split(",") if tok != ""]
+        try:
+            selection = [int(tok) for tok in config.cluster.split(",") if tok != ""]
+        except ValueError as exc:
+            raise InputError(f"--cluster needs comma-separated sphere indexes: {exc}") from exc
     c = _resolve_contour(config, T, selection=selection)
     P = riesz_projector(CalculusKind(config.calculus), T, c)
     residual = (P @ P - P).norm()

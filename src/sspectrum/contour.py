@@ -12,7 +12,11 @@ Node and weight convention for a circle centered at z0 with radius r:
     s_k = z0 + r exp(J theta_k),  theta_k = 2 pi k / N
     w_k = orientation * (2 pi / N) * r * exp(J theta_k)
 
-which realizes the oriented measure ds (-J) under s(theta).
+which realizes the oriented measure ds (-J) under s(theta).  The cosines
+and sines of the second half of the ring are the exact mirror of the
+first, so the node set of every circle and disk pair is closed under
+conjugation bit for bit, and ``integrate`` inverts the pencil only at
+the nodes on or above the real axis of C_J.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InputError
+from .kernels import kernel_fn, kernel_sum
 from .qlinalg import QuatMatrix, product_matrices, qmul_arr
 from .quat import E1, Quaternion, imaginary_unit
 
@@ -123,65 +128,138 @@ def nodes(c: Contour):
 
 
 def node_arrays(c: Contour):
-    """Vectorized nodes: two (M, 4) arrays of points and weights."""
-    N = c.nodes_per_circle
+    """Vectorized nodes: two (M, 4) arrays of points and weights.
+
+    The node set is exactly closed under conjugation in C_J (see
+    slice_nodes), so a DiskPair's lower circle mirrors its upper circle
+    bit for bit."""
+    z, w, _, _ = slice_nodes(c)
     J = c.J.as_array()
-    chunks_s, chunks_w = [], []
-    theta = 2.0 * np.pi * np.arange(N) / N
-    ring = np.zeros((N, 4))
-    ring[:, 0] = np.cos(theta)
-    ring += np.sin(theta)[:, None] * J
+    return _in_plane(z, J), _in_plane(w, J)
+
+
+def _in_plane(z, J):
+    """Complex a + ib as the quaternions a + bJ, an (M, 4) array."""
+    out = z.imag[:, None] * J
+    out[:, 0] = z.real
+    return out
+
+
+def _ring(N):
+    """cos and sin of 2 pi k / N, k < N, with the second half the exact
+    mirror of the first: cos[N - k] == cos[k], sin[N - k] == -sin[k],
+    and sin == 0 at k = 0 and k = N / 2."""
+    half = N // 2
+    theta = 2.0 * np.pi * np.arange(half + 1) / N
+    cos, sin = np.cos(theta), np.sin(theta)
+    if N % 2 == 0:
+        cos[half], sin[half] = -1.0, 0.0
+    tail = slice((N + 1) // 2 - 1, 0, -1)
+    return np.concatenate((cos, cos[tail])), np.concatenate((sin, -sin[tail]))
+
+
+def slice_nodes(c: Contour):
+    """Nodes and weights as complex numbers a + ib standing for a + bJ in
+    C_J, and their pairing under conjugation, from the contour's
+    structure: (z, w, upper, mirror).
+
+    z and w are (M,) in node_arrays order.  upper (U,) indexes the nodes
+    on or above the real axis, and mirror (U,) the conjugate node of
+    each, or -1 for a real node: node N - k of a Circle mirrors node k,
+    nodes 0 and N / 2 are real, and node (N - k) mod N of a DiskPair's
+    lower circle mirrors node k of its upper circle.
+    """
+    N = c.nodes_per_circle
+    cos, sin = _ring(N)
+    zs, ws, upper, mirror = [], [], [], []
+    base = 0
     for comp in c.components:
-        for (cu, cv, r) in comp.plane_circles():
-            center = np.zeros(4)
-            center[0] = cu
-            center += cv * J
-            s = center + r * ring
-            w = (comp.orientation * 2.0 * np.pi / N * r) * ring
-            chunks_s.append(s)
-            chunks_w.append(w)
-    if not chunks_s:
-        return np.zeros((0, 4)), np.zeros((0, 4))
-    return np.concatenate(chunks_s), np.concatenate(chunks_w)
+        circles = comp.plane_circles()
+        for (cu, cv, r) in circles:
+            scale = comp.orientation * 2.0 * np.pi / N * r
+            zs.append(_complex(cu + r * cos, cv + r * sin))
+            ws.append(_complex(scale * cos, scale * sin))
+        if isinstance(comp, Circle):
+            top = np.arange(N // 2 + 1)
+            upper.append(base + top)
+            mirror.append(np.where((top == 0) | (2 * top == N), -1, base + N - top))
+        else:
+            k = np.arange(N)
+            upper.append(base + k)
+            mirror.append(base + N + (N - k) % N)
+        base += len(circles) * N
+    if not zs:
+        empty = np.zeros(0, dtype=np.complex128)
+        return empty, empty, np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    return (np.concatenate(zs), np.concatenate(ws),
+            np.concatenate(upper), np.concatenate(mirror))
 
 
-def integrate(c: Contour, K, f, side: str = "left", n: int | None = None) -> QuatMatrix:
+def _complex(re, im):
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def integrate(c: Contour, K, f, side: str = "left", n: int | None = None):
     """Discrete pairing of a matrix kernel with a scalar function.
 
     side='left' accumulates K(s_k) w_k f(s_k); side='right' accumulates
-    f(s_k) w_k K(s_k).  No prefactor is applied.  K and f may each expose
-    a batched ``at_nodes`` method; otherwise they are called per node.
-    The reduction runs in ascending node order so results are
-    bit-reproducible.
+    f(s_k) w_k K(s_k).  No prefactor is applied.  f may also be a list
+    of stems, which gives a list of values from one pass over the
+    kernel.  A kernels.kernel_fn is paired through kernels.kernel_sum:
+    pencils are inverted only at the nodes on or above the real axis,
+    whose conjugates are folded in from the contour's structure.  Any
+    other K is called per node.  f may expose a batched ``at_nodes``
+    method; otherwise it is called per node.  Results are reproducible
+    for a fixed machine and BLAS thread count.
     """
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
-    s_arr, w_arr = node_arrays(c)
-    if len(s_arr) == 0:
+    many = isinstance(f, (list, tuple))
+    stems = list(f) if many else [f]
+    z, w, upper, mirror = slice_nodes(c)
+    if len(z) == 0:
         if n is None:
             n = getattr(K, "n", None)
         if n is None:
             raise InputError("empty contour needs explicit dimension n")
-        return QuatMatrix.zeros(n)
-
-    if hasattr(K, "at_nodes"):
-        kvals = K.at_nodes(s_arr)
+        vals = [np.zeros((n, n, 4)) for _ in stems]
     else:
-        kvals = np.stack([K(Quaternion.from_array(s)).data for s in s_arr])
+        J = c.J.as_array()
+        s_arr, w_arr = _in_plane(z, J), _in_plane(w, J)
+        weights = np.stack([_weights(g, s_arr, w_arr, side) for g in stems])
+        if isinstance(K, kernel_fn):
+            paired = mirror >= 0
+            c_conj = np.zeros((len(stems), len(upper), 4))
+            c_conj[:, paired] = weights[:, mirror[paired]]
+            vals = kernel_sum(K.kind, K.T, J[1:], z[upper], weights[:, upper],
+                              side, c_conj, upper)
+        else:
+            vals = _pair_per_node(K, s_arr, weights, side)
+    out = [QuatMatrix(v) for v in vals]
+    return out if many else out[0]
+
+
+def _weights(f, s_arr, w_arr, side):
+    """w_k f(s_k) (left) or f(s_k) w_k (right) at every node, (M, 4)."""
     if hasattr(f, "at_nodes"):
         fvals = f.at_nodes(s_arr)
     else:
         fvals = np.stack([f(Quaternion.from_array(s)).as_array() for s in s_arr])
+    return qmul_arr(w_arr, fvals) if side == "left" else qmul_arr(fvals, w_arr)
 
-    # each term K_k (w_k f_k), or (f_k w_k) K_k, is the (n^2, 4) block of
-    # K_k times the 4 x 4 real matrix of that scalar product
-    if side == "left":
-        R = product_matrices(qmul_arr(w_arr, fvals), "right")
-    else:
-        R = product_matrices(qmul_arr(fvals, w_arr), "left")
+
+def _pair_per_node(K, s_arr, weights, side):
+    """sum_k K(s_k) c_k (left) or c_k K(s_k) (right) for each row c of
+    weights, calling K once per node: each term is the (n^2, 4) block of
+    K(s_k) times the 4 x 4 real matrix of the product with c_k."""
+    kvals = np.stack([K(Quaternion.from_array(s)).data for s in s_arr])
     count, dim = kvals.shape[:2]
-    terms = np.matmul(kvals.reshape(count, dim * dim, 4), R)
-    return QuatMatrix(np.add.reduce(terms, axis=0).reshape(dim, dim, 4))
+    flat = kvals.reshape(count, dim * dim, 4)
+    mult = "right" if side == "left" else "left"
+    return [np.add.reduce(np.matmul(flat, product_matrices(c, mult)), axis=0)
+            .reshape(dim, dim, 4) for c in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +465,37 @@ def converge_nodes(evaluate, c: Contour, rtol: float = 1e-10,
 
 
 def contour_from_dict(doc) -> Contour:
+    """Parse a contour document; every schema violation is an InputError."""
     if not isinstance(doc, dict) or "circles" not in doc or "J" not in doc:
         raise InputError("contour document needs 'J' and 'circles'")
-    comps = []
-    for item in doc["circles"]:
-        orientation = int(item.get("orientation", 1))
-        if "center" in item:
-            comps.append(Circle(float(item["center"]), float(item["radius"]),
-                                orientation))
-        elif "u" in item:
-            comps.append(DiskPair(float(item["u"]), float(item["v"]),
-                                  float(item["radius"]), orientation))
-        else:
-            raise InputError("each circle needs 'center' or a ('u', 'v') pair")
-    return Contour(imaginary_unit(doc["J"]), tuple(comps),
-                   int(doc.get("nodes", DEFAULT_NODES)))
+    if not isinstance(doc["circles"], list):
+        raise InputError("contour 'circles' must be a list")
+    try:
+        comps = [_component_from_dict(item) for item in doc["circles"]]
+        J = imaginary_unit(doc["J"])
+        N = int(doc.get("nodes", DEFAULT_NODES))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad contour document: {type(exc).__name__}: {exc}") from exc
+    return Contour(J, tuple(comps), N)
+
+
+def _component_from_dict(item):
+    if not isinstance(item, dict):
+        raise InputError("each circle must be an object")
+    orientation = int(item.get("orientation", 1))
+    if "center" in item:
+        return Circle(_finite(item, "center"), _finite(item, "radius"), orientation)
+    if "u" in item:
+        return DiskPair(_finite(item, "u"), _finite(item, "v"),
+                        _finite(item, "radius"), orientation)
+    raise InputError("each circle needs 'center' or a ('u', 'v') pair")
+
+
+def _finite(item, key) -> float:
+    value = float(item[key])
+    if not math.isfinite(value):
+        raise InputError(f"circle '{key}' must be finite, got {value}")
+    return value
 
 
 def contour_to_dict(c: Contour) -> dict:

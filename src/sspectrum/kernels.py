@@ -11,13 +11,22 @@ The P2 kernels are the conjugate-Fueter images of the Cauchy kernels
 and drive the order-2 polyanalytic calculus; F produces the Laplacian
 image, and Q^-1 itself the harmonic one.
 
-Batched evaluation works in the complex slice of each node.  Writing
-s = a + b J_s, every entry of the pencil lies in span{1, J_s}, which is
-a copy of C, so Q^-1 is one batched complex LAPACK inverse and Q^-2 one
-complex matrix product.  The factor sI - conj(T) splits into s - T0,
-which stays in the slice, and the vector part T1 e1 + T2 e2 + T3 e3,
-applied as real matrix products on the complex blocks.  Only the final
-result is mapped to quaternion components, X + iY -> X + Y J_s.
+Evaluation works in the complex slice of each node.  Writing s = a + bJ,
+every entry of the pencil lies in span{1, J}, which is a copy of C, so
+Q^-1 is one batched complex LAPACK inverse and Q^-2 one complex matrix
+product.  The factor sI - conj(T) splits into s - T0, which stays in the
+slice, and the vector part T1 e1 + T2 e2 + T3 e3, so every kernel is
+C + sum_j e_j Z_j (left kinds) or C + sum_j Z_j e_j (right kinds), where
+C and Z_j are real matrix polynomials in T applied to z^p G, p <= 2, with
+G = Q^-1 or +-4 Q^-2, and X + iY stands for X + YJ.
+
+``kernel_at_nodes`` maps C and Z to quaternion components at every node,
+an (N, n, n, 4) stack.  ``kernel_sum``, which ``contour.integrate`` uses,
+never forms that stack: the map from z^p G to the kernel is real-linear,
+so it contracts G with the quadrature weights over the nodes first and
+applies the T products and the quaternion map once, to n x n moments.
+The pencil is real, so Q(conj z)^-1 = conj Q(z)^-1, and the conjugate
+half of a contour costs no inversion.
 
 Scalar (n = 1) closed forms of the same kernels are provided separately
 as the function-theory oracles.
@@ -29,9 +38,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergenceError, SingularMatrixError
+from .errors import DivergenceError, InputError, SingularMatrixError
 from .operators import CommutingOperator, gram
-from .qlinalg import PIVOT_RTOL, QuatMatrix
+from .qlinalg import PIVOT_RTOL, QuatMatrix, product_matrices
 from .quat import Quaternion, qinv, qs_poly
 
 __all__ = [
@@ -39,6 +48,7 @@ __all__ = [
     "kernel",
     "kernel_at_nodes",
     "kernel_fn",
+    "kernel_sum",
     "p2_series",
     "s_series",
     "cauchy_kernel_left",
@@ -71,6 +81,14 @@ class KernelKind(Enum):
 _LEFT = (KernelKind.S_LEFT, KernelKind.F_LEFT, KernelKind.P2_LEFT)
 _FACTOR = {KernelKind.F_LEFT: -4.0, KernelKind.F_RIGHT: -4.0,
            KernelKind.P2_LEFT: 4.0, KernelKind.P2_RIGHT: 4.0}
+# highest power of the slice node z that multiplies G in each kernel
+_DEGREE = {KernelKind.QCS_INV: 0, KernelKind.S_LEFT: 1, KernelKind.S_RIGHT: 1,
+           KernelKind.F_LEFT: 1, KernelKind.F_RIGHT: 1,
+           KernelKind.P2_LEFT: 2, KernelKind.P2_RIGHT: 2}
+# x @ _UNIT_PRODUCTS[side][q] is x e_q (side 'left', where the weight
+# sits right of the kernel) or e_q x (side 'right')
+_UNIT_PRODUCTS = {"left": product_matrices(np.eye(4), "right"),
+                  "right": product_matrices(np.eye(4), "left")}
 
 
 def kernel_at_nodes(kind: KernelKind, T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:
@@ -85,22 +103,83 @@ def kernel_at_nodes(kind: KernelKind, T: CommutingOperator, s_arr: np.ndarray) -
     if squeeze:
         s_arr = s_arr[None, :]
     n = T.n
-    T0, T1, T2, T3 = T.components
-    if kind is KernelKind.P2_LEFT:
-        # T0 (sI - conj(T)) Q^-2 needs T0 T_k on the vector part
-        blocks = np.concatenate((T0, T0 @ T0, T1, T2, T3, T0 @ T1, T0 @ T2, T0 @ T3))
-    elif kind in _LEFT:
-        blocks = np.concatenate((T0, T1, T2, T3))
-    else:
-        blocks = np.concatenate((T0, T1, T2, T3), axis=1)
     K = gram(T)
+    powers = np.arange(_DEGREE[kind] + 1)
     out = np.empty(s_arr.shape[:1] + (n, n, 4))
     chunk = max(1, CHUNK_ENTRIES // (n * n))
     for lo in range(0, len(s_arr), chunk):
-        hi = lo + chunk
+        hi = min(lo + chunk, len(s_arr))
         z, J = _slice_coordinates(s_arr[lo:hi])
-        _kernel_chunk(kind, T0, K, blocks, z, J, lo, out[lo:hi])
+        G = _pencil_term(kind, T.T0, K, z, np.arange(lo, hi))
+        S = (z[:, None] ** powers)[:, :, None, None] * G[:, None]
+        C, Z = _kernel_parts(kind, T, S)
+        _to_quaternion(C, Z, J, kind in _LEFT, out[lo:hi])
     return out[0] if squeeze else out
+
+
+def kernel_sum(kind: KernelKind, T: CommutingOperator, J, z, c, side: str,
+               c_conj, index) -> np.ndarray:
+    """Kernel values paired with quaternion weights and summed over nodes.
+
+    The nodes z (U,) are complex slice values a + ib standing for
+    a + bJ in the plane C_J of the imaginary unit J, given as its (3,)
+    vector part; b may be negative.  For each row of weights
+    c (S, U, 4) this returns
+
+        sum_k K(z_k) c_k  (side 'left')   or   sum_k c_k K(z_k)  (side 'right'),
+
+    plus the same sum at the conjugate nodes conj(z_k) with the weights
+    c_conj (S, U, 4), zero where z_k has no conjugate in the node set,
+    as an (S, n, n, 4) stack.  The pencil is real, so
+    Q(conj z)^-1 = conj Q(z)^-1 and the conjugate nodes cost no
+    inversion.  index (U,) labels the nodes in a SingularMatrixError.
+
+    Only G = Q^-1, or the +-4 Q^-2 of the F and P2 kernels, is formed per
+    node.  Every kernel is C + sum_j e_j Z_j (left kinds) or
+    C + sum_j Z_j e_j (right kinds), where C and Z_j are real matrix
+    polynomials in T applied to z^p G, p <= 2, and X + iY stands for
+    X + YJ.  That map is real-linear, so the weights are contracted
+    first: each real weight component c_q gives the moments
+    M_{q,p} = sum_k c_{k,q} z_k^p G_k, one real matrix product per chunk
+    of nodes and row of weights, and the T products and the quaternion
+    map run once on the n x n moments.  The result is sum_q Phi_q e_q
+    on the left side and sum_q e_q Phi_q on the right.
+    """
+    kind = KernelKind(kind)
+    if side not in ("left", "right"):
+        raise InputError("side must be 'left' or 'right'")
+    J = np.asarray(J, dtype=np.float64)
+    z = np.asarray(z, dtype=np.complex128)
+    c = np.asarray(c, dtype=np.float64)
+    c_conj = np.asarray(c_conj, dtype=np.float64)
+    index = np.asarray(index)
+    n = T.n
+    K = gram(T)
+    powers = np.arange(_DEGREE[kind] + 1)
+    rows = 4 * len(powers)
+    moments = np.zeros((len(c), 2 * rows, n * n))
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    for lo in range(0, len(z), chunk):
+        hi = min(lo + chunk, len(z))
+        G = _pencil_term(kind, T.T0, K, z[lo:hi], index[lo:hi])
+        G = np.concatenate((G.real, G.imag)).reshape(2 * (hi - lo), n * n)
+        zp = z[lo:hi, None] ** powers
+        for r in range(len(c)):
+            # a G + conj(b G) = (a + conj b) Re G + i (a - conj b) Im G for
+            # a = c z^p and b = c_conj z^p, as one real product
+            a = (c[r, lo:hi, :, None] * zp[:, None, :]).reshape(hi - lo, rows).T
+            b_bar = np.conj(c_conj[r, lo:hi, :, None] * zp[:, None, :]).reshape(hi - lo, rows).T
+            plus, minus = a + b_bar, a - b_bar
+            L = np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
+            moments[r] += L @ G
+    out = np.empty((len(c), n, n, 4))
+    for r in range(len(c)):
+        M = (moments[r, :rows] + 1j * moments[r, rows:]).reshape(4, len(powers), n, n)
+        C, Z = _kernel_parts(kind, T, M)
+        Phi = np.empty((4, n, n, 4))
+        _to_quaternion(C, Z, np.broadcast_to(J, (4, 3)), kind in _LEFT, Phi)
+        out[r] = np.tensordot(Phi, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
+    return out
 
 
 def _slice_coordinates(s_arr):
@@ -115,8 +194,11 @@ def _slice_coordinates(s_arr):
     return s_arr[:, 0] + 1j * b, J
 
 
-def _pencil_inverse(T0, K, z, offset):
-    """Q(z)^-1 = (z^2 I - 2 z T0 + K)^-1 for complex nodes z (N,)."""
+def _pencil_term(kind, T0, K, z, index):
+    """G(z) for complex nodes z (N,): Q^-1 for the S and Q kernels, and
+    -4 Q^-2 or 4 Q^-2 for F and P2, with Q(z) = z^2 I - 2 z T0 + K.
+    Raises SingularMatrixError naming the first ill-conditioned node by
+    its label in index."""
     n = T0.shape[0]
     Q = K - 2.0 * z[:, None, None] * T0
     idx = np.arange(n)
@@ -131,10 +213,14 @@ def _pencil_inverse(T0, K, z, offset):
     bad = ~(cond <= COND_LIMIT)
     if np.any(bad):
         which = int(np.argmax(bad))
+        label = int(index[which])
         raise SingularMatrixError(
-            f"pencil at node {offset + which} has condition {cond[which]:.3e} "
+            f"pencil at node {label} has condition {cond[which]:.3e} "
             f"above {COND_LIMIT:.0e}",
-            batch_index=offset + which)
+            batch_index=label)
+    if kind in _FACTOR:
+        # the F and P2 prefactors are linear, so they go on Q^-2
+        return np.matmul(_FACTOR[kind] * Qinv, Qinv)
     return Qinv
 
 
@@ -145,63 +231,39 @@ def _inv_or_nan(M):
         return np.full_like(M, np.nan)
 
 
-def _left_products(blocks, G):
-    """R_j G for the real blocks R_j stacked in (k n, n) and complex G
-    (N, n, n): (N, k, n, n).  G is viewed as a real (N, n, 2n) array, so
-    this is one real matrix product."""
-    N, n, _ = G.shape
-    W = np.matmul(blocks, G.view(np.float64)).view(np.complex128)
-    return W.reshape(N, -1, n, n)
+def _kernel_parts(kind, T, S):
+    """The slice part C (..., n, n) and the vector parts Z (..., 3, n, n)
+    (None for Q^-1) of one kernel, from S (..., p, n, n) whose S_p stands
+    for z^p G.  With B = (s - T0) + V, V = T1 e1 + T2 e2 + T3 e3:
 
+        S_L = B G, F_L = B G        C = (z - T0) G,      Z_j = T_j G
+        S_R = G B, F_R = G B        C = z G - G T0,      Z_j = G T_j
+        P2_L = B G s - T0 B G       C = (z - T0)^2 G,    Z_j = T_j (z - T0) G
+        P2_R = (s - T0) G B         C = z H - H T0,      Z_j = H T_j
 
-def _right_products(G, blocks):
-    """G R_j for complex G (N, n, n) and real blocks R_j side by side in
-    (n, k n): (N, k, n, n), from one real product of [Re G; Im G]."""
-    N, n, _ = G.shape
-    W = np.matmul(np.concatenate((G.real, G.imag), axis=1), blocks)
-    W = W[:, :n] + 1j * W[:, n:]
-    return W.reshape(N, n, -1, n).transpose(0, 2, 1, 3)
-
-
-def _kernel_chunk(kind, T0, K, blocks, z, J, offset, out):
-    """Write one kernel kind at the slice nodes z into out (N, n, n, 4)."""
-    Qinv = _pencil_inverse(T0, K, z, offset)
+    where H = (z - T0) G and G carries each kind's factor."""
+    T0 = T.T0
+    V = np.stack(T.components[1:])
+    S0 = S[..., 0, :, :]
     if kind is KernelKind.QCS_INV:
-        _to_quaternion(Qinv, None, J, True, out)
-        return
-    if kind in (KernelKind.S_LEFT, KernelKind.S_RIGHT):
-        G = Qinv
-    else:
-        # the F and P2 prefactors -4 and 4 are linear, so they go on Q^-2
-        G = np.matmul(_FACTOR[kind] * Qinv, Qinv)
-    zc = z[:, None, None]
+        return S0, None
+    S1 = S[..., 1, :, :]
+    if kind in (KernelKind.S_LEFT, KernelKind.F_LEFT):
+        return S1 - T0 @ S0, V @ S0[..., None, :, :]
+    if kind in (KernelKind.S_RIGHT, KernelKind.F_RIGHT):
+        return S1 - S0 @ T0, S0[..., None, :, :] @ V
+    H = S1 - T0 @ S0
+    zH = S[..., 2, :, :] - T0 @ S1
     if kind is KernelKind.P2_LEFT:
-        # B G s - T0 B G with G = 4 Q^-2 and B = (s - T0) + V: the slice
-        # part is (s - T0)^2 G, the vector part V G s - (T0 V) G
-        W = _left_products(blocks, G)
-        C = zc * (zc * G - 2.0 * W[:, 0]) + W[:, 1]
-        Z = zc[:, None] * W[:, 2:5] - W[:, 5:8]
-    elif kind is KernelKind.P2_RIGHT:
-        # s G B - T0 G B = H B with G = 4 Q^-2 and H = (s - T0) G
-        H = zc * G - _left_products(T0, G)[:, 0]
-        W = _right_products(H, blocks)
-        C = zc * H - W[:, 0]
-        Z = W[:, 1:]
-    elif kind in _LEFT:
-        W = _left_products(blocks, G)
-        C = zc * G - W[:, 0]
-        Z = W[:, 1:]
-    else:
-        W = _right_products(G, blocks)
-        C = zc * G - W[:, 0]
-        Z = W[:, 1:]
-    _to_quaternion(C, Z, J, kind in _LEFT, out)
+        return zH - T0 @ H, V @ H[..., None, :, :]
+    return zH - H @ T0, H[..., None, :, :] @ V
 
 
 def _to_quaternion(C, Z, J, left, out):
     """Write into out (N, n, n, 4) the quaternion form of C + sum_k e_k Z_k
     (left) or C + sum_k Z_k e_k (right), where the complex C and Z_k (Z
-    is (N, 3, n, n) or None) stand for X + Y J_s."""
+    is (N, 3, n, n) or None) stand for X + Y J, with one unit J (N, 3)
+    per matrix."""
     j = [J[:, k, None, None] for k in range(3)]
     if Z is None:
         out[..., 0] = C.real
@@ -222,7 +284,8 @@ def kernel(kind: KernelKind, T: CommutingOperator, s: Quaternion) -> QuatMatrix:
 
 
 class kernel_fn:
-    """Callable s -> kernel(kind, T, s) with a batched node fast path."""
+    """Callable s -> kernel(kind, T, s); contour.integrate pairs it with
+    stems through kernel_sum instead of calling it per node."""
 
     def __init__(self, kind: KernelKind, T: CommutingOperator):
         self.kind = KernelKind(kind)
@@ -234,9 +297,6 @@ class kernel_fn:
 
     def __call__(self, s: Quaternion) -> QuatMatrix:
         return kernel(self.kind, self.T, s)
-
-    def at_nodes(self, s_arr: np.ndarray) -> np.ndarray:
-        return kernel_at_nodes(self.kind, self.T, s_arr)
 
 
 # ---------------------------------------------------------------------------

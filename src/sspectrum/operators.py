@@ -184,7 +184,8 @@ def qcs_pencil_at(T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:
 
 
 def s_spectrum(T: CommutingOperator, pairing_rtol: float = PAIRING_RTOL):
-    """All spheres of the S-spectrum, sorted by (u, v).
+    """All spheres of the S-spectrum, sorted by u and, among spheres whose
+    u agree within pairing_rtol (1 + |u|), by v.
 
     Roots of det(s^2 I - 2 s T0 + K) are the eigenvalues of the 2n x 2n
     companion matrix A = [[0, I], [-K, 2 T0]].  Rounding splits an m-fold
@@ -248,6 +249,15 @@ def _spheres_of(A: np.ndarray, pairing_rtol: float):
 
     def join_eigenvalue_midpoints(pairs):
         mid = 0.5 * (roots[i[pairs]] + roots[j[pairs]])
+        # a root of another cluster nearer the midpoint than the pair
+        # itself makes the midpoint an eigenvalue whatever the pair is
+        # (+-0.7i about an 8-fold root at 0), so the test says nothing
+        label = np.array([find(k) for k in range(m)])
+        dist = np.abs(roots[None, :] - mid[:, None])
+        for ends in (i[pairs], j[pairs]):
+            dist[label[None, :] == label[ends][:, None]] = np.inf
+        clear = ~(np.min(dist, axis=1) < 0.5 * gap[pairs])
+        pairs, mid = pairs[clear], mid[clear]
         shifted = A[None, :, :] - mid[:, None, None] * np.eye(m)
         joined = pairs[np.linalg.svd(shifted, compute_uv=False)[:, -1] <= sigma_tol]
         for a, b in zip(i[joined], j[joined]):
@@ -284,8 +294,21 @@ def _spheres_of(A: np.ndarray, pairing_rtol: float):
     if upper != lower:
         raise EigenvalueError(
             f"{upper} roots above the real axis against {lower} below")
-    points.sort()
-    return [SpectralSphere(u, v, k) for u, v, k in points]
+    return [SpectralSphere(u, v, k) for u, v, k in _in_order(points, pairing_rtol)]
+
+
+def _in_order(points, rtol):
+    """(u, v, k) points sorted by u, where a run of u that agree within
+    rtol (1 + |u|) counts as one u and is sorted by v, so rounding noise
+    in u cannot put a sphere before the real point below it."""
+    points = sorted(points)
+    out, start = [], 0
+    for k in range(1, len(points) + 1):
+        if k == len(points) or abs(points[k][0] - points[k - 1][0]) > rtol * (
+                1.0 + max(abs(points[k][0]), abs(points[k - 1][0]))):
+            out.extend(sorted(points[start:k], key=lambda p: (p[1], p[0])))
+            start = k
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sspectrum import cli
@@ -173,3 +175,74 @@ def test_non_finite_operator_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["projector", "--operator", op, "--calculus", "p2",
                      "--cluster", "0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+
+def _reference_dump(obj):
+    """The element-by-element renderer that the float-list fast path of
+    dump_json must reproduce byte for byte."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        text = format(obj, ".17g")
+        return text if any(ch in text for ch in ".eE") else text + ".0"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_dump(v) for v in obj) + "]"
+    return "{" + ",".join(f"{_reference_dump(str(k))}:{_reference_dump(v)}"
+                          for k, v in obj.items()) + "}"
+
+
+def test_float_lists_render_as_reference():
+    special = [-0.0, 0.0, 3.0, -7.0, 1e16, -1e16, 1e17, 5e-324, -5e-324, 1e300,
+               float("nan"), -float("nan"), float("inf"), -float("inf"),
+               0.1, 2.0 ** 53, 123456789.0, -1.5e-7]
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((6, 6, 4))
+    M.flat[rng.choice(M.size, len(special), replace=False)] = special
+    docs = [
+        special,
+        [[v] for v in special],
+        M.tolist(),
+        {"projector": M.tolist(), "pass": True, "scale": 1.0, "n": 3},
+        [1.0, 2, 3.5],                      # mixed int and float
+        [[1.0, 2.0], [3.0, True]],          # a bool leaf
+        [[], [[]], ()],
+        (1.5, -0.0),
+        [np.float64(2.0), 0.5],
+    ]
+    for doc in docs:
+        assert dump_json(doc) == _reference_dump(doc), doc
+
+
+@pytest.mark.parametrize("circles, nodes", [
+    ([{"center": 0.0}], 64),                          # no radius
+    ([{"center": 0.0, "radius": 1.0}], "x"),          # non-integer nodes
+    ([{"center": "abc", "radius": 1.0}], 64),          # non-numeric entry
+    ([{"u": 0.0, "v": [1.0], "radius": 0.5}], 64),     # non-numeric entry
+    ([{"center": 0.0, "radius": float("nan")}], 64),   # non-finite entry
+    ([{"center": 0.0, "radius": 1.0, "orientation": "up"}], 64),
+    (["circle"], 64),
+])
+def test_malformed_contour_is_a_parse_error(tmp_path, capsys, e1_op, circles, nodes):
+    ct = write_json(tmp_path / "c.json", {"J": [0, 1, 0, 0], "circles": circles,
+                                         "nodes": nodes})
+    f = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[1, 0, 0, 0]]})
+    assert cli.main(["apply", "--operator", e1_op, "--function", f,
+                     "--contour", ct]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def test_non_numeric_cluster_is_a_parse_error(split_op, capsys):
+    assert cli.main(["projector", "--operator", split_op, "--cluster", "x"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2

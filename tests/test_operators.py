@@ -278,3 +278,42 @@ def test_non_finite_components_rejected(bad):
         CommutingOperator(M, z, z, z)
     with pytest.raises(InputError):
         CommutingOperator(z, M, z, z)
+
+
+@pytest.mark.parametrize("step0, step1", [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+def test_equal_u_ordered_by_v(tmp_path, capsys, step0, step1):
+    # joint eigenvalues (-1, 0) and (-1, 0.7) with u moved by one ulp either
+    # way: the real point comes first and --cluster 0 selects it
+    ulp = lambda x, k: x if k == 0 else np.nextafter(x, np.inf * k)
+    V = np.array([[1.0, 0.3], [-0.2, 1.0]])
+    Vi = np.linalg.inv(V)
+    T = CommutingOperator(V @ np.diag([ulp(-1.0, step0), ulp(-1.0, step1)]) @ Vi,
+                          V @ np.diag([0.0, 0.7]) @ Vi, np.zeros((2, 2)), np.zeros((2, 2)))
+    spheres = s_spectrum(T)
+    assert [sp.v == 0.0 for sp in spheres] == [True, False]
+    assert [sp.multiplicity for sp in spheres] == [2, 1]
+    from sspectrum.cli import main
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator_to_dict(T)))
+    assert main(["projector", "--operator", str(op), "--cluster", "0", "--nodes", "64"]) == 0
+    P = np.array(json.loads(capsys.readouterr().out)["projector"])[..., 0]
+    assert np.abs(P - V @ np.diag([1.0, 0.0]) @ Vi).max() < 1e-8
+
+
+@pytest.mark.parametrize("joint, expect", [
+    ([(0.0, 0.0)] * 3 + [(0.0, 0.7), (0.0, 0.0)], [(0.0, 0.0, 8), (0.0, 0.7, 1)]),
+    ([(-1.0, 0.0), (0.5, 0.0), (0.5, 0.0), (2.0, 0.0), (-1.0, 0.0)],
+     [(-1.0, 0.0, 4), (0.5, 0.0, 4), (2.0, 0.0, 2)]),
+])
+def test_root_at_a_midpoint_does_not_join_the_pair(joint, expect):
+    # the midpoint of +-0.7i (of -1 and 2) is another root, so it is an
+    # eigenvalue whatever the pair is; the pair stays apart
+    n = len(joint)
+    for seed in range(20):
+        G = np.random.default_rng(seed).standard_normal((n, n))
+        V = np.eye(n) + 0.5 * G / np.linalg.norm(G, 2)
+        T = similar_op(V, [d for d, _ in joint], [b for _, b in joint])
+        got = [(sp.u, sp.v, sp.multiplicity) for sp in s_spectrum(T)]
+        assert len(got) == len(expect), seed
+        for (u, v, k), (eu, ev, ek) in zip(got, expect):
+            assert abs(u - eu) < 1e-7 and abs(v - ev) < 1e-7 and k == ek, seed

@@ -1,0 +1,176 @@
+"""The node-contracted pairing of contour.integrate against the stack oracle:
+kernel_at_nodes at every node, contracted with per-node 4 x 4 products."""
+
+import json
+
+import numpy as np
+import pytest
+
+from sspectrum import Quaternion, QuatMatrix, SlicePoly, integrate
+from sspectrum import kernels
+from sspectrum.cli import main
+from sspectrum.contour import (Circle, Contour, DiskPair, contour_to_dict,
+                               node_arrays, slice_nodes)
+from sspectrum.errors import SingularMatrixError
+from sspectrum.identities import random_commuting_operator
+from sspectrum.kernels import KernelKind, kernel_at_nodes, kernel_fn
+from sspectrum.operators import CommutingOperator, operator_to_dict
+from sspectrum.qlinalg import product_matrices, qmul_arr
+from sspectrum.quat import random_imaginary_unit
+
+
+def stack_oracle(c, kind, T, f, side):
+    """sum_k K(s_k) (w_k f(s_k)) or sum_k (f(s_k) w_k) K(s_k), from the
+    whole (M, n, n, 4) kernel stack, and sum_k |K(s_k)| |w_k f(s_k)|,
+    the scale of its rounding."""
+    s_arr, w_arr = node_arrays(c)
+    kvals = kernel_at_nodes(kind, T, s_arr)
+    fvals = np.stack([f(Quaternion.from_array(s)).as_array() for s in s_arr])
+    if side == "left":
+        weights = qmul_arr(w_arr, fvals)
+        R = product_matrices(weights, "right")
+    else:
+        weights = qmul_arr(fvals, w_arr)
+        R = product_matrices(weights, "left")
+    n = T.n
+    terms = np.matmul(kvals.reshape(len(s_arr), n * n, 4), R)
+    scale = np.sum(np.linalg.norm(kvals.reshape(len(s_arr), -1), axis=1)
+                   * np.linalg.norm(weights, axis=1))
+    return QuatMatrix(terms.sum(axis=0).reshape(n, n, 4)), scale
+
+
+def _contours(rng):
+    """A Circle of odd N, a DiskPair of even N with orientation -1, and
+    both in one contour.  T's spectrum lies within radius 1 of 0, so the
+    circles around 0 enclose it and the DiskPair alone gives about 0."""
+    J = random_imaginary_unit(rng)
+    return [
+        Contour(J, (Circle(0.2, 2.5),), 33),
+        Contour(J, (DiskPair(0.5, 3.0, 1.0, -1),), 24),
+        Contour(J, (DiskPair(-0.3, 4.0, 1.5), Circle(0.0, 1.8, -1)), 40),
+    ]
+
+
+def _stems(rng):
+    a, b, c = (Quaternion(*rng.standard_normal(4)) for _ in range(3))
+    return [
+        SlicePoly.left(a, b, c),                 # non-intrinsic, left
+        SlicePoly.right(c, a),                   # non-intrinsic, right
+        lambda s: a * s * b + s * s * c,         # quaternion-valued callable
+    ]
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_pairing_matches_stack_oracle(rng, kind, side):
+    T = random_commuting_operator(rng, 3)
+    K = kernel_fn(kind, T)
+    for c in _contours(rng):
+        for f in _stems(rng):
+            got = integrate(c, K, f, side, n=T.n)
+            want, scale = stack_oracle(c, kind, T, f, side)
+            assert (got - want).norm() <= 1e-12 * scale, (kind, side, c)
+
+
+def test_pairing_matches_stack_oracle_across_chunks(rng):
+    # at n = 32 a chunk holds 64 nodes; 130 inverted nodes take three
+    T = random_commuting_operator(rng, 32)
+    c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
+    f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
+    for kind in (KernelKind.P2_RIGHT, KernelKind.S_LEFT):
+        got = integrate(c, kernel_fn(kind, T), f, "right", n=T.n)
+        want, scale = stack_oracle(c, kind, T, f, "right")
+        assert (got - want).norm() <= 1e-12 * scale, kind
+
+
+def test_list_of_stems_gives_each_single_value(rng):
+    T = random_commuting_operator(rng, 4)
+    c = _contours(rng)[2]
+    stems = [SlicePoly.left(*[Quaternion(*rng.standard_normal(4)) for _ in range(3)])
+             for _ in range(3)]
+    K = kernel_fn(KernelKind.F_LEFT, T)
+    many = integrate(c, K, stems, "left", n=T.n)
+    assert [integrate(c, K, g, "left", n=T.n) for g in stems] == many
+
+
+@pytest.mark.parametrize("N", [8, 9, 64, 65])
+def test_node_set_exactly_conjugate_symmetric(N):
+    J = random_imaginary_unit(np.random.default_rng(N))
+    c = Contour(J, (Circle(0.5, 1.0, -1), DiskPair(0.1, 2.0, 0.5)), N)
+    s, w = node_arrays(c)
+    z, zw, upper, mirror = slice_nodes(c)
+    assert np.array_equal(s[:, 0], z.real)
+    assert np.array_equal(s[:, 1:], z.imag[:, None] * c.J.as_array()[1:])
+    conj = lambda a: a * np.array([1.0, -1.0, -1.0, -1.0])
+    paired = mirror >= 0
+    for arr in (s, w):
+        assert np.array_equal(arr[mirror[paired]], conj(arr[upper[paired]]))
+        assert np.array_equal(arr[upper[~paired]], conj(arr[upper[~paired]]))
+    # every node is an inverted node or the mirror of exactly one
+    covered = np.concatenate((upper, mirror[paired]))
+    assert np.array_equal(np.sort(covered), np.arange(len(s)))
+    # the circle's real nodes are k = 0 and, for even N, k = N / 2
+    assert list(upper[~paired]) == ([0, N // 2] if N % 2 == 0 else [0])
+    # a DiskPair's lower circle mirrors its upper circle
+    k = np.arange(N)
+    assert np.array_equal(s[2 * N + (N - k) % N], conj(s[N + k]))
+
+
+@pytest.mark.parametrize("N, comps, expect", [
+    (64, (Circle(0.0, 2.0),), 33),
+    (65, (Circle(0.0, 2.0),), 33),
+    (64, (DiskPair(0.0, 3.0, 1.0),), 64),
+    (64, (Circle(0.0, 2.0), DiskPair(0.0, 5.0, 1.0)), 97),
+])
+def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
+    inverted = []
+    original = kernels._pencil_term
+
+    def counting(kind, T0, K, z, index):
+        inverted.extend(index.tolist())
+        return original(kind, T0, K, z, index)
+
+    monkeypatch.setattr(kernels, "_pencil_term", counting)
+    T = random_commuting_operator(np.random.default_rng(5), 3)
+    c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
+    integrate(c, kernel_fn(KernelKind.P2_LEFT, T), SlicePoly.left(1.0, 2.0), "left")
+    assert len(inverted) == expect == len(set(inverted))
+
+
+def _spectrum_through(z):
+    """A diagonal operator whose first sphere is a + bJ at the slice
+    value z = a + ib, with a second point at 3."""
+    return CommutingOperator(np.diag([z.real, 3.0]), np.diag([z.imag, 0.0]),
+                             np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("hit, first", [(37, 37), (62, 50)])
+def test_node_on_spectrum_names_its_index(hit, first):
+    # 16 nodes per circle: the DiskPair holds nodes 0-31, the circles
+    # 32-47 and 48-63; node 62 (k = 14) is the conjugate of node 50
+    # (k = 2), which comes first and fails with it
+    c = Contour(random_imaginary_unit(np.random.default_rng(7)),
+                (DiskPair(0.0, 5.0, 1.0), Circle(0.0, 1.0), Circle(10.0, 1.0)), 16)
+    T = _spectrum_through(slice_nodes(c)[0][hit])
+    for kind in (KernelKind.QCS_INV, KernelKind.P2_RIGHT, KernelKind.S_LEFT):
+        with pytest.raises(SingularMatrixError) as err:
+            integrate(c, kernel_fn(kind, T), SlicePoly.left(1.0), "left")
+        assert err.value.batch_index == first
+        assert f"node {first} " in str(err.value)
+
+
+def test_ill_conditioned_node_exits_4(tmp_path, capsys):
+    # a sphere 1e-6 outside node 3 of 16 clears the boundary check, and
+    # the point at 1e4 makes |Q| about 1e8, so the condition exceeds 1e12
+    c = Contour(Quaternion(0.0, 0.0, 1.0, 0.0), (Circle(0.0, 1.0),), 16)
+    z = slice_nodes(c)[0][3] * (1.0 + 1e-6)
+    T = CommutingOperator(np.diag([z.real, 1e4]), np.diag([z.imag, 0.0]),
+                          np.zeros((2, 2)), np.zeros((2, 2)))
+    op, ct = tmp_path / "op.json", tmp_path / "c.json"
+    op.write_text(json.dumps(operator_to_dict(T)))
+    ct.write_text(json.dumps(contour_to_dict(c)))
+    code = main(["projector", "--operator", str(op), "--contour", str(ct)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 4 and err["exit"] == 4
+    assert err["error"] == "SingularMatrixError"
+    assert "pencil at node 3 " in err["message"]
