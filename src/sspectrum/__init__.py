@@ -12,10 +12,10 @@ from .calculus import (CalculusKind, apply_calculus, apply_stems,
 from .contour import (Circle, Contour, DiskPair, auto_contour,
                       enclosing_circle, integrate, nodes)
 from .identities import (IdentityReport, verify_all, verify_integral,
-                         verify_pointwise)
+                         verify_pointwise, verify_seeded)
 from .kernels import KernelKind, kernel, p2_series, s_series
-from .operators import (CommutingOperator, conj_op, gram, qcs_op, s_spectrum)
-from .qlinalg import QuatMatrix, qm_inv, qm_mul, qm_norm, qm_solve, real_adjoint
+from .operators import CommutingOperator, gram, qcs_op, s_spectrum
+from .qlinalg import QuatMatrix, qm_inv, qm_solve, real_adjoint
 from .quat import (E1, E2, E3, ONE, Quaternion, SpectralSphere,
                    imaginary_unit, qinv, qmul, qs_poly)
 from .slicefn import (FueterOp, PAPoly, SlicePoly, dconj_power,

@@ -19,6 +19,8 @@ import re
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import identities
 from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import auto_contour, load_contour
@@ -142,10 +144,6 @@ def _resolve_contour(config: RunConfig, T, selection=None):
     return auto_contour(spheres, selection, J=E1, N=_nodes(config))
 
 
-def _matrix_doc(M) -> list:
-    return M.to_nested()
-
-
 def _cmd_spectrum(config: RunConfig):
     T = load_operator(_require(config.operator, "--operator"))
     doc = [{"u": sp.u, "v": sp.v, "multiplicity": sp.multiplicity}
@@ -158,7 +156,7 @@ def _cmd_apply(config: RunConfig):
     f = load_stem(_require(config.function, "--function"))
     c = _resolve_contour(config, T)
     result = apply_calculus(CalculusKind(config.calculus), f, T, c)
-    return 0, _matrix_doc(result)
+    return 0, result.to_nested()
 
 
 def _cmd_projector(config: RunConfig):
@@ -175,7 +173,7 @@ def _cmd_projector(config: RunConfig):
     scale = max(P.norm(), 1.0)
     ok = residual <= config.tol * scale
     doc = {
-        "projector": _matrix_doc(P),
+        "projector": P.to_nested(),
         "idempotency_residual": residual,
         "scale": scale,
         "pass": ok,
@@ -184,29 +182,21 @@ def _cmd_projector(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
-    import numpy as np
-
     name = _require(config.name, "--name")
-    rng = np.random.default_rng(config.seed)
     if name in identities.POINTWISE_IDENTITIES:
+        rng = np.random.default_rng(config.seed)
         if config.operator is not None:
             T = load_operator(config.operator)
         else:
             T = identities.random_commuting_operator(rng, 2)
-        s = identities.random_resolvent_point(rng, T)
-        p = identities.random_resolvent_point(rng, T, avoid=s)
-        opts = {}
-        if name == "s_resolvent_eq_intertwined":
-            opts["B"] = identities.random_commuting_polynomial(rng, T)
-        if name.startswith("p2_kernel_power_shift"):
+        s, p, option_sets = identities.draw_pointwise(name, rng, T)
+        opts = option_sets[0]
+        if "m" in opts:  # --m overrides the drawn degree
             opts["m"] = config.m
         report = identities.verify_pointwise(name, T, s, p, tol=config.tol, **opts)
-    elif name in identities.INTEGRAL_IDENTITIES:
-        reports = {r.name: r for r in identities.verify_all(
-            seed=config.seed, tol=config.tol, nodes=_nodes(config))}
-        report = reports[name]
     else:
-        raise InputError(f"unknown identity '{name}'")
+        report = identities.verify_seeded(name, config.seed, config.tol,
+                                          _nodes(config))
     return (0 if report.passed else 1), report
 
 

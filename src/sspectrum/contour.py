@@ -304,18 +304,25 @@ def _circumcenter(a, b, c):
 
 
 def _axis_centered_radius(points):
-    """Minimize over real c the max distance from (c, 0) to the points."""
-    us = [p[0] for p in points]
-    lo, hi = min(us), max(us)
-    radius_at = lambda c: max(math.hypot(p[0] - c, p[1]) for p in points)
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if radius_at(m1) <= radius_at(m2):
-            hi = m2
+    """Minimize over real c the max distance from (c, 0) to the points.
+
+    The squared distances (u_i - c)^2 + v_i^2 are parabolas in c of equal
+    curvature, so their strictly convex maximum is least at some u_i or
+    where two parabolas cross; bisection over those candidates finds it.
+    """
+    u, v = np.asarray(points, dtype=float).T
+    i, j = np.nonzero(u[:, None] < u[None, :])
+    crossings = 0.5 * ((u[i] + u[j]) + (v[i] - v[j]) * (v[i] + v[j]) / (u[i] - u[j]))
+    candidates = np.unique(np.concatenate([u, crossings]))
+    radius_at = lambda c: float(np.max(np.hypot(u - c, v)))
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if radius_at(candidates[mid]) <= radius_at(candidates[mid + 1]):
+            hi = mid
         else:
-            lo = m1
-    c = 0.5 * (lo + hi)
+            lo = mid + 1
+    c = float(candidates[lo])
     return c, radius_at(c)
 
 
@@ -396,8 +403,7 @@ def auto_contour(spheres, selection, margin: float | None = None,
             components.append(DiskPair(float(center[0]), float(center[1]),
                                        r + margin))
         else:
-            sym = gpts + [(u, -v) for (u, v) in gpts if v != 0.0]
-            c, rr = _axis_centered_radius(sym)
+            c, rr = _axis_centered_radius(gpts)
             components.append(Circle(float(c), rr + margin))
     contour = Contour(J, tuple(components), N)
     _validate_geometry(contour, selected, excluded, margin)
@@ -412,8 +418,7 @@ def enclosing_circle(spheres, margin: float | None = None, J: Quaternion = E1,
         return Contour(J, (), N)
     if margin is None:
         margin = default_margin(spheres)
-    sym = [(sp.u, sp.v) for sp in spheres] + [(sp.u, -sp.v) for sp in spheres]
-    c, r = _axis_centered_radius(sym)
+    c, r = _axis_centered_radius([(sp.u, sp.v) for sp in spheres])
     return Contour(J, (Circle(float(c), r + margin),), N)
 
 

@@ -5,23 +5,31 @@ from the kernel and calculus modules and reports
 
     residual = ||LHS - RHS||,   scale = max(||LHS||, ||RHS||, 1),
 
-passing when residual <= tol * scale.  Pointwise identities take an
-operator and one or two resolvent points; integral identities take
-stems and contours.  ``verify_all`` runs the whole registry on seeded
-random admissible inputs and is deterministic for a fixed seed.
+passing when residual <= tol * scale.
+
+The registry is two tables of ``Row(pairs, draw)`` keyed by name.  A
+pointwise row's pairs take an operator, resolvent points and options,
+and its draw gives the option sets for one operator; an integral row's
+draw gives the whole ``(T, f, g, c_in, c_out)`` that its pairs take.
+``verify_all`` walks the rows in registry order on one seeded stream;
+``verify_seeded`` draws the rows before one name and evaluates only
+that one.  Evaluation never draws, so both agree for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import Contour, auto_contour, enclosing_circle, integrate
 from .errors import GeometryError, InputError, PreconditionError
-from .kernels import KernelKind, kernel
+from .kernels import KernelKind, kernel, kernel_fn
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
@@ -32,9 +40,11 @@ __all__ = [
     "POINTWISE_IDENTITIES",
     "INTEGRAL_IDENTITIES",
     "registry_names",
+    "draw_pointwise",
     "verify_pointwise",
     "verify_integral",
     "verify_all",
+    "verify_seeded",
     "random_commuting_operator",
     "random_commuting_polynomial",
     "split_spectrum_operator",
@@ -67,18 +77,18 @@ class IdentityReport:
         }
 
 
-def rel_residual(lhs: QuatMatrix, rhs: QuatMatrix):
-    """(residual, scale) of an explicitly formed difference."""
-    residual = (lhs - rhs).norm()
-    scale = max(lhs.norm(), rhs.norm(), 1.0)
-    return residual, scale
+class Row(NamedTuple):
+    """An identity's (LHS, RHS) pairs function and its seeded input draw."""
+    pairs: Callable
+    draw: Callable
 
 
 def _report(name, inputs, pairs, tol) -> IdentityReport:
     """Worst relative residual over a list of (lhs, rhs) pairs."""
     worst_r, worst_s, worst_rel = 0.0, 1.0, -1.0
     for lhs, rhs in pairs:
-        r, s = rel_residual(lhs, rhs)
+        r = (lhs - rhs).norm()
+        s = max(lhs.norm(), rhs.norm(), 1.0)
         if r / s > worst_rel:
             worst_r, worst_s, worst_rel = r, s, r / s
     return IdentityReport(name, inputs, worst_r, worst_s, tol,
@@ -156,7 +166,7 @@ def _q_resolvent_eq_legacy(T, s, p):
     return [(lhs, rhs)]
 
 
-def _f_kernel_shift(T, s, side):
+def _f_kernel_shift(T, s, p=None, side="left"):
     Qs = kernel(KernelKind.QCS_INV, T, s)
     Mt = T.as_matrix()
     if side == "left":
@@ -168,7 +178,7 @@ def _f_kernel_shift(T, s, side):
     return [(lhs, Qs * -4.0)]
 
 
-def _pseudo_split(T, s, side):
+def _pseudo_split(T, s, p=None, side="left"):
     Qs = kernel(KernelKind.QCS_INV, T, s)
     uT = T.vector_part()
     if side == "left":
@@ -180,7 +190,7 @@ def _pseudo_split(T, s, side):
     return [(Qs, rhs)]
 
 
-def _p2_kernel_shift(T, s, side):
+def _p2_kernel_shift(T, s, p=None, side="left"):
     Qs = kernel(KernelKind.QCS_INV, T, s)
     uT = T.vector_part()
     Mt = T.as_matrix()
@@ -218,7 +228,7 @@ def _power_sums(T, s, m, side):
     return A * 4.0, Bm * 4.0
 
 
-def _p2_kernel_power_shift(T, s, m, side):
+def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
     Mt = T.as_matrix()
     tm = QuatMatrix.identity(T.n)
     for _ in range(m):
@@ -257,73 +267,80 @@ def p2_power_shift_alt_terms(T: CommutingOperator, s: Quaternion, m: int):
     return B_main, B_alt
 
 
+def _no_options(rng, T):
+    return [{}]
+
+
+def _draw_intertwiner(rng, T):
+    return [{"B": random_commuting_polynomial(rng, T)}]
+
+
+def _power_degrees(rng, T):
+    """The degrees m = 1..5, drawing nothing."""
+    return [{"m": m} for m in range(1, 6)]
+
+
 POINTWISE_IDENTITIES = {
-    "s_resolvent_eq": _s_resolvent_eq,
-    "s_resolvent_eq_intertwined": _s_resolvent_eq_intertwined,
-    "p2_mixed_resolvent_eq": _p2_mixed_resolvent_eq,
-    "p2_resolvent_eq": _p2_resolvent_eq,
-    "q_resolvent_eq": _q_resolvent_eq,
-    "q_resolvent_eq_legacy": _q_resolvent_eq_legacy,
-    "f_kernel_shift_left": lambda T, s, p=None: _f_kernel_shift(T, s, "left"),
-    "f_kernel_shift_right": lambda T, s, p=None: _f_kernel_shift(T, s, "right"),
-    "pseudo_split_left": lambda T, s, p=None: _pseudo_split(T, s, "left"),
-    "pseudo_split_right": lambda T, s, p=None: _pseudo_split(T, s, "right"),
-    "p2_kernel_shift_left": lambda T, s, p=None: _p2_kernel_shift(T, s, "left"),
-    "p2_kernel_shift_right": lambda T, s, p=None: _p2_kernel_shift(T, s, "right"),
-    "p2_kernel_power_shift_left":
-        lambda T, s, p=None, m=3: _p2_kernel_power_shift(T, s, m, "left"),
+    "s_resolvent_eq": Row(_s_resolvent_eq, _no_options),
+    "s_resolvent_eq_intertwined": Row(_s_resolvent_eq_intertwined, _draw_intertwiner),
+    "p2_mixed_resolvent_eq": Row(_p2_mixed_resolvent_eq, _no_options),
+    "p2_resolvent_eq": Row(_p2_resolvent_eq, _no_options),
+    "q_resolvent_eq": Row(_q_resolvent_eq, _no_options),
+    "q_resolvent_eq_legacy": Row(_q_resolvent_eq_legacy, _no_options),
+    "f_kernel_shift_left": Row(_f_kernel_shift, _no_options),
+    "f_kernel_shift_right": Row(partial(_f_kernel_shift, side="right"), _no_options),
+    "pseudo_split_left": Row(_pseudo_split, _no_options),
+    "pseudo_split_right": Row(partial(_pseudo_split, side="right"), _no_options),
+    "p2_kernel_shift_left": Row(_p2_kernel_shift, _no_options),
+    "p2_kernel_shift_right": Row(partial(_p2_kernel_shift, side="right"), _no_options),
+    "p2_kernel_power_shift_left": Row(_p2_kernel_power_shift, _power_degrees),
     "p2_kernel_power_shift_right":
-        lambda T, s, p=None, m=3: _p2_kernel_power_shift(T, s, m, "right"),
+        Row(partial(_p2_kernel_power_shift, side="right"), _power_degrees),
 }
 
 
 # ---------------------------------------------------------------------------
-# integral identities
+# integral identities: Sf, Pf, Qf, Ff are the S, P2, Q and F values of
+# the intrinsic stem f over c_out, and Sg, ... those of g over c_in.
 
 
-def _cal(kind, f, T, c):
-    return apply_calculus(kind, f, T, c)
-
-
-def _p2_product_rule_left(T, f, g, c_in, c_out):
-    if g.side != "left":
-        raise PreconditionError("this product rule takes a left stem g")
+def _p2_product_rule(T, f, g, c_in, c_out, side="left"):
+    if g.side != side:
+        raise PreconditionError(f"this product rule takes a {side} stem g")
     uT = T.vector_part()
-    lhs = _cal(CalculusKind.P2, stem_product(f, g), T, c_in)
-    rhs = (_cal(CalculusKind.S, f, T, c_out) @ _cal(CalculusKind.P2, g, T, c_in)
-           + _cal(CalculusKind.P2, f, T, c_out) @ _cal(CalculusKind.S, g, T, c_in)
-           - _cal(CalculusKind.Q, f, T, c_out) @ uT @ _cal(CalculusKind.Q, g, T, c_in))
-    return [(lhs, rhs)]
-
-
-def _p2_product_rule_right(T, f, g, c_in, c_out):
-    if g.side != "right":
-        raise PreconditionError("this product rule takes a right stem g")
-    uT = T.vector_part()
-    lhs = _cal(CalculusKind.P2, stem_product(f, g), T, c_in)
-    rhs = (_cal(CalculusKind.S, g, T, c_in) @ _cal(CalculusKind.P2, f, T, c_out)
-           + _cal(CalculusKind.P2, g, T, c_in) @ _cal(CalculusKind.S, f, T, c_out)
-           - _cal(CalculusKind.Q, g, T, c_in) @ uT @ _cal(CalculusKind.Q, f, T, c_out))
-    return [(lhs, rhs)]
+    lhs = apply_calculus(CalculusKind.P2, stem_product(f, g), T, c_in)
+    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
+    Pf = apply_calculus(CalculusKind.P2, f, T, c_out)
+    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
+    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
+    Pg = apply_calculus(CalculusKind.P2, g, T, c_in)
+    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
+    if side == "left":
+        return [(lhs, Sf @ Pg + Pf @ Sg - Qf @ uT @ Qg)]
+    return [(lhs, Sg @ Pf + Pg @ Sf - Qg @ uT @ Qf)]
 
 
 def _f_product_rule(T, f, g, c_in, c_out):
-    lhs = _cal(CalculusKind.F, stem_product(f, g), T, c_in)
-    rhs = (_cal(CalculusKind.F, f, T, c_out) @ _cal(CalculusKind.S, g, T, c_in)
-           + _cal(CalculusKind.S, f, T, c_out) @ _cal(CalculusKind.F, g, T, c_in)
-           - _cal(CalculusKind.Q, f, T, c_out) @ _cal(CalculusKind.Q, g, T, c_in))
-    return [(lhs, rhs)]
+    lhs = apply_calculus(CalculusKind.F, stem_product(f, g), T, c_in)
+    Ff = apply_calculus(CalculusKind.F, f, T, c_out)
+    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
+    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
+    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
+    Fg = apply_calculus(CalculusKind.F, g, T, c_in)
+    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
+    return [(lhs, Ff @ Sg + Sf @ Fg - Qf @ Qg)]
 
 
 def _f_product_rule_via_p2(T, f, g, c_in, c_out):
     uT = T.vector_part()
-    Ff = _cal(CalculusKind.F, f, T, c_out)
-    Fg = _cal(CalculusKind.F, g, T, c_in)
-    Pf = _cal(CalculusKind.P2, f, T, c_out)
-    Pg = _cal(CalculusKind.P2, g, T, c_in)
-    lhs = _cal(CalculusKind.F, stem_product(f, g), T, c_in)
-    rhs = (Ff @ _cal(CalculusKind.S, g, T, c_in)
-           + _cal(CalculusKind.S, f, T, c_out) @ Fg
+    Ff = apply_calculus(CalculusKind.F, f, T, c_out)
+    Fg = apply_calculus(CalculusKind.F, g, T, c_in)
+    Pf = apply_calculus(CalculusKind.P2, f, T, c_out)
+    Pg = apply_calculus(CalculusKind.P2, g, T, c_in)
+    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
+    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
+    lhs = apply_calculus(CalculusKind.F, stem_product(f, g), T, c_in)
+    rhs = (Ff @ Sg + Sf @ Fg
            - (Pf @ Pg) * 0.25
            - (Pf @ uT @ Fg) * 0.25
            - (Ff @ uT @ Pg) * 0.25
@@ -333,64 +350,52 @@ def _f_product_rule_via_p2(T, f, g, c_in, c_out):
 
 def _q_product_rule(T, f, g, c_in, c_out):
     uT = T.vector_part()
-    Qf = _cal(CalculusKind.Q, f, T, c_out)
-    Qg = _cal(CalculusKind.Q, g, T, c_in)
-    lhs = _cal(CalculusKind.Q, stem_product(f, g), T, c_in)
-    rhs = (_cal(CalculusKind.S, f, T, c_out) @ Qg
-           + Qf @ _cal(CalculusKind.S, g, T, c_in)
-           + Qf @ uT @ Qg)
-    return [(lhs, rhs)]
+    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
+    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
+    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
+    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
+    lhs = apply_calculus(CalculusKind.Q, stem_product(f, g), T, c_in)
+    return [(lhs, Sf @ Qg + Qf @ Sg + Qf @ uT @ Qg)]
 
 
 def _q_product_rule_legacy(T, f, g, c_in, c_out):
     Tbar = T.conjugate().as_matrix()
     fg = stem_product(f, g)
-    lhs = (_cal(CalculusKind.Q, stem_shift(fg), T, c_in)
-           - Tbar @ _cal(CalculusKind.Q, fg, T, c_in)) * 2.0
-    Sf = _cal(CalculusKind.S, f, T, c_out)
-    rhs = (Sf @ _cal(CalculusKind.Q, stem_shift(g), T, c_in)
-           - Sf @ Tbar @ _cal(CalculusKind.Q, g, T, c_in)
-           + _cal(CalculusKind.Q, stem_shift(f), T, c_out) @ _cal(CalculusKind.S, g, T, c_in)
-           - _cal(CalculusKind.Q, f, T, c_out) @ Tbar @ _cal(CalculusKind.S, g, T, c_in))
+    lhs = (apply_calculus(CalculusKind.Q, stem_shift(fg), T, c_in)
+           - Tbar @ apply_calculus(CalculusKind.Q, fg, T, c_in)) * 2.0
+    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
+    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
+    Qf_shift = apply_calculus(CalculusKind.Q, stem_shift(f), T, c_out)
+    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
+    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
+    Qg_shift = apply_calculus(CalculusKind.Q, stem_shift(g), T, c_in)
+    rhs = (Sf @ Qg_shift - Sf @ Tbar @ Qg
+           + Qf_shift @ Sg - Qf @ Tbar @ Sg)
     return [(lhs, rhs)]
 
 
-def _one(_s):
-    return Quaternion(1.0)
-
-
 def _p2_vanishing_integral(T, f, g, c_in, c_out):
-    from .kernels import kernel_fn
+    one = SlicePoly.monomial(0)
     zero = QuatMatrix.zeros(T.n)
-    left = integrate(c_in, kernel_fn(KernelKind.P2_LEFT, T), _one, "left", n=T.n)
-    right = integrate(c_in, kernel_fn(KernelKind.P2_RIGHT, T), _one, "right", n=T.n)
+    left = integrate(c_in, kernel_fn(KernelKind.P2_LEFT, T), one, "left", n=T.n)
+    right = integrate(c_in, kernel_fn(KernelKind.P2_RIGHT, T), one, "right", n=T.n)
     return [(left, zero), (right, zero)]
 
 
 def _q_vanishing_integral(T, f, g, c_in, c_out):
-    from .kernels import kernel_fn
-    zero = QuatMatrix.zeros(T.n)
-    val = integrate(c_in, kernel_fn(KernelKind.QCS_INV, T), _one, "left", n=T.n)
-    return [(val, zero)]
+    val = integrate(c_in, kernel_fn(KernelKind.QCS_INV, T), SlicePoly.monomial(0),
+                    "left", n=T.n)
+    return [(val, QuatMatrix.zeros(T.n))]
 
 
-def _intrinsic_left_right(T, f, g, c_in, c_out):
+def _intrinsic_left_right(T, f, g, c_in, c_out,
+                          kinds=(CalculusKind.S, CalculusKind.Q, CalculusKind.F)):
     if not f.is_intrinsic():
         raise PreconditionError("left/right agreement needs an intrinsic stem")
     fl = SlicePoly("left", f.coeffs)
     fr = SlicePoly("right", f.coeffs)
-    pairs = []
-    for kind in (CalculusKind.S, CalculusKind.Q, CalculusKind.F):
-        pairs.append((_cal(kind, fl, T, c_in), _cal(kind, fr, T, c_in)))
-    return pairs
-
-
-def _p2_intrinsic_left_right(T, f, g, c_in, c_out):
-    if not f.is_intrinsic():
-        raise PreconditionError("left/right agreement needs an intrinsic stem")
-    fl = SlicePoly("left", f.coeffs)
-    fr = SlicePoly("right", f.coeffs)
-    return [(_cal(CalculusKind.P2, fl, T, c_in), _cal(CalculusKind.P2, fr, T, c_in))]
+    return [(apply_calculus(kind, fl, T, c_in), apply_calculus(kind, fr, T, c_in))
+            for kind in kinds]
 
 
 def _p2_riesz_projector(T, f, g, c_in, c_out):
@@ -404,19 +409,40 @@ def _q_riesz_projector(T, f, g, c_in, c_out):
     return [(P @ P, P)]
 
 
+def _draw_split(rng, n, nodes):
+    """The split-spectrum operator (any n) and a contour around sphere 0."""
+    T = split_spectrum_operator()
+    c = auto_contour(T.spheres, [0], J=random_imaginary_unit(rng), N=nodes)
+    return T, None, None, c, c
+
+
+def _draw_stems(rng, n, nodes, g_side="left"):
+    """A random operator, nested enclosing circles, an intrinsic left
+    stem f and a stem g on g_side, both of degree 3."""
+    T = random_commuting_operator(rng, n, zero_e3=True)
+    J = random_imaginary_unit(rng)
+    c_in = enclosing_circle(T.spheres, margin=0.5, J=J, N=nodes)
+    c_out = enclosing_circle(T.spheres, margin=1.0, J=J, N=nodes)
+    f = random_stem(rng, 3, side="left", intrinsic=True)
+    g = random_stem(rng, 3, side=g_side)
+    return T, f, g, c_in, c_out
+
+
 INTEGRAL_IDENTITIES = {
-    "p2_product_rule_left": _p2_product_rule_left,
-    "p2_product_rule_right": _p2_product_rule_right,
-    "f_product_rule_via_p2": _f_product_rule_via_p2,
-    "f_product_rule": _f_product_rule,
-    "q_product_rule": _q_product_rule,
-    "q_product_rule_legacy": _q_product_rule_legacy,
-    "p2_vanishing_integral": _p2_vanishing_integral,
-    "q_vanishing_integral": _q_vanishing_integral,
-    "intrinsic_left_right": _intrinsic_left_right,
-    "p2_intrinsic_left_right": _p2_intrinsic_left_right,
-    "p2_riesz_projector": _p2_riesz_projector,
-    "q_riesz_projector": _q_riesz_projector,
+    "p2_product_rule_left": Row(_p2_product_rule, _draw_stems),
+    "p2_product_rule_right": Row(partial(_p2_product_rule, side="right"),
+                                 partial(_draw_stems, g_side="right")),
+    "f_product_rule_via_p2": Row(_f_product_rule_via_p2, _draw_stems),
+    "f_product_rule": Row(_f_product_rule, _draw_stems),
+    "q_product_rule": Row(_q_product_rule, _draw_stems),
+    "q_product_rule_legacy": Row(_q_product_rule_legacy, _draw_stems),
+    "p2_vanishing_integral": Row(_p2_vanishing_integral, _draw_split),
+    "q_vanishing_integral": Row(_q_vanishing_integral, _draw_split),
+    "intrinsic_left_right": Row(_intrinsic_left_right, _draw_stems),
+    "p2_intrinsic_left_right":
+        Row(partial(_intrinsic_left_right, kinds=(CalculusKind.P2,)), _draw_stems),
+    "p2_riesz_projector": Row(_p2_riesz_projector, _draw_split),
+    "q_riesz_projector": Row(_q_riesz_projector, _draw_split),
 }
 
 
@@ -429,7 +455,7 @@ def verify_pointwise(name: str, T: CommutingOperator, s: Quaternion,
                      **opts) -> IdentityReport:
     if name not in POINTWISE_IDENTITIES:
         raise InputError(f"unknown pointwise identity '{name}'")
-    pairs = POINTWISE_IDENTITIES[name](T, s, p, **opts)
+    pairs = POINTWISE_IDENTITIES[name].pairs(T, s, p, **opts)
     extra = "".join(f" {k}={v}" for k, v in opts.items() if not isinstance(v, QuatMatrix))
     return _report(name, f"n={T.n} s={_fmt(s)} p={_fmt(p)}{extra}", pairs, tol)
 
@@ -444,7 +470,7 @@ def verify_integral(name: str, T: CommutingOperator,
         _check_nested(c_inner, c_outer)
     if f is not None and not f.is_intrinsic():
         raise PreconditionError("the stem f must be intrinsic")
-    pairs = INTEGRAL_IDENTITIES[name](T, f, g, c_inner, c_outer or c_inner)
+    pairs = INTEGRAL_IDENTITIES[name].pairs(T, f, g, c_inner, c_outer or c_inner)
     desc = f"n={T.n} deg_f={f.degree if f else '-'} deg_g={g.degree if g else '-'}"
     return _report(name, desc, pairs, tol)
 
@@ -554,60 +580,63 @@ def random_commuting_polynomial(rng, T: CommutingOperator) -> QuatMatrix:
 # full registry run
 
 
+def draw_pointwise(name: str, rng, T: CommutingOperator):
+    """Seeded resolvent points s, p for T and the option sets that the
+    pointwise row `name` draws for it."""
+    s = random_resolvent_point(rng, T)
+    p = random_resolvent_point(rng, T, avoid=s)
+    return s, p, POINTWISE_IDENTITIES[name].draw(rng, T)
+
+
+def _seeded_rows(seed: int, nodes: int):
+    """Every registry row in registry order as a function of tol, its
+    inputs drawn from one stream seeded by seed."""
+    rng = np.random.default_rng(seed)
+    for name in POINTWISE_IDENTITIES:
+        inputs = []
+        for n in (1, 2, 3):
+            T = random_commuting_operator(rng, n)
+            s, p, option_sets = draw_pointwise(name, rng, T)
+            inputs += [(T, s, p, opts) for opts in option_sets]
+        yield partial(_evaluate_pointwise, name, inputs)
+    for idx, (name, row) in enumerate(INTEGRAL_IDENTITIES.items()):
+        yield partial(_evaluate_integral, name, row.draw(rng, 1 + idx % 3, nodes))
+
+
+def _evaluate_pointwise(name, inputs, tol):
+    """The worst pair over every drawn operator and option set."""
+    pairs = [pair for T, s, p, opts in inputs
+             for pair in POINTWISE_IDENTITIES[name].pairs(T, s, p, **opts)]
+    return _report(name, f"seeded n={sorted({T.n for T, *_ in inputs})}", pairs, tol)
+
+
+def _evaluate_integral(name, inputs, tol):
+    try:
+        pairs = INTEGRAL_IDENTITIES[name].pairs(*inputs)
+        return _report(name, f"seeded n={inputs[0].n}", pairs, tol)
+    except Exception as exc:  # failures are data, not crashes
+        return IdentityReport(name, f"error: {exc}", math.inf, 1.0, tol, False)
+
+
 def verify_all(seed: int = 0, tol: float = DEFAULT_TOL, nodes: int = 256):
     """Run every registry identity on seeded random inputs.
 
-    Pointwise identities are drawn at n = 1, 2, 3 and the worst draw is
-    reported; integral identities run at n = 2 with degree <= 4 stems.
-    Failures are reported, never raised.
+    Pointwise identities are drawn at n = 1, 2, 3 (the power shifts at
+    m = 1..5) and the worst pair is reported.  Integral identity idx
+    draws the split-spectrum operator, or an n = 1 + idx % 3 operator
+    with degree-3 stems; its failures are reported, never raised.
     """
-    rng = np.random.default_rng(seed)
-    reports = []
+    return [evaluate(tol) for evaluate in _seeded_rows(seed, nodes)]
 
-    for name in POINTWISE_IDENTITIES:
-        pairs = []
-        dims = []
-        for n in (1, 2, 3):
-            T = random_commuting_operator(rng, n)
-            s = random_resolvent_point(rng, T)
-            p = random_resolvent_point(rng, T, avoid=s)
-            opts = {}
-            if name == "s_resolvent_eq_intertwined":
-                opts["B"] = random_commuting_polynomial(rng, T)
-            if name.startswith("p2_kernel_power_shift"):
-                for m in range(1, 6):
-                    pairs.extend(POINTWISE_IDENTITIES[name](T, s, p, m=m))
-            else:
-                pairs.extend(POINTWISE_IDENTITIES[name](T, s, p, **opts))
-            dims.append(n)
-        reports.append(_report(name, f"seeded n={dims}", pairs, tol))
 
-    for idx, (name, fn) in enumerate(INTEGRAL_IDENTITIES.items()):
-        projector_like = name in ("p2_riesz_projector", "q_riesz_projector",
-                                  "p2_vanishing_integral", "q_vanishing_integral")
-        if projector_like:
-            T = split_spectrum_operator()
-            spheres = T.spheres
-            J = random_imaginary_unit(rng)
-            c_in = auto_contour(spheres, [0], J=J, N=nodes)
-            c_out = None
-            f = g = None
-        else:
-            T = random_commuting_operator(rng, 1 + idx % 3, zero_e3=True)
-            spheres = T.spheres
-            J = random_imaginary_unit(rng)
-            c_in = enclosing_circle(spheres, margin=0.5, J=J, N=nodes)
-            c_out = enclosing_circle(spheres, margin=1.0, J=J, N=nodes)
-            f = random_stem(rng, 3, side="left", intrinsic=True)
-            g_side = "right" if name == "p2_product_rule_right" else "left"
-            g = random_stem(rng, 3, side=g_side)
-        try:
-            pairs = fn(T, f, g, c_in, c_out or c_in)
-            reports.append(_report(name, f"seeded n={T.n}", pairs, tol))
-        except Exception as exc:  # failures are data, not crashes
-            reports.append(IdentityReport(name, f"error: {exc}", math.inf,
-                                          1.0, tol, False))
-    return reports
+def verify_seeded(name: str, seed: int = 0, tol: float = DEFAULT_TOL,
+                  nodes: int = 256) -> IdentityReport:
+    """The report of `name` in verify_all(seed, tol, nodes), evaluating
+    only that identity: the rows before it are drawn, not evaluated."""
+    names = registry_names()
+    if name not in names:
+        raise InputError(f"unknown identity '{name}'")
+    return next(islice(_seeded_rows(seed, nodes), names.index(name), None))(tol)
 
 
 # ---------------------------------------------------------------------------

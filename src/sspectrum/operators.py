@@ -23,7 +23,6 @@ from .quat import Quaternion, SpectralSphere
 
 __all__ = [
     "CommutingOperator",
-    "conj_op",
     "gram",
     "qcs_op",
     "s_spectrum",
@@ -133,11 +132,6 @@ def _check_commutation(comps):
                 raise CommutationError(
                     f"components T{i} and T{j} do not commute: "
                     f"defect {defect:.3e} exceeds {bound:.3e}")
-
-
-def conj_op(T: CommutingOperator) -> CommutingOperator:
-    """conj(T): flips the sign of the three vector components."""
-    return T.conjugate()
 
 
 def gram(T: CommutingOperator) -> np.ndarray:
@@ -319,10 +313,16 @@ def operator_from_dict(doc) -> CommutingOperator:
     if not isinstance(doc, dict):
         raise InputError("operator document must be a JSON object")
     n = doc.get("n")
+    if n is not None and (type(n) is not int or n < 1):
+        raise InputError(f"'n' must be a positive integer, got {n!r}")
     comps = {}
     for name in ("T0", "T1", "T2", "T3"):
         if name in doc:
-            M = np.asarray(doc[name], dtype=np.float64)
+            try:
+                M = np.asarray(doc[name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"component {name} must be a numeric "
+                                 f"matrix: {exc}") from exc
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise InputError(f"component {name} must be a square matrix")
             comps[name] = M
@@ -330,7 +330,6 @@ def operator_from_dict(doc) -> CommutingOperator:
                 n = M.shape[0]
     if n is None:
         raise InputError("operator document needs 'n' or at least one component")
-    n = int(n)
     zero = np.zeros((n, n))
     for name in ("T0", "T1", "T2", "T3"):
         comps.setdefault(name, zero)

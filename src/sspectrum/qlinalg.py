@@ -23,7 +23,7 @@ import numpy as np
 from .errors import SingularMatrixError
 from .quat import Quaternion
 
-__all__ = ["QuatMatrix", "qm_mul", "qm_solve", "qm_inv", "qm_norm", "real_adjoint"]
+__all__ = ["QuatMatrix", "qm_solve", "qm_inv", "real_adjoint"]
 
 # Reciprocal of the default condition threshold 1e12: a pivot smaller
 # than PIVOT_RTOL * max|A_ij| aborts the elimination.
@@ -216,18 +216,6 @@ class QuatMatrix:
         out[np.arange(n), np.arange(n), :] = q.as_array()
         return QuatMatrix(out)
 
-    @staticmethod
-    def from_entries(entries) -> "QuatMatrix":
-        """Build from a nested list of Quaternion (or 4-sequences)."""
-        n = len(entries)
-        out = np.zeros((n, n, 4))
-        for i, row in enumerate(entries):
-            if len(row) != n:
-                raise ValueError("entries must form a square grid")
-            for j, e in enumerate(row):
-                out[i, j, :] = e.as_array() if isinstance(e, Quaternion) else np.asarray(e)
-        return QuatMatrix(out)
-
     @property
     def n(self) -> int:
         return self.data.shape[0]
@@ -292,10 +280,6 @@ class QuatMatrix:
         return f"QuatMatrix(n={self.n})"
 
 
-def qm_mul(A: QuatMatrix, B: QuatMatrix) -> QuatMatrix:
-    return A @ B
-
-
 def qm_solve(A: QuatMatrix, B: QuatMatrix, rtol: float = PIVOT_RTOL) -> QuatMatrix:
     """Solve A X = B by quaternionic elimination with modulus pivoting."""
     A._check(B)
@@ -304,10 +288,6 @@ def qm_solve(A: QuatMatrix, B: QuatMatrix, rtol: float = PIVOT_RTOL) -> QuatMatr
 
 def qm_inv(A: QuatMatrix, rtol: float = PIVOT_RTOL) -> QuatMatrix:
     return qm_solve(A, QuatMatrix.identity(A.n), rtol)
-
-
-def qm_norm(A: QuatMatrix) -> float:
-    return A.norm()
 
 
 def _left_block(q) -> np.ndarray:

@@ -120,9 +120,6 @@ class Quaternion:
     def vec_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.vec_norm() <= tol
-
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
         if n2 == 0.0:

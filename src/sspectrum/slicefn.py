@@ -197,9 +197,6 @@ class PAPoly:
             raise InputError("conjugate is implemented for real coefficients only")
         return PAPoly({(b, a): c for (a, b), c in self.terms.items()}, self.coeff_side)
 
-    def max_coeff(self) -> float:
-        return max([c.norm() for c in self.terms.values()] + [0.0])
-
     def same_terms(self, other: "PAPoly", tol: float = 0.0) -> bool:
         keys = set(self.terms) | set(other.terms)
         zero = Quaternion()
@@ -352,9 +349,11 @@ def stem_from_dict(doc) -> SlicePoly:
     side = doc.get("side", "left")
     try:
         coeffs = [Quaternion.from_array(c) for c in doc["coeffs"]]
-        return SlicePoly(side, coeffs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad stem coefficients: {exc}") from exc
+    if not all(np.isfinite(c.as_array()).all() for c in coeffs):
+        raise InputError("stem coefficients must be finite")
+    return SlicePoly(side, coeffs)
 
 
 def stem_to_dict(f: SlicePoly) -> dict:

@@ -213,14 +213,16 @@ def test_criterion_6_product_rules():
                          ("f_product_rule", g),
                          ("q_product_rule", g),
                          ("q_product_rule_legacy", g)]:
-            pairs = INTEGRAL_IDENTITIES[name](T, f, gg, c_in, c_out)
+            pairs = INTEGRAL_IDENTITIES[name].pairs(T, f, gg, c_in, c_out)
             for lhs, rhs in pairs:
                 r = rel(lhs, rhs)
                 worst = max(worst, r)
                 assert r <= tol, (name, n, r)
         # the two expansions of the Laplacian product rule agree
-        rhs_a = INTEGRAL_IDENTITIES["f_product_rule_via_p2"](T, f, g, c_in, c_out)[0][1]
-        rhs_b = INTEGRAL_IDENTITIES["f_product_rule"](T, f, g, c_in, c_out)[0][1]
+        rhs_a = INTEGRAL_IDENTITIES["f_product_rule_via_p2"].pairs(
+            T, f, g, c_in, c_out)[0][1]
+        rhs_b = INTEGRAL_IDENTITIES["f_product_rule"].pairs(
+            T, f, g, c_in, c_out)[0][1]
         assert rel(rhs_a, rhs_b) <= tol
     _passline(6, f"product rules (five families), worst residual {worst:.2e} "
                  "<= 1e-8; both Laplacian expansions cross-agree")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sspectrum import cli
+from sspectrum import cli, identities
 from sspectrum.cli import RunConfig, dump_json, run
 from sspectrum.errors import NumericError
 
@@ -76,6 +76,30 @@ def test_verify_command_integral():
     status, text = run(RunConfig("verify", name="q_product_rule", seed=0, nodes=64))
     assert status == 0
     assert json.loads(text)["pass"] is True
+
+
+def test_verify_integral_evaluates_only_its_row(monkeypatch):
+    # every other row raises when evaluated; the report must not change
+    expected = {r.name: r for r in identities.verify_all(seed=3, nodes=64)}
+    evaluated = []
+
+    def refuse(name):
+        def pairs(*args, **kwargs):
+            evaluated.append(name)
+            raise AssertionError(f"{name} was evaluated")
+        return pairs
+
+    tables = (identities.POINTWISE_IDENTITIES, identities.INTEGRAL_IDENTITIES)
+    for name in identities.INTEGRAL_IDENTITIES:
+        with monkeypatch.context() as patch:
+            for table in tables:
+                for other, row in table.items():
+                    if other != name:
+                        patch.setitem(table, other, row._replace(pairs=refuse(other)))
+            status, text = run(RunConfig("verify", name=name, seed=3, nodes=64))
+        assert evaluated == []
+        assert status == (0 if expected[name].passed else 1)
+        assert text == dump_json(expected[name].to_dict()) + "\n"
 
 
 def test_selftest_passes_and_roundtrips():
@@ -244,5 +268,29 @@ def test_malformed_contour_is_a_parse_error(tmp_path, capsys, e1_op, circles, no
 
 def test_non_numeric_cluster_is_a_parse_error(split_op, capsys):
     assert cli.main(["projector", "--operator", split_op, "--cluster", "x"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "abc"},
+    {"n": 0},
+    {"n": True},
+    {"T0": [["x", 1], [0, 1]]},
+    {"T0": [[1, 2], [3]]},                     # ragged rows
+    {"n": 2, "T1": [[1, 0], [0, {"a": 1}]]},
+])
+def test_malformed_operator_is_a_parse_error(tmp_path, capsys, doc):
+    op = write_json(tmp_path / "op.json", doc)
+    assert cli.main(["spectrum", "--operator", op]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_stem_is_a_parse_error(tmp_path, capsys, e1_op, bad):
+    f = tmp_path / "f.json"
+    f.write_text('{"coeffs": [[%s, 0, 0, 0], [1, 0, 0, 0]]}' % bad)
+    assert cli.main(["apply", "--operator", e1_op, "--function", str(f)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and err["exit"] == 2

@@ -7,9 +7,9 @@ from conftest import rel
 from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
                        auto_contour, enclosing_circle, integrate, qinv)
-from sspectrum.contour import (Circle, Contour, DiskPair, contour_from_dict,
-                               contour_to_dict, converge_nodes, load_contour,
-                               node_arrays, nodes, save_contour)
+from sspectrum.contour import (Circle, Contour, DiskPair, _axis_centered_radius,
+                               contour_from_dict, contour_to_dict, converge_nodes,
+                               load_contour, node_arrays, nodes, save_contour)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import random_commuting_operator
 from sspectrum.kernels import KernelKind, kernel_fn
@@ -196,6 +196,49 @@ def test_contour_deformation_independence(rng):
     a = apply_calculus(CalculusKind.F, f, T, enclosing_circle(spheres, 0.5, N=256))
     b = apply_calculus(CalculusKind.F, f, T, enclosing_circle(spheres, 0.9, N=256))
     assert rel(a, b) < 1e-10
+
+
+def _ternary_axis_radius(points):
+    """Oracle: 200 rounds of ternary search for the real centre c that
+    minimizes the max distance from (c, 0) to the points."""
+    lo, hi = min(u for u, _ in points), max(u for u, _ in points)
+    radius_at = lambda c: max(math.hypot(u - c, v) for u, v in points)
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if radius_at(m1) <= radius_at(m2):
+            hi = m2
+        else:
+            lo = m1
+    c = 0.5 * (lo + hi)
+    return c, radius_at(c)
+
+
+def test_axis_centered_radius_against_ternary_search():
+    rng = np.random.default_rng(77)
+    for _ in range(400):
+        m = int(rng.integers(1, 10))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        u = rng.standard_normal(m) * scale
+        v = np.abs(rng.standard_normal(m)) * scale
+        v[rng.random(m) < 0.3] = 0.0          # real points
+        if rng.random() < 0.2:
+            u[:] = u[0]                        # one vertical line
+        pts = [(float(a), float(b)) for a, b in zip(u, v)]
+        sym = pts + [(a, -b) for a, b in pts if b != 0.0]
+        c0, r0 = _ternary_axis_radius(sym)
+        c, r = _axis_centered_radius(sym)
+        assert (c, r) == _axis_centered_radius(pts)   # mirrors change nothing
+        assert r == max(math.hypot(a - c, b) for a, b in sym)
+        assert r <= r0 * (1.0 + 1e-15)
+        assert abs(c - c0) <= 1e-7 * max(r0, abs(c0))
+
+
+def test_axis_centered_radius_exact_cases():
+    assert _axis_centered_radius([(2.0, 3.0)]) == (2.0, 3.0)
+    assert _axis_centered_radius([(0.0, 1.0), (2.0, 1.0)]) == (1.0, math.sqrt(2.0))
+    # the tall point dominates: the centre sits under it
+    assert _axis_centered_radius([(0.0, 5.0), (1.0, 0.0), (-1.0, 0.0)]) == (0.0, 5.0)
 
 
 # -- serialization ------------------------------------------------------------

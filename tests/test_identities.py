@@ -8,7 +8,7 @@ from conftest import rel
 from sspectrum import (CommutingOperator, KernelKind, Quaternion,
                        QuatMatrix, enclosing_circle, integrate, kernel, qinv,
                        qs_poly, s_spectrum, verify_all, verify_integral,
-                       verify_pointwise)
+                       verify_pointwise, verify_seeded)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import (INTEGRAL_IDENTITIES, POINTWISE_IDENTITIES,
                                   random_commuting_polynomial,
@@ -76,6 +76,19 @@ def test_verify_all_deterministic():
     b = verify_all(seed=0, nodes=64)
     assert reports_to_json(a) == reports_to_json(b)
     assert all(r.passed for r in a)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_verify_seeded_matches_verify_all(seed):
+    reports = verify_all(seed=seed, nodes=64)
+    assert [r.name for r in reports] == registry_names()
+    for report in reports:
+        assert verify_seeded(report.name, seed=seed, nodes=64) == report
+
+
+def test_verify_seeded_unknown_name():
+    with pytest.raises(InputError):
+        verify_seeded("no_such_identity")
 
 
 def test_verify_all_zero_tol_fails_everything():
@@ -159,7 +172,8 @@ def test_power_shift_example_values():
     # at T = 0 both sides collapse to 4 s^(1-m) scalar multiples
     T = CommutingOperator.zero(1)
     s = Quaternion(2.0, 1.0, 0.0, 0.0)
-    lhs, rhs = POINTWISE_IDENTITIES["p2_kernel_power_shift_left"](T, s, m=3)[0]
+    row = POINTWISE_IDENTITIES["p2_kernel_power_shift_left"]
+    lhs, rhs = row.pairs(T, s, m=3)[0]
     expect = QuatMatrix.from_scalar(qinv(s * s) * 4.0, 1).rmul(s ** 3)
     assert rel(lhs, expect) < 1e-14
     assert rel(rhs, expect) < 1e-14

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspectrum import (E1, CalculusKind, CommutingOperator, Quaternion,
-                       QuatMatrix, auto_contour, conj_op, gram, qcs_op,
+                       QuatMatrix, auto_contour, gram, qcs_op,
                        qm_solve, riesz_projector, s_spectrum)
 from sspectrum import operators
 from sspectrum.errors import CommutationError, InputError, SingularMatrixError
@@ -32,11 +32,11 @@ def test_commutation_checked():
 
 def test_conj_op():
     T = CommutingOperator.from_quaternion(E1)
-    assert np.allclose(conj_op(T).T1, -T.T1)
+    assert np.allclose(T.conjugate().T1, -T.T1)
     Treal = diag_op([1.0, 2.0], [0.0, 0.0])
-    assert np.allclose(conj_op(Treal).T0, Treal.T0)
+    assert np.allclose(Treal.conjugate().T0, Treal.T0)
     T2 = diag_op([1.0, 0.0], [2.0, 3.0], [0.5, 0.5])
-    back = conj_op(conj_op(T2))
+    back = T2.conjugate().conjugate()
     for a, b in zip(back.components, T2.components):
         assert np.array_equal(a, b)
 
@@ -45,7 +45,7 @@ def test_conj_identities(rng):
     from sspectrum.identities import random_commuting_operator
 
     T = random_commuting_operator(rng, 3)
-    Tbar = conj_op(T)
+    Tbar = T.conjugate()
     # T + conj(T) = 2 T0 and T conj(T) = gram
     s = (T.as_matrix() + Tbar.as_matrix())
     assert np.allclose(s.data[..., 0], 2 * T.T0)
@@ -88,7 +88,7 @@ def test_spectrum_conj_invariant(rng):
 
     T = random_commuting_operator(rng, 3)
     a = [(s.u, s.v, s.multiplicity) for s in s_spectrum(T)]
-    b = [(s.u, s.v, s.multiplicity) for s in s_spectrum(conj_op(T))]
+    b = [(s.u, s.v, s.multiplicity) for s in s_spectrum(T.conjugate())]
     assert a == b
 
 

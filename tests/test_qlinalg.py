@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import rel
-from sspectrum import (E1, E2, E3, Quaternion, QuatMatrix, qm_inv, qm_mul,
-                       qm_norm, qm_solve, real_adjoint)
+from sspectrum import (E1, E2, E3, Quaternion, QuatMatrix, qm_inv, qm_solve,
+                       real_adjoint)
 from sspectrum.errors import SingularMatrixError
 from sspectrum.qlinalg import solve_arr
 
@@ -15,8 +15,8 @@ def random_qm(rng, n, scale=1.0):
 def test_identity_neutral(rng):
     A = random_qm(rng, 3)
     I = QuatMatrix.identity(3)
-    assert rel(qm_mul(I, A), A) == 0.0
-    assert rel(qm_mul(A, I), A) == 0.0
+    assert rel(I @ A, A) == 0.0
+    assert rel(A @ I, A) == 0.0
 
 
 def test_unit_product_diagonal():
@@ -27,7 +27,7 @@ def test_unit_product_diagonal():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        qm_mul(QuatMatrix.identity(2), QuatMatrix.identity(3))
+        QuatMatrix.identity(2) @ QuatMatrix.identity(3)
 
 
 def test_left_right_scalar_actions_differ():
@@ -88,9 +88,9 @@ def test_batched_solve_matches_single(rng):
 
 
 def test_norms():
-    assert qm_norm(QuatMatrix.zeros(3)) == 0.0
-    assert abs(qm_norm(QuatMatrix.identity(4)) - 2.0) < 1e-15
-    assert abs(qm_norm(QuatMatrix.from_scalar(Quaternion(1, 1, 0, 0), 1))
+    assert QuatMatrix.zeros(3).norm() == 0.0
+    assert abs(QuatMatrix.identity(4).norm() - 2.0) < 1e-15
+    assert abs(QuatMatrix.from_scalar(Quaternion(1, 1, 0, 0), 1).norm()
                - np.sqrt(2.0)) < 1e-15
 
 
