@@ -10,7 +10,7 @@ as residual norms.
 from .calculus import (CalculusKind, apply_calculus, apply_stems,
                        moment_closed_form, riesz_projector, stem_moment)
 from .contour import (Circle, Contour, DiskPair, auto_contour,
-                      enclosing_circle, integrate, nodes)
+                      enclosing_circle, integrate)
 from .identities import (IdentityReport, verify_all, verify_integral,
                          verify_pointwise, verify_seeded)
 from .kernels import KernelKind, kernel, p2_series, s_series

@@ -37,7 +37,7 @@ from enum import Enum
 
 from .contour import Contour, integrate
 from .errors import GeometryError, HypothesisError, PreconditionError
-from .kernels import KernelKind, kernel_fn
+from .kernels import KernelKind
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .slicefn import SlicePoly
@@ -88,9 +88,7 @@ _PROJECTOR = {
 def _check_encloses(c: Contour, T: CommutingOperator, full: bool):
     """Contour boundaries must avoid the spectrum; with full=True every
     sphere must additionally lie inside."""
-    spheres = T.spheres
-    enclosed = []
-    for sp in spheres:
+    for sp in T.spheres:
         for (u, v) in {(sp.u, sp.v), (sp.u, -sp.v)}:
             near = 1e-9 * (1.0 + math.hypot(u, v))
             inside = c.contains_point(u, v, clearance=near)
@@ -103,8 +101,6 @@ def _check_encloses(c: Contour, T: CommutingOperator, full: bool):
             if full and not inside:
                 raise GeometryError(
                     f"contour does not enclose spectrum point ({u}, {v})")
-        enclosed.append(c.contains_point(sp.u, sp.v, clearance=0.0))
-    return spheres, enclosed
 
 
 def apply_calculus(kind: CalculusKind, f: SlicePoly, T: CommutingOperator,
@@ -129,9 +125,8 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
     kind = CalculusKind(kind)
     if c.components:
         _check_encloses(c, T, full=True)
-    K = kernel_fn(_KERNELS[(kind, side)], T)
     return [val * _PREFACTOR[kind]
-            for val in integrate(c, K, stems, side=side, n=T.n)]
+            for val in integrate(c, _KERNELS[(kind, side)], T, stems, side)]
 
 
 def moment_closed_form(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
@@ -189,8 +184,7 @@ def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
     return moment_closed_form(kind, T, m)
 
 
-def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour,
-                    enforce_hypotheses: bool = True) -> QuatMatrix:
+def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour) -> QuatMatrix:
     """Spectral projector of the requested kind over the contour c.
 
     c must enclose a spectral subset at positive distance from the rest.
@@ -198,7 +192,7 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour,
     with real spectrum.
     """
     kind = CalculusKind(kind)
-    if enforce_hypotheses and kind is not CalculusKind.S:
+    if kind is not CalculusKind.S:
         if not T.has_zero_e3():
             raise HypothesisError(
                 f"{kind.value} projector requires a vanishing e3 component")
@@ -209,5 +203,4 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour,
         return QuatMatrix.zeros(T.n)
     _check_encloses(c, T, full=False)
     prefactor, kk, degree = _PROJECTOR[kind]
-    K = kernel_fn(kk, T)
-    return integrate(c, K, SlicePoly.monomial(degree), side="left", n=T.n) * prefactor
+    return integrate(c, kk, T, SlicePoly.monomial(degree)) * prefactor

@@ -244,6 +244,10 @@ def run(config: RunConfig):
         raise InputError(f"unknown command '{config.command}'")
     if config.out_format not in ("json", "csv"):
         raise InputError(f"unknown format '{config.out_format}'")
+    if not (math.isfinite(config.tol) and config.tol >= 0.0):
+        raise InputError(f"--tol must be finite and non-negative, got {config.tol}")
+    if config.m < 0:
+        raise InputError(f"--m must be non-negative, got {config.m}")
     status, doc = _COMMANDS[config.command](config)
     return status, _render(config, doc)
 

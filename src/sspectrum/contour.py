@@ -28,26 +28,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .kernels import kernel_fn, kernel_sum
-from .qlinalg import QuatMatrix, product_matrices, qmul_arr
+from .kernels import KernelKind, kernel_sum
+from .operators import CommutingOperator
+from .qlinalg import QuatMatrix, qmul_arr
 from .quat import E1, Quaternion, imaginary_unit
 
 __all__ = [
     "Circle",
     "DiskPair",
     "Contour",
-    "nodes",
     "integrate",
     "auto_contour",
     "enclosing_circle",
-    "converge_nodes",
     "load_contour",
     "save_contour",
 ]
 
 DEFAULT_NODES = 256
 MIN_NODES = 8
-MAX_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -118,13 +116,6 @@ class Contour:
             if d < r:
                 inside = True
         return inside
-
-
-def nodes(c: Contour):
-    """Quadrature nodes and weights as (Quaternion, Quaternion) pairs."""
-    s_arr, w_arr = node_arrays(c)
-    return [(Quaternion.from_array(s), Quaternion.from_array(w))
-            for s, w in zip(s_arr, w_arr)]
 
 
 def node_arrays(c: Contour):
@@ -201,18 +192,18 @@ def _complex(re, im):
     return out
 
 
-def integrate(c: Contour, K, f, side: str = "left", n: int | None = None):
-    """Discrete pairing of a matrix kernel with a scalar function.
+def integrate(c: Contour, kind: KernelKind, T: CommutingOperator, f,
+              side: str = "left"):
+    """Discrete pairing of the kernel of one kind of T with stems.
 
     side='left' accumulates K(s_k) w_k f(s_k); side='right' accumulates
-    f(s_k) w_k K(s_k).  No prefactor is applied.  f may also be a list
-    of stems, which gives a list of values from one pass over the
-    kernel.  A kernels.kernel_fn is paired through kernels.kernel_sum:
-    pencils are inverted only at the nodes on or above the real axis,
-    whose conjugates are folded in from the contour's structure.  Any
-    other K is called per node.  f may expose a batched ``at_nodes``
-    method; otherwise it is called per node.  Results are reproducible
-    for a fixed machine and BLAS thread count.
+    f(s_k) w_k K(s_k).  No prefactor is applied.  f is a stem with a
+    batched ``at_nodes`` method, or a list of them, which gives a list
+    of values from one pass over the kernel.  The pairing goes through
+    kernels.kernel_sum: pencils are inverted only at the nodes on or
+    above the real axis, whose conjugates are folded in from the
+    contour's structure.  Results are reproducible for a fixed machine
+    and BLAS thread count.
     """
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
@@ -220,46 +211,24 @@ def integrate(c: Contour, K, f, side: str = "left", n: int | None = None):
     stems = list(f) if many else [f]
     z, w, upper, mirror = slice_nodes(c)
     if len(z) == 0:
-        if n is None:
-            n = getattr(K, "n", None)
-        if n is None:
-            raise InputError("empty contour needs explicit dimension n")
-        vals = [np.zeros((n, n, 4)) for _ in stems]
+        vals = [np.zeros((T.n, T.n, 4)) for _ in stems]
     else:
         J = c.J.as_array()
         s_arr, w_arr = _in_plane(z, J), _in_plane(w, J)
         weights = np.stack([_weights(g, s_arr, w_arr, side) for g in stems])
-        if isinstance(K, kernel_fn):
-            paired = mirror >= 0
-            c_conj = np.zeros((len(stems), len(upper), 4))
-            c_conj[:, paired] = weights[:, mirror[paired]]
-            vals = kernel_sum(K.kind, K.T, J[1:], z[upper], weights[:, upper],
-                              side, c_conj, upper)
-        else:
-            vals = _pair_per_node(K, s_arr, weights, side)
+        paired = mirror >= 0
+        c_conj = np.zeros((len(stems), len(upper), 4))
+        c_conj[:, paired] = weights[:, mirror[paired]]
+        vals = kernel_sum(kind, T, J[1:], z[upper], weights[:, upper],
+                          side, c_conj, upper)
     out = [QuatMatrix(v) for v in vals]
     return out if many else out[0]
 
 
 def _weights(f, s_arr, w_arr, side):
     """w_k f(s_k) (left) or f(s_k) w_k (right) at every node, (M, 4)."""
-    if hasattr(f, "at_nodes"):
-        fvals = f.at_nodes(s_arr)
-    else:
-        fvals = np.stack([f(Quaternion.from_array(s)).as_array() for s in s_arr])
+    fvals = f.at_nodes(s_arr)
     return qmul_arr(w_arr, fvals) if side == "left" else qmul_arr(fvals, w_arr)
-
-
-def _pair_per_node(K, s_arr, weights, side):
-    """sum_k K(s_k) c_k (left) or c_k K(s_k) (right) for each row c of
-    weights, calling K once per node: each term is the (n^2, 4) block of
-    K(s_k) times the 4 x 4 real matrix of the product with c_k."""
-    kvals = np.stack([K(Quaternion.from_array(s)).data for s in s_arr])
-    count, dim = kvals.shape[:2]
-    flat = kvals.reshape(count, dim * dim, 4)
-    mult = "right" if side == "left" else "left"
-    return [np.add.reduce(np.matmul(flat, product_matrices(c, mult)), axis=0)
-            .reshape(dim, dim, 4) for c in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +414,6 @@ def _validate_geometry(contour, selected, excluded, margin):
             (u1, v1, r1), (u2, v2, r2) = circles[i], circles[j]
             if math.hypot(u1 - u2, v1 - v2) <= r1 + r2:
                 raise GeometryError("contour circles overlap")
-
-
-def converge_nodes(evaluate, c: Contour, rtol: float = 1e-10,
-                   n_max: int = MAX_NODES):
-    """Double nodes until successive values agree within rtol (relative).
-
-    evaluate maps a contour to a QuatMatrix.  Returns (value, N_used).
-    """
-    N = c.nodes_per_circle
-    prev = evaluate(c.with_nodes(N))
-    while N < n_max:
-        N *= 2
-        cur = evaluate(c.with_nodes(N))
-        scale = max(cur.norm(), prev.norm(), 1.0)
-        if (cur - prev).norm() <= rtol * scale:
-            return cur, N
-        prev = cur
-    return prev, N
 
 
 # ---------------------------------------------------------------------------

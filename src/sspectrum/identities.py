@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import Contour, auto_contour, enclosing_circle, integrate
 from .errors import GeometryError, InputError, PreconditionError
-from .kernels import KernelKind, kernel, kernel_fn
+from .kernels import KernelKind, kernel
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
@@ -377,14 +377,13 @@ def _q_product_rule_legacy(T, f, g, c_in, c_out):
 def _p2_vanishing_integral(T, f, g, c_in, c_out):
     one = SlicePoly.monomial(0)
     zero = QuatMatrix.zeros(T.n)
-    left = integrate(c_in, kernel_fn(KernelKind.P2_LEFT, T), one, "left", n=T.n)
-    right = integrate(c_in, kernel_fn(KernelKind.P2_RIGHT, T), one, "right", n=T.n)
+    left = integrate(c_in, KernelKind.P2_LEFT, T, one, "left")
+    right = integrate(c_in, KernelKind.P2_RIGHT, T, one, "right")
     return [(left, zero), (right, zero)]
 
 
 def _q_vanishing_integral(T, f, g, c_in, c_out):
-    val = integrate(c_in, kernel_fn(KernelKind.QCS_INV, T), SlicePoly.monomial(0),
-                    "left", n=T.n)
+    val = integrate(c_in, KernelKind.QCS_INV, T, SlicePoly.monomial(0))
     return [(val, QuatMatrix.zeros(T.n))]
 
 

@@ -21,7 +21,9 @@ C and Z_j are real matrix polynomials in T applied to z^p G, p <= 2, with
 G = Q^-1 or +-4 Q^-2, and X + iY stands for X + YJ.
 
 ``kernel_at_nodes`` maps C and Z to quaternion components at every node,
-an (N, n, n, 4) stack.  ``kernel_sum``, which ``contour.integrate`` uses,
+an (N, n, n, 4) stack, and ``kernel`` at one point; paired node by node,
+that stack is the tests' oracle for the contracted sum.  ``kernel_sum``,
+the one path by which ``contour.integrate`` pairs a kernel with stems,
 never forms that stack: the map from z^p G to the kernel is real-linear,
 so it contracts G with the quadrature weights over the nodes first and
 applies the T products and the quaternion map once, to n x n moments.
@@ -47,7 +49,6 @@ __all__ = [
     "KernelKind",
     "kernel",
     "kernel_at_nodes",
-    "kernel_fn",
     "kernel_sum",
     "p2_series",
     "s_series",
@@ -281,22 +282,6 @@ def _to_quaternion(C, Z, J, left, out):
 def kernel(kind: KernelKind, T: CommutingOperator, s: Quaternion) -> QuatMatrix:
     """Kernel value at one point s in the S-resolvent set of T."""
     return QuatMatrix(kernel_at_nodes(kind, T, s.as_array()))
-
-
-class kernel_fn:
-    """Callable s -> kernel(kind, T, s); contour.integrate pairs it with
-    stems through kernel_sum instead of calling it per node."""
-
-    def __init__(self, kind: KernelKind, T: CommutingOperator):
-        self.kind = KernelKind(kind)
-        self.T = T
-
-    @property
-    def n(self) -> int:
-        return self.T.n
-
-    def __call__(self, s: Quaternion) -> QuatMatrix:
-        return kernel(self.kind, self.T, s)
 
 
 # ---------------------------------------------------------------------------

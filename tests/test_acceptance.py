@@ -23,7 +23,6 @@ from sspectrum.identities import (INTEGRAL_IDENTITIES,
                                   random_commuting_operator,
                                   random_resolvent_point, random_stem,
                                   split_spectrum_operator, verify_pointwise)
-from sspectrum.kernels import kernel_fn
 from sspectrum.quat import random_imaginary_unit
 from sspectrum.slicefn import FueterOp
 
@@ -180,9 +179,8 @@ def test_criterion_5_factor_two_adjudication():
     reach = max(np.hypot(sp.u, sp.v) for sp in spheres)
     T = CommutingOperator(*(C / reach for C in T.components))
     c = enclosing_circle(s_spectrum(T), margin=0.6, N=512)
-    K = kernel_fn(KernelKind.P2_LEFT, T)
     for m in range(0, 9):
-        quad = integrate(c, K, lambda s: s ** (m + 1), "left", n=T.n) \
+        quad = integrate(c, KernelKind.P2_LEFT, T, SlicePoly.monomial(m + 1), "left") \
             * (1.0 / (2.0 * np.pi))
         doubled = moment_closed_form(CalculusKind.P2, T, m)
         halved = doubled * 0.5
@@ -321,7 +319,7 @@ def test_criterion_8_wellposedness_and_invariances():
     # vanishing integrals of the order-2 and harmonic kernels over
     # contours enclosing all, part, or none of the spectrum
     spheres = s_spectrum(Tsplit)
-    one = lambda s: Quaternion(1.0)
+    one = SlicePoly.monomial(0)
     worst_v = 0.0
     from sspectrum.contour import Circle
 
@@ -332,7 +330,7 @@ def test_criterion_8_wellposedness_and_invariances():
         for kind, side in ((KernelKind.P2_LEFT, "left"),
                            (KernelKind.P2_RIGHT, "right"),
                            (KernelKind.QCS_INV, "left")):
-            val = integrate(c, kernel_fn(kind, Tsplit), one, side, n=Tsplit.n)
+            val = integrate(c, kind, Tsplit, one, side)
             worst_v = max(worst_v, val.norm())
     assert worst_v <= tol
 

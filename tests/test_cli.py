@@ -294,3 +294,20 @@ def test_non_finite_stem_is_a_parse_error(tmp_path, capsys, e1_op, bad):
     assert cli.main(["apply", "--operator", e1_op, "--function", str(f)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def test_negative_m_is_a_parse_error(capsys):
+    assert cli.main(["verify", "--name", "p2_kernel_power_shift_left", "--m", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["projector", "verify", "selftest"])
+def test_bad_tolerance_is_a_parse_error(zero_op, capsys, command, tol):
+    args = {"projector": ["--operator", zero_op],
+            "verify": ["--name", "q_resolvent_eq"],
+            "selftest": []}[command]
+    assert cli.main([command, *args, "--tol", tol]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rel
+from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
                        auto_contour, enclosing_circle, integrate, qinv)
 from sspectrum.contour import (Circle, Contour, DiskPair, _axis_centered_radius,
-                               contour_from_dict, contour_to_dict, converge_nodes,
-                               load_contour, node_arrays, nodes, save_contour)
+                               contour_from_dict, contour_to_dict,
+                               load_contour, node_arrays, save_contour)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import random_commuting_operator
-from sspectrum.kernels import KernelKind, kernel_fn
+from sspectrum.kernels import KernelKind
 from sspectrum.operators import s_spectrum
 from sspectrum.quat import random_imaginary_unit
 
@@ -23,12 +23,12 @@ def unit_circle(N=64, J=E1):
 
 def test_node_formula():
     c = Contour(E1, (Circle(0.0, 1.0),), 8)
-    pts = nodes(c)
-    assert len(pts) == 8
-    s0, w0 = pts[0]
+    s, w = node_arrays(c)
+    assert len(s) == len(w) == 8
+    s0, w0 = Quaternion.from_array(s[0]), Quaternion.from_array(w[0])
     assert (s0 - Quaternion(1.0)).norm() < 1e-15
     assert (w0 - Quaternion(2 * math.pi / 8)).norm() < 1e-15
-    s2, w2 = pts[2]
+    s2, w2 = Quaternion.from_array(s[2]), Quaternion.from_array(w[2])
     assert (s2 - E1).norm() < 1e-14
     assert (w2 - E1 * (2 * math.pi / 8)).norm() < 1e-14
 
@@ -65,7 +65,7 @@ def test_discrete_orthogonality():
     c = unit_circle(64)
     for k in range(-5, 6):
         K = lambda s, k=k: QuatMatrix.from_scalar(s ** k if k >= 0 else qinv(s) ** (-k))
-        val = integrate(c, K, lambda s: Quaternion(1.0), "left", n=1)
+        val, _ = pair_per_node(c, K, lambda s: Quaternion(1.0), "left")
         got = val.entry(0, 0) * (1.0 / (2.0 * math.pi))
         expect = Quaternion(1.0) if k == -1 else Quaternion()
         assert (got - expect).norm() < 1e-13, k
@@ -76,8 +76,8 @@ def test_orientation_flips_sign():
     minus = Contour(E1, (Circle(0.0, 1.0, -1),), 64)
     K = lambda s: QuatMatrix.from_scalar(qinv(s))
     f = lambda s: Quaternion(1.0)
-    a = integrate(plus, K, f, "left", n=1)
-    b = integrate(minus, K, f, "left", n=1)
+    a, _ = pair_per_node(plus, K, f, "left")
+    b, _ = pair_per_node(minus, K, f, "left")
     assert rel(a, b * -1.0) < 1e-14
 
 
@@ -86,7 +86,7 @@ def test_right_pairing_order():
     c = unit_circle(16)
     K = lambda s: QuatMatrix.from_scalar(E1)
     f = lambda s: E2
-    val = integrate(c, K, f, "right", n=1)
+    val, _ = pair_per_node(c, K, f, "right")
     # sum of weights is zero, but e2 w e1 does not vanish termwise; the
     # quadrature still sums to zero because weights cancel pairwise
     assert val.norm() < 1e-13
@@ -96,15 +96,14 @@ def test_vanishing_integral_off_spectrum(rng):
     # pseudo resolvent integrated over a contour avoiding the spectrum
     T = random_commuting_operator(rng, 2)
     far = Contour(E1, (Circle(50.0, 1.0),), 128)
-    val = integrate(far, kernel_fn(KernelKind.QCS_INV, T), lambda s: Quaternion(1.0),
-                    "left", n=2)
+    val = integrate(far, KernelKind.QCS_INV, T, SlicePoly.monomial(0), "left")
     assert val.norm() < 1e-10
 
 
 def test_empty_contour():
     c = Contour(E1, (), 64)
-    val = integrate(c, kernel_fn(KernelKind.QCS_INV, CommutingOperator.zero(2)),
-                    lambda s: Quaternion(1.0), "left")
+    val = integrate(c, KernelKind.QCS_INV, CommutingOperator.zero(2),
+                    SlicePoly.monomial(0), "left")
     assert val.norm() == 0.0
 
 
@@ -162,18 +161,10 @@ def test_auto_contour_two_clusters():
 # -- stability of calculus outputs under discretization choices ---------------
 
 
-def _projector_value(T):
-    def fn(c):
-        return integrate(c, kernel_fn(KernelKind.S_LEFT, T),
-                         lambda s: Quaternion(1.0), "left", n=T.n) * (1 / (2 * math.pi))
-    return fn
-
-
-def test_node_doubling_harness(rng):
+def test_s_calculus_of_one_is_identity(rng):
     T = random_commuting_operator(rng, 2)
-    c = enclosing_circle(s_spectrum(T), margin=0.6, N=16)
-    val, used = converge_nodes(_projector_value(T), c, rtol=1e-10)
-    assert used <= 256
+    c = enclosing_circle(s_spectrum(T), margin=0.6, N=256)
+    val = apply_calculus(CalculusKind.S, SlicePoly.monomial(0), T, c)
     assert rel(val, QuatMatrix.identity(2)) < 1e-9
 
 

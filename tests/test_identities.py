@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rel
+from conftest import pair_per_node, rel
 from sspectrum import (CommutingOperator, KernelKind, Quaternion,
-                       QuatMatrix, enclosing_circle, integrate, kernel, qinv,
+                       QuatMatrix, enclosing_circle, kernel, qinv,
                        qs_poly, s_spectrum, verify_all, verify_integral,
                        verify_pointwise, verify_seeded)
 from sspectrum.errors import GeometryError, InputError
@@ -131,7 +131,7 @@ def test_intertwining_cauchy_formula(rng):
     def K(s):
         return (B.lmul(s.conjugate()) - B.rmul(p)).rmul(qinv(qs_poly(s, p)))
 
-    lhs = integrate(c, K, f.evaluate, "right", n=T.n) * (1.0 / (2.0 * math.pi))
+    lhs = pair_per_node(c, K, f.evaluate, "right")[0] * (1.0 / (2.0 * math.pi))
     rhs = B.rmul(f(p))
     assert rel(lhs, rhs) < 1e-10
 

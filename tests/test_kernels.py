@@ -191,8 +191,8 @@ def test_integral_representation_sign_pattern(rng):
     # representation agrees with the assembled P2 kernel at n = 1
     import math
 
-    from sspectrum import CalculusKind, SlicePoly, apply_calculus, enclosing_circle, integrate
-    from sspectrum.kernels import kernel_fn
+    from sspectrum import (CalculusKind, SlicePoly, apply_calculus, enclosing_circle,
+                           integrate, stem_shift)
     from sspectrum.operators import s_spectrum
 
     q = Quaternion(0.2, 0.3, -0.1, 0.25)
@@ -200,9 +200,8 @@ def test_integral_representation_sign_pattern(rng):
     c = enclosing_circle(s_spectrum(T), margin=1.0, N=256)
     f = SlicePoly.left(Quaternion(0.5, 1, 0, 0), Quaternion(0, 0, 2, 0),
                        Quaternion(1, 0, 0, 3))
-    KF = kernel_fn(KernelKind.F_LEFT, T)
-    i0 = integrate(c, KF, f.evaluate, "left", n=1)
-    i1 = integrate(c, KF, lambda s: s * f.evaluate(s), "left", n=1)
+    i0 = integrate(c, KernelKind.F_LEFT, T, f, "left")
+    i1 = integrate(c, KernelKind.F_LEFT, T, stem_shift(f), "left")
     two_term = (i1 * -1.0 + i0.rmul(Quaternion(q.w))) * (1.0 / (2.0 * math.pi))
     direct = apply_calculus(CalculusKind.P2, f, T, c)
     assert rel(two_term, direct) < 1e-12

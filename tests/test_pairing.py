@@ -1,42 +1,37 @@
-"""The node-contracted pairing of contour.integrate against the stack oracle:
-kernel_at_nodes at every node, contracted with per-node 4 x 4 products."""
+"""The node-contracted pairing of contour.integrate against the per-node
+oracle: the kernel at every node, contracted with per-node 4 x 4 products."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sspectrum import Quaternion, QuatMatrix, SlicePoly, integrate
+from conftest import pair_per_node
+from sspectrum import Quaternion, SlicePoly, integrate
 from sspectrum import kernels
 from sspectrum.cli import main
 from sspectrum.contour import (Circle, Contour, DiskPair, contour_to_dict,
                                node_arrays, slice_nodes)
 from sspectrum.errors import SingularMatrixError
 from sspectrum.identities import random_commuting_operator
-from sspectrum.kernels import KernelKind, kernel_at_nodes, kernel_fn
+from sspectrum.kernels import KernelKind, kernel
 from sspectrum.operators import CommutingOperator, operator_to_dict
-from sspectrum.qlinalg import product_matrices, qmul_arr
 from sspectrum.quat import random_imaginary_unit
 
 
-def stack_oracle(c, kind, T, f, side):
-    """sum_k K(s_k) (w_k f(s_k)) or sum_k (f(s_k) w_k) K(s_k), from the
-    whole (M, n, n, 4) kernel stack, and sum_k |K(s_k)| |w_k f(s_k)|,
-    the scale of its rounding."""
-    s_arr, w_arr = node_arrays(c)
-    kvals = kernel_at_nodes(kind, T, s_arr)
-    fvals = np.stack([f(Quaternion.from_array(s)).as_array() for s in s_arr])
-    if side == "left":
-        weights = qmul_arr(w_arr, fvals)
-        R = product_matrices(weights, "right")
-    else:
-        weights = qmul_arr(fvals, w_arr)
-        R = product_matrices(weights, "left")
-    n = T.n
-    terms = np.matmul(kvals.reshape(len(s_arr), n * n, 4), R)
-    scale = np.sum(np.linalg.norm(kvals.reshape(len(s_arr), -1), axis=1)
-                   * np.linalg.norm(weights, axis=1))
-    return QuatMatrix(terms.sum(axis=0).reshape(n, n, 4)), scale
+class _Callable:
+    """A quaternion-valued callable stem with the batched at_nodes that
+    integrate reads, evaluated one node at a time."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, s):
+        return self.fn(s)
+
+    def at_nodes(self, s_arr):
+        return np.stack([self.fn(Quaternion.from_array(s)).as_array() for s in s_arr])
 
 
 def _contours(rng):
@@ -56,7 +51,7 @@ def _stems(rng):
     return [
         SlicePoly.left(a, b, c),                 # non-intrinsic, left
         SlicePoly.right(c, a),                   # non-intrinsic, right
-        lambda s: a * s * b + s * s * c,         # quaternion-valued callable
+        _Callable(lambda s: a * s * b + s * s * c),   # quaternion-valued
     ]
 
 
@@ -64,11 +59,10 @@ def _stems(rng):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_pairing_matches_stack_oracle(rng, kind, side):
     T = random_commuting_operator(rng, 3)
-    K = kernel_fn(kind, T)
     for c in _contours(rng):
         for f in _stems(rng):
-            got = integrate(c, K, f, side, n=T.n)
-            want, scale = stack_oracle(c, kind, T, f, side)
+            got = integrate(c, kind, T, f, side)
+            want, scale = pair_per_node(c, partial(kernel, kind, T), f, side)
             assert (got - want).norm() <= 1e-12 * scale, (kind, side, c)
 
 
@@ -78,8 +72,8 @@ def test_pairing_matches_stack_oracle_across_chunks(rng):
     c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
     f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
     for kind in (KernelKind.P2_RIGHT, KernelKind.S_LEFT):
-        got = integrate(c, kernel_fn(kind, T), f, "right", n=T.n)
-        want, scale = stack_oracle(c, kind, T, f, "right")
+        got = integrate(c, kind, T, f, "right")
+        want, scale = pair_per_node(c, partial(kernel, kind, T), f, "right")
         assert (got - want).norm() <= 1e-12 * scale, kind
 
 
@@ -88,9 +82,8 @@ def test_list_of_stems_gives_each_single_value(rng):
     c = _contours(rng)[2]
     stems = [SlicePoly.left(*[Quaternion(*rng.standard_normal(4)) for _ in range(3)])
              for _ in range(3)]
-    K = kernel_fn(KernelKind.F_LEFT, T)
-    many = integrate(c, K, stems, "left", n=T.n)
-    assert [integrate(c, K, g, "left", n=T.n) for g in stems] == many
+    many = integrate(c, KernelKind.F_LEFT, T, stems, "left")
+    assert [integrate(c, KernelKind.F_LEFT, T, g, "left") for g in stems] == many
 
 
 @pytest.mark.parametrize("N", [8, 9, 64, 65])
@@ -133,7 +126,7 @@ def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
     monkeypatch.setattr(kernels, "_pencil_term", counting)
     T = random_commuting_operator(np.random.default_rng(5), 3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
-    integrate(c, kernel_fn(KernelKind.P2_LEFT, T), SlicePoly.left(1.0, 2.0), "left")
+    integrate(c, KernelKind.P2_LEFT, T, SlicePoly.left(1.0, 2.0), "left")
     assert len(inverted) == expect == len(set(inverted))
 
 
@@ -154,7 +147,7 @@ def test_node_on_spectrum_names_its_index(hit, first):
     T = _spectrum_through(slice_nodes(c)[0][hit])
     for kind in (KernelKind.QCS_INV, KernelKind.P2_RIGHT, KernelKind.S_LEFT):
         with pytest.raises(SingularMatrixError) as err:
-            integrate(c, kernel_fn(kind, T), SlicePoly.left(1.0), "left")
+            integrate(c, kind, T, SlicePoly.left(1.0), "left")
         assert err.value.batch_index == first
         assert f"node {first} " in str(err.value)
 
