@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .contour import Contour, integrate
-from .errors import GeometryError, HypothesisError, PreconditionError
+from .contour import Contour, check_winding, integrate
+from .errors import HypothesisError, PreconditionError
 from .kernels import KernelKind
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
@@ -85,22 +85,11 @@ _PROJECTOR = {
 }
 
 
-def _check_encloses(c: Contour, T: CommutingOperator, full: bool):
-    """Contour boundaries must avoid the spectrum; with full=True every
-    sphere must additionally lie inside."""
-    for sp in T.spheres:
-        for (u, v) in {(sp.u, sp.v), (sp.u, -sp.v)}:
-            near = 1e-9 * (1.0 + math.hypot(u, v))
-            inside = c.contains_point(u, v, clearance=near)
-            on_boundary = not inside and any(
-                abs(math.hypot(u - cu, v - cv) - r) < near
-                for (cu, cv, r) in c.plane_circles())
-            if on_boundary:
-                raise GeometryError(
-                    f"contour boundary passes through spectrum point ({u}, {v})")
-            if full and not inside:
-                raise GeometryError(
-                    f"contour does not enclose spectrum point ({u}, {v})")
+def _check_encloses(c: Contour, T: CommutingOperator, turns):
+    """c winds about each spectral point p a number of times in turns,
+    {1} for a calculus and {0, 1} for a projector, clearing p by 1e-9 (1 + |p|)."""
+    check_winding(c, [(sp.u, sp.v, 1e-9 * (1.0 + math.hypot(sp.u, sp.v)))
+                      for sp in T.spheres], turns, "spectrum point")
 
 
 def apply_calculus(kind: CalculusKind, f: SlicePoly, T: CommutingOperator,
@@ -123,8 +112,7 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
     if any(g.side != side for g in stems):
         raise PreconditionError("apply_stems needs a common stem side")
     kind = CalculusKind(kind)
-    if c.components:
-        _check_encloses(c, T, full=True)
+    _check_encloses(c, T, {1})
     return [val * _PREFACTOR[kind]
             for val in integrate(c, _KERNELS[(kind, side)], T, stems, side)]
 
@@ -201,6 +189,6 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour) -> Qua
                 f"{kind.value} projector requires components with real spectrum")
     if not c.components:
         return QuatMatrix.zeros(T.n)
-    _check_encloses(c, T, full=False)
+    _check_encloses(c, T, {0, 1})
     prefactor, kk, degree = _PROJECTOR[kind]
     return integrate(c, kk, T, SlicePoly.monomial(degree)) * prefactor

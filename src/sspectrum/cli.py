@@ -290,8 +290,12 @@ def main(argv=None) -> int:
         _emit_error(exc, 4)
         return 4
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _emit_error(InputError(f"cannot write --out {config.out}: {exc}"), 2)
+            return 2
     else:
         sys.stdout.write(text)
     return status

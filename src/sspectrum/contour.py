@@ -17,6 +17,10 @@ and sines of the second half of the ring are the exact mirror of the
 first, so the node set of every circle and disk pair is closed under
 conjugation bit for bit, and ``integrate`` inverts the pencil only at
 the nodes on or above the real axis of C_J.
+
+A contour suits a computation when its winding number about each
+spectral point, ``Contour.winding``, meets the caller's rule with the
+boundary clear of the point; ``check_winding`` enforces both.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "Circle",
     "DiskPair",
     "Contour",
+    "check_winding",
     "integrate",
     "auto_contour",
     "enclosing_circle",
@@ -105,17 +110,32 @@ class Contour:
             out.extend(comp.plane_circles())
         return out
 
-    def contains_point(self, u: float, v: float, clearance: float = 0.0) -> bool:
-        """Whether (u, v) in C_J lies inside the union, by at least
-        clearance away from every boundary circle."""
-        inside = False
-        for (cu, cv, r) in self.plane_circles():
-            d = math.hypot(u - cu, v - cv)
-            if abs(d - r) < clearance:
-                return False
-            if d < r:
-                inside = True
-        return inside
+    def winding(self, u: float, v: float):
+        """(turns, gap) of u + Jv: its winding number, the sum of the
+        orientations of the circles containing it, and its distance to
+        the nearest boundary circle, inf for a contour without circles."""
+        turns, gap = 0, math.inf
+        for comp in self.components:
+            for (cu, cv, r) in comp.plane_circles():
+                d = math.hypot(u - cu, v - cv)
+                gap = min(gap, abs(d - r))
+                if d < r:
+                    turns += comp.orientation
+        return turns, gap
+
+
+def check_winding(c: Contour, points, turns, what: str) -> None:
+    """Raise GeometryError unless, for every (u, v, clearance) in points,
+    c winds about both u + Jv and u - Jv a number of times in turns, and
+    every boundary circle passes farther than clearance from them."""
+    for (u, v0, clearance) in points:
+        for v in {v0, -v0}:
+            t, gap = c.winding(u, v)
+            if t not in turns or not gap > clearance:
+                raise GeometryError(
+                    f"contour winds {t} times about {what} ({u}, {v}), "
+                    f"{gap:.3e} from its boundary; needs a winding number in "
+                    f"{sorted(turns)} and a distance above {clearance:.3e}")
 
 
 def node_arrays(c: Contour):
@@ -241,8 +261,8 @@ def _min_enclosing_circle(points):
     if len(pts) == 1:
         return pts[0], 0.0
 
-    def covers(center, r2, eps=1e-12):
-        return all(np.sum((p - center) ** 2) <= r2 * (1.0 + eps) + eps for p in pts)
+    def covers(center, r2):
+        return all(np.sum((p - center) ** 2) <= r2 * (1.0 + 1e-12) + 1e-12 for p in pts)
 
     best_c, best_r2 = None, math.inf
     for i in range(len(pts)):
@@ -337,9 +357,10 @@ def auto_contour(spheres, selection, margin: float | None = None,
     Selected spheres are clustered by single linkage with gap threshold
     4 * margin; each cluster becomes a conjugate disk pair when it sits
     far enough from the real axis and a real-centered circle otherwise.
-    Every boundary keeps clearance >= margin from both the enclosed and
-    the excluded spheres, and the precondition that selected and
-    unselected spheres are separated by more than 2 * margin is checked.
+    The result is checked with check_winding: it winds once about every
+    selected sphere and not at all about an excluded one, with every
+    boundary clear of both by margin (1 - 1e-9), so a selected and an
+    excluded sphere closer than twice that raise GeometryError.
     """
     spheres = list(spheres)
     selection = sorted(set(int(i) for i in selection))
@@ -355,14 +376,6 @@ def auto_contour(spheres, selection, margin: float | None = None,
     if not selected:
         return Contour(J, (), N)
 
-    for sin in selected:
-        for sout in excluded:
-            if sin.distance(sout) <= 2.0 * margin:
-                raise GeometryError(
-                    f"selected sphere ({sin.u}, {sin.v}) and excluded sphere "
-                    f"({sout.u}, {sout.v}) are separated by "
-                    f"{sin.distance(sout):.3e} <= 2 * margin")
-
     pts = [(sp.u, sp.v) for sp in selected]
     components = []
     for group in _cluster(pts, 4.0 * margin):
@@ -375,45 +388,20 @@ def auto_contour(spheres, selection, margin: float | None = None,
             c, rr = _axis_centered_radius(gpts)
             components.append(Circle(float(c), rr + margin))
     contour = Contour(J, tuple(components), N)
-    _validate_geometry(contour, selected, excluded, margin)
+    slack = margin * (1.0 - 1e-9)
+    check_winding(contour, [(sp.u, sp.v, slack) for sp in selected], {1}, "selected sphere")
+    check_winding(contour, [(sp.u, sp.v, slack) for sp in excluded], {0}, "excluded sphere")
     return contour
 
 
-def enclosing_circle(spheres, margin: float | None = None, J: Quaternion = E1,
+def enclosing_circle(spheres, margin: float, J: Quaternion = E1,
                      N: int = DEFAULT_NODES) -> Contour:
-    """One real-centered circle around the whole spectrum."""
+    """One real-centered circle around the whole spectrum, margin beyond it."""
     spheres = list(spheres)
     if not spheres:
         return Contour(J, (), N)
-    if margin is None:
-        margin = default_margin(spheres)
     c, r = _axis_centered_radius([(sp.u, sp.v) for sp in spheres])
     return Contour(J, (Circle(float(c), r + margin),), N)
-
-
-def _validate_geometry(contour, selected, excluded, margin):
-    circles = contour.plane_circles()
-    slack = margin * (1.0 - 1e-9)
-    for sp in selected:
-        for (u, v) in {(sp.u, sp.v), (sp.u, -sp.v)}:
-            dists = [math.hypot(u - cu, v - cv) for (cu, cv, _) in circles]
-            inside = [d < r for d, (_, _, r) in zip(dists, circles)]
-            if not any(inside):
-                raise GeometryError(f"sphere point ({u}, {v}) not enclosed")
-            if min(abs(d - r) for d, (_, _, r) in zip(dists, circles)) < slack:
-                raise GeometryError(
-                    f"sphere point ({u}, {v}) closer than margin to a boundary")
-    for sp in excluded:
-        for (u, v) in {(sp.u, sp.v), (sp.u, -sp.v)}:
-            for (cu, cv, r) in circles:
-                if math.hypot(u - cu, v - cv) < r + slack:
-                    raise GeometryError(
-                        f"excluded sphere point ({u}, {v}) not cleared")
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            (u1, v1, r1), (u2, v2, r2) = circles[i], circles[j]
-            if math.hypot(u1 - u2, v1 - v2) <= r1 + r2:
-                raise GeometryError("contour circles overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +417,7 @@ def contour_from_dict(doc) -> Contour:
     try:
         comps = [_component_from_dict(item) for item in doc["circles"]]
         J = imaginary_unit(doc["J"])
-        N = int(doc.get("nodes", DEFAULT_NODES))
+        N = _integer(doc, "nodes", DEFAULT_NODES)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad contour document: {type(exc).__name__}: {exc}") from exc
     return Contour(J, tuple(comps), N)
@@ -438,13 +426,20 @@ def contour_from_dict(doc) -> Contour:
 def _component_from_dict(item):
     if not isinstance(item, dict):
         raise InputError("each circle must be an object")
-    orientation = int(item.get("orientation", 1))
+    orientation = _integer(item, "orientation", 1)
     if "center" in item:
         return Circle(_finite(item, "center"), _finite(item, "radius"), orientation)
     if "u" in item:
         return DiskPair(_finite(item, "u"), _finite(item, "v"),
                         _finite(item, "radius"), orientation)
     raise InputError("each circle needs 'center' or a ('u', 'v') pair")
+
+
+def _integer(item, key, default) -> int:
+    value = item.get(key, default)
+    if type(value) is not int:
+        raise InputError(f"contour '{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _finite(item, key) -> float:

@@ -27,8 +27,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calculus import CalculusKind, apply_calculus, riesz_projector
-from .contour import Contour, auto_contour, enclosing_circle, integrate
-from .errors import GeometryError, InputError, PreconditionError
+from .contour import (Contour, auto_contour, check_winding, enclosing_circle,
+                      integrate)
+from .errors import InputError, PreconditionError
 from .kernels import KernelKind, kernel
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
@@ -465,7 +466,7 @@ def verify_integral(name: str, T: CommutingOperator,
                     tol: float = DEFAULT_TOL) -> IdentityReport:
     if name not in INTEGRAL_IDENTITIES:
         raise InputError(f"unknown integral identity '{name}'")
-    if c_outer is not None and c_outer.components:
+    if c_outer is not None:
         _check_nested(c_inner, c_outer)
     if f is not None and not f.is_intrinsic():
         raise PreconditionError("the stem f must be intrinsic")
@@ -475,12 +476,8 @@ def verify_integral(name: str, T: CommutingOperator,
 
 
 def _check_nested(c_in: Contour, c_out: Contour):
-    outer = c_out.plane_circles()
-    for (u, v, r) in c_in.plane_circles():
-        ok = any(math.hypot(u - cu, v - cv) + r < R
-                 for (cu, cv, R) in outer)
-        if not ok:
-            raise GeometryError("inner contour is not nested in the outer one")
+    """c_out winds once about each circle of c_in and does not meet it."""
+    check_winding(c_out, c_in.plane_circles(), {1}, "the centre of inner circle")
 
 
 def _fmt(q):
@@ -493,10 +490,10 @@ def _fmt(q):
 # seeded input generation
 
 
-def random_commuting_operator(rng, n: int, degree: int = 2, zero_e3: bool = False,
+def random_commuting_operator(rng, n: int, zero_e3: bool = False,
                               symmetric_base: bool = False,
                               scale: float = 1.0) -> CommutingOperator:
-    """Components drawn as real polynomials of one base matrix, which
+    """Components drawn as real quadratics in one base matrix, which
     commute exactly; a symmetric base forces real component spectra."""
     M = rng.standard_normal((n, n))
     if symmetric_base:
@@ -509,7 +506,7 @@ def random_commuting_operator(rng, n: int, degree: int = 2, zero_e3: bool = Fals
             continue
         C = np.zeros((n, n))
         Mp = np.eye(n)
-        for _ in range(degree + 1):
+        for _ in range(3):
             C = C + rng.standard_normal() * Mp
             Mp = Mp @ M
         comps.append(C)
@@ -520,20 +517,20 @@ def random_commuting_operator(rng, n: int, degree: int = 2, zero_e3: bool = Fals
     return CommutingOperator(*comps)
 
 
-def split_spectrum_operator(gap: float = 5.0) -> CommutingOperator:
-    """Diagonal 2 x 2 family with the two separated spheres (0, 1) and
-    (gap, 0); the block decoupling makes its projectors exactly
-    diag(1, 0) and diag(0, 1)."""
-    T0 = np.diag([0.0, gap])
+def split_spectrum_operator() -> CommutingOperator:
+    """Diagonal 2 x 2 operator with the two separated spheres (0, 1) and
+    (5, 0); the block decoupling makes its projectors exactly diag(1, 0)
+    and diag(0, 1)."""
+    T0 = np.diag([0.0, 5.0])
     T1 = np.diag([1.0, 0.0])
     z = np.zeros((2, 2))
     return CommutingOperator(T0, T1, z, z)
 
 
 def random_resolvent_point(rng, T: CommutingOperator, min_dist: float = 0.3,
-                           avoid=None, min_sep: float = 0.25) -> Quaternion:
+                           avoid=None) -> Quaternion:
     """Seeded point at distance >= min_dist from every spectral sphere
-    (and, when avoid is given, off that point's sphere by min_sep)."""
+    (and, when avoid is given, off that point's sphere by 0.25)."""
     spheres = T.spheres
     reach = max([math.hypot(sp.u, sp.v) for sp in spheres] + [1.0])
     if avoid is not None:
@@ -543,22 +540,21 @@ def random_resolvent_point(rng, T: CommutingOperator, min_dist: float = 0.3,
         v = rng.uniform(0.0, 1.5 * reach)
         if any(sp.point_distance(u, v) < min_dist for sp in spheres):
             continue
-        if avoid is not None and math.hypot(u - au, v - av) < min_sep:
+        if avoid is not None and math.hypot(u - au, v - av) < 0.25:
             continue
         J = random_imaginary_unit(rng)
         return Quaternion.embed(u, J, v) if v > 0 else Quaternion(u)
     raise PreconditionError("could not sample a resolvent point")
 
 
-def random_stem(rng, degree: int, side: str = "left", intrinsic: bool = False,
-                scale: float = 1.0) -> SlicePoly:
+def random_stem(rng, degree: int, side: str = "left",
+                intrinsic: bool = False) -> SlicePoly:
     coeffs = []
     for _ in range(degree + 1):
         if intrinsic:
-            coeffs.append(Quaternion(float(rng.standard_normal()) * scale))
+            coeffs.append(Quaternion(float(rng.standard_normal())))
         else:
-            c = rng.standard_normal(4) * scale
-            coeffs.append(Quaternion(*map(float, c)))
+            coeffs.append(Quaternion(*map(float, rng.standard_normal(4))))
     return SlicePoly(side, coeffs)
 
 

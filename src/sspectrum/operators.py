@@ -109,15 +109,15 @@ class CommutingOperator:
         """The 1 x 1 operator given by a quaternion scalar."""
         return CommutingOperator([[q.w]], [[q.x]], [[q.y]], [[q.z]])
 
-    def has_zero_e3(self, rtol: float = 1e-10) -> bool:
+    def has_zero_e3(self) -> bool:
         scale = max(self.norm(), 1.0)
-        return float(np.linalg.norm(self.T3)) <= rtol * scale
+        return float(np.linalg.norm(self.T3)) <= 1e-10 * scale
 
-    def has_real_component_spectra(self, rtol: float = REAL_SPECTRUM_RTOL) -> bool:
+    def has_real_component_spectra(self) -> bool:
         """Whether every component matrix has (numerically) real spectrum."""
         for C in self.components:
             scale = max(float(np.linalg.norm(C)), 1.0)
-            if np.max(np.abs(np.linalg.eigvals(C).imag)) > rtol * scale:
+            if np.max(np.abs(np.linalg.eigvals(C).imag)) > REAL_SPECTRUM_RTOL * scale:
                 return False
         return True
 
@@ -177,16 +177,16 @@ def qcs_pencil_at(T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def s_spectrum(T: CommutingOperator, pairing_rtol: float = PAIRING_RTOL):
+def s_spectrum(T: CommutingOperator):
     """All spheres of the S-spectrum, sorted by u and, among spheres whose
-    u agree within pairing_rtol (1 + |u|), by v.
+    u agree within PAIRING_RTOL (1 + |u|), by v.
 
     Roots of det(s^2 I - 2 s T0 + K) are the eigenvalues of the 2n x 2n
     companion matrix A = [[0, I], [-K, 2 T0]].  Rounding splits an m-fold
     root into m roots about eps^(1/m) * scale apart (a real spectral
     point is always a double root), so the roots are clustered before
     they become spheres: two roots belong to one cluster when they lie
-    within pairing_rtol (1 + |lam|) of each other, or when the point
+    within PAIRING_RTOL (1 + |lam|) of each other, or when the point
     halfway between them is itself an eigenvalue of A to working
     precision, sigma_min(A - z I) <= CLUSTER_SIGMA_RTOL * eps * |A|_F.
     Only pairs whose first-order perturbation discs overlap, and that
@@ -196,9 +196,8 @@ def s_spectrum(T: CommutingOperator, pairing_rtol: float = PAIRING_RTOL):
     2001); a cluster whose spread reaches the real axis is a real point.
     The multiplicity is the cluster size, so a real point counts both
     roots of its pair and a sphere counts its upper roots.
-    ``T.spheres`` keeps the result with the default pairing_rtol.
     """
-    return _spheres_of(_companion(T), pairing_rtol)
+    return _spheres_of(_companion(T))
 
 
 def _companion(T: CommutingOperator) -> np.ndarray:
@@ -209,7 +208,7 @@ def _companion(T: CommutingOperator) -> np.ndarray:
     ])
 
 
-def _spheres_of(A: np.ndarray, pairing_rtol: float):
+def _spheres_of(A: np.ndarray):
     try:
         roots, X = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -227,7 +226,7 @@ def _spheres_of(A: np.ndarray, pairing_rtol: float):
     radius = sigma_tol * kappa
     i, j = np.triu_indices(m, 1)
     gap = np.abs(roots[i] - roots[j])
-    near = gap <= pairing_rtol * (1.0 + np.maximum(np.abs(roots[i]), np.abs(roots[j])))
+    near = gap <= PAIRING_RTOL * (1.0 + np.maximum(np.abs(roots[i]), np.abs(roots[j])))
     test = ~near & (gap <= radius[i] + radius[j])
 
     parent = list(range(m))
@@ -288,17 +287,18 @@ def _spheres_of(A: np.ndarray, pairing_rtol: float):
     if upper != lower:
         raise EigenvalueError(
             f"{upper} roots above the real axis against {lower} below")
-    return [SpectralSphere(u, v, k) for u, v, k in _in_order(points, pairing_rtol)]
+    return [SpectralSphere(u, v, k) for u, v, k in _in_order(points)]
 
 
-def _in_order(points, rtol):
+def _in_order(points):
     """(u, v, k) points sorted by u, where a run of u that agree within
-    rtol (1 + |u|) counts as one u and is sorted by v, so rounding noise
-    in u cannot put a sphere before the real point below it."""
+    PAIRING_RTOL (1 + |u|) counts as one u and is sorted by v, so
+    rounding noise in u cannot put a sphere before the real point below
+    it."""
     points = sorted(points)
     out, start = [], 0
     for k in range(1, len(points) + 1):
-        if k == len(points) or abs(points[k][0] - points[k - 1][0]) > rtol * (
+        if k == len(points) or abs(points[k][0] - points[k - 1][0]) > PAIRING_RTOL * (
                 1.0 + max(abs(points[k][0]), abs(points[k - 1][0]))):
             out.extend(sorted(points[start:k], key=lambda p: (p[1], p[0])))
             start = k

@@ -112,12 +112,12 @@ def eye_arr(n):
     return out
 
 
-def solve_arr(A, B, rtol: float = PIVOT_RTOL):
+def solve_arr(A, B):
     """Solve A X = B for stacks A (..., n, n, 4), B (..., n, m, 4).
 
     Raises SingularMatrixError, reporting the failing pivot column and
     (for batched input) the offending batch element, as soon as a pivot
-    modulus drops below rtol * max|A|.
+    modulus drops below PIVOT_RTOL * max|A|.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -133,7 +133,7 @@ def solve_arr(A, B, rtol: float = PIVOT_RTOL):
     rows = np.arange(nb)
 
     anorm = np.max(qabs_arr(U.reshape(nb, -1, 4)), axis=1)
-    threshold = rtol * np.where(anorm > 0.0, anorm, 1.0)
+    threshold = PIVOT_RTOL * np.where(anorm > 0.0, anorm, 1.0)
 
     for k in range(n):
         mods = qabs_arr(U[:, k:, k, :])
@@ -280,14 +280,14 @@ class QuatMatrix:
         return f"QuatMatrix(n={self.n})"
 
 
-def qm_solve(A: QuatMatrix, B: QuatMatrix, rtol: float = PIVOT_RTOL) -> QuatMatrix:
+def qm_solve(A: QuatMatrix, B: QuatMatrix) -> QuatMatrix:
     """Solve A X = B by quaternionic elimination with modulus pivoting."""
     A._check(B)
-    return QuatMatrix(solve_arr(A.data, B.data, rtol))
+    return QuatMatrix(solve_arr(A.data, B.data))
 
 
-def qm_inv(A: QuatMatrix, rtol: float = PIVOT_RTOL) -> QuatMatrix:
-    return qm_solve(A, QuatMatrix.identity(A.n), rtol)
+def qm_inv(A: QuatMatrix) -> QuatMatrix:
+    return qm_solve(A, QuatMatrix.identity(A.n))
 
 
 def _left_block(q) -> np.ndarray:

@@ -202,7 +202,7 @@ def imaginary_unit(value) -> Quaternion:
 
     Accepts a Quaternion or a length-3/4 sequence.  The vector part is
     renormalised when it is within 1e-9 of unit length; anything further
-    off is rejected rather than silently rescaled.
+    off, NaN included, is rejected rather than silently rescaled.
     """
     if isinstance(value, Quaternion):
         q = value
@@ -212,10 +212,10 @@ def imaginary_unit(value) -> Quaternion:
             q = Quaternion(0.0, *map(float, seq))
         else:
             q = Quaternion.from_array(seq)
-    if abs(q.w) > 1e-12:
+    if not abs(q.w) <= 1e-12:
         raise InputError("imaginary unit must have zero real part")
     n = q.vec_norm()
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:
         raise InputError(f"imaginary unit must have modulus 1, got {n}")
     return Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 

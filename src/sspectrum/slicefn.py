@@ -86,11 +86,11 @@ class SlicePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_intrinsic(self, rtol: float = INTRINSIC_RTOL) -> bool:
+    def is_intrinsic(self) -> bool:
         """True when every coefficient is real, so the stem takes each
         plane through an imaginary unit into itself."""
         scale = max([c.norm() for c in self.coeffs] + [1.0])
-        return all(c.vec_norm() <= rtol * scale for c in self.coeffs)
+        return all(c.vec_norm() <= INTRINSIC_RTOL * scale for c in self.coeffs)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         acc = Quaternion()
@@ -186,9 +186,9 @@ class PAPoly:
             return PAPoly({k: c * a for k, c in self.terms.items()}, "right")
         return PAPoly({k: a * c for k, c in self.terms.items()}, "left")
 
-    def has_real_coeffs(self, rtol: float = INTRINSIC_RTOL) -> bool:
+    def has_real_coeffs(self) -> bool:
         scale = max([c.norm() for c in self.terms.values()] + [1.0])
-        return all(c.vec_norm() <= rtol * scale for c in self.terms.values())
+        return all(c.vec_norm() <= INTRINSIC_RTOL * scale for c in self.terms.values())
 
     def conjugate(self) -> "PAPoly":
         """Pointwise conjugate, valid for real-coefficient polynomials

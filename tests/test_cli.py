@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sspectrum import cli, identities
+from conftest import rel
+from sspectrum import CommutingOperator, QuatMatrix, cli, identities
+from sspectrum.calculus import CalculusKind, stem_moment
 from sspectrum.cli import RunConfig, dump_json, run
 from sspectrum.errors import NumericError
 
@@ -311,3 +318,145 @@ def test_bad_tolerance_is_a_parse_error(zero_op, capsys, command, tol):
     assert cli.main([command, *args, "--tol", tol]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def _apply_on_contour(path, op, doc, calculus="s"):
+    ct = write_json(path / "c.json", doc)
+    f = write_json(path / "f.json", {"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]})
+    return cli.main(["apply", "--operator", op, "--function", f, "--contour", ct,
+                     "--calculus", calculus])
+
+
+@pytest.mark.parametrize("circles", [
+    [{"center": 2.5, "radius": 4.0}, {"center": 2.5, "radius": 5.0}],   # nested
+    [{"center": 2.5, "radius": 6.0},                                    # annulus
+     {"center": 2.5, "radius": 5.0, "orientation": -1}],
+    [{"center": 2.5, "radius": 4.0, "orientation": -1}],
+    [],
+])
+def test_apply_needs_one_turn_about_every_spectral_point(tmp_path, capsys, split_op,
+                                                         circles):
+    doc = {"J": [0, 1, 0, 0], "circles": circles, "nodes": 64}
+    assert _apply_on_contour(tmp_path, split_op, doc) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GeometryError" and err["exit"] == 3
+
+
+def test_projector_rejects_nested_circles(tmp_path, capsys, split_op):
+    ct = write_json(tmp_path / "c.json", {"J": [0, 1, 0, 0], "nodes": 64, "circles": [
+        {"center": 0.0, "radius": 2.0}, {"u": 0.0, "v": 1.0, "radius": 0.5}]})
+    assert cli.main(["projector", "--operator", split_op, "--contour", ct]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GeometryError" and err["exit"] == 3
+
+
+@pytest.mark.parametrize("J", ["[0, NaN, 0, 0]", "[NaN, 1, 0, 0]", "[0, 1, NaN]"])
+def test_nan_imaginary_unit_is_a_parse_error(tmp_path, capsys, split_op, J):
+    ct = tmp_path / "c.json"
+    ct.write_text('{"J": %s, "circles": [{"center": 2.5, "radius": 4.0}]}' % J)
+    f = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[1, 0, 0, 0]]})
+    assert cli.main(["apply", "--operator", split_op, "--function", f,
+                     "--contour", str(ct)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+@pytest.mark.parametrize("circle, nodes", [
+    ({"center": 2.5, "radius": 4.0, "orientation": 1.7}, 64),
+    ({"center": 2.5, "radius": 4.0, "orientation": 1.0}, 64),
+    ({"center": 2.5, "radius": 4.0, "orientation": True}, 64),
+    ({"center": 2.5, "radius": 4.0}, 8.9),
+    ({"center": 2.5, "radius": 4.0}, 64.0),
+])
+def test_integer_contour_fields_must_be_json_integers(tmp_path, capsys, split_op,
+                                                      circle, nodes):
+    doc = {"J": [0, 1, 0, 0], "circles": [circle], "nodes": nodes}
+    assert _apply_on_contour(tmp_path, split_op, doc) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def test_out_into_a_directory_is_a_parse_error(tmp_path, capsys, e1_op):
+    assert cli.main(["spectrum", "--operator", e1_op, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+    assert captured.out == ""
+
+
+# a non-normal operator with the real point (0.5, 0) and the sphere (-1, 1.2)
+_FIXED_T0 = np.array([[0.5, 1.0], [0.0, -1.0]])
+_FIXED_OP = CommutingOperator(_FIXED_T0, np.zeros((2, 2)),
+                              0.4 * np.eye(2) - 0.8 * _FIXED_T0, np.zeros((2, 2)))
+_orientation = st.sampled_from([1, 1, -1])
+
+
+def _circles(center, radius):
+    return st.builds(lambda c, r, o: {"center": c, "radius": r, "orientation": o},
+                     center, radius, _orientation)
+
+
+def _disk_pairs(u, v, radius):
+    return st.builds(lambda u, v, r, o: {"u": u, "v": v, "radius": r, "orientation": o},
+                     u, v, radius, _orientation)
+
+
+# circles around the whole spectrum, around either point, and anywhere;
+# every circle of the first three kinds clears the spectrum by r / 4
+_component = st.one_of(
+    _circles(st.floats(-0.5, 0.0), st.floats(2.2, 4.0)),
+    _circles(st.floats(0.3, 0.7), st.floats(0.4, 0.8)),
+    _disk_pairs(st.floats(-1.2, -0.8), st.floats(1.0, 1.4), st.floats(0.5, 0.9)),
+    _circles(st.floats(-2.0, 2.0), st.floats(0.1, 4.0)),
+    _disk_pairs(st.floats(-2.0, 0.0), st.floats(0.5, 2.0), st.floats(0.05, 1.5)),
+)
+_contour_doc = st.fixed_dictionaries({
+    "J": st.sampled_from([[0, 1, 0, 0], [0, 0, 0.6, 0.8], [0, 0, 0, 1], [0, 0.8, 0, 0.6],
+                          [0, 0, 1, 0], [0, 0.6, 0.8, 0],
+                          [0, math.nan, 0, 0], [math.nan, 0, 1, 0]]),
+    "circles": st.lists(_component, min_size=1, max_size=3),
+    "nodes": st.sampled_from([192, 256, 320, 384, 448, 512, 100.5]),
+})
+
+
+def _clears_spectrum_by_a_quarter_radius(doc, T):
+    """Every circle of the document, each conjugate of a disk pair too,
+    lies at least a quarter of its radius from every spectral point."""
+    for item in doc["circles"]:
+        centres = ([(item["center"], 0.0)] if "center" in item
+                   else [(item["u"], item["v"]), (item["u"], -item["v"])])
+        r = item["radius"]
+        if any(abs(math.hypot(sp.u - cu, sp.v - cv) - r) < r / 4
+               for (cu, cv) in centres for sp in T.spheres):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contour_doc, st.sampled_from(["s", "q", "p2", "f"]), st.integers(0, 4))
+@example({"J": [0, 0, 1, 0], "nodes": 256, "circles": [{"center": -0.25, "radius": 3.0}]},
+         "p2", 4)
+@example({"J": [0, 1, 0, 0], "nodes": 192, "circles": [
+    {"center": 0.5, "radius": 0.6}, {"u": -1.0, "v": 1.2, "radius": 0.7}]}, "f", 3)
+def test_apply_on_any_contour_document_is_right_or_refused(doc, calculus, m):
+    """Every contour document either exits 2, 3 or 4 with a JSON error, or
+    exits 0, and then, when its circles clear the spectrum by a quarter
+    of their radius, with the closed-form value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp)
+        op = write_json(path / "op.json", {"T0": _FIXED_T0.tolist(),
+                                           "T2": _FIXED_OP.T2.tolist()})
+        ct = write_json(path / "c.json", doc)
+        f = write_json(path / "f.json", {"side": "left",
+                                         "coeffs": [[0, 0, 0, 0]] * m + [[1, 0, 0, 0]]})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["apply", "--operator", op, "--function", f,
+                             "--contour", ct, "--calculus", calculus])
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert json.loads(err.getvalue())["exit"] == code
+    elif _clears_spectrum_by_a_quarter_radius(doc, _FIXED_OP):
+        val = QuatMatrix(np.array(json.loads(out.getvalue())))
+        ref = stem_moment(CalculusKind(calculus), _FIXED_OP, m)
+        assert rel(val, ref) < 1e-8

@@ -6,7 +6,8 @@ import pytest
 from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
-                       auto_contour, enclosing_circle, integrate, qinv)
+                       auto_contour, enclosing_circle, integrate, qinv,
+                       stem_moment)
 from sspectrum.contour import (Circle, Contour, DiskPair, _axis_centered_radius,
                                contour_from_dict, contour_to_dict,
                                load_contour, node_arrays, save_contour)
@@ -126,9 +127,9 @@ def test_auto_contour_disk_pair_example():
     comp = c.components[0]
     assert isinstance(comp, DiskPair)
     assert comp.radius <= 1.5
-    assert not c.contains_point(5.0, 0.0)
-    assert c.contains_point(0.0, 1.0)
-    assert c.contains_point(0.0, -1.0)
+    assert c.winding(5.0, 0.0)[0] == 0
+    assert c.winding(0.0, 1.0)[0] == 1
+    assert c.winding(0.0, -1.0)[0] == 1
 
 
 def test_auto_contour_select_all_one_cluster():
@@ -137,7 +138,7 @@ def test_auto_contour_select_all_one_cluster():
     assert len(c.components) == 1
     assert isinstance(c.components[0], Circle)
     for sp in spheres:
-        assert c.contains_point(sp.u, sp.v)
+        assert c.winding(sp.u, sp.v)[0] == 1
 
 
 def test_auto_contour_select_none():
@@ -149,6 +150,33 @@ def test_auto_contour_separation_precondition():
     spheres = [SpectralSphere(0.0, 0.0), SpectralSphere(1.0, 0.0)]
     with pytest.raises(GeometryError):
         auto_contour(spheres, [0], margin=0.6)
+
+
+def test_contour_winding_counts_orientation():
+    annulus = Contour(E1, (Circle(0.0, 3.0), Circle(0.0, 1.0, -1)), 64)
+    assert annulus.winding(0.0, 0.0) == (0, 1.0)
+    assert annulus.winding(2.0, 0.0) == (1, 1.0)
+    assert annulus.winding(5.0, 0.0) == (0, 2.0)
+    nested = Contour(E1, (Circle(0.0, 3.0), DiskPair(0.0, 1.0, 0.5)), 64)
+    assert nested.winding(0.0, -1.0) == (2, 0.5)
+    assert Contour(E1, (), 64).winding(0.0, 0.0) == (0, math.inf)
+
+
+def test_auto_contour_keeps_overlapping_circles_that_hold_no_sphere():
+    """A real cluster's circle reaches into a disk pair's circles without
+    covering a sphere of the other, so the contour winds once about every
+    sphere and its P2 value agrees with the closed form."""
+    T0 = np.diag([0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 3.6, 5.4])
+    T1 = np.diag([0.0] * 7 + [5.6, 5.6])
+    z = np.zeros((9, 9))
+    T = CommutingOperator(T0, T1, z, z)
+    c = auto_contour(T.spheres, range(len(T.spheres)), margin=0.5)
+    (cu, cv, r), (du, dv, dr) = c.plane_circles()[:2]
+    assert math.hypot(cu - du, cv - dv) < r + dr
+    for sp in T.spheres:
+        assert c.winding(sp.u, sp.v)[0] == 1
+    val = apply_calculus(CalculusKind.P2, SlicePoly.monomial(3), T, c)
+    assert rel(val, stem_moment(CalculusKind.P2, T, 3)) < 1e-9
 
 
 def test_auto_contour_two_clusters():

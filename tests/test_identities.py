@@ -9,6 +9,7 @@ from sspectrum import (CommutingOperator, KernelKind, Quaternion,
                        QuatMatrix, enclosing_circle, kernel, qinv,
                        qs_poly, s_spectrum, verify_all, verify_integral,
                        verify_pointwise, verify_seeded)
+from sspectrum.contour import Circle, Contour
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import (INTEGRAL_IDENTITIES, POINTWISE_IDENTITIES,
                                   random_commuting_polynomial,
@@ -156,6 +157,20 @@ def test_verify_integral_nesting_enforced(rng):
     g = random_stem(rng, 2)
     with pytest.raises(GeometryError):
         verify_integral("q_product_rule", T, f, g, inner, outer)
+
+
+def test_verify_integral_outer_contour_winds_once_about_the_inner(rng):
+    """An outer contour doubled by a second circle of the same orientation
+    holds the inner circle, but winds twice about it."""
+    T = random_commuting_operator(rng, 2, zero_e3=True)
+    spheres = s_spectrum(T)
+    inner = enclosing_circle(spheres, margin=0.5, N=64)
+    outer = enclosing_circle(spheres, margin=1.0, N=64)
+    doubled = Contour(outer.J, outer.components + (Circle(0.0, 20.0),), 64)
+    f = random_stem(rng, 2, intrinsic=True)
+    g = random_stem(rng, 2)
+    with pytest.raises(GeometryError):
+        verify_integral("q_product_rule", T, f, g, inner, doubled)
 
 
 def test_verify_integral_intrinsic_enforced(rng):

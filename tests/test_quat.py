@@ -143,3 +143,14 @@ def test_spectral_sphere():
 
 def test_norm_example():
     assert math.isclose((ONE + E1).norm(), math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("value", [
+    [0.0, math.nan, 0.0, 0.0],
+    [math.nan, 1.0, 0.0, 0.0],
+    [0.0, 1.0, math.nan, 0.0],
+    [math.nan, math.nan, math.nan],
+])
+def test_nan_imaginary_unit_is_rejected(value):
+    with pytest.raises(InputError):
+        imaginary_unit(value)
