@@ -8,7 +8,7 @@ as residual norms.
 """
 
 from .calculus import (CalculusKind, apply_calculus, apply_stems,
-                       moment_closed_form, riesz_projector, stem_moment)
+                       riesz_projector, stem_moment)
 from .contour import (Circle, Contour, DiskPair, auto_contour,
                       enclosing_circle, integrate)
 from .identities import (IdentityReport, verify_all, verify_integral,

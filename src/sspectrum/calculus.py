@@ -9,12 +9,10 @@ the whole S-spectrum:
     P2     1/(2 pi)    P2_L            (Dbar f)(T)
     F      1/(2 pi)    F_L             (Delta f)(T)
 
-Right stems use the mirrored kernels and the right pairing.  The
-closed-form moments below are the quadrature-free values the calculi
-must reproduce on monomial stems; for S, Q and F the moment of index m
-is the value on the stem q^m, while the P2 moment of index m is the
-integral against s^(m+1), so it matches the stem q^(m+1) (the constant
-stem maps to zero).  ``stem_moment`` resolves that indexing.
+Right stems use the mirrored kernels and the right pairing.  On a
+polynomial stem every calculus has a quadrature-free value, the second
+step of the Fueter mapping theorem: ``stem_moment`` evaluates the exact
+power rules of :mod:`sspectrum.slicefn` at T.
 
 Riesz projectors integrate each kernel against a fixed monomial around
 one spectral cluster:
@@ -40,13 +38,12 @@ from .errors import HypothesisError, PreconditionError
 from .kernels import KernelKind
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
-from .slicefn import SlicePoly
+from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
 
 __all__ = [
     "CalculusKind",
     "apply_calculus",
     "apply_stems",
-    "moment_closed_form",
     "stem_moment",
     "riesz_projector",
 ]
@@ -76,6 +73,9 @@ _KERNELS = {
     (CalculusKind.F, "left"): KernelKind.F_LEFT,
     (CalculusKind.F, "right"): KernelKind.F_RIGHT,
 }
+
+_FUETER = {CalculusKind.Q: FueterOp.D, CalculusKind.P2: FueterOp.DBAR,
+           CalculusKind.F: FueterOp.DELTA}
 
 _PROJECTOR = {
     CalculusKind.S: (1.0 / (2.0 * math.pi), KernelKind.S_LEFT, 0),
@@ -117,59 +117,19 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
             for val in integrate(c, _KERNELS[(kind, side)], T, stems, side)]
 
 
-def moment_closed_form(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
-    """Quadrature-free moment of index m >= 0.
+def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
+    """Closed form of apply_calculus(kind, q^m, T, .): T^m for S, and the
+    image of q^m under D, Dbar or Delta, evaluated at T, for Q, P2 and F.
 
-    S: T^m
-    Q: -2 sum_{k=1..m} T^(m-k) conj(T)^(k-1)
-    F: -4 sum_{k=1..m-1} (m-k) T^(m-1-k) conj(T)^(k-1)
-    P2: 2 ((m+1) T^m + sum_{k=0..m} T^(m-k) conj(T)^k)
-
-    All coefficients are real, so the same matrix serves left stems
-    (coefficient on the right) and right stems (coefficient on the left).
+    The images have real coefficients, so the same matrix serves left
+    stems (coefficient on the right) and right stems (on the left).
     """
     kind = CalculusKind(kind)
     if m < 0:
         raise PreconditionError("moment index must be non-negative")
-    n = T.n
-    Mt = T.as_matrix()
-    Mtbar = T.conjugate().as_matrix()
-    tpow = [QuatMatrix.identity(n)]
-    tbarpow = [QuatMatrix.identity(n)]
-    for _ in range(m + 1):
-        tpow.append(tpow[-1] @ Mt)
-        tbarpow.append(tbarpow[-1] @ Mtbar)
-
     if kind is CalculusKind.S:
-        return tpow[m]
-    acc = QuatMatrix.zeros(n)
-    if kind is CalculusKind.Q:
-        for k in range(1, m + 1):
-            acc = acc + tpow[m - k] @ tbarpow[k - 1]
-        return acc * -2.0
-    if kind is CalculusKind.F:
-        for k in range(1, m):
-            acc = acc + (tpow[m - 1 - k] @ tbarpow[k - 1]) * float(m - k)
-        return acc * -4.0
-    acc = tpow[m] * float(m + 1)
-    for k in range(0, m + 1):
-        acc = acc + tpow[m - k] @ tbarpow[k]
-    return acc * 2.0
-
-
-def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
-    """Closed form of apply_calculus(kind, q^m, T, .).
-
-    Identical to moment_closed_form except for the P2 kind, whose moment
-    indexing is shifted by one: the stem q^m maps to the P2 moment of
-    index m - 1, and the constant stem maps to zero.
-    """
-    kind = CalculusKind(kind)
-    if kind is CalculusKind.P2:
-        if m == 0:
-            return QuatMatrix.zeros(T.n)
-        return moment_closed_form(kind, T, m - 1)
-    return moment_closed_form(kind, T, m)
+        return PAPoly({(m, 0): 1.0}).at_operator(T)
+    return fueter_apply(SlicePoly.monomial(m), _FUETER[kind]).at_operator(T)
 
 
 def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour) -> QuatMatrix:

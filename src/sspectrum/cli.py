@@ -279,7 +279,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = RunConfig(**vars(args))
     try:
-        status, text = run(config)
+        # non-finite results raise NumericError; warnings would only litter stderr
+        with np.errstate(all="ignore"):
+            status, text = run(config)
     except InputError as exc:
         _emit_error(exc, 2)
         return 2

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, NumericError, read_document
 from .kernels import KernelKind, kernel_sum
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix, qmul_arr
@@ -95,8 +95,11 @@ class Contour:
             if isinstance(comp, DiskPair) and comp.radius >= comp.v:
                 raise GeometryError(
                     "disk pair radius must stay below v to avoid the real axis")
-            if comp.orientation not in (-1, 1):
-                raise InputError("orientation must be +1 or -1")
+            # type(...) is int: True or 1.0 would pass, and be saved as such
+            if type(comp.orientation) is not int or comp.orientation not in (-1, 1):
+                raise InputError(f"orientation {comp.orientation!r} is not +1 or -1")
+        if type(self.nodes_per_circle) is not int:
+            raise InputError(f"nodes per circle {self.nodes_per_circle!r} is not an integer")
         if self.components and self.nodes_per_circle < MIN_NODES:
             raise InputError(f"need at least {MIN_NODES} nodes per circle")
 
@@ -223,7 +226,8 @@ def integrate(c: Contour, kind: KernelKind, T: CommutingOperator, f,
     kernels.kernel_sum: pencils are inverted only at the nodes on or
     above the real axis, whose conjugates are folded in from the
     contour's structure.  Results are reproducible for a fixed machine
-    and BLAS thread count.
+    and BLAS thread count.  Stem values or sums that overflow raise
+    NumericError.
     """
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
@@ -236,11 +240,15 @@ def integrate(c: Contour, kind: KernelKind, T: CommutingOperator, f,
         J = c.J.as_array()
         s_arr, w_arr = _in_plane(z, J), _in_plane(w, J)
         weights = np.stack([_weights(g, s_arr, w_arr, side) for g in stems])
+        if not np.all(np.isfinite(weights)):
+            raise NumericError("stem values at the contour nodes are not finite")
         paired = mirror >= 0
         c_conj = np.zeros((len(stems), len(upper), 4))
         c_conj[:, paired] = weights[:, mirror[paired]]
         vals = kernel_sum(kind, T, J[1:], z[upper], weights[:, upper],
                           side, c_conj, upper)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("the contour sum is not finite")
     out = [QuatMatrix(v) for v in vals]
     return out if many else out[0]
 
@@ -410,36 +418,27 @@ def enclosing_circle(spheres, margin: float, J: Quaternion = E1,
 
 def contour_from_dict(doc) -> Contour:
     """Parse a contour document; every schema violation is an InputError."""
-    if not isinstance(doc, dict) or "circles" not in doc or "J" not in doc:
-        raise InputError("contour document needs 'J' and 'circles'")
-    if not isinstance(doc["circles"], list):
-        raise InputError("contour 'circles' must be a list")
+    if not (isinstance(doc, dict) and isinstance(doc.get("circles"), list)
+            and isinstance(doc.get("J"), list)):
+        raise InputError("contour document needs a list 'circles' and an array 'J'")
     try:
         comps = [_component_from_dict(item) for item in doc["circles"]]
         J = imaginary_unit(doc["J"])
-        N = _integer(doc, "nodes", DEFAULT_NODES)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad contour document: {type(exc).__name__}: {exc}") from exc
-    return Contour(J, tuple(comps), N)
+    return Contour(J, tuple(comps), doc.get("nodes", DEFAULT_NODES))
 
 
 def _component_from_dict(item):
     if not isinstance(item, dict):
         raise InputError("each circle must be an object")
-    orientation = _integer(item, "orientation", 1)
+    orientation = item.get("orientation", 1)
     if "center" in item:
         return Circle(_finite(item, "center"), _finite(item, "radius"), orientation)
     if "u" in item:
         return DiskPair(_finite(item, "u"), _finite(item, "v"),
                         _finite(item, "radius"), orientation)
     raise InputError("each circle needs 'center' or a ('u', 'v') pair")
-
-
-def _integer(item, key, default) -> int:
-    value = item.get(key, default)
-    if type(value) is not int:
-        raise InputError(f"contour '{key}' must be an integer, got {value!r}")
-    return value
 
 
 def _finite(item, key) -> float:
@@ -463,12 +462,7 @@ def contour_to_dict(c: Contour) -> dict:
 
 
 def load_contour(path) -> Contour:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read contour file {path}: {exc}") from exc
-    return contour_from_dict(doc)
+    return contour_from_dict(read_document(path, "contour"))
 
 
 def save_contour(c: Contour, path) -> None:

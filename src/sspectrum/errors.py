@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the JSON document reader.
 
 The CLI maps these onto exit codes: InputError -> 2, PreconditionError
 (and subclasses) -> 3, NumericError (and subclasses) -> 4.
 """
+
+import json
 
 
 class CalculusError(Exception):
@@ -52,3 +54,21 @@ class SingularMatrixError(NumericError):
 
 class EigenvalueError(NumericError):
     """The dense eigenvalue iteration did not converge."""
+
+
+def read_document(path, what: str):
+    """The JSON value in the file at path.  Every way the file can fail to
+    hold one is an InputError: an unreadable path, bytes that are not
+    UTF-8, malformed JSON, a nest too deep to parse, or an integer that
+    no float can hold (every numeric field becomes a float or a size)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_int=_float_sized_int)
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _float_sized_int(text):
+    value = int(text)
+    float(value)  # OverflowError beyond the float range
+    return value

@@ -207,34 +207,29 @@ def _p2_kernel_shift(T, s, p=None, side="left"):
 
 
 def _power_sums(T, s, m, side):
-    """The two four-fold sums entering the degree-m kernel shift."""
+    """The two four-fold sums entering the degree-m kernel shift, and T^m."""
     n = T.n
     Qs = kernel(KernelKind.QCS_INV, T, s)
     uT = T.vector_part()
     Mt = T.as_matrix()
-    SL = kernel(KernelKind.S_LEFT, T, s)
-    SR = kernel(KernelKind.S_RIGHT, T, s)
+    S = kernel(KernelKind.S_LEFT if side == "left" else KernelKind.S_RIGHT, T, s)
     A = QuatMatrix.zeros(n)
     Bm = QuatMatrix.zeros(n)
     tpow = QuatMatrix.identity(n)
     for i in range(m):
         spow = s ** (m - i - 1)
         if side == "left":
-            A = A + (tpow @ SL).rmul(spow)
+            A = A + (tpow @ S).rmul(spow)
             Bm = Bm + (tpow @ uT @ Qs).rmul(spow)
         else:
-            A = A + (SR @ tpow).lmul(spow)
+            A = A + (S @ tpow).lmul(spow)
             Bm = Bm + (Qs @ uT @ tpow).lmul(spow)
         tpow = tpow @ Mt
-    return A * 4.0, Bm * 4.0
+    return A * 4.0, Bm * 4.0, tpow
 
 
 def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
-    Mt = T.as_matrix()
-    tm = QuatMatrix.identity(T.n)
-    for _ in range(m):
-        tm = tm @ Mt
-    A, Bm = _power_sums(T, s, m, side)
+    A, Bm, tm = _power_sums(T, s, m, side)
     if side == "left":
         P2L = kernel(KernelKind.P2_LEFT, T, s)
         lhs = P2L.rmul(s ** m) - tm @ P2L
@@ -264,7 +259,7 @@ def p2_power_shift_alt_terms(T: CommutingOperator, s: Quaternion, m: int):
         second = second + (tpow @ Qs).rmul(s ** (m - i - 1))
         tpow = tpow @ Mt
     B_alt = first * 2.0 - (Tbar @ second) * 2.0
-    _, B_main = _power_sums(T, s, m, "left")
+    _, B_main, _ = _power_sums(T, s, m, "left")
     return B_main, B_alt
 
 

@@ -44,6 +44,7 @@ from .errors import DivergenceError, InputError, SingularMatrixError
 from .operators import CommutingOperator, gram
 from .qlinalg import PIVOT_RTOL, QuatMatrix, product_matrices
 from .quat import Quaternion, qinv, qs_poly
+from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
 
 __all__ = [
     "KernelKind",
@@ -288,59 +289,33 @@ def kernel(kind: KernelKind, T: CommutingOperator, s: Quaternion) -> QuatMatrix:
 # truncated series oracles
 
 
-def _check_series_domain(T: CommutingOperator, s: Quaternion):
+def _cauchy_series(T: CommutingOperator, s: Quaternion, N: int, side: str) -> SlicePoly:
+    """The truncated Cauchy series sum_{m=0..N} q^m s^(-1-m) as a stem on
+    side, for |s| > ||T||, where it converges at T."""
     tnorm = T.as_matrix().norm()
     if tnorm >= s.norm():
         raise DivergenceError(
             f"series requires |s| > ||T||; got |s| = {s.norm():.3e}, "
             f"||T|| = {tnorm:.3e}")
+    s_inv = qinv(s)
+    return SlicePoly(side, [s_inv ** (m + 1) for m in range(N + 1)])
 
 
 def p2_series(T: CommutingOperator, s: Quaternion, N: int,
               side: str = "left") -> QuatMatrix:
-    """Partial sum of the P2 kernel expansion through order N:
-
-        2 sum_{n=1..N} (n T^(n-1) + sum_{k=1..n} T^(n-k) conj(T)^(k-1)) s^(-1-n)
-
-    with the scalar powers on the left for side='right'."""
-    _check_series_domain(T, s)
-    n = T.n
-    acc = QuatMatrix.zeros(n)
-    if N < 1:
-        return acc
-    Mt = T.as_matrix()
-    Mtbar = T.conjugate().as_matrix()
-    s_inv = qinv(s)
-    spow = s_inv * s_inv
-    tpow = [QuatMatrix.identity(n)]
-    tbarpow = [QuatMatrix.identity(n)]
-    for m in range(1, N + 1):
-        C = tpow[m - 1] * float(m)
-        for k in range(1, m + 1):
-            C = C + tpow[m - k] @ tbarpow[k - 1]
-        C = C * 2.0
-        acc = acc + (C.rmul(spow) if side == "left" else C.lmul(spow))
-        spow = spow * s_inv
-        tpow.append(tpow[-1] @ Mt)
-        tbarpow.append(tbarpow[-1] @ Mtbar)
-    return acc
+    """Partial sum sum_{m=1..N} (Dbar q^m)(T) s^(-1-m) of the P2 kernel
+    expansion, Dbar of the truncated Cauchy series at T (scalars left for
+    side='right')."""
+    return fueter_apply(_cauchy_series(T, s, N, side), FueterOp.DBAR).at_operator(T)
 
 
 def s_series(T: CommutingOperator, s: Quaternion, N: int,
              side: str = "left") -> QuatMatrix:
-    """Partial sum sum_{m=0..N} T^m s^(-1-m) (scalars left for side='right')."""
-    _check_series_domain(T, s)
-    n = T.n
-    Mt = T.as_matrix()
-    acc = QuatMatrix.zeros(n)
-    tpow = QuatMatrix.identity(n)
-    spow = qinv(s)
-    s_inv = spow
-    for m in range(N + 1):
-        acc = acc + (tpow.rmul(spow) if side == "left" else tpow.lmul(spow))
-        spow = spow * s_inv
-        tpow = tpow @ Mt
-    return acc
+    """Partial sum sum_{m=0..N} T^m s^(-1-m) (scalars left for
+    side='right'): the truncated Cauchy series evaluated at T."""
+    f = _cauchy_series(T, s, N, side)
+    return PAPoly({(m, 0): c for m, c in enumerate(f.coeffs)},
+                  "right" if side == "left" else "left").at_operator(T)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ with v = 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CommutationError, EigenvalueError, InputError
+from .errors import (CommutationError, EigenvalueError, InputError,
+                     read_document)
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, SpectralSphere
 
@@ -182,29 +184,43 @@ def s_spectrum(T: CommutingOperator):
     u agree within PAIRING_RTOL (1 + |u|), by v.
 
     Roots of det(s^2 I - 2 s T0 + K) are the eigenvalues of the 2n x 2n
-    companion matrix A = [[0, I], [-K, 2 T0]].  Rounding splits an m-fold
-    root into m roots about eps^(1/m) * scale apart (a real spectral
-    point is always a double root), so the roots are clustered before
-    they become spheres: two roots belong to one cluster when they lie
-    within PAIRING_RTOL (1 + |lam|) of each other, or when the point
-    halfway between them is itself an eigenvalue of A to working
-    precision, sigma_min(A - z I) <= CLUSTER_SIGMA_RTOL * eps * |A|_F.
-    Only pairs whose first-order perturbation discs overlap, and that
-    are not yet in one cluster, are tested, by increasing gap.
+    companion matrix A = [[0, I], [-K, 2 T0]] of T / 2^p, 2^p the power
+    of two nearest ||T||, which gives A's blocks unit scale as the tests
+    below assume; scaling by 2^p is exact, so s_spectrum(2^k T) is
+    2^k s_spectrum(T) bit for bit.
+
+    Rounding splits an m-fold root into m roots about eps^(1/m) * scale
+    apart (a real spectral point is always a double root), so the roots
+    are clustered before they become spheres: two roots belong to one
+    cluster when they lie within PAIRING_RTOL (1 + |lam|) of each other,
+    or when the point halfway between them is itself an eigenvalue of A
+    to working precision,
+    sigma_min(A - z I) <= CLUSTER_SIGMA_RTOL * eps * |A|_F.  Only pairs
+    whose first-order perturbation discs overlap, and that are not yet
+    in one cluster, are tested, by increasing gap.
     Each cluster's centre is its mean, which is well conditioned even
     where the single roots are not (Tisseur and Meerbergen, SIAM Rev.
     2001); a cluster whose spread reaches the real axis is a real point.
     The multiplicity is the cluster size, so a real point counts both
     roots of its pair and a sphere counts its upper roots.
     """
-    return _spheres_of(_companion(T))
+    # ||T|| from the components brought below 1 by 2^-e, so it cannot overflow
+    e = math.frexp(max(float(np.max(np.abs(C))) for C in T.components))[1]
+    norm = math.sqrt(sum(float(np.sum(np.ldexp(C, -e) ** 2)) for C in T.components))
+    p = e + math.floor(math.log2(norm) + 0.5) if norm > 0.0 else 0
+    points = _spheres_of(_companion([np.ldexp(C, -p) for C in T.components]))
+    try:
+        return [SpectralSphere(math.ldexp(u, p), math.ldexp(v, p), k)
+                for u, v, k in points]
+    except OverflowError as exc:
+        raise EigenvalueError(f"spectrum beyond the float range: {exc}") from exc
 
 
-def _companion(T: CommutingOperator) -> np.ndarray:
-    n = T.n
+def _companion(comps) -> np.ndarray:
+    n = comps[0].shape[0]
     return np.block([
         [np.zeros((n, n)), np.eye(n)],
-        [-gram(T), 2.0 * T.T0],
+        [-sum(C @ C for C in comps), 2.0 * comps[0]],
     ])
 
 
@@ -287,7 +303,7 @@ def _spheres_of(A: np.ndarray):
     if upper != lower:
         raise EigenvalueError(
             f"{upper} roots above the real axis against {lower} below")
-    return [SpectralSphere(u, v, k) for u, v, k in _in_order(points)]
+    return _in_order(points)
 
 
 def _in_order(points):
@@ -330,16 +346,14 @@ def operator_from_dict(doc) -> CommutingOperator:
                 n = M.shape[0]
     if n is None:
         raise InputError("operator document needs 'n' or at least one component")
-    zero = np.zeros((n, n))
-    for name in ("T0", "T1", "T2", "T3"):
-        comps.setdefault(name, zero)
-        if comps[name].shape[0] != n:
-            raise InputError(f"component {name} has dimension "
-                             f"{comps[name].shape[0]}, expected {n}")
     try:
+        zero = np.zeros((n, n))  # ValueError for an n beyond any array
+        for name in ("T0", "T1", "T2", "T3"):
+            comps.setdefault(name, zero)
+            if comps[name].shape[0] != n:
+                raise InputError(f"component {name} has dimension "
+                                 f"{comps[name].shape[0]}, expected {n}")
         return CommutingOperator(comps["T0"], comps["T1"], comps["T2"], comps["T3"])
-    except CommutationError:
-        raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -355,12 +369,7 @@ def operator_to_dict(T: CommutingOperator) -> dict:
 
 
 def load_operator(path) -> CommutingOperator:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read operator file {path}: {exc}") from exc
-    return operator_from_dict(doc)
+    return operator_from_dict(read_document(path, "operator"))
 
 
 def save_operator(T: CommutingOperator, path) -> None:

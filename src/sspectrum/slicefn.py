@@ -14,7 +14,10 @@ on monomials are
     Delta q^n = -4 sum_{k=1..n-1} (n-k) q^(n-1-k) conj(q)^(k-1)
 
 with Delta the four-variable Laplacian, Delta = D Dbar = Dbar D.
-A central finite-difference oracle provides the independent check.
+These rules are the library's one transcription of them: the calculi's
+closed forms and the series oracles evaluate their images at operators
+with ``PAPoly.at_operator``.  A central finite-difference oracle
+provides the independent check.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import matmul, mul
 
 import numpy as np
 
-from .errors import InputError, IntrinsicError
-from .qlinalg import qmul_arr
+from .errors import InputError, IntrinsicError, read_document
+from .qlinalg import QuatMatrix, qmul_arr
 from .quat import E1, E2, E3, ONE, Quaternion
 
 __all__ = [
@@ -156,8 +161,8 @@ class PAPoly:
             return Quaternion()
         amax = max(a for a, _ in self.terms)
         bmax = max(b for _, b in self.terms)
-        qp = _powers(q, amax)
-        cp = _powers(q.conjugate(), bmax)
+        qp = _powers(q, amax, ONE, mul)
+        cp = _powers(q.conjugate(), bmax, ONE, mul)
         acc = Quaternion()
         for (a, b), c in self.terms.items():
             mono = qp[a] * cp[b]
@@ -165,6 +170,19 @@ class PAPoly:
         return acc
 
     __call__ = evaluate
+
+    def at_operator(self, T) -> QuatMatrix:
+        """The value at an operator T with commuting components: each term
+        q^a conj(q)^b c becomes T^a conj(T)^b c, c on the coefficient side."""
+        one = QuatMatrix.identity(T.n)
+        top = lambda k: max((key[k] for key in self.terms), default=0)
+        tp = _powers(T.as_matrix(), top(0), one, matmul)
+        cp = _powers(T.conjugate().as_matrix(), top(1), one, matmul)
+        acc = QuatMatrix.zeros(T.n)
+        for (a, b), c in self.terms.items():
+            mono = tp[a] @ cp[b]
+            acc = acc + (mono.rmul(c) if self.coeff_side == "right" else mono.lmul(c))
+        return acc
 
     def __add__(self, other: "PAPoly") -> "PAPoly":
         if self.coeff_side != other.coeff_side and self.terms and other.terms:
@@ -209,11 +227,9 @@ class PAPoly:
         return f"PAPoly({{{body}}}, side={self.coeff_side})"
 
 
-def _powers(q: Quaternion, top: int):
-    out = [ONE]
-    for _ in range(top):
-        out.append(out[-1] * q)
-    return out
+def _powers(x, top: int, one, product):
+    """[one, x, x^2, ..., x^top] under product."""
+    return list(accumulate(repeat(x, top), product, initial=one))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +360,12 @@ def stem_shift(f: SlicePoly) -> SlicePoly:
 
 
 def stem_from_dict(doc) -> SlicePoly:
-    if not isinstance(doc, dict) or "coeffs" not in doc:
-        raise InputError("function document must be an object with 'coeffs'")
+    coeffs = doc.get("coeffs") if isinstance(doc, dict) else None
+    if not (isinstance(coeffs, list) and all(isinstance(c, list) for c in coeffs)):
+        raise InputError("function document needs a list 'coeffs' of arrays")
     side = doc.get("side", "left")
     try:
-        coeffs = [Quaternion.from_array(c) for c in doc["coeffs"]]
+        coeffs = [Quaternion.from_array(c) for c in coeffs]
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad stem coefficients: {exc}") from exc
     if not all(np.isfinite(c.as_array()).all() for c in coeffs):
@@ -361,12 +378,7 @@ def stem_to_dict(f: SlicePoly) -> dict:
 
 
 def load_stem(path) -> SlicePoly:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read function file {path}: {exc}") from exc
-    return stem_from_dict(doc)
+    return stem_from_dict(read_document(path, "function"))
 
 
 def save_stem(f: SlicePoly, path) -> None:

@@ -15,7 +15,7 @@ from sspectrum import (CalculusKind, CommutingOperator, E1, KernelKind,
                        Quaternion, QuatMatrix, SlicePoly, apply_calculus,
                        apply_stems, auto_contour, dconj_power,
                        enclosing_circle, fd_fueter_oracle, fueter_apply,
-                       integrate, kernel, moment_closed_form, p2_series,
+                       integrate, kernel, p2_series,
                        riesz_projector, s_spectrum, stem_moment)
 from sspectrum.contour import Contour
 from sspectrum.identities import (INTEGRAL_IDENTITIES,
@@ -162,7 +162,7 @@ def test_criterion_4_moment_reproduction():
             if kind is CalculusKind.P2:
                 # same data, indexed as the closed-form moments
                 for m in range(0, 9):
-                    assert rel(vals[m + 1], moment_closed_form(kind, T, m)) <= tol
+                    assert rel(vals[m + 1], stem_moment(kind, T, m + 1)) <= tol
             if kind is CalculusKind.F:
                 assert vals[0].norm() <= 1e-10
                 assert vals[1].norm() <= 1e-10
@@ -182,7 +182,7 @@ def test_criterion_5_factor_two_adjudication():
     for m in range(0, 9):
         quad = integrate(c, KernelKind.P2_LEFT, T, SlicePoly.monomial(m + 1), "left") \
             * (1.0 / (2.0 * np.pi))
-        doubled = moment_closed_form(CalculusKind.P2, T, m)
+        doubled = stem_moment(CalculusKind.P2, T, m + 1)
         halved = doubled * 0.5
         assert rel(quad, doubled) <= tol, m
         gap = (quad - halved).norm()

@@ -4,8 +4,8 @@ import pytest
 from conftest import rel
 from sspectrum import (CalculusKind, CommutingOperator, E1, Quaternion,
                        QuatMatrix, SlicePoly, apply_calculus, apply_stems,
-                       auto_contour, enclosing_circle, moment_closed_form,
-                       riesz_projector, s_spectrum, stem_moment)
+                       auto_contour, enclosing_circle, riesz_projector,
+                       s_spectrum, stem_moment)
 from sspectrum.contour import Circle, Contour
 from sspectrum.errors import GeometryError, HypothesisError
 from sspectrum.identities import (random_commuting_operator, random_stem,
@@ -65,11 +65,56 @@ def test_moment_agreement_right(rng):
 def test_moment_closed_form_values():
     Z = CommutingOperator.zero(2)
     I = QuatMatrix.identity(2)
-    assert rel(moment_closed_form(CalculusKind.P2, Z, 0), I * 4.0) == 0.0
-    assert moment_closed_form(CalculusKind.Q, Z, 0).norm() == 0.0
-    assert moment_closed_form(CalculusKind.F, Z, 0).norm() == 0.0
-    assert moment_closed_form(CalculusKind.F, Z, 1).norm() == 0.0
-    assert rel(moment_closed_form(CalculusKind.S, Z, 0), I) == 0.0
+    assert rel(stem_moment(CalculusKind.P2, Z, 1), I * 4.0) == 0.0
+    assert stem_moment(CalculusKind.Q, Z, 0).norm() == 0.0
+    assert stem_moment(CalculusKind.F, Z, 0).norm() == 0.0
+    assert stem_moment(CalculusKind.F, Z, 1).norm() == 0.0
+    assert rel(stem_moment(CalculusKind.S, Z, 0), I) == 0.0
+
+
+def _displayed_moment(kind, T, m):
+    """The closed-form moment of index m of each calculus as the paper
+    displays it:
+
+        S:  T^m
+        Q:  -2 sum_{k=1..m} T^(m-k) conj(T)^(k-1)
+        F:  -4 sum_{k=1..m-1} (m-k) T^(m-1-k) conj(T)^(k-1)
+        P2: 2 ((m+1) T^m + sum_{k=0..m} T^(m-k) conj(T)^k)
+
+    The S, Q and F moments are the values on q^m, the P2 moment the
+    value on q^(m+1)."""
+    n = T.n
+    Mt, Mtbar = T.as_matrix(), T.conjugate().as_matrix()
+    tpow, tbarpow = [QuatMatrix.identity(n)], [QuatMatrix.identity(n)]
+    for _ in range(m + 1):
+        tpow.append(tpow[-1] @ Mt)
+        tbarpow.append(tbarpow[-1] @ Mtbar)
+    if kind is CalculusKind.S:
+        return tpow[m]
+    acc = QuatMatrix.zeros(n)
+    if kind is CalculusKind.Q:
+        for k in range(1, m + 1):
+            acc = acc + tpow[m - k] @ tbarpow[k - 1]
+        return acc * -2.0
+    if kind is CalculusKind.F:
+        for k in range(1, m):
+            acc = acc + (tpow[m - 1 - k] @ tbarpow[k - 1]) * float(m - k)
+        return acc * -4.0
+    acc = tpow[m] * float(m + 1)
+    for k in range(0, m + 1):
+        acc = acc + tpow[m - k] @ tbarpow[k]
+    return acc * 2.0
+
+
+def test_stem_moment_matches_the_displayed_sums(rng):
+    for n in (1, 2, 3, 4):
+        T = random_commuting_operator(rng, n, scale=float(rng.uniform(0.3, 3.0)))
+        assert stem_moment(CalculusKind.P2, T, 0).norm() == 0.0
+        for kind in ALL_KINDS:
+            shift = 1 if kind is CalculusKind.P2 else 0
+            for m in range(10):
+                got = stem_moment(kind, T, m + shift)
+                assert rel(got, _displayed_moment(kind, T, m)) <= 1e-13, (n, kind, m)
 
 
 def test_p2_moment_index_alignment(rng):
@@ -77,13 +122,13 @@ def test_p2_moment_index_alignment(rng):
     Z = CommutingOperator.zero(1)
     c = full_contour(Z, margin=1.0, N=128)
     got = apply_calculus(CalculusKind.P2, SlicePoly.monomial(1), Z, c)
-    assert rel(got, moment_closed_form(CalculusKind.P2, Z, 0)) < 1e-12
+    assert rel(got, stem_moment(CalculusKind.P2, Z, 1)) < 1e-12
 
     T = random_commuting_operator(rng, 2)
     cT = full_contour(T, N=512)
     for m in range(0, 4):
         got = apply_calculus(CalculusKind.P2, SlicePoly.monomial(m + 1), T, cT)
-        assert rel(got, moment_closed_form(CalculusKind.P2, T, m)) < 1e-8
+        assert rel(got, stem_moment(CalculusKind.P2, T, m + 1)) < 1e-8
 
 
 def test_apply_stems_matches_single(rng):

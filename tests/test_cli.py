@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rel
-from sspectrum import CommutingOperator, QuatMatrix, cli, identities
+from sspectrum import CommutingOperator, QuatMatrix, Quaternion, cli, identities
 from sspectrum.calculus import CalculusKind, stem_moment
 from sspectrum.cli import RunConfig, dump_json, run
 from sspectrum.errors import NumericError
@@ -460,3 +460,88 @@ def test_apply_on_any_contour_document_is_right_or_refused(doc, calculus, m):
         val = QuatMatrix(np.array(json.loads(out.getvalue())))
         ref = stem_moment(CalculusKind(calculus), _FIXED_OP, m)
         assert rel(val, ref) < 1e-8
+
+
+_BIG = "1" + "0" * 400   # an integer literal that no float holds
+_OK_OP = '{"n": 2, "T0": [[0, 0], [0, 5]], "T1": [[1, 0], [0, 0]]}'
+_OK_STEM = '{"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}'
+_OK_CONTOUR = '{"J": [0, 1, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}]}'
+
+
+@pytest.mark.parametrize("which, text", [
+    pytest.param("operator", b'{"n": 2, "T0": "\xff\xfe"}', id="operator-not-utf8"),
+    pytest.param("function", b'{"side": "left", "coeffs": [[1, 0, 0, 0]], "x": "\xc3"}',
+                 id="function-not-utf8"),
+    pytest.param("operator", b"[" * 100_000 + b"]" * 100_000, id="operator-deep"),
+    pytest.param("function", b"[" * 100_000 + b"]" * 100_000, id="function-deep"),
+    pytest.param("contour", b"[" * 100_000 + b"]" * 100_000, id="contour-deep"),
+    pytest.param("operator", ('{"n": 1, "T0": [[%s]]}' % _BIG).encode(), id="operator-big-entry"),
+    pytest.param("operator", ('{"n": %s}' % _BIG).encode(), id="operator-big-n"),
+    pytest.param("operator", b'{"n": 1000000000000000000000000000000}', id="operator-huge-n"),
+    pytest.param("function", ('{"side": "left", "coeffs": [[%s, 0, 0, 0]]}' % _BIG).encode(),
+                 id="function-big-coefficient"),
+    pytest.param("contour", ('{"J": [0, 1, 0, 0], "circles": [{"center": %s, "radius": 4.0}]}'
+                             % _BIG).encode(), id="contour-big-center"),
+    pytest.param("contour", ('{"J": [0, %s, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}]}'
+                             % _BIG).encode(), id="contour-big-J"),
+    pytest.param("contour", b'{"J": "0100", "circles": [{"center": 2.5, "radius": 4.0}]}',
+                 id="contour-string-J"),
+    pytest.param("function", b'{"side": "left", "coeffs": ["1000", "0100"]}',
+                 id="function-string-coefficients"),
+])
+def test_unreadable_documents_are_parse_errors(tmp_path, capsys, which, text):
+    docs = {"operator": _OK_OP, "function": _OK_STEM, "contour": _OK_CONTOUR}
+    paths = {}
+    for name, body in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(text if name == which else body.encode())
+    assert cli.main(["apply", "--operator", str(paths["operator"]),
+                     "--function", str(paths["function"]),
+                     "--contour", str(paths["contour"])]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+    assert captured.out == ""
+
+
+def _split_scaled(tmp_path, r):
+    return write_json(tmp_path / "op.json", {"n": 2, "T0": [[0.0, 0.0], [0.0, 5.0 * r]],
+                                             "T1": [[r, 0.0], [0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("coeffs, scale", [
+    pytest.param([[1e308, 0, 0, 0], [1e308, 0, 0, 0]], 1.0, id="coefficients-1e308"),
+    pytest.param([[0, 0, 0, 0], [1, 0, 0, 0]], 1e150, id="operator-1e150"),
+])
+def test_overflow_is_a_numeric_error(tmp_path, capsys, coeffs, scale):
+    op = _split_scaled(tmp_path, scale)
+    f = write_json(tmp_path / "f.json", {"side": "left", "coeffs": coeffs})
+    assert cli.main(["apply", "--operator", op, "--function", f]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericError"
+
+
+def test_spectrum_beyond_the_float_range_is_a_numeric_error(tmp_path, capsys):
+    op = write_json(tmp_path / "op.json", {"T0": [[1e308, 1e308], [1e308, 1e308]]})
+    assert cli.main(["spectrum", "--operator", op]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "EigenvalueError"
+
+
+@pytest.mark.parametrize("calculus", ["s", "q", "p2", "f"])
+def test_apply_on_a_large_split_operator_matches_stem_moment(tmp_path, capsys, calculus):
+    # the split operator times 1e6: its four roots once merged into one
+    # real point (2.5e6, 0) of multiplicity 4
+    op = _split_scaled(tmp_path, 1e6)
+    f = write_json(tmp_path / "f.json", {"side": "left",
+                                         "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]})
+    assert cli.main(["apply", "--operator", op, "--function", f,
+                     "--calculus", calculus]) == 0
+    val = QuatMatrix(np.array(json.loads(capsys.readouterr().out)))
+    T = identities.split_spectrum_operator()
+    T = CommutingOperator(*(C * 1e6 for C in T.components))
+    kind = CalculusKind(calculus)
+    ref = stem_moment(kind, T, 1) + stem_moment(kind, T, 2).rmul(Quaternion(0, 0, 1, 0))
+    assert rel(val, ref) < 1e-8

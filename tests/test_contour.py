@@ -117,6 +117,19 @@ def test_geometry_validation():
         Contour(E1, (Circle(0.0, 1.0),), 4)
 
 
+@pytest.mark.parametrize("components, nodes", [
+    ((Circle(0.0, 1.0, True),), 64),
+    ((Circle(0.0, 1.0, 1.0),), 64),
+    ((DiskPair(0.0, 2.0, 0.5, True),), 64),
+    ((Circle(0.0, 3.0),), 16.0),
+    ((), True),
+])
+def test_contour_integer_fields_must_be_ints(components, nodes):
+    # each built and then failed in save/load or in the node ring
+    with pytest.raises(InputError):
+        Contour(E1, components, nodes)
+
+
 # -- auto contour -------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from sspectrum import (E1, CalculusKind, CommutingOperator, Quaternion,
                        qm_solve, riesz_projector, s_spectrum)
 from sspectrum import operators
 from sspectrum.errors import CommutationError, InputError, SingularMatrixError
+from sspectrum.identities import random_commuting_operator, split_spectrum_operator
 from sspectrum.operators import (load_operator, operator_from_dict,
                                  operator_to_dict, qcs_pencil_at, save_operator)
 from sspectrum.quat import random_imaginary_unit
@@ -317,3 +319,33 @@ def test_root_at_a_midpoint_does_not_join_the_pair(joint, expect):
         assert len(got) == len(expect), seed
         for (u, v, k), (eu, ev, ek) in zip(got, expect):
             assert abs(u - eu) < 1e-7 and abs(v - ev) < 1e-7 and k == ek, seed
+
+
+def test_scaled_split_spectrum():
+    # at 1e6 and above, and at 1e-8, the four roots once merged into one
+    # real point (2.5 r, 0) of multiplicity 4
+    for k in [-8] + list(range(-150, 151, 5)):
+        r = 10.0 ** k
+        T = CommutingOperator(*(C * r for C in split_spectrum_operator().components))
+        got = [(sp.u / r, sp.v / r, sp.multiplicity) for sp in s_spectrum(T)]
+        assert len(got) == 2, k
+        (u0, v0, m0), (u1, v1, m1) = got
+        assert abs(u0) <= 1e-12 and abs(v0 - 1.0) <= 1e-12 and m0 == 1, k
+        assert abs(u1 - 5.0) <= 1e-12 and v1 == 0.0 and m1 == 2, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(-60, 60), st.integers(0, 2**32 - 1))
+def test_spectrum_scales_exactly_by_powers_of_two(n, draw, k, seed):
+    rng = np.random.default_rng(seed)
+    if draw == 0:  # one in three with a real spectral point
+        G = rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        b[0] = 0.0
+        T = similar_op(np.eye(n) + 0.5 * G / max(np.linalg.norm(G, 2), 1e-12),
+                       rng.standard_normal(n), b)
+    else:
+        T = random_commuting_operator(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+    scaled = CommutingOperator(*(np.ldexp(C, k) for C in T.components))
+    assert [(sp.u, sp.v, sp.multiplicity) for sp in s_spectrum(scaled)] == [
+        (math.ldexp(sp.u, k), math.ldexp(sp.v, k), sp.multiplicity) for sp in s_spectrum(T)]

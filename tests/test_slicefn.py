@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qrel, random_unit_ball_quaternion
-from sspectrum import (E1, Quaternion, SlicePoly, dconj_power,
+from sspectrum import (E1, CommutingOperator, Quaternion, SlicePoly, dconj_power,
                        fd_fueter_oracle, fueter_apply, stem_product, stem_shift)
 from sspectrum.errors import IntrinsicError
 from sspectrum.quat import random_quaternion
@@ -226,3 +226,16 @@ def test_at_nodes_equals_evaluate(side):
         got = f.at_nodes(pts)
         want = np.array([f.evaluate(Quaternion(*p)).as_array() for p in pts])
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_at_operator_of_a_scalar_operator_is_evaluate(rng, side):
+    for trial in range(20):
+        f = SlicePoly(side, [random_quaternion(rng) for _ in range(1 + trial % 7)])
+        q = random_unit_ball_quaternion(rng, 1.5)
+        T = CommutingOperator.from_quaternion(q)
+        polys = [fueter_apply(f, op) for op in ALL_OPS] + [dconj_power(1 + trial % 5)]
+        for P in polys:
+            want = P.evaluate(q)
+            got = P.at_operator(T).entry(0, 0)
+            assert (got - want).norm() <= 1e-13 * max(1.0, want.norm()), (trial, P)
