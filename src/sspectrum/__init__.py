@@ -13,11 +13,11 @@ from .contour import (Circle, Contour, DiskPair, auto_contour,
                       enclosing_circle, integrate)
 from .identities import (IdentityReport, verify_all, verify_integral,
                          verify_pointwise, verify_seeded)
-from .kernels import KernelKind, kernel, p2_series, s_series
+from .kernels import kernel, p2_series, s_series
 from .operators import CommutingOperator, gram, qcs_op, s_spectrum
-from .qlinalg import QuatMatrix, qm_inv, qm_solve, real_adjoint
+from .qlinalg import QuatMatrix, real_adjoint
 from .quat import (E1, E2, E3, ONE, Quaternion, SpectralSphere,
-                   imaginary_unit, qinv, qmul, qs_poly)
+                   imaginary_unit, qinv, qs_poly)
 from .slicefn import (FueterOp, PAPoly, SlicePoly, dconj_power,
                       fd_fueter_oracle, fueter_apply, stem_product, stem_shift)
 

@@ -9,7 +9,7 @@ the whole S-spectrum:
     P2     1/(2 pi)    P2_L            (Dbar f)(T)
     F      1/(2 pi)    F_L             (Delta f)(T)
 
-Right stems use the mirrored kernels and the right pairing.  On a
+Right stems use the right kernels and the right pairing.  On a
 polynomial stem every calculus has a quadrature-free value, the second
 step of the Fueter mapping theorem: ``stem_moment`` evaluates the exact
 power rules of :mod:`sspectrum.slicefn` at T.
@@ -31,11 +31,10 @@ returning a non-projector.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .contour import Contour, check_winding, integrate
 from .errors import HypothesisError, PreconditionError
-from .kernels import KernelKind
+from .kernels import CalculusKind
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
@@ -49,13 +48,6 @@ __all__ = [
 ]
 
 
-class CalculusKind(Enum):
-    S = "s"
-    Q = "q"
-    P2 = "p2"
-    F = "f"
-
-
 _PREFACTOR = {
     CalculusKind.S: 1.0 / (2.0 * math.pi),
     CalculusKind.Q: -1.0 / math.pi,
@@ -63,32 +55,25 @@ _PREFACTOR = {
     CalculusKind.F: 1.0 / (2.0 * math.pi),
 }
 
-_KERNELS = {
-    (CalculusKind.S, "left"): KernelKind.S_LEFT,
-    (CalculusKind.S, "right"): KernelKind.S_RIGHT,
-    (CalculusKind.Q, "left"): KernelKind.QCS_INV,
-    (CalculusKind.Q, "right"): KernelKind.QCS_INV,
-    (CalculusKind.P2, "left"): KernelKind.P2_LEFT,
-    (CalculusKind.P2, "right"): KernelKind.P2_RIGHT,
-    (CalculusKind.F, "left"): KernelKind.F_LEFT,
-    (CalculusKind.F, "right"): KernelKind.F_RIGHT,
-}
-
 _FUETER = {CalculusKind.Q: FueterOp.D, CalculusKind.P2: FueterOp.DBAR,
            CalculusKind.F: FueterOp.DELTA}
 
+# (prefactor, monomial degree) of each projector, paired on the left
 _PROJECTOR = {
-    CalculusKind.S: (1.0 / (2.0 * math.pi), KernelKind.S_LEFT, 0),
-    CalculusKind.Q: (1.0 / (2.0 * math.pi), KernelKind.QCS_INV, 1),
-    CalculusKind.P2: (1.0 / (8.0 * math.pi), KernelKind.P2_LEFT, 1),
-    CalculusKind.F: (-1.0 / (8.0 * math.pi), KernelKind.F_LEFT, 2),
+    CalculusKind.S: (1.0 / (2.0 * math.pi), 0),
+    CalculusKind.Q: (1.0 / (2.0 * math.pi), 1),
+    CalculusKind.P2: (1.0 / (8.0 * math.pi), 1),
+    CalculusKind.F: (-1.0 / (8.0 * math.pi), 2),
 }
 
 
 def _check_encloses(c: Contour, T: CommutingOperator, turns):
     """c winds about each spectral point p a number of times in turns,
-    {1} for a calculus and {0, 1} for a projector, clearing p by 1e-9 (1 + |p|)."""
-    check_winding(c, [(sp.u, sp.v, 1e-9 * (1.0 + math.hypot(sp.u, sp.v)))
+    {1} for a calculus and {0, 1} for a projector, clearing p by
+    1e-9 max(R, |p|), R the largest radius of c, so that the rule reads
+    the same at every scale of T."""
+    R = max((r for (_, _, r) in c.plane_circles()), default=0.0)
+    check_winding(c, [(sp.u, sp.v, 1e-9 * max(R, math.hypot(sp.u, sp.v)))
                       for sp in T.spheres], turns, "spectrum point")
 
 
@@ -114,7 +99,7 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
     kind = CalculusKind(kind)
     _check_encloses(c, T, {1})
     return [val * _PREFACTOR[kind]
-            for val in integrate(c, _KERNELS[(kind, side)], T, stems, side)]
+            for val in integrate(c, kind, T, stems, side)]
 
 
 def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
@@ -150,5 +135,5 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour) -> Qua
     if not c.components:
         return QuatMatrix.zeros(T.n)
     _check_encloses(c, T, {0, 1})
-    prefactor, kk, degree = _PROJECTOR[kind]
-    return integrate(c, kk, T, SlicePoly.monomial(degree)) * prefactor
+    prefactor, degree = _PROJECTOR[kind]
+    return integrate(c, kind, T, SlicePoly.monomial(degree)) * prefactor

@@ -171,7 +171,13 @@ def _cmd_projector(config: RunConfig):
     P = riesz_projector(CalculusKind(config.calculus), T, c)
     residual = (P @ P - P).norm()
     scale = max(P.norm(), 1.0)
-    ok = residual <= config.tol * scale
+    # trace(Re P) counts the joint eigenvalues on the enclosed spheres: a
+    # sphere's multiplicity, and half that of a real point, which its
+    # conjugate pair of pencil roots counts twice
+    rank = sum(sp.multiplicity if sp.v > 0.0 else sp.multiplicity / 2
+               for sp in T.spheres if c.winding(sp.u, sp.v)[0] == 1)
+    trace_error = abs(float(np.trace(P.data[..., 0])) - rank)
+    ok = residual <= config.tol * scale and trace_error <= config.tol * scale
     doc = {
         "projector": P.to_nested(),
         "idempotency_residual": residual,

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InputError, NumericError, read_document
-from .kernels import KernelKind, kernel_sum
+from .errors import (GeometryError, InputError, NumericError, read_document,
+                     read_numbers)
+from .kernels import CalculusKind, kernel_sum
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix, qmul_arr
 from .quat import E1, Quaternion, imaginary_unit
@@ -215,19 +216,20 @@ def _complex(re, im):
     return out
 
 
-def integrate(c: Contour, kind: KernelKind, T: CommutingOperator, f,
+def integrate(c: Contour, kind: CalculusKind, T: CommutingOperator, f,
               side: str = "left"):
-    """Discrete pairing of the kernel of one kind of T with stems.
+    """Discrete pairing of the side form of one kind's kernel of T with
+    stems on the same side.
 
-    side='left' accumulates K(s_k) w_k f(s_k); side='right' accumulates
-    f(s_k) w_k K(s_k).  No prefactor is applied.  f is a stem with a
-    batched ``at_nodes`` method, or a list of them, which gives a list
-    of values from one pass over the kernel.  The pairing goes through
-    kernels.kernel_sum: pencils are inverted only at the nodes on or
-    above the real axis, whose conjugates are folded in from the
-    contour's structure.  Results are reproducible for a fixed machine
-    and BLAS thread count.  Stem values or sums that overflow raise
-    NumericError.
+    side='left' accumulates K_L(s_k) w_k f(s_k); side='right'
+    accumulates f(s_k) w_k K_R(s_k).  No prefactor is applied.  f is a
+    stem with a batched ``at_nodes`` method, or a list of them, which
+    gives a list of values from one pass over the kernel.  The pairing
+    goes through kernels.kernel_sum: pencils are inverted only at the
+    nodes on or above the real axis, whose conjugates are folded in from
+    the contour's structure.  Results are reproducible for a fixed
+    machine and BLAS thread count.  Stem values or sums that overflow
+    raise NumericError.
     """
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
@@ -423,10 +425,12 @@ def contour_from_dict(doc) -> Contour:
         raise InputError("contour document needs a list 'circles' and an array 'J'")
     try:
         comps = [_component_from_dict(item) for item in doc["circles"]]
-        J = imaginary_unit(doc["J"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"bad contour document: {type(exc).__name__}: {exc}") from exc
-    return Contour(J, tuple(comps), doc.get("nodes", DEFAULT_NODES))
+    J = read_numbers(doc["J"], "contour 'J'")
+    if J.ndim != 1:
+        raise InputError("contour 'J' must be a flat array")
+    return Contour(imaginary_unit(J), tuple(comps), doc.get("nodes", DEFAULT_NODES))
 
 
 def _component_from_dict(item):
@@ -442,10 +446,10 @@ def _component_from_dict(item):
 
 
 def _finite(item, key) -> float:
-    value = float(item[key])
-    if not math.isfinite(value):
-        raise InputError(f"circle '{key}' must be finite, got {value}")
-    return value
+    value = read_numbers(item[key], f"circle '{key}'")
+    if value.ndim != 0:
+        raise InputError(f"circle '{key}' must be a number")
+    return float(value)
 
 
 def contour_to_dict(c: Contour) -> dict:

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all modules, and the JSON document reader.
+"""Exception hierarchy shared by all modules, and the JSON document readers.
 
 The CLI maps these onto exit codes: InputError -> 2, PreconditionError
 (and subclasses) -> 3, NumericError (and subclasses) -> 4.
 """
 
 import json
+from itertools import chain
+
+import numpy as np
 
 
 class CalculusError(Exception):
@@ -66,6 +69,29 @@ def read_document(path, what: str):
             return json.load(fh, parse_int=_float_sized_int)
     except (OSError, ValueError, OverflowError, RecursionError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or a nest of lists of them, as a float64 array.
+    Anything else where a number belongs is an InputError: a bool, a
+    string, an object, null, a non-finite value or a ragged nest."""
+    level = [value]
+    while level:  # one nesting level at a time
+        types = set(map(type, level))
+        if types <= {int, float}:
+            break
+        if types != {list}:
+            wrong = sorted(t.__name__ for t in types - {int, float, list})
+            raise InputError(f"{what} must hold JSON numbers, got "
+                             f"{', '.join(wrong) or 'numbers beside lists'}")
+        level = list(chain.from_iterable(level))
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except ValueError as exc:
+        raise InputError(f"{what} is not a regular array of numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite")
+    return arr
 
 
 def _float_sized_int(text):

@@ -30,7 +30,7 @@ from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import (Contour, auto_contour, check_winding, enclosing_circle,
                       integrate)
 from .errors import InputError, PreconditionError
-from .kernels import KernelKind, kernel
+from .kernels import kernel
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
@@ -107,37 +107,37 @@ def _bracket(X: QuatMatrix, s: Quaternion, p: Quaternion) -> QuatMatrix:
 
 
 def _s_resolvent_eq(T, s, p):
-    SR = kernel(KernelKind.S_RIGHT, T, s)
-    SL = kernel(KernelKind.S_LEFT, T, p)
+    SR = kernel(CalculusKind.S, T, s, "right")
+    SL = kernel(CalculusKind.S, T, p)
     return [(SR @ SL, _bracket(SR - SL, s, p))]
 
 
 def _s_resolvent_eq_intertwined(T, s, p, B: QuatMatrix):
-    SR = kernel(KernelKind.S_RIGHT, T, s)
-    SL = kernel(KernelKind.S_LEFT, T, p)
+    SR = kernel(CalculusKind.S, T, s, "right")
+    SL = kernel(CalculusKind.S, T, p)
     X = SR @ B - B @ SL
     return [(SR @ B @ SL, _bracket(X, s, p))]
 
 
 def _p2_mixed_resolvent_eq(T, s, p):
-    SR = kernel(KernelKind.S_RIGHT, T, s)
-    SL = kernel(KernelKind.S_LEFT, T, p)
-    P2L = kernel(KernelKind.P2_LEFT, T, p)
-    P2R = kernel(KernelKind.P2_RIGHT, T, s)
-    Qs = kernel(KernelKind.QCS_INV, T, s)
-    Qp = kernel(KernelKind.QCS_INV, T, p)
+    SR = kernel(CalculusKind.S, T, s, "right")
+    SL = kernel(CalculusKind.S, T, p)
+    P2L = kernel(CalculusKind.P2, T, p)
+    P2R = kernel(CalculusKind.P2, T, s, "right")
+    Qs = kernel(CalculusKind.Q, T, s)
+    Qp = kernel(CalculusKind.Q, T, p)
     uT = T.vector_part()
     lhs = SR @ P2L + P2R @ SL - (Qs @ uT @ Qp) * 4.0
     return [(lhs, _bracket(P2R - P2L, s, p))]
 
 
 def _p2_resolvent_eq(T, s, p):
-    SR = kernel(KernelKind.S_RIGHT, T, s)
-    SL = kernel(KernelKind.S_LEFT, T, p)
-    P2L = kernel(KernelKind.P2_LEFT, T, p)
-    P2R = kernel(KernelKind.P2_RIGHT, T, s)
-    FL = kernel(KernelKind.F_LEFT, T, p)
-    FR = kernel(KernelKind.F_RIGHT, T, s)
+    SR = kernel(CalculusKind.S, T, s, "right")
+    SL = kernel(CalculusKind.S, T, p)
+    P2L = kernel(CalculusKind.P2, T, p)
+    P2R = kernel(CalculusKind.P2, T, s, "right")
+    FL = kernel(CalculusKind.F, T, p)
+    FR = kernel(CalculusKind.F, T, s, "right")
     uT = T.vector_part()
     uT2 = uT @ uT
     lhs = (SR @ P2L + P2R @ SL
@@ -147,18 +147,18 @@ def _p2_resolvent_eq(T, s, p):
 
 
 def _q_resolvent_eq(T, s, p):
-    SR = kernel(KernelKind.S_RIGHT, T, s)
-    SL = kernel(KernelKind.S_LEFT, T, p)
-    Qs = kernel(KernelKind.QCS_INV, T, s)
-    Qp = kernel(KernelKind.QCS_INV, T, p)
+    SR = kernel(CalculusKind.S, T, s, "right")
+    SL = kernel(CalculusKind.S, T, p)
+    Qs = kernel(CalculusKind.Q, T, s)
+    Qp = kernel(CalculusKind.Q, T, p)
     uT = T.vector_part()
     lhs = Qs @ SL + SR @ Qp - (Qs @ uT @ Qp) * 2.0
     return [(lhs, _bracket(Qs - Qp, s, p))]
 
 
 def _q_resolvent_eq_legacy(T, s, p):
-    Qs = kernel(KernelKind.QCS_INV, T, s)
-    Qp = kernel(KernelKind.QCS_INV, T, p)
+    Qs = kernel(CalculusKind.Q, T, s)
+    Qp = kernel(CalculusKind.Q, T, p)
     Tbar = T.conjugate().as_matrix()
     lhs = (Qs @ Qp).lmul(s).rmul(p) - (Qs @ Tbar @ Qp).lmul(s) \
         - (Qs @ Tbar @ Qp).rmul(p) + Qs @ Tbar @ Tbar @ Qp
@@ -168,51 +168,40 @@ def _q_resolvent_eq_legacy(T, s, p):
 
 
 def _f_kernel_shift(T, s, p=None, side="left"):
-    Qs = kernel(KernelKind.QCS_INV, T, s)
+    Qs = kernel(CalculusKind.Q, T, s)
+    F = kernel(CalculusKind.F, T, s, side)
     Mt = T.as_matrix()
-    if side == "left":
-        FL = kernel(KernelKind.F_LEFT, T, s)
-        lhs = FL.rmul(s) - Mt @ FL
-    else:
-        FR = kernel(KernelKind.F_RIGHT, T, s)
-        lhs = FR.lmul(s) - FR @ Mt
+    lhs = F.rmul(s) - Mt @ F if side == "left" else F.lmul(s) - F @ Mt
     return [(lhs, Qs * -4.0)]
 
 
 def _pseudo_split(T, s, p=None, side="left"):
-    Qs = kernel(KernelKind.QCS_INV, T, s)
+    Qs = kernel(CalculusKind.Q, T, s)
+    P2 = kernel(CalculusKind.P2, T, s, side)
+    F = kernel(CalculusKind.F, T, s, side)
     uT = T.vector_part()
-    if side == "left":
-        rhs = (kernel(KernelKind.P2_LEFT, T, s)
-               + uT @ kernel(KernelKind.F_LEFT, T, s)) * 0.25
-    else:
-        rhs = (kernel(KernelKind.P2_RIGHT, T, s)
-               + kernel(KernelKind.F_RIGHT, T, s) @ uT) * 0.25
+    rhs = (P2 + uT @ F) * 0.25 if side == "left" else (P2 + F @ uT) * 0.25
     return [(Qs, rhs)]
 
 
 def _p2_kernel_shift(T, s, p=None, side="left"):
-    Qs = kernel(KernelKind.QCS_INV, T, s)
+    Qs = kernel(CalculusKind.Q, T, s)
+    P2 = kernel(CalculusKind.P2, T, s, side)
+    S = kernel(CalculusKind.S, T, s, side)
     uT = T.vector_part()
     Mt = T.as_matrix()
     if side == "left":
-        P2L = kernel(KernelKind.P2_LEFT, T, s)
-        lhs = P2L.rmul(s) - Mt @ P2L
-        rhs = (kernel(KernelKind.S_LEFT, T, s) - uT @ Qs) * 4.0
-    else:
-        P2R = kernel(KernelKind.P2_RIGHT, T, s)
-        lhs = P2R.lmul(s) - P2R @ Mt
-        rhs = (kernel(KernelKind.S_RIGHT, T, s) - Qs @ uT) * 4.0
-    return [(lhs, rhs)]
+        return [(P2.rmul(s) - Mt @ P2, (S - uT @ Qs) * 4.0)]
+    return [(P2.lmul(s) - P2 @ Mt, (S - Qs @ uT) * 4.0)]
 
 
 def _power_sums(T, s, m, side):
     """The two four-fold sums entering the degree-m kernel shift, and T^m."""
     n = T.n
-    Qs = kernel(KernelKind.QCS_INV, T, s)
+    Qs = kernel(CalculusKind.Q, T, s)
     uT = T.vector_part()
     Mt = T.as_matrix()
-    S = kernel(KernelKind.S_LEFT if side == "left" else KernelKind.S_RIGHT, T, s)
+    S = kernel(CalculusKind.S, T, s, side)
     A = QuatMatrix.zeros(n)
     Bm = QuatMatrix.zeros(n)
     tpow = QuatMatrix.identity(n)
@@ -230,12 +219,8 @@ def _power_sums(T, s, m, side):
 
 def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
     A, Bm, tm = _power_sums(T, s, m, side)
-    if side == "left":
-        P2L = kernel(KernelKind.P2_LEFT, T, s)
-        lhs = P2L.rmul(s ** m) - tm @ P2L
-    else:
-        P2R = kernel(KernelKind.P2_RIGHT, T, s)
-        lhs = P2R.lmul(s ** m) - P2R @ tm
+    P2 = kernel(CalculusKind.P2, T, s, side)
+    lhs = P2.rmul(s ** m) - tm @ P2 if side == "left" else P2.lmul(s ** m) - P2 @ tm
     return [(lhs, A - Bm)]
 
 
@@ -244,7 +229,7 @@ def p2_power_shift_alt_terms(T: CommutingOperator, s: Quaternion, m: int):
     bounds taken verbatim.  Compared against the main display by the
     test suite; the stated bounds do not reproduce it."""
     n = T.n
-    Qs = kernel(KernelKind.QCS_INV, T, s)
+    Qs = kernel(CalculusKind.Q, T, s)
     Mt = T.as_matrix()
     Tbar = T.conjugate().as_matrix()
     first = QuatMatrix.zeros(n)
@@ -373,13 +358,12 @@ def _q_product_rule_legacy(T, f, g, c_in, c_out):
 def _p2_vanishing_integral(T, f, g, c_in, c_out):
     one = SlicePoly.monomial(0)
     zero = QuatMatrix.zeros(T.n)
-    left = integrate(c_in, KernelKind.P2_LEFT, T, one, "left")
-    right = integrate(c_in, KernelKind.P2_RIGHT, T, one, "right")
-    return [(left, zero), (right, zero)]
+    return [(integrate(c_in, CalculusKind.P2, T, one, side), zero)
+            for side in ("left", "right")]
 
 
 def _q_vanishing_integral(T, f, g, c_in, c_out):
-    val = integrate(c_in, KernelKind.QCS_INV, T, SlicePoly.monomial(0))
+    val = integrate(c_in, CalculusKind.Q, T, SlicePoly.monomial(0))
     return [(val, QuatMatrix.zeros(T.n))]
 
 

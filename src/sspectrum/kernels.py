@@ -11,12 +11,18 @@ The P2 kernels are the conjugate-Fueter images of the Cauchy kernels
 and drive the order-2 polyanalytic calculus; F produces the Laplacian
 image, and Q^-1 itself the harmonic one.
 
+A kernel is named by the calculus it serves, ``CalculusKind`` (S, Q,
+P2, F), and a side.  The side picks the left or the right form, and the
+same side decides the pairing with stems, so a left form only ever meets
+left stems and a right form right ones.  Q^-1 is two-sided: both of its
+sides give the same kernel.
+
 Evaluation works in the complex slice of each node.  Writing s = a + bJ,
 every entry of the pencil lies in span{1, J}, which is a copy of C, so
 Q^-1 is one batched complex LAPACK inverse and Q^-2 one complex matrix
 product.  The factor sI - conj(T) splits into s - T0, which stays in the
 slice, and the vector part T1 e1 + T2 e2 + T3 e3, so every kernel is
-C + sum_j e_j Z_j (left kinds) or C + sum_j Z_j e_j (right kinds), where
+C + sum_j e_j Z_j (left forms) or C + sum_j Z_j e_j (right forms), where
 C and Z_j are real matrix polynomials in T applied to z^p G, p <= 2, with
 G = Q^-1 or +-4 Q^-2, and X + iY stands for X + YJ.
 
@@ -47,7 +53,7 @@ from .quat import Quaternion, qinv, qs_poly
 from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
 
 __all__ = [
-    "KernelKind",
+    "CalculusKind",
     "kernel",
     "kernel_at_nodes",
     "kernel_sum",
@@ -70,36 +76,34 @@ COND_LIMIT = 1.0 / PIVOT_RTOL
 CHUNK_ENTRIES = 1 << 16
 
 
-class KernelKind(Enum):
-    QCS_INV = "qcs_inv"
-    S_LEFT = "s_left"
-    S_RIGHT = "s_right"
-    F_LEFT = "f_left"
-    F_RIGHT = "f_right"
-    P2_LEFT = "p2_left"
-    P2_RIGHT = "p2_right"
+class CalculusKind(Enum):
+    """The calculus a kernel serves; a side picks its left or right form."""
+    S = "s"
+    Q = "q"
+    P2 = "p2"
+    F = "f"
 
 
-_LEFT = (KernelKind.S_LEFT, KernelKind.F_LEFT, KernelKind.P2_LEFT)
-_FACTOR = {KernelKind.F_LEFT: -4.0, KernelKind.F_RIGHT: -4.0,
-           KernelKind.P2_LEFT: 4.0, KernelKind.P2_RIGHT: 4.0}
+_FACTOR = {CalculusKind.F: -4.0, CalculusKind.P2: 4.0}
 # highest power of the slice node z that multiplies G in each kernel
-_DEGREE = {KernelKind.QCS_INV: 0, KernelKind.S_LEFT: 1, KernelKind.S_RIGHT: 1,
-           KernelKind.F_LEFT: 1, KernelKind.F_RIGHT: 1,
-           KernelKind.P2_LEFT: 2, KernelKind.P2_RIGHT: 2}
+_DEGREE = {CalculusKind.Q: 0, CalculusKind.S: 1, CalculusKind.F: 1,
+           CalculusKind.P2: 2}
 # x @ _UNIT_PRODUCTS[side][q] is x e_q (side 'left', where the weight
 # sits right of the kernel) or e_q x (side 'right')
 _UNIT_PRODUCTS = {"left": product_matrices(np.eye(4), "right"),
                   "right": product_matrices(np.eye(4), "left")}
 
 
-def kernel_at_nodes(kind: KernelKind, T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:
-    """Evaluate one kernel kind at a batch of points s_arr (N, 4).
+def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
+                    side: str = "left") -> np.ndarray:
+    """Evaluate the side form of one kind's kernel at a batch of points
+    s_arr (N, 4).
 
     Returns an (N, n, n, 4) stack.  Raises SingularMatrixError when any
     node sits on (or numerically grazes) the S-spectrum.
     """
-    kind = KernelKind(kind)
+    kind = CalculusKind(kind)
+    _check_side(side)
     s_arr = np.asarray(s_arr, dtype=np.float64)
     squeeze = s_arr.ndim == 1
     if squeeze:
@@ -114,14 +118,15 @@ def kernel_at_nodes(kind: KernelKind, T: CommutingOperator, s_arr: np.ndarray) -
         z, J = _slice_coordinates(s_arr[lo:hi])
         G = _pencil_term(kind, T.T0, K, z, np.arange(lo, hi))
         S = (z[:, None] ** powers)[:, :, None, None] * G[:, None]
-        C, Z = _kernel_parts(kind, T, S)
-        _to_quaternion(C, Z, J, kind in _LEFT, out[lo:hi])
+        C, Z = _kernel_parts(kind, side, T, S)
+        _to_quaternion(C, Z, J, side, out[lo:hi])
     return out[0] if squeeze else out
 
 
-def kernel_sum(kind: KernelKind, T: CommutingOperator, J, z, c, side: str,
+def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
                c_conj, index) -> np.ndarray:
-    """Kernel values paired with quaternion weights and summed over nodes.
+    """The side form of one kind's kernel paired with quaternion weights
+    on that side and summed over nodes.
 
     The nodes z (U,) are complex slice values a + ib standing for
     a + bJ in the plane C_J of the imaginary unit J, given as its (3,)
@@ -137,8 +142,8 @@ def kernel_sum(kind: KernelKind, T: CommutingOperator, J, z, c, side: str,
     inversion.  index (U,) labels the nodes in a SingularMatrixError.
 
     Only G = Q^-1, or the +-4 Q^-2 of the F and P2 kernels, is formed per
-    node.  Every kernel is C + sum_j e_j Z_j (left kinds) or
-    C + sum_j Z_j e_j (right kinds), where C and Z_j are real matrix
+    node.  Every kernel is C + sum_j e_j Z_j (left forms) or
+    C + sum_j Z_j e_j (right forms), where C and Z_j are real matrix
     polynomials in T applied to z^p G, p <= 2, and X + iY stands for
     X + YJ.  That map is real-linear, so the weights are contracted
     first: each real weight component c_q gives the moments
@@ -147,9 +152,8 @@ def kernel_sum(kind: KernelKind, T: CommutingOperator, J, z, c, side: str,
     map run once on the n x n moments.  The result is sum_q Phi_q e_q
     on the left side and sum_q e_q Phi_q on the right.
     """
-    kind = KernelKind(kind)
-    if side not in ("left", "right"):
-        raise InputError("side must be 'left' or 'right'")
+    kind = CalculusKind(kind)
+    _check_side(side)
     J = np.asarray(J, dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128)
     c = np.asarray(c, dtype=np.float64)
@@ -177,11 +181,16 @@ def kernel_sum(kind: KernelKind, T: CommutingOperator, J, z, c, side: str,
     out = np.empty((len(c), n, n, 4))
     for r in range(len(c)):
         M = (moments[r, :rows] + 1j * moments[r, rows:]).reshape(4, len(powers), n, n)
-        C, Z = _kernel_parts(kind, T, M)
+        C, Z = _kernel_parts(kind, side, T, M)
         Phi = np.empty((4, n, n, 4))
-        _to_quaternion(C, Z, np.broadcast_to(J, (4, 3)), kind in _LEFT, Phi)
+        _to_quaternion(C, Z, np.broadcast_to(J, (4, 3)), side, Phi)
         out[r] = np.tensordot(Phi, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
     return out
+
+
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise InputError("side must be 'left' or 'right'")
 
 
 def _slice_coordinates(s_arr):
@@ -233,37 +242,37 @@ def _inv_or_nan(M):
         return np.full_like(M, np.nan)
 
 
-def _kernel_parts(kind, T, S):
+def _kernel_parts(kind, side, T, S):
     """The slice part C (..., n, n) and the vector parts Z (..., 3, n, n)
-    (None for Q^-1) of one kernel, from S (..., p, n, n) whose S_p stands
-    for z^p G.  With B = (s - T0) + V, V = T1 e1 + T2 e2 + T3 e3:
+    (None for Q^-1) of one kernel's side form, from S (..., p, n, n)
+    whose S_p stands for z^p G.  With B = (s - T0) + V,
+    V = T1 e1 + T2 e2 + T3 e3:
 
         S_L = B G, F_L = B G        C = (z - T0) G,      Z_j = T_j G
         S_R = G B, F_R = G B        C = z G - G T0,      Z_j = G T_j
         P2_L = B G s - T0 B G       C = (z - T0)^2 G,    Z_j = T_j (z - T0) G
         P2_R = (s - T0) G B         C = z H - H T0,      Z_j = H T_j
 
-    where H = (z - T0) G and G carries each kind's factor."""
+    where H = (z - T0) G and G carries each kind's factor: P2 is the
+    S and F form with H in place of G."""
     T0 = T.T0
     V = np.stack(T.components[1:])
     S0 = S[..., 0, :, :]
-    if kind is KernelKind.QCS_INV:
+    if kind is CalculusKind.Q:
         return S0, None
     S1 = S[..., 1, :, :]
-    if kind in (KernelKind.S_LEFT, KernelKind.F_LEFT):
-        return S1 - T0 @ S0, V @ S0[..., None, :, :]
-    if kind in (KernelKind.S_RIGHT, KernelKind.F_RIGHT):
-        return S1 - S0 @ T0, S0[..., None, :, :] @ V
-    H = S1 - T0 @ S0
-    zH = S[..., 2, :, :] - T0 @ S1
-    if kind is KernelKind.P2_LEFT:
-        return zH - T0 @ H, V @ H[..., None, :, :]
-    return zH - H @ T0, H[..., None, :, :] @ V
+    if kind is CalculusKind.P2:
+        X, zX = S1 - T0 @ S0, S[..., 2, :, :] - T0 @ S1
+    else:
+        X, zX = S0, S1
+    if side == "left":
+        return zX - T0 @ X, V @ X[..., None, :, :]
+    return zX - X @ T0, X[..., None, :, :] @ V
 
 
-def _to_quaternion(C, Z, J, left, out):
+def _to_quaternion(C, Z, J, side, out):
     """Write into out (N, n, n, 4) the quaternion form of C + sum_k e_k Z_k
-    (left) or C + sum_k Z_k e_k (right), where the complex C and Z_k (Z
+    (side 'left') or C + sum_k Z_k e_k ('right'), where the complex C and Z_k (Z
     is (N, 3, n, n) or None) stand for X + Y J, with one unit J (N, 3)
     per matrix."""
     j = [J[:, k, None, None] for k in range(3)]
@@ -276,13 +285,17 @@ def _to_quaternion(C, Z, J, left, out):
     # e_k J = -J_k + e_k x J and J e_k = -J_k - e_k x J
     out[..., 0] = C.real - (Y[:, 0] * j[0] + Y[:, 1] * j[1] + Y[:, 2] * j[2])
     for k in range(3):
-        a, b = ((k + 1) % 3, (k + 2) % 3) if left else ((k + 2) % 3, (k + 1) % 3)
+        a, b = (k + 1) % 3, (k + 2) % 3
+        if side == "right":
+            a, b = b, a
         out[..., k + 1] = C.imag * j[k] + X[:, k] + (Y[:, a] * j[b] - Y[:, b] * j[a])
 
 
-def kernel(kind: KernelKind, T: CommutingOperator, s: Quaternion) -> QuatMatrix:
-    """Kernel value at one point s in the S-resolvent set of T."""
-    return QuatMatrix(kernel_at_nodes(kind, T, s.as_array()))
+def kernel(kind: CalculusKind, T: CommutingOperator, s: Quaternion,
+           side: str = "left") -> QuatMatrix:
+    """The side form of one kind's kernel at one point s in the
+    S-resolvent set of T."""
+    return QuatMatrix(kernel_at_nodes(kind, T, s.as_array(), side))
 
 
 # ---------------------------------------------------------------------------

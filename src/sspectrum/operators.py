@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (CommutationError, EigenvalueError, InputError,
-                     read_document)
+                     read_document, read_numbers)
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, SpectralSphere
 
@@ -334,11 +334,7 @@ def operator_from_dict(doc) -> CommutingOperator:
     comps = {}
     for name in ("T0", "T1", "T2", "T3"):
         if name in doc:
-            try:
-                M = np.asarray(doc[name], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"component {name} must be a numeric "
-                                 f"matrix: {exc}") from exc
+            M = read_numbers(doc[name], f"component {name}")
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise InputError(f"component {name} must be a square matrix")
             comps[name] = M

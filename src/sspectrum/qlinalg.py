@@ -23,7 +23,7 @@ import numpy as np
 from .errors import SingularMatrixError
 from .quat import Quaternion
 
-__all__ = ["QuatMatrix", "qm_solve", "qm_inv", "real_adjoint"]
+__all__ = ["QuatMatrix", "real_adjoint"]
 
 # Reciprocal of the default condition threshold 1e12: a pivot smaller
 # than PIVOT_RTOL * max|A_ij| aborts the elimination.
@@ -278,16 +278,6 @@ class QuatMatrix:
 
     def __repr__(self):
         return f"QuatMatrix(n={self.n})"
-
-
-def qm_solve(A: QuatMatrix, B: QuatMatrix) -> QuatMatrix:
-    """Solve A X = B by quaternionic elimination with modulus pivoting."""
-    A._check(B)
-    return QuatMatrix(solve_arr(A.data, B.data))
-
-
-def qm_inv(A: QuatMatrix) -> QuatMatrix:
-    return qm_solve(A, QuatMatrix.identity(A.n))
 
 
 def _left_block(q) -> np.ndarray:

@@ -21,7 +21,6 @@ __all__ = [
     "E1",
     "E2",
     "E3",
-    "qmul",
     "qinv",
     "qs_poly",
     "imaginary_unit",
@@ -173,11 +172,6 @@ ONE = Quaternion(1.0)
 E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
 E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
 E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b."""
-    return _coerce(a) * _coerce(b)
 
 
 def qinv(a: Quaternion) -> Quaternion:

@@ -30,7 +30,7 @@ from operator import matmul, mul
 
 import numpy as np
 
-from .errors import InputError, IntrinsicError, read_document
+from .errors import InputError, IntrinsicError, read_document, read_numbers
 from .qlinalg import QuatMatrix, qmul_arr
 from .quat import E1, E2, E3, ONE, Quaternion
 
@@ -364,13 +364,10 @@ def stem_from_dict(doc) -> SlicePoly:
     if not (isinstance(coeffs, list) and all(isinstance(c, list) for c in coeffs)):
         raise InputError("function document needs a list 'coeffs' of arrays")
     side = doc.get("side", "left")
-    try:
-        coeffs = [Quaternion.from_array(c) for c in coeffs]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad stem coefficients: {exc}") from exc
-    if not all(np.isfinite(c.as_array()).all() for c in coeffs):
-        raise InputError("stem coefficients must be finite")
-    return SlicePoly(side, coeffs)
+    arrays = [read_numbers(c, "stem coefficient") for c in coeffs]
+    if any(a.shape != (4,) for a in arrays):
+        raise InputError("quaternion arrays must have exactly 4 entries")
+    return SlicePoly(side, [Quaternion.from_array(a) for a in arrays])
 
 
 def stem_to_dict(f: SlicePoly) -> dict:

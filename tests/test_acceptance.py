@@ -11,12 +11,11 @@ import sys
 import numpy as np
 
 from conftest import rel
-from sspectrum import (CalculusKind, CommutingOperator, E1, KernelKind,
-                       Quaternion, QuatMatrix, SlicePoly, apply_calculus,
-                       apply_stems, auto_contour, dconj_power,
-                       enclosing_circle, fd_fueter_oracle, fueter_apply,
-                       integrate, kernel, p2_series,
-                       riesz_projector, s_spectrum, stem_moment)
+from sspectrum import (CalculusKind, CommutingOperator, E1, Quaternion,
+                       QuatMatrix, SlicePoly, apply_calculus, apply_stems,
+                       auto_contour, dconj_power, enclosing_circle,
+                       fd_fueter_oracle, fueter_apply, integrate, kernel,
+                       p2_series, riesz_projector, s_spectrum, stem_moment)
 from sspectrum.contour import Contour
 from sspectrum.identities import (INTEGRAL_IDENTITIES,
                                   random_commuting_polynomial,
@@ -88,8 +87,7 @@ def test_criterion_2_kernel_series_convergence():
         rate = tnorm / s.norm()
         assert rate <= 0.5
         for side in ("left", "right"):
-            ker = kernel(KernelKind.P2_LEFT if side == "left"
-                         else KernelKind.P2_RIGHT, T, s)
+            ker = kernel(CalculusKind.P2, T, s, side)
             res = {N: (p2_series(T, s, N, side) - ker).norm() / max(ker.norm(), 1.0)
                    for N in (10, 20, 30, 60)}
             # geometric decay at the predicted rate, with slack for constants
@@ -180,7 +178,7 @@ def test_criterion_5_factor_two_adjudication():
     T = CommutingOperator(*(C / reach for C in T.components))
     c = enclosing_circle(s_spectrum(T), margin=0.6, N=512)
     for m in range(0, 9):
-        quad = integrate(c, KernelKind.P2_LEFT, T, SlicePoly.monomial(m + 1), "left") \
+        quad = integrate(c, CalculusKind.P2, T, SlicePoly.monomial(m + 1), "left") \
             * (1.0 / (2.0 * np.pi))
         doubled = stem_moment(CalculusKind.P2, T, m + 1)
         halved = doubled * 0.5
@@ -327,9 +325,9 @@ def test_criterion_8_wellposedness_and_invariances():
                 auto_contour(spheres, [0], N=256),
                 Contour(E1, (Circle(40.0, 2.0),), 256)]
     for c in contours:
-        for kind, side in ((KernelKind.P2_LEFT, "left"),
-                           (KernelKind.P2_RIGHT, "right"),
-                           (KernelKind.QCS_INV, "left")):
+        for kind, side in ((CalculusKind.P2, "left"),
+                           (CalculusKind.P2, "right"),
+                           (CalculusKind.Q, "left")):
             val = integrate(c, kind, Tsplit, one, side)
             worst_v = max(worst_v, val.norm())
     assert worst_v <= tol

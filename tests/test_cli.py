@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -59,6 +60,15 @@ def test_apply_example(zero_op, tmp_path):
     mat = json.loads(text)
     assert abs(mat[0][0][0] + 4.0) < 1e-10
     assert max(abs(x) for x in mat[0][0][1:]) < 1e-12
+
+
+def test_projector_pass_needs_the_trace(split_op, monkeypatch):
+    # a zero matrix is idempotent; its trace misses the one joint
+    # eigenvalue on sphere 0, so the check fails
+    monkeypatch.setattr(cli, "riesz_projector", lambda kind, T, c: QuatMatrix.zeros(T.n))
+    status, text = run(RunConfig("projector", operator=split_op, cluster="0"))
+    assert status == 1
+    assert json.loads(text)["pass"] is False
 
 
 def test_projector_command(split_op):
@@ -488,6 +498,13 @@ _OK_CONTOUR = '{"J": [0, 1, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}]}'
                  id="contour-string-J"),
     pytest.param("function", b'{"side": "left", "coeffs": ["1000", "0100"]}',
                  id="function-string-coefficients"),
+    pytest.param("operator", b'{"n": 2, "T0": [["0", "0"], ["0", "5"]]}',
+                 id="operator-string-entries"),
+    pytest.param("function", b'{"side": "left", "coeffs": [[true, false, false, false]]}',
+                 id="function-bool-coefficient"),
+    pytest.param("contour",
+                 b'{"J": [0, 1, 0, 0], "circles": [{"center": "2.5", "radius": "4.0"}]}',
+                 id="contour-string-circle"),
 ])
 def test_unreadable_documents_are_parse_errors(tmp_path, capsys, which, text):
     docs = {"operator": _OK_OP, "function": _OK_STEM, "contour": _OK_CONTOUR}
@@ -545,3 +562,131 @@ def test_apply_on_a_large_split_operator_matches_stem_moment(tmp_path, capsys, c
     kind = CalculusKind(calculus)
     ref = stem_moment(kind, T, 1) + stem_moment(kind, T, 2).rmul(Quaternion(0, 0, 1, 0))
     assert rel(val, ref) < 1e-8
+
+
+@pytest.mark.parametrize("calculus", ["s", "q", "p2", "f"])
+def test_split_operator_is_served_at_every_scale(tmp_path, capsys, calculus):
+    # the split operator times 2^k: the winding rule's clearance scales
+    # with the contour, so no scale is refused for being small
+    f = write_json(tmp_path / "f.json", {"side": "left",
+                                         "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]})
+    kind = CalculusKind(calculus)
+    for k in range(-60, 61, 4):
+        op = _split_scaled(tmp_path, 2.0 ** k)
+        assert cli.main(["apply", "--operator", op, "--function", f,
+                         "--calculus", calculus]) == 0, k
+        val = QuatMatrix(np.array(json.loads(capsys.readouterr().out)))
+        T = CommutingOperator(*(C * 2.0 ** k for C in
+                                identities.split_spectrum_operator().components))
+        ref = stem_moment(kind, T, 2)
+        assert (val - ref).norm() <= 1e-8 * ref.norm(), k
+        assert cli.main(["projector", "--operator", op, "--cluster", "0",
+                         "--calculus", calculus]) == 0, k
+        capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# every input, mutated: documents and flags
+
+_VALID_DOCS = {
+    "operator": {"n": 2, "T0": [[0, 0], [0, 5]], "T1": [[1, 0], [0, 0]]},
+    "function": {"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]},
+    "contour": {"J": [0, 1, 0, 0], "nodes": 64,
+                "circles": [{"center": 2.5, "radius": 4.0, "orientation": 1}]},
+}
+_DEEP = 1
+for _ in range(100):
+    _DEEP = [_DEEP]
+# values no field accepts: the wrong JSON type, non-finite, beyond the
+# float range, nested past any array or ragged
+_REFUSED = [None, True, False, "5", "", "x", {}, {"a": 1}, math.nan, math.inf,
+            -math.inf, 10 ** 400, _DEEP, [1, [2]]]
+# values some field accepts
+_ODD = [[], [[1]], 1.5, -3, 0, 1e308, -1e308]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value in a JSON document, the root included."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw):
+    """The valid documents with at most one of them changed in one place:
+    a value replaced or removed.  Returns the documents, the name of the
+    changed one (None if none) and whether the change put in a value
+    that no field accepts."""
+    docs = copy.deepcopy(_VALID_DOCS)
+    target = draw(st.sampled_from([None, *docs]))
+    if target is None:
+        return docs, None, False
+    path = draw(st.sampled_from(list(_paths(docs[target]))))
+    value = draw(st.sampled_from(_REFUSED + _ODD))
+    refused = any(value is v for v in _REFUSED)   # by identity: 0 == False
+    if path == ():
+        docs[target] = value
+        return docs, target, refused
+    parent = docs[target]
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+        return docs, target, False
+    parent[path[-1]] = value
+    return docs, target, refused
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_FLAGS = st.tuples(
+    _flag("cluster", st.one_of(st.text("01,-x ", max_size=5), st.just("9" * 400))),
+    _flag("nodes", st.sampled_from([-1, 0, 7, 8, 33, 64])),
+    _flag("tol", st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-8", "1"])),
+    _flag("m", st.integers(-3, 6)),
+    _flag("calculus", st.sampled_from(["s", "q", "p2", "f"])),
+    st.sampled_from([["--contour", "auto"], ["--contour", "FILE"], []]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["apply", "projector", "spectrum",
+                        "verify --name=p2_kernel_power_shift_left",
+                        "verify --name=q_resolvent_eq"]),
+       _mutated(), _FLAGS)
+def test_any_input_exits_with_a_documented_code(command, mutation, flags):
+    """Mutated documents and out-of-range flags exit 0 or 1 with a document
+    on stdout, or 2, 3 or 4 with one JSON error on stderr, never a
+    traceback; a document that the command reads and that holds a value
+    no field accepts exits 2."""
+    docs, target, refused = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        argv = command.split() + ["--operator", paths["operator"],
+                                  "--function", paths["function"]]
+        for group in flags:
+            argv += [paths["contour"] if a == "FILE" else a for a in group]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["exit"] == code
+        assert out.getvalue() == ""
+    read = {"operator": True, "function": command == "apply",
+            "contour": paths["contour"] in argv and command in ("apply", "projector")}
+    if refused and read[target]:
+        assert code == 2, (target, docs[target])

@@ -13,7 +13,6 @@ from sspectrum.contour import (Circle, Contour, DiskPair, _axis_centered_radius,
                                load_contour, node_arrays, save_contour)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import random_commuting_operator
-from sspectrum.kernels import KernelKind
 from sspectrum.operators import s_spectrum
 from sspectrum.quat import random_imaginary_unit
 
@@ -97,13 +96,13 @@ def test_vanishing_integral_off_spectrum(rng):
     # pseudo resolvent integrated over a contour avoiding the spectrum
     T = random_commuting_operator(rng, 2)
     far = Contour(E1, (Circle(50.0, 1.0),), 128)
-    val = integrate(far, KernelKind.QCS_INV, T, SlicePoly.monomial(0), "left")
+    val = integrate(far, CalculusKind.Q, T, SlicePoly.monomial(0), "left")
     assert val.norm() < 1e-10
 
 
 def test_empty_contour():
     c = Contour(E1, (), 64)
-    val = integrate(c, KernelKind.QCS_INV, CommutingOperator.zero(2),
+    val = integrate(c, CalculusKind.Q, CommutingOperator.zero(2),
                     SlicePoly.monomial(0), "left")
     assert val.norm() == 0.0
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import pair_per_node, rel
-from sspectrum import (CommutingOperator, KernelKind, Quaternion,
+from sspectrum import (CalculusKind, CommutingOperator, Quaternion,
                        QuatMatrix, enclosing_circle, kernel, qinv,
                        qs_poly, s_spectrum, verify_all, verify_integral,
                        verify_pointwise, verify_seeded)
@@ -127,7 +127,7 @@ def test_intertwining_cauchy_formula(rng):
     c = enclosing_circle(spheres, margin=1.0, N=512)
     f = random_stem(rng, 3, intrinsic=True)
     p = Quaternion(0.5, 0.4, 0.3, 0.0)
-    B = kernel(KernelKind.P2_LEFT, T, random_resolvent_point(rng, T))
+    B = kernel(CalculusKind.P2, T, random_resolvent_point(rng, T))
 
     def K(s):
         return (B.lmul(s.conjugate()) - B.rmul(p)).rmul(qinv(qs_poly(s, p)))

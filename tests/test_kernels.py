@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import qrel, rel
-from sspectrum import (CommutingOperator, KernelKind, Quaternion, QuatMatrix,
+from sspectrum import (CalculusKind, CommutingOperator, Quaternion, QuatMatrix,
                        kernel, p2_series, qinv, s_series)
 from sspectrum.errors import DivergenceError, SingularMatrixError
 from sspectrum.identities import (random_commuting_operator,
@@ -19,29 +19,33 @@ from sspectrum.quat import E1, qs_poly, random_quaternion
 from sspectrum.slicefn import FueterOp, fd_fueter_oracle
 
 ZERO1 = CommutingOperator.zero(1)
+Q, S, F, P2 = CalculusKind.Q, CalculusKind.S, CalculusKind.F, CalculusKind.P2
+# Q^-1 (two-sided) and the left and right forms of the S, F and P2 kernels
+KERNELS = [(Q, "left"), (S, "left"), (S, "right"), (F, "left"), (F, "right"),
+           (P2, "left"), (P2, "right")]
 
 
 def test_closed_forms_at_zero_operator():
     s = Quaternion(1.2, 0.4, -0.3, 0.2)
     si = qinv(s)
     cases = {
-        KernelKind.QCS_INV: si * si,
-        KernelKind.S_LEFT: si,
-        KernelKind.S_RIGHT: si,
-        KernelKind.F_LEFT: si * si * si * -4.0,
-        KernelKind.F_RIGHT: si * si * si * -4.0,
-        KernelKind.P2_LEFT: si * si * 4.0,
-        KernelKind.P2_RIGHT: si * si * 4.0,
+        (Q, "left"): si * si,
+        (S, "left"): si,
+        (S, "right"): si,
+        (F, "left"): si * si * si * -4.0,
+        (F, "right"): si * si * si * -4.0,
+        (P2, "left"): si * si * 4.0,
+        (P2, "right"): si * si * 4.0,
     }
-    for kind, expect in cases.items():
-        got = kernel(kind, ZERO1, s).entry(0, 0)
-        assert qrel(got, expect) < 1e-14, kind
+    for (kind, side), expect in cases.items():
+        got = kernel(kind, ZERO1, s, side).entry(0, 0)
+        assert qrel(got, expect) < 1e-14, (kind, side)
 
 
 def test_s_left_form_i_form_ii_cross_check():
     # scalar operator e1 at s=2: form II against the noncommutative form I
     T = CommutingOperator.from_quaternion(E1)
-    got = kernel(KernelKind.S_LEFT, T, Quaternion(2)).entry(0, 0)
+    got = kernel(S, T, Quaternion(2)).entry(0, 0)
     assert qrel(got, Quaternion(0.4, 0.2, 0, 0)) < 1e-15
     q = E1
     form1 = qinv(q * q - Quaternion(4.0) * q + Quaternion(4.0)) * (Quaternion(2) - q)
@@ -50,13 +54,13 @@ def test_s_left_form_i_form_ii_cross_check():
 
 def test_scalar_reduction_all_kinds(rng):
     fns = {
-        KernelKind.QCS_INV: pseudo_kernel,
-        KernelKind.S_LEFT: cauchy_kernel_left,
-        KernelKind.S_RIGHT: cauchy_kernel_right,
-        KernelKind.F_LEFT: f_kernel_left,
-        KernelKind.F_RIGHT: f_kernel_right,
-        KernelKind.P2_LEFT: p2_kernel_left,
-        KernelKind.P2_RIGHT: p2_kernel_right,
+        (Q, "left"): pseudo_kernel,
+        (S, "left"): cauchy_kernel_left,
+        (S, "right"): cauchy_kernel_right,
+        (F, "left"): f_kernel_left,
+        (F, "right"): f_kernel_right,
+        (P2, "left"): p2_kernel_left,
+        (P2, "right"): p2_kernel_right,
     }
     for _ in range(15):
         q = random_quaternion(rng)
@@ -64,8 +68,9 @@ def test_scalar_reduction_all_kinds(rng):
         if qs_poly(q, s).norm() < 0.5:
             continue
         T = CommutingOperator.from_quaternion(q)
-        for kind, fn in fns.items():
-            assert qrel(kernel(kind, T, s).entry(0, 0), fn(s, q)) < 1e-12, kind
+        for (kind, side), fn in fns.items():
+            got = kernel(kind, T, s, side).entry(0, 0)
+            assert qrel(got, fn(s, q)) < 1e-12, (kind, side)
 
 
 def test_on_spectrum_raises(rng):
@@ -73,16 +78,16 @@ def test_on_spectrum_raises(rng):
     sp = s_spectrum(T)[0]
     s_on = Quaternion.embed(sp.u, E1, sp.v) if sp.v > 0 else Quaternion(sp.u)
     with pytest.raises(SingularMatrixError):
-        kernel(KernelKind.S_LEFT, T, s_on)
+        kernel(S, T, s_on)
 
 
 def test_batch_matches_single(rng):
     T = random_commuting_operator(rng, 3)
     pts = np.stack([random_resolvent_point(rng, T).as_array() for _ in range(6)])
-    for kind in KernelKind:
-        batch = kernel_at_nodes(kind, T, pts)
+    for kind, side in KERNELS:
+        batch = kernel_at_nodes(kind, T, pts, side)
         for i in range(6):
-            single = kernel(kind, T, Quaternion(*pts[i]))
+            single = kernel(kind, T, Quaternion(*pts[i]), side)
             assert rel(QuatMatrix(batch[i]), single) < 1e-13
 
 
@@ -90,9 +95,9 @@ def test_batch_across_chunks_matches_single(rng):
     # at n = 32 a chunk holds 64 nodes, so 70 nodes take two
     T = random_commuting_operator(rng, 32)
     pts = _mixed_nodes(rng, T, 70)
-    batch = kernel_at_nodes(KernelKind.P2_RIGHT, T, pts)
+    batch = kernel_at_nodes(P2, T, pts, "right")
     for i in (0, 63, 64, 69):
-        single = kernel(KernelKind.P2_RIGHT, T, Quaternion(*pts[i]))
+        single = kernel(P2, T, Quaternion(*pts[i]), "right")
         assert rel(QuatMatrix(batch[i]), single) < 1e-13
 
 
@@ -101,8 +106,8 @@ def test_f_kernel_shift_spot(rng):
     for n in (1, 2, 3):
         T = random_commuting_operator(rng, n)
         s = random_resolvent_point(rng, T)
-        FL = kernel(KernelKind.F_LEFT, T, s)
-        Qinv = kernel(KernelKind.QCS_INV, T, s)
+        FL = kernel(F, T, s)
+        Qinv = kernel(Q, T, s)
         lhs = FL.rmul(s) - T.as_matrix() @ FL
         assert rel(lhs, Qinv * -4.0) < 1e-12
 
@@ -111,12 +116,12 @@ def test_pseudo_resolvent_split_spot(rng):
     for n in (1, 2, 3):
         T = random_commuting_operator(rng, n)
         s = random_resolvent_point(rng, T)
-        Qinv = kernel(KernelKind.QCS_INV, T, s)
+        Qinv = kernel(Q, T, s)
         uT = T.vector_part()
-        left = (kernel(KernelKind.P2_LEFT, T, s)
-                + uT @ kernel(KernelKind.F_LEFT, T, s)) * 0.25
-        right = (kernel(KernelKind.P2_RIGHT, T, s)
-                 + kernel(KernelKind.F_RIGHT, T, s) @ uT) * 0.25
+        left = (kernel(P2, T, s)
+                + uT @ kernel(F, T, s)) * 0.25
+        right = (kernel(P2, T, s, "right")
+                 + kernel(F, T, s, "right") @ uT) * 0.25
         assert rel(Qinv, left) < 1e-12
         assert rel(Qinv, right) < 1e-12
 
@@ -124,10 +129,10 @@ def test_pseudo_resolvent_split_spot(rng):
 def test_p2_kernel_shift_spot(rng):
     T = random_commuting_operator(rng, 3)
     s = random_resolvent_point(rng, T)
-    P2L = kernel(KernelKind.P2_LEFT, T, s)
+    P2L = kernel(P2, T, s)
     lhs = P2L.rmul(s) - T.as_matrix() @ P2L
-    rhs = (kernel(KernelKind.S_LEFT, T, s)
-           - T.vector_part() @ kernel(KernelKind.QCS_INV, T, s)) * 4.0
+    rhs = (kernel(S, T, s)
+           - T.vector_part() @ kernel(Q, T, s)) * 4.0
     assert rel(lhs, rhs) < 1e-12
 
 
@@ -191,8 +196,8 @@ def test_integral_representation_sign_pattern(rng):
     # representation agrees with the assembled P2 kernel at n = 1
     import math
 
-    from sspectrum import (CalculusKind, SlicePoly, apply_calculus, enclosing_circle,
-                           integrate, stem_shift)
+    from sspectrum import (SlicePoly, apply_calculus, enclosing_circle, integrate,
+                           stem_shift)
     from sspectrum.operators import s_spectrum
 
     q = Quaternion(0.2, 0.3, -0.1, 0.25)
@@ -200,8 +205,8 @@ def test_integral_representation_sign_pattern(rng):
     c = enclosing_circle(s_spectrum(T), margin=1.0, N=256)
     f = SlicePoly.left(Quaternion(0.5, 1, 0, 0), Quaternion(0, 0, 2, 0),
                        Quaternion(1, 0, 0, 3))
-    i0 = integrate(c, KernelKind.F_LEFT, T, f, "left")
-    i1 = integrate(c, KernelKind.F_LEFT, T, stem_shift(f), "left")
+    i0 = integrate(c, F, T, f, "left")
+    i1 = integrate(c, F, T, stem_shift(f), "left")
     two_term = (i1 * -1.0 + i0.rmul(Quaternion(q.w))) * (1.0 / (2.0 * math.pi))
     direct = apply_calculus(CalculusKind.P2, f, T, c)
     assert rel(two_term, direct) < 1e-12
@@ -231,8 +236,8 @@ def test_series_converge_to_kernels(rng, side):
     nrm = T.as_matrix().norm()
     s = Quaternion(2.0 * nrm, 0.9 * nrm, -0.5 * nrm, 0.0)
     assert T.as_matrix().norm() <= s.norm() / 2.0
-    kp = kernel(KernelKind.P2_LEFT if side == "left" else KernelKind.P2_RIGHT, T, s)
-    ks = kernel(KernelKind.S_LEFT if side == "left" else KernelKind.S_RIGHT, T, s)
+    kp = kernel(P2, T, s, side)
+    ks = kernel(S, T, s, side)
     assert rel(p2_series(T, s, 60, side), kp) < 1e-10
     assert rel(s_series(T, s, 60, side), ks) < 1e-10
 
@@ -248,32 +253,29 @@ def test_series_domain_error(rng):
 # -- complex slice path against the quaternion elimination -------------------
 
 
-def _elimination_kernel(kind, T, s_arr):
+def _elimination_kernel(kind, side, T, s_arr):
     """The kernels assembled entrywise in quaternion arithmetic from the
     modulus-pivot elimination solve_arr and the 16-product matmul."""
     n = T.n
-    Q = qcs_pencil_at(T, s_arr)
-    Qinv = solve_arr(Q, np.broadcast_to(eye_arr(n), Q.shape))
-    if kind is KernelKind.QCS_INV:
+    pencil = qcs_pencil_at(T, s_arr)
+    Qinv = solve_arr(pencil, np.broadcast_to(eye_arr(n), pencil.shape))
+    if kind is Q:
         return Qinv
     B = np.broadcast_to(-np.stack((T.T0, -T.T1, -T.T2, -T.T3), axis=-1), Qinv.shape).copy()
     B[:, np.arange(n), np.arange(n), :] += s_arr[:, None, :]
-    if kind is KernelKind.S_LEFT:
-        return matmul(B, Qinv)
-    if kind is KernelKind.S_RIGHT:
-        return matmul(Qinv, B)
+    if kind is S:
+        return matmul(B, Qinv) if side == "left" else matmul(Qinv, B)
     T0 = np.broadcast_to(QuatMatrix.from_real(T.T0).data, Qinv.shape)
     Qinv2 = matmul(Qinv, Qinv)
-    F = -4.0 * (matmul(B, Qinv2) if kind in (KernelKind.F_LEFT, KernelKind.P2_LEFT)
-                else matmul(Qinv2, B))
-    if kind is KernelKind.P2_LEFT:
-        return -scal_right(F, s_arr) + matmul(T0, F)
-    if kind is KernelKind.P2_RIGHT:
-        return -scal_left(s_arr, F) + matmul(T0, F)
-    return F
+    FK = -4.0 * (matmul(B, Qinv2) if side == "left" else matmul(Qinv2, B))
+    if kind is F:
+        return FK
+    if side == "left":
+        return -scal_right(FK, s_arr) + matmul(T0, FK)
+    return -scal_left(s_arr, FK) + matmul(T0, FK)
 
 
-def _adjoint_kernel(kind, T, s):
+def _adjoint_kernel(kind, side, T, s):
     """The same kernel built in the real 4n x 4n representation, where
     every quaternion matrix product is a real one."""
     n = T.n
@@ -282,14 +284,14 @@ def _adjoint_kernel(kind, T, s):
     B = sI - real_adjoint(T.conjugate().as_matrix())
     T0 = real_adjoint(QuatMatrix.from_real(T.T0))
     return {
-        KernelKind.QCS_INV: Qinv,
-        KernelKind.S_LEFT: B @ Qinv,
-        KernelKind.S_RIGHT: Qinv @ B,
-        KernelKind.F_LEFT: -4.0 * B @ Qinv @ Qinv,
-        KernelKind.F_RIGHT: -4.0 * Qinv @ Qinv @ B,
-        KernelKind.P2_LEFT: 4.0 * (B @ Qinv @ Qinv @ sI - T0 @ B @ Qinv @ Qinv),
-        KernelKind.P2_RIGHT: 4.0 * (sI @ Qinv @ Qinv @ B - T0 @ Qinv @ Qinv @ B),
-    }[kind]
+        (Q, "left"): Qinv,
+        (S, "left"): B @ Qinv,
+        (S, "right"): Qinv @ B,
+        (F, "left"): -4.0 * B @ Qinv @ Qinv,
+        (F, "right"): -4.0 * Qinv @ Qinv @ B,
+        (P2, "left"): 4.0 * (B @ Qinv @ Qinv @ sI - T0 @ B @ Qinv @ Qinv),
+        (P2, "right"): 4.0 * (sI @ Qinv @ Qinv @ B - T0 @ Qinv @ Qinv @ B),
+    }[(kind, side)]
 
 
 def _mixed_nodes(rng, T, count):
@@ -306,17 +308,17 @@ def test_slice_kernels_match_elimination_oracle(rng, n):
     T = random_commuting_operator(rng, n)
     pts = _mixed_nodes(rng, T, 6 if n == 32 else 12)
     assert np.any(pts[:, 1:].any(axis=1)) and not np.all(pts[:, 1:].any(axis=1))
-    for kind in KernelKind:
-        got = kernel_at_nodes(kind, T, pts)
-        want = _elimination_kernel(kind, T, pts)
+    for kind, side in KERNELS:
+        got = kernel_at_nodes(kind, T, pts, side)
+        want = _elimination_kernel(kind, side, T, pts)
         for i in range(len(pts)):
-            assert rel(QuatMatrix(got[i]), QuatMatrix(want[i])) < 1e-12, (kind, i)
+            assert rel(QuatMatrix(got[i]), QuatMatrix(want[i])) < 1e-12, (kind, side, i)
         # the elimination oracle itself against the real representation
         for i in (0, 1):
             rho_want = real_adjoint(QuatMatrix(want[i]))
-            rho_ref = _adjoint_kernel(kind, T, Quaternion(*pts[i]))
+            rho_ref = _adjoint_kernel(kind, side, T, Quaternion(*pts[i]))
             err = np.linalg.norm(rho_want - rho_ref) / max(np.linalg.norm(rho_ref), 1.0)
-            assert err < 1e-12, (kind, i)
+            assert err < 1e-12, (kind, side, i)
 
 
 @pytest.mark.parametrize("n, bad", [(8, 41), (32, 66)])
@@ -327,8 +329,8 @@ def test_node_on_sphere_in_large_batch_raises(rng, n, bad):
     sp = s_spectrum(T)[0]
     J = Quaternion(0.0, 0.6, 0.0, 0.8)
     pts[bad] = Quaternion.embed(sp.u, J, sp.v).as_array() if sp.v > 0 else [sp.u, 0, 0, 0]
-    for kind in (KernelKind.QCS_INV, KernelKind.P2_RIGHT):
+    for kind, side in ((Q, "left"), (P2, "right")):
         with pytest.raises(SingularMatrixError) as err:
-            kernel_at_nodes(kind, T, pts)
+            kernel_at_nodes(kind, T, pts, side)
         assert err.value.batch_index == bad
-    kernel_at_nodes(KernelKind.S_LEFT, T, np.delete(pts, bad, axis=0))
+    kernel_at_nodes(S, T, np.delete(pts, bad, axis=0))

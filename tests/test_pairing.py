@@ -15,7 +15,7 @@ from sspectrum.contour import (Circle, Contour, DiskPair, contour_to_dict,
                                node_arrays, slice_nodes)
 from sspectrum.errors import SingularMatrixError
 from sspectrum.identities import random_commuting_operator
-from sspectrum.kernels import KernelKind, kernel
+from sspectrum.kernels import CalculusKind, kernel
 from sspectrum.operators import CommutingOperator, operator_to_dict
 from sspectrum.quat import random_imaginary_unit
 
@@ -55,14 +55,14 @@ def _stems(rng):
     ]
 
 
-@pytest.mark.parametrize("kind", list(KernelKind))
+@pytest.mark.parametrize("kind", list(CalculusKind))
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_pairing_matches_stack_oracle(rng, kind, side):
     T = random_commuting_operator(rng, 3)
     for c in _contours(rng):
         for f in _stems(rng):
             got = integrate(c, kind, T, f, side)
-            want, scale = pair_per_node(c, partial(kernel, kind, T), f, side)
+            want, scale = pair_per_node(c, partial(kernel, kind, T, side=side), f, side)
             assert (got - want).norm() <= 1e-12 * scale, (kind, side, c)
 
 
@@ -71,9 +71,9 @@ def test_pairing_matches_stack_oracle_across_chunks(rng):
     T = random_commuting_operator(rng, 32)
     c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
     f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
-    for kind in (KernelKind.P2_RIGHT, KernelKind.S_LEFT):
+    for kind in (CalculusKind.P2, CalculusKind.S):
         got = integrate(c, kind, T, f, "right")
-        want, scale = pair_per_node(c, partial(kernel, kind, T), f, "right")
+        want, scale = pair_per_node(c, partial(kernel, kind, T, side="right"), f, "right")
         assert (got - want).norm() <= 1e-12 * scale, kind
 
 
@@ -82,8 +82,8 @@ def test_list_of_stems_gives_each_single_value(rng):
     c = _contours(rng)[2]
     stems = [SlicePoly.left(*[Quaternion(*rng.standard_normal(4)) for _ in range(3)])
              for _ in range(3)]
-    many = integrate(c, KernelKind.F_LEFT, T, stems, "left")
-    assert [integrate(c, KernelKind.F_LEFT, T, g, "left") for g in stems] == many
+    many = integrate(c, CalculusKind.F, T, stems, "left")
+    assert [integrate(c, CalculusKind.F, T, g, "left") for g in stems] == many
 
 
 @pytest.mark.parametrize("N", [8, 9, 64, 65])
@@ -126,7 +126,7 @@ def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
     monkeypatch.setattr(kernels, "_pencil_term", counting)
     T = random_commuting_operator(np.random.default_rng(5), 3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
-    integrate(c, KernelKind.P2_LEFT, T, SlicePoly.left(1.0, 2.0), "left")
+    integrate(c, CalculusKind.P2, T, SlicePoly.left(1.0, 2.0), "left")
     assert len(inverted) == expect == len(set(inverted))
 
 
@@ -145,7 +145,7 @@ def test_node_on_spectrum_names_its_index(hit, first):
     c = Contour(random_imaginary_unit(np.random.default_rng(7)),
                 (DiskPair(0.0, 5.0, 1.0), Circle(0.0, 1.0), Circle(10.0, 1.0)), 16)
     T = _spectrum_through(slice_nodes(c)[0][hit])
-    for kind in (KernelKind.QCS_INV, KernelKind.P2_RIGHT, KernelKind.S_LEFT):
+    for kind in (CalculusKind.Q, CalculusKind.P2, CalculusKind.S):
         with pytest.raises(SingularMatrixError) as err:
             integrate(c, kind, T, SlicePoly.left(1.0), "left")
         assert err.value.batch_index == first

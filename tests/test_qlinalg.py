@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel
-from sspectrum import (E1, E2, E3, Quaternion, QuatMatrix, qm_inv, qm_solve,
-                       real_adjoint)
+from sspectrum import E1, E2, E3, Quaternion, QuatMatrix, real_adjoint
 from sspectrum.errors import SingularMatrixError
 from sspectrum.qlinalg import solve_arr
 
@@ -39,14 +38,14 @@ def test_left_right_scalar_actions_differ():
 
 def test_solve_identity(rng):
     B = random_qm(rng, 3)
-    X = qm_solve(QuatMatrix.identity(3), B)
+    X = QuatMatrix(solve_arr(QuatMatrix.identity(3).data, B.data))
     assert rel(X, B) < 1e-15
 
 
 def test_solve_scalar_example():
     A = QuatMatrix.from_scalar(Quaternion(1, 1, 0, 0), 1)
     B = QuatMatrix.identity(1)
-    X = qm_solve(A, B)
+    X = QuatMatrix(solve_arr(A.data, B.data))
     assert (X.entry(0, 0) - Quaternion(0.5, -0.5, 0, 0)).norm() < 1e-15
 
 
@@ -54,14 +53,15 @@ def test_solve_residual(rng):
     for n in (2, 3, 4):
         A = random_qm(rng, n)
         B = random_qm(rng, n)
-        X = qm_solve(A, B)
+        X = QuatMatrix(solve_arr(A.data, B.data))
         assert (A @ X - B).norm() <= 1e-11 * B.norm()
         assert (A @ X - B).norm() <= 1e-10 * A.norm() * X.norm()
 
 
 def test_inverse_roundtrip(rng):
     A = random_qm(rng, 4)
-    assert rel(A @ qm_inv(A), QuatMatrix.identity(4)) < 1e-12
+    inverse = QuatMatrix(solve_arr(A.data, QuatMatrix.identity(4).data))
+    assert rel(A @ inverse, QuatMatrix.identity(4)) < 1e-12
 
 
 def test_singular_raises_with_pivot_index():
@@ -73,7 +73,7 @@ def test_singular_raises_with_pivot_index():
     data[1, 1, 3] = -2.0
     A = QuatMatrix(data)
     with pytest.raises(SingularMatrixError) as err:
-        qm_solve(A, QuatMatrix.identity(2))
+        solve_arr(A.data, QuatMatrix.identity(2).data)
     assert err.value.pivot_index == 1
 
 
@@ -83,7 +83,7 @@ def test_batched_solve_matches_single(rng):
     rhs = rng.standard_normal((5, n, n, 4))
     X = solve_arr(batch, rhs)
     for i in range(5):
-        Xi = qm_solve(QuatMatrix(batch[i]), QuatMatrix(rhs[i]))
+        Xi = QuatMatrix(solve_arr(batch[i], rhs[i]))
         assert rel(QuatMatrix(X[i]), Xi) < 1e-13
 
 
@@ -123,7 +123,7 @@ def test_real_adjoint_vector_action(rng):
 def test_inverse_agrees_with_adjoint_oracle(rng):
     n = 3
     A = random_qm(rng, n)
-    via_elimination = qm_inv(A)
+    via_elimination = QuatMatrix(solve_arr(A.data, QuatMatrix.identity(n).data))
     rho_inv = np.linalg.inv(real_adjoint(A))
     # map back: block (i, j) of rho holds the quaternion in its first column
     mapped = np.zeros((n, n, 4))
