@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import CalculusKind, apply_calculus, riesz_projector
 from .contour import (Contour, auto_contour, check_winding, enclosing_circle,
                       integrate)
-from .errors import InputError, PreconditionError
+from .errors import InputError, NumericError, PreconditionError
 from .kernels import kernel
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
@@ -512,6 +512,8 @@ def random_resolvent_point(rng, T: CommutingOperator, min_dist: float = 0.3,
     (and, when avoid is given, off that point's sphere by 0.25)."""
     spheres = T.spheres
     reach = max([math.hypot(sp.u, sp.v) for sp in spheres] + [1.0])
+    if not math.isfinite(3.0 * reach):
+        raise NumericError("the spectrum is too large to sample a resolvent point")
     if avoid is not None:
         au, av = avoid.w, avoid.vec_norm()
     for _ in range(5000):

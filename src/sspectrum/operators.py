@@ -329,7 +329,7 @@ def operator_from_dict(doc) -> CommutingOperator:
     if not isinstance(doc, dict):
         raise InputError("operator document must be a JSON object")
     n = doc.get("n")
-    if n is not None and (type(n) is not int or n < 1):
+    if "n" in doc and (type(n) is not int or n < 1):
         raise InputError(f"'n' must be a positive integer, got {n!r}")
     comps = {}
     for name in ("T0", "T1", "T2", "T3"):

@@ -505,6 +505,7 @@ _OK_CONTOUR = '{"J": [0, 1, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}]}'
     pytest.param("contour",
                  b'{"J": [0, 1, 0, 0], "circles": [{"center": "2.5", "radius": "4.0"}]}',
                  id="contour-string-circle"),
+    pytest.param("operator", b'{"n": null, "T0": [[0, 0], [0, 5]]}', id="operator-null-n"),
 ])
 def test_unreadable_documents_are_parse_errors(tmp_path, capsys, which, text):
     docs = {"operator": _OK_OP, "function": _OK_STEM, "contour": _OK_CONTOUR}
@@ -518,6 +519,18 @@ def test_unreadable_documents_are_parse_errors(tmp_path, capsys, which, text):
     captured = capsys.readouterr()
     err = json.loads(captured.err)
     assert err["error"] == "InputError" and err["exit"] == 2
+    assert captured.out == ""
+
+
+def test_verify_refuses_a_spectrum_too_large_to_sample(tmp_path, capsys):
+    # the resolvent points are drawn from a box three times the spectrum's
+    # reach; at 1e308 that box overflows the float range
+    op = write_json(tmp_path / "op.json", {"n": 2, "T0": [[1e308, 0], [0, 5]],
+                                           "T1": [[1, 0], [0, 0]]})
+    assert cli.main(["verify", "--name", "p2_kernel_power_shift_left",
+                     "--operator", op]) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NumericError"
     assert captured.out == ""
 
 
