@@ -6,16 +6,17 @@ be emitted as CSV.  Errors are printed as machine-readable JSON on
 stderr with exit codes 2 (parse), 3 (precondition) and 4 (numeric);
 failing checks exit 1.
 
-All floats are printed with 17 significant digits so emitted documents
-re-read bit-identically, and a fixed seed makes every byte of the
-output reproducible.
+Every document is one ``json.dumps`` call: floats print as their
+shortest round-trip ``repr`` (NaN, Infinity and -Infinity as written),
+so emitted documents re-read bit-identically, and a fixed seed makes
+every byte of the output reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import identities
 from .calculus import CalculusKind, apply_calculus, riesz_projector
-from .contour import auto_contour, load_contour
+from .contour import DEFAULT_NODES, auto_contour, check_nodes, load_contour
 from .errors import (CalculusError, InputError, NumericError,
                      PreconditionError)
 from .operators import load_operator
@@ -31,6 +32,10 @@ from .quat import E1
 from .slicefn import load_stem
 
 __all__ = ["RunConfig", "run", "main"]
+
+# the largest --m: beyond it s^m overflows a double for any |s| >= 2,
+# and the power sums cost about 0.5 ms per degree
+MAX_DEGREE = 1024
 
 
 @dataclass
@@ -42,86 +47,12 @@ class RunConfig:
     calculus: str = "s"
     cluster: str | None = None
     nodes: int | None = None
-    tol: float = 1e-8
+    tol: float = identities.DEFAULT_TOL
     seed: int = 0
     out_format: str = "json"
     out: str | None = None
     name: str | None = None
     m: int = 3
-
-    DEFAULT_NODES = 256
-
-
-# ---------------------------------------------------------------------------
-# deterministic JSON with lossless floats
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    text = format(x, ".17g")
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
-
-
-def _float_template(obj, values):
-    """A %-format template for a nest of lists whose leaves are all
-    floats, appending the floats to values in order; None for any other
-    nest.  One format call then renders a whole matrix."""
-    if all(type(v) is float for v in obj):
-        values.extend(obj)
-        return "[" + ",".join(("%.17g",) * len(obj)) + "]"
-    parts = []
-    for v in obj:
-        if type(v) not in (list, tuple):
-            return None
-        part = _float_template(v, values)
-        if part is None:
-            return None
-        parts.append(part)
-    return "[" + ",".join(parts) + "]"
-
-
-# a whole '%.17g' token with neither a point nor an exponent
-_INTEGRAL_TOKEN = re.compile(r"(?<=[\[,])(-?\d+)(?=[\],])")
-
-
-def _mend_floats(text, values):
-    """Turn '%.17g' tokens into _fmt_float's: NaN, Infinity, -Infinity,
-    and '.0' after integral values."""
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    if any(map(float.is_integer, values)):
-        text = _INTEGRAL_TOKEN.sub(r"\1.0", text)
-    return text
-
-
-def dump_json(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        values = []
-        template = _float_template(obj, values)
-        if template is not None:
-            return _mend_floats(template % tuple(values), values)
-        return "[" + ",".join(dump_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{dump_json(str(k))}:{dump_json(v)}"
-                              for k, v in obj.items()) + "}"
-    raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +60,7 @@ def dump_json(obj) -> str:
 
 
 def _nodes(config: RunConfig) -> int:
-    return config.nodes if config.nodes is not None else RunConfig.DEFAULT_NODES
+    return config.nodes if config.nodes is not None else DEFAULT_NODES
 
 
 def _resolve_contour(config: RunConfig, T, selection=None):
@@ -228,20 +159,20 @@ def _require(value, flag):
     return value
 
 
-def _render(config: RunConfig, doc) -> str:
-    from .identities import IdentityReport, reports_to_csv, reports_to_json
+def _json(doc) -> str:
+    """The one rendering of every JSON document, identity reports
+    included; Python's float repr is the shortest that round-trips."""
+    return json.dumps(doc, separators=(",", ":"),
+                      default=identities.IdentityReport.to_dict) + "\n"
 
-    if isinstance(doc, IdentityReport):
-        if config.out_format == "csv":
-            return reports_to_csv([doc])
-        return dump_json(doc.to_dict()) + "\n"
-    if isinstance(doc, list) and doc and isinstance(doc[0], IdentityReport):
-        if config.out_format == "csv":
-            return reports_to_csv(doc)
-        return dump_json(reports_to_json(doc)) + "\n"
-    if config.out_format == "csv":
+
+def _render(config: RunConfig, doc) -> str:
+    if config.out_format == "json":
+        return _json(doc)
+    reports = doc if isinstance(doc, list) else [doc]
+    if not all(isinstance(r, identities.IdentityReport) for r in reports):
         raise InputError("csv output is only defined for identity reports")
-    return dump_json(doc) + "\n"
+    return identities.reports_to_csv(reports)
 
 
 def run(config: RunConfig):
@@ -250,68 +181,76 @@ def run(config: RunConfig):
         raise InputError(f"unknown command '{config.command}'")
     if config.out_format not in ("json", "csv"):
         raise InputError(f"unknown format '{config.out_format}'")
+    if config.calculus not in {kind.value for kind in CalculusKind}:
+        raise InputError(f"unknown calculus '{config.calculus}'")
     if not (math.isfinite(config.tol) and config.tol >= 0.0):
         raise InputError(f"--tol must be finite and non-negative, got {config.tol}")
-    if config.m < 0:
-        raise InputError(f"--m must be non-negative, got {config.m}")
+    if not 0 <= config.m <= MAX_DEGREE:
+        raise InputError(f"--m must be in 0..{MAX_DEGREE}, got {config.m}")
+    if config.nodes is not None:
+        check_nodes(config.nodes)
     status, doc = _COMMANDS[config.command](config)
     return status, _render(config, doc)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError where argparse would print usage and exit 2, so
+    a refused flag gets the same JSON error line as any parse error."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sspectrum",
-        description="Quaternionic functional calculi on the S-spectrum")
+    parser = _Parser(prog="sspectrum",
+                     description="Quaternionic functional calculi on the S-spectrum")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _COMMANDS:
-        sp = sub.add_parser(cmd)
-        sp.add_argument("--operator", default=None)
-        sp.add_argument("--function", default=None)
-        sp.add_argument("--calculus", default="s", choices=["s", "q", "p2", "f"])
-        sp.add_argument("--contour", default="auto")
-        sp.add_argument("--cluster", default=None)
-        sp.add_argument("--nodes", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", dest="out_format", default="json",
-                        choices=["json", "csv"])
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--name", default=None)
-        sp.add_argument("--m", type=int, default=3)
+        # an absent flag stays out of the namespace: RunConfig holds every default
+        sp = sub.add_parser(cmd, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--operator")
+        sp.add_argument("--function")
+        sp.add_argument("--calculus", choices=[kind.value for kind in CalculusKind])
+        sp.add_argument("--contour")
+        sp.add_argument("--cluster")
+        sp.add_argument("--nodes", type=int)
+        sp.add_argument("--tol", type=float)
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--format", dest="out_format", choices=["json", "csv"])
+        sp.add_argument("--out")
+        sp.add_argument("--name")
+        sp.add_argument("--m", type=int)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(**vars(args))
     try:
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
         # non-finite results raise NumericError; warnings would only litter stderr
         with np.errstate(all="ignore"):
             status, text = run(config)
     except InputError as exc:
-        _emit_error(exc, 2)
-        return 2
+        return _emit_error(exc, 2)
     except PreconditionError as exc:
-        _emit_error(exc, 3)
-        return 3
+        return _emit_error(exc, 3)
     except (NumericError, CalculusError) as exc:
-        _emit_error(exc, 4)
-        return 4
+        return _emit_error(exc, 4)
     if config.out:
         try:
             with open(config.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _emit_error(InputError(f"cannot write --out {config.out}: {exc}"), 2)
-            return 2
+            return _emit_error(InputError(f"cannot write --out {config.out}: {exc}"), 2)
     else:
         sys.stdout.write(text)
     return status
 
 
-def _emit_error(exc, code):
-    doc = {"error": type(exc).__name__, "message": str(exc), "exit": code}
-    sys.stderr.write(dump_json(doc) + "\n")
+def _emit_error(exc, code) -> int:
+    """Print exc as the JSON error line on stderr; returns the exit code."""
+    sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc),
+                            "exit": code}))
+    return code
 
 
 if __name__ == "__main__":

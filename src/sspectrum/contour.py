@@ -52,6 +52,9 @@ __all__ = [
 
 DEFAULT_NODES = 256
 MIN_NODES = 8
+# 16 times the 4096 nodes that the trapezoid rule was seen to need on
+# random n = 4 operators; each circle allocates arrays of this length
+MAX_NODES = 65_536
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ class Contour:
             # type(...) is int: True or 1.0 would pass, and be saved as such
             if type(comp.orientation) is not int or comp.orientation not in (-1, 1):
                 raise InputError(f"orientation {comp.orientation!r} is not +1 or -1")
-        if type(self.nodes_per_circle) is not int:
-            raise InputError(f"nodes per circle {self.nodes_per_circle!r} is not an integer")
+        check_nodes(self.nodes_per_circle)
         if self.components and self.nodes_per_circle < MIN_NODES:
             raise InputError(f"need at least {MIN_NODES} nodes per circle")
 
@@ -126,6 +128,15 @@ class Contour:
                 if d < r:
                     turns += comp.orientation
         return turns, gap
+
+
+def check_nodes(N) -> None:
+    """Raise InputError unless N is an int of at most MAX_NODES: the one
+    test of a node count, for contours and --nodes alike."""
+    if type(N) is not int:
+        raise InputError(f"nodes per circle {N!r} is not an integer")
+    if N > MAX_NODES:
+        raise InputError(f"at most {MAX_NODES} nodes per circle, got {N}")
 
 
 def check_winding(c: Contour, points, turns, what: str) -> None:

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 from conftest import rel
 from sspectrum import CommutingOperator, QuatMatrix, Quaternion, cli, identities
 from sspectrum.calculus import CalculusKind, stem_moment
-from sspectrum.cli import RunConfig, dump_json, run
-from sspectrum.errors import NumericError
+from sspectrum.cli import MAX_DEGREE, RunConfig, run
+from sspectrum.contour import MAX_NODES
+from sspectrum.errors import InputError, NumericError
+
+
+def compact(doc):
+    """A document as the CLI prints it."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def write_json(path, doc):
@@ -116,7 +122,7 @@ def test_verify_integral_evaluates_only_its_row(monkeypatch):
             status, text = run(RunConfig("verify", name=name, seed=3, nodes=64))
         assert evaluated == []
         assert status == (0 if expected[name].passed else 1)
-        assert text == dump_json(expected[name].to_dict()) + "\n"
+        assert text == compact(expected[name].to_dict())
 
 
 def test_selftest_passes_and_roundtrips():
@@ -125,7 +131,7 @@ def test_selftest_passes_and_roundtrips():
     doc = json.loads(text)
     assert all(entry["pass"] for entry in doc)
     # reading the emitted document back and re-emitting reproduces the bytes
-    assert dump_json(doc) + "\n" == text
+    assert compact(doc) == text
 
 
 def test_selftest_csv():
@@ -180,12 +186,18 @@ def test_out_file(tmp_path, e1_op):
 
 
 def test_float_format_is_lossless():
-    values = [0.1, 1.0, -0.0, 1e-300, 123456789.123456789, 2.0 ** -52]
-    text = dump_json(values)
+    values = [0.1, 1.0, -0.0, 1e-300, 123456789.123456789, 2.0 ** -52, 5e-324,
+              1e16, -1e16, 1e300, math.nan, math.inf, -math.inf]
+    text = cli._json(values)
+    assert text == ("[0.1,1.0,-0.0,1e-300,123456789.12345679,2.220446049250313e-16,"
+                    "5e-324,1e+16,-1e+16,1e+300,NaN,Infinity,-Infinity]\n")
     back = json.loads(text)
-    for x, y in zip(values, back):
-        assert float(y) == x
-    assert dump_json(back) == text
+    # repr tells -0.0 from 0.0 and names every other double uniquely
+    assert list(map(repr, back)) == list(map(repr, values))
+    assert cli._json(back) == text
+    # numpy doubles print as floats; ints, bools, None and tuples as JSON
+    assert cli._json({"P": [np.float64(2.0), 1, True, None, (1.5, -0.0)]}) == \
+        '{"P":[2.0,1,true,null,[1.5,-0.0]]}\n'
 
 
 def test_projector_computes_spectrum_once(split_op, monkeypatch):
@@ -216,52 +228,6 @@ def test_non_finite_operator_is_a_parse_error(tmp_path, capsys, doc):
     assert cli.main(["projector", "--operator", op, "--calculus", "p2",
                      "--cluster", "0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InputError"
-
-
-def _reference_dump(obj):
-    """The element-by-element renderer that the float-list fast path of
-    dump_json must reproduce byte for byte."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        text = format(obj, ".17g")
-        return text if any(ch in text for ch in ".eE") else text + ".0"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_reference_dump(v) for v in obj) + "]"
-    return "{" + ",".join(f"{_reference_dump(str(k))}:{_reference_dump(v)}"
-                          for k, v in obj.items()) + "}"
-
-
-def test_float_lists_render_as_reference():
-    special = [-0.0, 0.0, 3.0, -7.0, 1e16, -1e16, 1e17, 5e-324, -5e-324, 1e300,
-               float("nan"), -float("nan"), float("inf"), -float("inf"),
-               0.1, 2.0 ** 53, 123456789.0, -1.5e-7]
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((6, 6, 4))
-    M.flat[rng.choice(M.size, len(special), replace=False)] = special
-    docs = [
-        special,
-        [[v] for v in special],
-        M.tolist(),
-        {"projector": M.tolist(), "pass": True, "scale": 1.0, "n": 3},
-        [1.0, 2, 3.5],                      # mixed int and float
-        [[1.0, 2.0], [3.0, True]],          # a bool leaf
-        [[], [[]], ()],
-        (1.5, -0.0),
-        [np.float64(2.0), 0.5],
-    ]
-    for doc in docs:
-        assert dump_json(doc) == _reference_dump(doc), doc
 
 
 @pytest.mark.parametrize("circles, nodes", [
@@ -653,17 +619,28 @@ def _mutated(draw):
     return docs, target, refused
 
 
-def _flag(name, values):
-    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+def _flag(name, values, refused=()):
+    """No flag, or --name=value with a value drawn from values or from
+    refused; the second item says whether the value is one that must
+    exit 2."""
+    options = [st.just(([], False)), values.map(lambda v: ([f"--{name}={v}"], False))]
+    if refused:
+        options.append(st.sampled_from(refused).map(lambda v: ([f"--{name}={v}"], True)))
+    return st.one_of(*options)
 
 
+# refused values: argparse's (not a number, not a choice) and run's
+# (beyond a bound, non-finite, negative)
 _FLAGS = st.tuples(
     _flag("cluster", st.one_of(st.text("01,-x ", max_size=5), st.just("9" * 400))),
-    _flag("nodes", st.sampled_from([-1, 0, 7, 8, 33, 64])),
-    _flag("tol", st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-8", "1"])),
-    _flag("m", st.integers(-3, 6)),
-    _flag("calculus", st.sampled_from(["s", "q", "p2", "f"])),
-    st.sampled_from([["--contour", "auto"], ["--contour", "FILE"], []]),
+    _flag("nodes", st.sampled_from([-1, 0, 7, 8, 33, 64]),
+          [MAX_NODES + 1, 10 ** 12, "abc", "1.5", ""]),
+    _flag("tol", st.sampled_from(["0", "1e-300", "1e-8", "1"]),
+          ["nan", "inf", "-inf", "-1", "abc", ""]),
+    _flag("m", st.integers(0, 6), [-3, -1, MAX_DEGREE + 1, 10 ** 9, "x", "2.5"]),
+    _flag("calculus", st.sampled_from(["s", "q", "p2", "f"]), ["x", "", "S"]),
+    st.sampled_from([["--contour", "auto"], ["--contour", "FILE"], []]).map(
+        lambda group: (group, False)),
 )
 
 
@@ -673,10 +650,10 @@ _FLAGS = st.tuples(
                         "verify --name=q_resolvent_eq"]),
        _mutated(), _FLAGS)
 def test_any_input_exits_with_a_documented_code(command, mutation, flags):
-    """Mutated documents and out-of-range flags exit 0 or 1 with a document
-    on stdout, or 2, 3 or 4 with one JSON error on stderr, never a
-    traceback; a document that the command reads and that holds a value
-    no field accepts exits 2."""
+    """Mutated documents and flags exit 0 or 1 with a document on stdout,
+    or 2, 3 or 4 with one JSON error on stderr, never a traceback; a
+    refused flag value, and a document that the command reads and that
+    holds a value no field accepts, exit 2."""
     docs, target, refused = mutation
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -685,7 +662,7 @@ def test_any_input_exits_with_a_documented_code(command, mutation, flags):
             Path(paths[name]).write_text(json.dumps(doc))
         argv = command.split() + ["--operator", paths["operator"],
                                   "--function", paths["function"]]
-        for group in flags:
+        for group, _ in flags:
             argv += [paths["contour"] if a == "FILE" else a for a in group]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -699,7 +676,87 @@ def test_any_input_exits_with_a_documented_code(command, mutation, flags):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["exit"] == code
         assert out.getvalue() == ""
+    if any(flag_refused for _, flag_refused in flags):
+        assert code == 2, argv
     read = {"operator": True, "function": command == "apply",
             "contour": paths["contour"] in argv and command in ("apply", "projector")}
     if refused and read[target]:
         assert code == 2, (target, docs[target])
+
+
+@pytest.mark.parametrize("entry, m", [(1e30, 8), (1e60, 5)])
+def test_overflowing_power_shift_fails(tmp_path, capsys, entry, m):
+    # s^m overflows, so the pair's relative residual is NaN: the worst pair
+    op = write_json(tmp_path / "op.json", {"n": 1, "T0": [[entry]]})
+    assert cli.main(["verify", "--name", "p2_kernel_power_shift_left", "--m", str(m),
+                     "--operator", op]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert math.isnan(doc["residual"] / doc["scale"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--calculus", "x"],
+    ["projector", "--tol", "abc"],
+    ["apply", "--nodes", "abc"],
+    ["verify", "--m", "2.5"],
+    ["selftest", "--format", "xml"],
+    ["selftest", "--no-such-flag"],
+    ["no-such-command"],
+    [],
+])
+def test_refused_flags_print_a_json_parse_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InputError" and json.loads(lines[0])["exit"] == 2
+    assert captured.out == ""
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["apply", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sspectrum apply")
+
+
+def test_run_refuses_an_unknown_calculus(zero_op, tmp_path):
+    fn = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[1, 0, 0, 0]]})
+    with pytest.raises(InputError, match="unknown calculus 'x'"):
+        run(RunConfig("apply", operator=zero_op, function=fn, calculus="x"))
+
+
+def test_run_config_holds_every_default():
+    # the parser leaves an absent flag out, so RunConfig's default applies
+    assert vars(cli._build_parser().parse_args(["selftest"])) == {"command": "selftest"}
+    assert RunConfig("selftest").tol == identities.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("command", ["spectrum", "apply", "projector", "verify", "selftest"])
+@pytest.mark.parametrize("flag, value", [("--nodes", MAX_NODES + 1),
+                                         ("--nodes", 10 ** 12),
+                                         ("--m", MAX_DEGREE + 1)])
+def test_flags_beyond_their_bound_exit_before_the_command(monkeypatch, capsys, split_op,
+                                                          command, flag, value):
+    def refuse(config):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setitem(cli._COMMANDS, command, refuse)
+    assert cli.main([command, "--operator", split_op, "--name", "q_product_rule",
+                     flag, str(value)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def test_m_at_its_bound_is_accepted(capsys):
+    assert cli.main(["verify", "--name", "q_resolvent_eq", "--m", str(MAX_DEGREE)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_contour_nodes_beyond_the_bound_are_a_parse_error(tmp_path, capsys, split_op):
+    doc = {"J": [0, 1, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}],
+           "nodes": MAX_NODES + 1}
+    assert _apply_on_contour(tmp_path, split_op, doc) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and err["exit"] == 2

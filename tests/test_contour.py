@@ -8,8 +8,8 @@ from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
                        auto_contour, enclosing_circle, integrate, qinv,
                        stem_moment)
-from sspectrum.contour import (Circle, Contour, DiskPair, _axis_centered_radius,
-                               contour_from_dict, contour_to_dict,
+from sspectrum.contour import (MAX_NODES, Circle, Contour, DiskPair,
+                               _axis_centered_radius, contour_from_dict, contour_to_dict,
                                load_contour, node_arrays, save_contour)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import random_commuting_operator
@@ -289,3 +289,18 @@ def test_contour_bad_documents():
         contour_from_dict({"circles": []})
     with pytest.raises(InputError):
         contour_from_dict({"J": [0, 1, 0, 0], "circles": [{"radius": 1.0}]})
+
+
+def test_node_count_is_bounded_on_every_contour():
+    # building a contour allocates no nodes, so the bound itself is cheap to try
+    circle = Circle(0.0, 1.0)
+    assert Contour(E1, (circle,), MAX_NODES).nodes_per_circle == MAX_NODES
+    with pytest.raises(InputError, match="at most"):
+        Contour(E1, (circle,), MAX_NODES + 1)
+    with pytest.raises(InputError, match="at most"):
+        Contour(E1, (circle,), MAX_NODES).with_nodes(MAX_NODES + 1)
+    with pytest.raises(InputError, match="at most"):
+        auto_contour([SpectralSphere(0.0, 1.0)], [0], N=MAX_NODES + 1)
+    with pytest.raises(InputError, match="at most"):
+        contour_from_dict({"J": [0, 1, 0, 0], "circles": [{"center": 0.0, "radius": 1.0}],
+                           "nodes": MAX_NODES + 1})

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion,
-                       QuatMatrix, enclosing_circle, kernel, qinv,
+                       QuatMatrix, enclosing_circle, identities, kernel, qinv,
                        qs_poly, s_spectrum, verify_all, verify_integral,
                        verify_pointwise, verify_seeded)
 from sspectrum.contour import Circle, Contour
@@ -17,7 +17,7 @@ from sspectrum.identities import (INTEGRAL_IDENTITIES, POINTWISE_IDENTITIES,
                                   random_commuting_operator,
                                   random_resolvent_point, random_stem,
                                   registry_names, reports_to_csv,
-                                  reports_to_json, split_spectrum_operator)
+                                  split_spectrum_operator)
 
 MANIFEST = json.loads(
     (Path(__file__).parent / "data" / "identity_manifest.json").read_text())
@@ -72,10 +72,26 @@ def test_unknown_name():
         verify_pointwise("no_such_identity", T, Quaternion(1))
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_random_commuting_operator_is_built_once(monkeypatch, rng, scale):
+    # the commutation check runs in the constructor; one draw runs it once
+    built = []
+
+    class Counting(CommutingOperator):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(identities, "CommutingOperator", Counting)
+    T = random_commuting_operator(rng, 3, scale=scale)
+    assert built == [T]
+    assert abs(T.norm() - scale) <= 1e-15 * scale
+
+
 def test_verify_all_deterministic():
     a = verify_all(seed=0, nodes=64)
     b = verify_all(seed=0, nodes=64)
-    assert reports_to_json(a) == reports_to_json(b)
+    assert a == b
     assert all(r.passed for r in a)
 
 
@@ -100,13 +116,17 @@ def test_verify_all_zero_tol_fails_everything():
 
 def test_report_serialization():
     reports = verify_all(seed=1, nodes=64)
-    doc = reports_to_json(reports)
-    assert {"name", "inputs", "residual", "scale", "tol", "pass"} <= set(doc[0])
+    assert {"name", "inputs", "residual", "scale", "tol", "pass"} <= set(reports[0].to_dict())
     csv = reports_to_csv(reports)
     lines = csv.strip().splitlines()
     assert lines[0] == "name,residual,scale,pass"
     assert len(lines) == len(reports) + 1
-    assert lines[1].split(",")[0] == reports[0].name
+    for line, report in zip(lines[1:], reports):
+        name, residual, scale, passed = line.split(",")
+        # floats print as their repr, which re-reads to the same double
+        assert name == report.name and passed == str(report.passed).lower()
+        assert (residual, scale) == (repr(report.residual), repr(report.scale))
+        assert (float(residual), float(scale)) == (report.residual, report.scale)
 
 
 def test_closing_rewrite_disagrees(rng):
