@@ -24,7 +24,7 @@ import numpy as np
 
 from . import identities
 from .calculus import CalculusKind, apply_calculus, riesz_projector
-from .contour import DEFAULT_NODES, auto_contour, check_nodes, load_contour
+from .contour import DEFAULT_NODES, MIN_NODES, auto_contour, check_nodes, load_contour
 from .errors import (CalculusError, InputError, NumericError,
                      PreconditionError)
 from .operators import load_operator
@@ -189,6 +189,8 @@ def run(config: RunConfig):
         raise InputError(f"--m must be in 0..{MAX_DEGREE}, got {config.m}")
     if config.nodes is not None:
         check_nodes(config.nodes)
+        if config.nodes < MIN_NODES:
+            raise InputError(f"--nodes must be at least {MIN_NODES}, got {config.nodes}")
     status, doc = _COMMANDS[config.command](config)
     return status, _render(config, doc)
 

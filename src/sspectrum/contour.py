@@ -35,7 +35,7 @@ from .errors import (GeometryError, InputError, NumericError, read_document,
                      read_numbers)
 from .kernels import CalculusKind, kernel_sum
 from .operators import CommutingOperator
-from .qlinalg import QuatMatrix, qmul_arr
+from .qlinalg import QuatMatrix, in_plane, qmul_arr
 from .quat import E1, Quaternion, imaginary_unit
 
 __all__ = [
@@ -161,14 +161,7 @@ def node_arrays(c: Contour):
     bit for bit."""
     z, w, _, _ = slice_nodes(c)
     J = c.J.as_array()
-    return _in_plane(z, J), _in_plane(w, J)
-
-
-def _in_plane(z, J):
-    """Complex a + ib as the quaternions a + bJ, an (M, 4) array."""
-    out = z.imag[:, None] * J
-    out[:, 0] = z.real
-    return out
+    return in_plane(z, J), in_plane(w, J)
 
 
 def _ring(N):
@@ -251,14 +244,14 @@ def integrate(c: Contour, kind: CalculusKind, T: CommutingOperator, f,
         vals = [np.zeros((T.n, T.n, 4)) for _ in stems]
     else:
         J = c.J.as_array()
-        s_arr, w_arr = _in_plane(z, J), _in_plane(w, J)
+        s_arr, w_arr = in_plane(z, J), in_plane(w, J)
         weights = np.stack([_weights(g, s_arr, w_arr, side) for g in stems])
         if not np.all(np.isfinite(weights)):
             raise NumericError("stem values at the contour nodes are not finite")
         paired = mirror >= 0
         c_conj = np.zeros((len(stems), len(upper), 4))
         c_conj[:, paired] = weights[:, mirror[paired]]
-        vals = kernel_sum(kind, T, J[1:], z[upper], weights[:, upper],
+        vals = kernel_sum(kind, T, J, z[upper], weights[:, upper],
                           side, c_conj, upper)
         if not np.all(np.isfinite(vals)):
             raise NumericError("the contour sum is not finite")

@@ -26,8 +26,11 @@ C + sum_j e_j Z_j (left forms) or C + sum_j Z_j e_j (right forms), where
 C and Z_j are real matrix polynomials in T applied to z^p G, p <= 2, with
 G = Q^-1 or +-4 Q^-2, and X + iY stands for X + YJ.
 
-``kernel_at_nodes`` maps C and Z to quaternion components at every node,
-an (N, n, n, 4) stack, and ``kernel`` at one point; paired node by node,
+``kernel_at_nodes`` turns C and Z into quaternions at every node, an
+(N, n, n, 4) stack, and ``kernel`` at one point: C by the embedding
+``qlinalg.in_plane``, and sum_j e_j Z_j as X + Y J (X + J Y for right
+forms), X and Y the vector quaternions of the real and imaginary parts
+of the Z_j, so the one product in it is ``qmul_arr``.  Paired node by node,
 that stack is the tests' oracle for the contracted sum.  ``kernel_sum``,
 the one path by which ``contour.integrate`` pairs a kernel with stems,
 never forms that stack: the map from z^p G to the kernel is real-linear,
@@ -48,7 +51,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError, SingularMatrixError
 from .operators import CommutingOperator, gram
-from .qlinalg import PIVOT_RTOL, QuatMatrix, product_matrices
+from .qlinalg import PIVOT_RTOL, QuatMatrix, in_plane, product_matrices, qmul_arr
 from .quat import Quaternion, qinv, qs_poly
 from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
 
@@ -118,8 +121,7 @@ def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
         z, J = _slice_coordinates(s_arr[lo:hi])
         G = _pencil_term(kind, T.T0, K, z, np.arange(lo, hi))
         S = (z[:, None] ** powers)[:, :, None, None] * G[:, None]
-        C, Z = _kernel_parts(kind, side, T, S)
-        _to_quaternion(C, Z, J, side, out[lo:hi])
+        out[lo:hi] = _to_quaternion(*_kernel_parts(kind, side, T, S), J, side)
     return out[0] if squeeze else out
 
 
@@ -129,8 +131,8 @@ def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
     on that side and summed over nodes.
 
     The nodes z (U,) are complex slice values a + ib standing for
-    a + bJ in the plane C_J of the imaginary unit J, given as its (3,)
-    vector part; b may be negative.  For each row of weights
+    a + bJ in the plane C_J of the imaginary unit J, a (4,) quaternion
+    array; b may be negative.  For each row of weights
     c (S, U, 4) this returns
 
         sum_k K(z_k) c_k  (side 'left')   or   sum_k c_k K(z_k)  (side 'right'),
@@ -181,9 +183,7 @@ def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
     out = np.empty((len(c), n, n, 4))
     for r in range(len(c)):
         M = (moments[r, :rows] + 1j * moments[r, rows:]).reshape(4, len(powers), n, n)
-        C, Z = _kernel_parts(kind, side, T, M)
-        Phi = np.empty((4, n, n, 4))
-        _to_quaternion(C, Z, np.broadcast_to(J, (4, 3)), side, Phi)
+        Phi = _to_quaternion(*_kernel_parts(kind, side, T, M), J, side)
         out[r] = np.tensordot(Phi, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
     return out
 
@@ -195,13 +195,13 @@ def _check_side(side):
 
 def _slice_coordinates(s_arr):
     """Each node as s = a + b J_s: the slice value z = a + ib and the unit
-    J_s as (N, 3) vector parts (e1 for real nodes, where any unit does)."""
+    J_s as an (N, 4) array (e1 for real nodes, where any unit does)."""
     vec = s_arr[:, 1:]
     b = np.sqrt(np.sum(vec * vec, axis=1))
-    J = np.zeros_like(vec)
-    J[:, 0] = 1.0
+    J = np.zeros_like(s_arr)
+    J[:, 1] = 1.0
     off_axis = b > 0.0
-    J[off_axis] = vec[off_axis] / b[off_axis, None]
+    J[off_axis, 1:] = vec[off_axis] / b[off_axis, None]
     return s_arr[:, 0] + 1j * b, J
 
 
@@ -270,25 +270,22 @@ def _kernel_parts(kind, side, T, S):
     return zX - X @ T0, X[..., None, :, :] @ V
 
 
-def _to_quaternion(C, Z, J, side, out):
-    """Write into out (N, n, n, 4) the quaternion form of C + sum_k e_k Z_k
-    (side 'left') or C + sum_k Z_k e_k ('right'), where the complex C and Z_k (Z
-    is (N, 3, n, n) or None) stand for X + Y J, with one unit J (N, 3)
-    per matrix."""
-    j = [J[:, k, None, None] for k in range(3)]
-    if Z is None:
-        out[..., 0] = C.real
-        for k in range(3):
-            out[..., k + 1] = C.imag * j[k]
-        return
-    X, Y = Z.real, Z.imag
-    # e_k J = -J_k + e_k x J and J e_k = -J_k - e_k x J
-    out[..., 0] = C.real - (Y[:, 0] * j[0] + Y[:, 1] * j[1] + Y[:, 2] * j[2])
-    for k in range(3):
-        a, b = (k + 1) % 3, (k + 2) % 3
-        if side == "right":
-            a, b = b, a
-        out[..., k + 1] = C.imag * j[k] + X[:, k] + (Y[:, a] * j[b] - Y[:, b] * j[a])
+def _to_quaternion(C, Z, J, side):
+    """The quaternion form (N, n, n, 4) of C + sum_k e_k Z_k (side 'left')
+    or C + sum_k Z_k e_k ('right'), where the complex C (N, n, n) and Z_k
+    (Z is (N, 3, n, n) or None) stand for X + Y J, with the unit J an
+    (N, 4) array, one per matrix, or one (4,) array for all.  With the
+    vector parts X = sum_k Re(Z_k) e_k and Y = sum_k Im(Z_k) e_k, the sum
+    over k is X + Y J on the left side and X + J Y on the right."""
+    J = J[..., None, None, :]
+    out = in_plane(C, J)
+    if Z is not None:
+        Z = np.moveaxis(Z, -3, -1)
+        Y = np.zeros(out.shape)
+        Y[..., 1:] = Z.imag
+        out += qmul_arr(Y, J) if side == "left" else qmul_arr(J, Y)
+        out[..., 1:] += Z.real
+    return out
 
 
 def kernel(kind: CalculusKind, T: CommutingOperator, s: Quaternion,

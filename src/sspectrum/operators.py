@@ -44,6 +44,9 @@ EPS = float(np.finfo(np.float64).eps)
 # Matrix entries per batch of midpoint tests (pairs times m^2).
 CLUSTER_BATCH_ENTRIES = 1 << 16
 REAL_SPECTRUM_RTOL = 1e-8
+# The largest n of an operator document: the eig of the 2n x 2n companion
+# took 1.5 s at n = 512 on 2 CPUs and grows as n^3, to about 100 s at 2048.
+MAX_DIMENSION = 2048
 
 
 @dataclass(frozen=True)
@@ -329,29 +332,29 @@ def operator_from_dict(doc) -> CommutingOperator:
     if not isinstance(doc, dict):
         raise InputError("operator document must be a JSON object")
     n = doc.get("n")
-    if "n" in doc and (type(n) is not int or n < 1):
-        raise InputError(f"'n' must be a positive integer, got {n!r}")
+    if "n" in doc and (type(n) is not int or not 1 <= n <= MAX_DIMENSION):
+        raise InputError(f"'n' must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
     comps = {}
     for name in ("T0", "T1", "T2", "T3"):
         if name in doc:
             M = read_numbers(doc[name], f"component {name}")
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise InputError(f"component {name} must be a square matrix")
+            if M.shape[0] > MAX_DIMENSION:
+                raise InputError(f"component {name} has dimension {M.shape[0]}, "
+                                 f"above {MAX_DIMENSION}")
             comps[name] = M
             if n is None:
                 n = M.shape[0]
     if n is None:
         raise InputError("operator document needs 'n' or at least one component")
-    try:
-        zero = np.zeros((n, n))  # ValueError for an n beyond any array
-        for name in ("T0", "T1", "T2", "T3"):
-            comps.setdefault(name, zero)
-            if comps[name].shape[0] != n:
-                raise InputError(f"component {name} has dimension "
-                                 f"{comps[name].shape[0]}, expected {n}")
-        return CommutingOperator(comps["T0"], comps["T1"], comps["T2"], comps["T3"])
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    zero = np.zeros((n, n))
+    for name in ("T0", "T1", "T2", "T3"):
+        comps.setdefault(name, zero)
+        if comps[name].shape[0] != n:
+            raise InputError(f"component {name} has dimension "
+                             f"{comps[name].shape[0]}, expected {n}")
+    return CommutingOperator(comps["T0"], comps["T1"], comps["T2"], comps["T3"])
 
 
 def operator_to_dict(T: CommutingOperator) -> dict:

@@ -6,6 +6,10 @@ this module accept arbitrary leading batch axes, so a stack of matrices
 evaluated at many contour nodes is processed in one call; the
 :class:`QuatMatrix` wrapper is the single-matrix public face.
 
+Read as complex128, the same memory is the complex pair of a quaternion,
+on which ``_hamilton`` writes the one Hamilton product, entrywise
+(``qmul_arr``) and for matrices (``matmul``).
+
 Kernel evaluation does not solve here: it inverts pencils in the
 complex slice of each node with LAPACK (see :mod:`sspectrum.kernels`).
 This module keeps two independent references for that path.
@@ -34,15 +38,35 @@ PIVOT_RTOL = 1e-12
 # component arithmetic on (..., 4) arrays
 
 
+def _pair(a):
+    """The complex pair (a1, a2) of a (..., 4) array, a = a1 + a2 e2 with
+    a1 = w + x e1 and a2 = y + z e1: its float64 memory read as complex."""
+    v = np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)
+    return v[..., 0], v[..., 1]
+
+
+def _hamilton(a, b, product):
+    """The Hamilton product of (..., 4) arrays under product, np.multiply
+    or np.matmul, from the complex pairs: (a1 + a2 e2)(b1 + b2 e2) =
+    (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) e2, since e2 c = conj(c) e2
+    for c in span{1, e1} (F. Zhang, LAA 251, 1997)."""
+    a1, a2 = _pair(a)
+    b1, b2 = _pair(b)
+    c1 = product(a1, b1) - product(a2, b2.conj())
+    c2 = product(a1, b2) + product(a2, b1.conj())
+    return np.stack((c1, c2), axis=-1).view(np.float64)
+
+
 def qmul_arr(a, b):
     """Hamilton product broadcast over leading axes of (..., 4) arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return _hamilton(a, b, np.multiply)
+
+
+def in_plane(z, J):
+    """Complex a + ib as the quaternions a + bJ, a (..., 4) array, for
+    an imaginary unit J, a (..., 4) array that broadcasts against z."""
+    out = z.imag[..., None] * J
+    out[..., 0] = z.real
     return out
 
 
@@ -66,34 +90,16 @@ def qinv_arr(a):
 def product_matrices(q, side: str):
     """Real (..., 4, 4) matrices R of the product with q on one side:
     x @ R equals qmul_arr(x, q) for side='right' and qmul_arr(q, x) for
-    side='left', for any (..., 4) quaternion row x."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    if side == "right":
-        rows = ((w, x, y, z), (-x, w, -z, y), (-y, z, w, -x), (-z, -y, x, w))
-    else:
-        rows = ((w, x, y, z), (-x, w, z, -y), (-y, -z, w, x), (-z, y, -x, w))
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    side='left', for any (..., 4) quaternion row x.  Row i is the
+    product with the unit e_i."""
+    q = np.asarray(q)[..., None, :]
+    return qmul_arr(np.eye(4), q) if side == "right" else qmul_arr(q, np.eye(4))
 
 
 def matmul(A, B):
-    """Quaternion matrix product on (..., n, n, 4) stacks.
-
-    Expands the Hamilton product into 16 real matrix products; the
-    component matrices commute with the basis symbols, so the sign
-    pattern is the scalar multiplication table verbatim.
-    """
-    a = [A[..., c] for c in range(4)]
-    b = [B[..., c] for c in range(4)]
-    mm = lambda x, y: np.matmul(x, y)
-    return np.stack(
-        (
-            mm(a[0], b[0]) - mm(a[1], b[1]) - mm(a[2], b[2]) - mm(a[3], b[3]),
-            mm(a[0], b[1]) + mm(a[1], b[0]) + mm(a[2], b[3]) - mm(a[3], b[2]),
-            mm(a[0], b[2]) - mm(a[1], b[3]) + mm(a[2], b[0]) + mm(a[3], b[1]),
-            mm(a[0], b[3]) + mm(a[1], b[2]) - mm(a[2], b[1]) + mm(a[3], b[0]),
-        ),
-        axis=-1,
-    )
+    """Quaternion matrix product on (..., n, n, 4) stacks: four complex
+    matrix products of the complex pairs."""
+    return _hamilton(A, B, np.matmul)
 
 
 def scal_left(s, A):

@@ -64,13 +64,12 @@ class Quaternion:
                               self.y * other, self.z * other)
         if not isinstance(other, Quaternion):
             return NotImplemented
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        # the complex-pair product of qlinalg._hamilton, on Python complex
+        a1, a2 = complex(self.w, self.x), complex(self.y, self.z)
+        b1, b2 = complex(other.w, other.x), complex(other.y, other.z)
+        c1 = a1 * b1 - a2 * b2.conjugate()
+        c2 = a1 * b2 + a2 * b1.conjugate()
+        return Quaternion(c1.real, c1.imag, c2.real, c2.imag)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):

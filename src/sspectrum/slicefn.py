@@ -98,17 +98,15 @@ class SlicePoly:
         return all(c.vec_norm() <= INTRINSIC_RTOL * scale for c in self.coeffs)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        acc = Quaternion()
-        for c in reversed(self.coeffs):
-            acc = q * acc + c if self.side == "left" else acc * q + c
-        return acc
+        """The value at one point: at_nodes of that point, so a point
+        gets the same bits alone as in a batch of nodes."""
+        return Quaternion.from_array(self.at_nodes(q.as_array()))
 
     __call__ = evaluate
 
     def at_nodes(self, s_arr: np.ndarray) -> np.ndarray:
-        """evaluate at every row of an (M, 4) node array, by Horner's
-        rule on the whole array; the same floating-point operations in
-        the same order as evaluate, so the values agree bit for bit."""
+        """The values at every row of an (M, 4) node array (or at one
+        (4,) point), by Horner's rule on the whole array."""
         s_arr = np.asarray(s_arr, dtype=np.float64)
         acc = np.zeros_like(s_arr)
         for c in reversed(self.coeffs):

@@ -18,6 +18,7 @@ from sspectrum import CommutingOperator, QuatMatrix, Quaternion, cli, identities
 from sspectrum.calculus import CalculusKind, stem_moment
 from sspectrum.cli import MAX_DEGREE, RunConfig, run
 from sspectrum.contour import MAX_NODES
+from sspectrum.operators import MAX_DIMENSION
 from sspectrum.errors import InputError, NumericError
 
 
@@ -472,6 +473,7 @@ _OK_CONTOUR = '{"J": [0, 1, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}]}'
                  b'{"J": [0, 1, 0, 0], "circles": [{"center": "2.5", "radius": "4.0"}]}',
                  id="contour-string-circle"),
     pytest.param("operator", b'{"n": null, "T0": [[0, 0], [0, 5]]}', id="operator-null-n"),
+    pytest.param("operator", b'{"n": %d}' % (MAX_DIMENSION + 1), id="operator-n-above-bound"),
 ])
 def test_unreadable_documents_are_parse_errors(tmp_path, capsys, which, text):
     docs = {"operator": _OK_OP, "function": _OK_STEM, "contour": _OK_CONTOUR}
@@ -633,8 +635,8 @@ def _flag(name, values, refused=()):
 # (beyond a bound, non-finite, negative)
 _FLAGS = st.tuples(
     _flag("cluster", st.one_of(st.text("01,-x ", max_size=5), st.just("9" * 400))),
-    _flag("nodes", st.sampled_from([-1, 0, 7, 8, 33, 64]),
-          [MAX_NODES + 1, 10 ** 12, "abc", "1.5", ""]),
+    _flag("nodes", st.sampled_from([8, 33, 64]),
+          [-1, 0, 7, MAX_NODES + 1, 10 ** 12, "abc", "1.5", ""]),
     _flag("tol", st.sampled_from(["0", "1e-300", "1e-8", "1"]),
           ["nan", "inf", "-inf", "-1", "abc", ""]),
     _flag("m", st.integers(0, 6), [-3, -1, MAX_DEGREE + 1, 10 ** 9, "x", "2.5"]),
@@ -736,6 +738,8 @@ def test_run_config_holds_every_default():
 @pytest.mark.parametrize("command", ["spectrum", "apply", "projector", "verify", "selftest"])
 @pytest.mark.parametrize("flag, value", [("--nodes", MAX_NODES + 1),
                                          ("--nodes", 10 ** 12),
+                                         ("--nodes", 7),
+                                         ("--nodes", 0),
                                          ("--m", MAX_DEGREE + 1)])
 def test_flags_beyond_their_bound_exit_before_the_command(monkeypatch, capsys, split_op,
                                                           command, flag, value):

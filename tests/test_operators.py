@@ -165,6 +165,23 @@ def test_bad_documents():
         operator_from_dict({"T0": [[1.0]], "T1": [[1.0, 0.0], [0.0, 1.0]]})
 
 
+@pytest.mark.parametrize("n", [operators.MAX_DIMENSION + 1, 10 ** 5])
+def test_dimension_beyond_the_bound_is_refused_before_allocation(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(InputError, match="'n' must be an integer in 1..2048"):
+        operator_from_dict({"n": n})
+
+
+def test_component_beyond_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(operators, "MAX_DIMENSION", 2)
+    assert operator_from_dict({"T0": np.eye(2).tolist()}).n == 2
+    with pytest.raises(InputError, match="component T1 has dimension 3, above 2"):
+        operator_from_dict({"T1": np.eye(3).tolist()})
+
+
 def test_roundtrip_dict():
     T = diag_op([1.0], [2.0])
     assert operator_from_dict(operator_to_dict(T)).n == 1

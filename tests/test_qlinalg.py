@@ -4,7 +4,7 @@ import pytest
 from conftest import rel
 from sspectrum import E1, E2, E3, Quaternion, QuatMatrix, real_adjoint
 from sspectrum.errors import SingularMatrixError
-from sspectrum.qlinalg import solve_arr
+from sspectrum.qlinalg import matmul, product_matrices, qmul_arr, solve_arr
 
 
 def random_qm(rng, n, scale=1.0):
@@ -113,8 +113,6 @@ def test_real_adjoint_vector_action(rng):
     A = random_qm(rng, n)
     x = rng.standard_normal((n, 4))
     # quaternionic product A x against the stacked real coordinates
-    from sspectrum.qlinalg import qmul_arr
-
     Ax = np.sum(qmul_arr(A.data, x[None, :, :]), axis=1)
     rho = real_adjoint(A)
     assert np.allclose(rho @ x.reshape(-1), Ax.reshape(-1), atol=1e-12)
@@ -131,3 +129,81 @@ def test_inverse_agrees_with_adjoint_oracle(rng):
         for j in range(n):
             mapped[i, j, :] = rho_inv[4 * i:4 * i + 4, 4 * j]
     assert rel(QuatMatrix(mapped), via_elimination) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the complex-pair products on every operand layout
+
+# e_i e_j = sign e_k over the basis 1, e1, e2, e3: _TABLE[i][j] = (k, sign)
+_TABLE = [[(0, 1), (1, 1), (2, 1), (3, 1)],
+          [(1, 1), (0, -1), (3, 1), (2, -1)],
+          [(2, 1), (3, -1), (0, -1), (1, 1)],
+          [(3, 1), (2, 1), (1, -1), (0, -1)]]
+
+
+def _table_mul(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.zeros(a.shape)
+    for i in range(4):
+        for j in range(4):
+            k, sign = _TABLE[i][j]
+            out[..., k] += sign * a[..., i] * b[..., j]
+    return out
+
+
+def _table_matmul(A, B):
+    return np.sum(_table_mul(A[..., :, :, None, :], B[..., None, :, :, :]), axis=-3)
+
+
+def _layouts(rng):
+    """(name, quaternion array) in the layouts the pair view must read:
+    contiguous, a strided last axis, transposed matrices, broadcast,
+    a (1, 1, 4) scalar, a read-only QuatMatrix.data and integers."""
+    return [
+        ("contiguous", rng.standard_normal((3, 3, 4))),
+        ("strided", rng.standard_normal((3, 3, 8))[..., ::2]),
+        ("transposed", rng.standard_normal((3, 3, 4)).transpose(1, 0, 2)),
+        ("broadcast", np.broadcast_to(rng.standard_normal(4), (3, 3, 4))),
+        ("scalar", rng.standard_normal((1, 1, 4))),
+        ("read-only", random_qm(rng, 3).data),
+        ("integer", rng.integers(-5, 6, size=(3, 3, 4))),
+    ]
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_qmul_arr_matches_the_table_on_every_layout(rng):
+    for (name_a, a) in _layouts(rng):
+        for (name_b, b) in _layouts(rng):
+            got = qmul_arr(a, b)
+            assert got.dtype == np.float64 and got.shape == np.broadcast_shapes(a.shape, b.shape)
+            assert _close(got, _table_mul(a, b)), (name_a, name_b)
+
+
+def test_matmul_matches_the_table_and_the_adjoint_on_every_layout(rng):
+    for (name_a, A) in _layouts(rng):
+        for (name_b, B) in _layouts(rng):
+            if A.shape[-2] != B.shape[-3]:
+                continue
+            got = matmul(A, B)
+            assert _close(got, _table_matmul(A, B)), (name_a, name_b)
+            rho = real_adjoint(QuatMatrix(A)) @ real_adjoint(QuatMatrix(B))
+            assert _close(real_adjoint(QuatMatrix(got)), rho), (name_a, name_b)
+
+
+def test_matmul_broadcasts_a_batch(rng):
+    A = np.broadcast_to(rng.standard_normal((3, 3, 4)), (5, 3, 3, 4))
+    B = rng.standard_normal((5, 3, 3, 4))
+    assert _close(matmul(A, B), _table_matmul(A, B))
+    assert _close(matmul(A[0], B), _table_matmul(A[0], B))
+
+
+def test_product_matrices_match_the_table_on_every_layout(rng):
+    x = rng.standard_normal((3, 3, 4))
+    for name, q in _layouts(rng):
+        R, L = product_matrices(q, "right"), product_matrices(q, "left")
+        assert R.shape == q.shape + (4,)
+        assert _close(np.einsum("...i,...ij->...j", x, R), _table_mul(x, q)), name
+        assert _close(np.einsum("...i,...ij->...j", x, L), _table_mul(q, x)), name
