@@ -15,8 +15,9 @@ Node and weight convention for a circle centered at z0 with radius r:
 which realizes the oriented measure ds (-J) under s(theta).  The cosines
 and sines of the second half of the ring are the exact mirror of the
 first, so the node set of every circle and disk pair is closed under
-conjugation bit for bit, and ``integrate`` inverts the pencil only at
-the nodes on or above the real axis of C_J.
+conjugation bit for bit, and ``integrate`` hands ``kernel_sum`` only
+the nodes on or above the real axis of C_J, with the weights of their
+conjugates.
 
 A contour suits a computation when its winding number about each
 spectral point, ``Contour.winding``, meets the caller's rule with the
@@ -229,11 +230,13 @@ def integrate(c: Contour, kind: CalculusKind, T: CommutingOperator, f,
     accumulates f(s_k) w_k K_R(s_k).  No prefactor is applied.  f is a
     stem with a batched ``at_nodes`` method, or a list of them, which
     gives a list of values from one pass over the kernel.  The pairing
-    goes through kernels.kernel_sum: pencils are inverted only at the
-    nodes on or above the real axis, whose conjugates are folded in from
-    the contour's structure.  Results are reproducible for a fixed
-    machine and BLAS thread count.  Stem values or sums that overflow
-    raise NumericError.
+    goes through kernels.kernel_sum, which is handed the nodes on or
+    above the real axis and folds in their conjugates from the
+    contour's structure.  It sums in T's joint eigenbasis, one eig per
+    operator, and inverts one pencil per node only where T has no
+    eigenbasis or the basis's condition bound fails at a node.  Results
+    are reproducible for a fixed machine and BLAS thread count.  Stem
+    values or sums that overflow raise NumericError.
     """
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")

@@ -79,12 +79,18 @@ class Row(NamedTuple):
 
 
 def _report(name, inputs, pairs, tol) -> IdentityReport:
-    """Worst relative residual over a list of (lhs, rhs) pairs; a NaN
-    one, from sides that overflow, is the worst and fails."""
+    """The worst relative residual over a list of (lhs, rhs) pairs,
+    reported against the largest scale max(|lhs|, |rhs|, 1) of any pair:
+    residual / scale is the worst relative residual, and a last-bit
+    change that makes another pair the worst cannot move the scale.  The
+    worst pair decides the pass; a NaN relative residual, from sides
+    that overflow, is the worst and fails."""
     scored = [((lhs - rhs).norm(), max(lhs.norm(), rhs.norm(), 1.0)) for lhs, rhs in pairs]
     r, s = max(scored, key=lambda rs: (math.isnan(rs[0] / rs[1]), rs[0] / rs[1]),
                default=(0.0, 1.0))
-    return IdentityReport(name, inputs, r, s, tol, r <= tol * s and not math.isnan(r / s))
+    scale = max((rs[1] for rs in scored), default=1.0)
+    return IdentityReport(name, inputs, r / s * scale, scale, tol,
+                          r <= tol * s and not math.isnan(r / s))
 
 
 # ---------------------------------------------------------------------------

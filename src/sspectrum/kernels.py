@@ -36,8 +36,19 @@ the one path by which ``contour.integrate`` pairs a kernel with stems,
 never forms that stack: the map from z^p G to the kernel is real-linear,
 so it contracts G with the quadrature weights over the nodes first and
 applies the T products and the quaternion map once, to n x n moments.
-The pencil is real, so Q(conj z)^-1 = conj Q(z)^-1, and the conjugate
-half of a contour costs no inversion.
+
+The components commute, so where T has a joint eigenbasis
+(``CommutingOperator.eigenbasis``, T_i = V diag(lam_i) V^-1), every
+pencil is V diag(q(z)) V^-1 with the scalars
+q(z) = z^2 - 2 z lam_0 + sum_i lam_i^2, and each moment is
+V diag(sum_k a_k g(z_k)) V^-1 with g = 1/q or +-4/q^2: one eig per
+operator in place of one inversion per node (Higham, Functions of
+Matrices, SIAM 2008, 4.5).  The per-node path inverts the pencil at
+the nodes on or above the real axis only, since the pencil is real and
+Q(conj z)^-1 = conj Q(z)^-1.  It runs when T has no eigenbasis (a
+Jordan block, say) or when the bound n kappa_2(V)^2 max|q| / min|q| on
+a pencil's condition number exceeds COND_LIMIT at some node; it is then
+the one path that raises SingularMatrixError for that node.
 
 Scalar (n = 1) closed forms of the same kernels are provided separately
 as the function-theory oracles.
@@ -139,20 +150,23 @@ def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
 
     plus the same sum at the conjugate nodes conj(z_k) with the weights
     c_conj (S, U, 4), zero where z_k has no conjugate in the node set,
-    as an (S, n, n, 4) stack.  The pencil is real, so
-    Q(conj z)^-1 = conj Q(z)^-1 and the conjugate nodes cost no
-    inversion.  index (U,) labels the nodes in a SingularMatrixError.
+    as an (S, n, n, 4) stack.  index (U,) labels the nodes in a
+    SingularMatrixError.
 
-    Only G = Q^-1, or the +-4 Q^-2 of the F and P2 kernels, is formed per
-    node.  Every kernel is C + sum_j e_j Z_j (left forms) or
+    Only G = Q^-1, or the +-4 Q^-2 of the F and P2 kernels, depends on
+    the node.  Every kernel is C + sum_j e_j Z_j (left forms) or
     C + sum_j Z_j e_j (right forms), where C and Z_j are real matrix
     polynomials in T applied to z^p G, p <= 2, and X + iY stands for
     X + YJ.  That map is real-linear, so the weights are contracted
     first: each real weight component c_q gives the moments
-    M_{q,p} = sum_k c_{k,q} z_k^p G_k, one real matrix product per chunk
-    of nodes and row of weights, and the T products and the quaternion
-    map run once on the n x n moments.  The result is sum_q Phi_q e_q
-    on the left side and sum_q e_q Phi_q on the right.
+    M_{q,p} = sum_k c_{k,q} z_k^p G_k, and the T products and the
+    quaternion map run once on the n x n moments.  The result is
+    sum_q Phi_q e_q on the left side and sum_q e_q Phi_q on the right.
+
+    The moments are summed in T's joint eigenbasis, as scalar sums over
+    the joint eigenvalues (_eigen_moments), and by one pencil inversion
+    per node (_node_moments) when T has no eigenbasis or a node's pencil
+    may be too ill-conditioned for it.
     """
     kind = CalculusKind(kind)
     _check_side(side)
@@ -160,7 +174,59 @@ def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
     z = np.asarray(z, dtype=np.complex128)
     c = np.asarray(c, dtype=np.float64)
     c_conj = np.asarray(c_conj, dtype=np.float64)
-    index = np.asarray(index)
+    moments = _eigen_moments(kind, T, z, c, c_conj)
+    if moments is None:
+        moments = _node_moments(kind, T, z, c, c_conj, np.asarray(index))
+    out = np.empty((len(c), T.n, T.n, 4))
+    for r, M in enumerate(moments):
+        Phi = _to_quaternion(*_kernel_parts(kind, side, T, M), J, side)
+        out[r] = np.tensordot(Phi, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
+    return out
+
+
+def _eigen_moments(kind, T, z, c, c_conj):
+    """The moments M_{q,p} of kernel_sum, (S, 4, P, n, n) for P powers
+    of z, contracted in T's joint eigenbasis, or None where that
+    contraction may not be trusted and the per-node path must run.
+
+    With T_i = V diag(lam_i) V^-1, every pencil is
+    Q(z) = V diag(q(z)) V^-1 with q(z) = z^2 - 2 z lam_0 + sum_i lam_i^2,
+    so G = V diag(g(z)) V^-1 with g = 1/q (S, Q) or +-4/q^2 (F, P2), and
+    each moment is V diag(sum_k a_k g(z_k)) V^-1 for scalar weights a_k.
+    The conjugate nodes are evaluated at conj(z) directly.  Per node,
+    n kappa_2(V)^2 max|q| / min|q| bounds the 1-norm condition number
+    of Q(z) that _pencil_term tests, so when it exceeds COND_LIMIT at
+    any node, the per-node path runs and raises where it would."""
+    basis = T.eigenbasis
+    if basis is None:
+        return None
+    n, P = T.n, _DEGREE[kind] + 1
+    lam = basis.values[:, :, None]
+    nodes = np.concatenate((z, np.conj(z)))
+    q = nodes * (nodes - 2.0 * lam[0]) + np.sum(lam * lam, axis=0)
+    size = np.abs(q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
+    if not np.all(bound <= COND_LIMIT):
+        return None
+    g = 1.0 / q
+    if kind in _FACTOR:
+        g *= g
+        g *= _FACTOR[kind]
+    # a_k = c_{k,q} z_k^p in columns (q, p), for the nodes and their
+    # conjugates, so that every D_{q,p} = sum_k a_k g(z_k) is one product
+    zp = np.ones((len(nodes), P), dtype=np.complex128)
+    for p in range(1, P):
+        zp[:, p] = zp[:, p - 1] * nodes
+    a = np.concatenate((c, c_conj), axis=1)[..., None] * zp[:, None, :]
+    D = g @ a.reshape(len(c), len(nodes), 4 * P)
+    D = np.moveaxis(D, 1, -1).reshape(len(c), 4, P, n)
+    return (basis.V * D[..., None, :]) @ basis.W
+
+
+def _node_moments(kind, T, z, c, c_conj, index):
+    """The moments M_{q,p} of kernel_sum, (S, 4, P, n, n), from one
+    pencil inversion per node, a chunk of nodes at a time."""
     n = T.n
     K = gram(T)
     powers = np.arange(_DEGREE[kind] + 1)
@@ -180,12 +246,8 @@ def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
             plus, minus = a + b_bar, a - b_bar
             L = np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
             moments[r] += L @ G
-    out = np.empty((len(c), n, n, 4))
-    for r in range(len(c)):
-        M = (moments[r, :rows] + 1j * moments[r, rows:]).reshape(4, len(powers), n, n)
-        Phi = _to_quaternion(*_kernel_parts(kind, side, T, M), J, side)
-        out[r] = np.tensordot(Phi, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
-    return out
+    return (moments[:, :rows] + 1j * moments[:, rows:]).reshape(
+        len(c), 4, len(powers), n, n)
 
 
 def _check_side(side):

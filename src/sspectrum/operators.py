@@ -47,6 +47,20 @@ REAL_SPECTRUM_RTOL = 1e-8
 # The largest n of an operator document: the eig of the 2n x 2n companion
 # took 1.5 s at n = 512 on 2 CPUs and grows as n^3, to about 100 s at 2048.
 MAX_DIMENSION = 2048
+# Weights of the combination whose eigenvectors are the joint eigenbasis:
+# 1, sqrt(5) - 2, sqrt(2) - 1 and sqrt(3) - 1 are linearly independent
+# over the rationals, so two joint eigenvalues whose components differ
+# by small rationals (every hand-written operator) stay apart in it.
+EIGENBASIS_MIX = (1.0, 0.2360679774997897, 0.41421356237309515, 0.7320508075688772)
+# The square root of kernels.COND_LIMIT: above it the kernels' per-node
+# bound n kappa_2(V)^2 max|q| / min|q| exceeds COND_LIMIT at every node
+# of every contour, so the basis could never be used.
+EIGENBASIS_KAPPA_LIMIT = 1e6
+# The residual of a basis is a backward error: values computed through it
+# are those of an operator within this multiple of ||T|| of T.  The
+# benchmark's operators leave at most 5.5e-13 (n = 32, kappa_2(V) = 80);
+# 1e-10 keeps the perturbation two decades below the default --tol 1e-8.
+EIGENBASIS_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,12 @@ class CommutingOperator:
         """The S-spectrum, s_spectrum(self), computed on first use and
         kept: the operator is immutable."""
         return tuple(s_spectrum(self))
+
+    @cached_property
+    def eigenbasis(self) -> Eigenbasis | None:
+        """joint_eigenbasis(self), computed on first use and kept like
+        spheres; None when T is not diagonalisable to working precision."""
+        return joint_eigenbasis(self)
 
     @property
     def components(self):
@@ -137,6 +157,56 @@ def _check_commutation(comps):
                 raise CommutationError(
                     f"components T{i} and T{j} do not commute: "
                     f"defect {defect:.3e} exceeds {bound:.3e}")
+
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """A common eigenbasis of the components: T_i = V diag(values[i]) W
+    for i = 0..3, with W = V^-1, V (n, n) of unit columns, values (4, n)
+    the joint eigenvalues and kappa the 2-norm condition number of V."""
+
+    V: np.ndarray
+    W: np.ndarray
+    values: np.ndarray
+    kappa: float
+
+
+def joint_eigenbasis(T: CommutingOperator) -> Eigenbasis | None:
+    """The eigenvectors of C = sum_i EIGENBASIS_MIX[i] T_i as a common
+    eigenbasis of all four components, or None when they do not
+    diagonalise T to working precision.
+
+    Commuting components share their eigenvectors wherever C has
+    distinct eigenvalues, and a generic real combination separates
+    joint eigenvalues that agree in some component.  The combination is
+    fixed, not drawn, so that every value computed through the basis is
+    reproducible bit for bit.  Should it merge two distinct joint
+    eigenvalues all the same, the basis of the merged eigenspace fails
+    the residual test below and the caller takes its exact route.
+
+    The joint eigenvalues are the diagonals of W T_i V.  The basis is
+    refused when kappa_2(V) exceeds EIGENBASIS_KAPPA_LIMIT (a defective
+    or nearly defective T, such as a Jordan block) or when
+    ||T_i V - V diag(values[i])||_F, summed in squares over i, exceeds
+    EIGENBASIS_RTOL ||T||.
+    """
+    C = sum(c * M for c, M in zip(EIGENBASIS_MIX, T.components))
+    try:
+        V = np.linalg.eig(C)[1]
+        sigma = np.linalg.svd(V, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = float(sigma[0] / sigma[-1])
+        if not kappa <= EIGENBASIS_KAPPA_LIMIT:
+            return None
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return None
+    TV = np.stack(T.components) @ V
+    values = np.sum(W.T * TV, axis=-2)
+    residual = np.linalg.norm(TV - V * values[:, None, :])
+    if not residual <= EIGENBASIS_RTOL * T.norm():
+        return None
+    return Eigenbasis(V, W, values, kappa)
 
 
 def gram(T: CommutingOperator) -> np.ndarray:

@@ -1,0 +1,97 @@
+"""The joint-eigenbasis contraction of contour.integrate on the non-normal
+corpus: where kernel_sum falls back to one pencil inversion per node, the
+value is that path's bit for bit; where it sums in the eigenbasis, the
+value matches the per-node oracle and is as close to stem_moment."""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+import corpus
+from conftest import pair_per_node
+from sspectrum import SlicePoly, integrate, kernels
+from sspectrum.calculus import stem_moment
+from sspectrum.contour import auto_contour
+from sspectrum.errors import SingularMatrixError
+from sspectrum.kernels import CalculusKind, kernel
+from sspectrum.operators import CommutingOperator
+
+EPS = float(np.finfo(np.float64).eps)
+# The eigenbasis value may be this many times further from stem_moment
+# than the per-node value: on the corpus it was at most 1.5 times where
+# the per-node error exceeds 64 eps, and 3.4 times below, where both are
+# the rounding of stem_moment itself (at most 3.6e-15).
+ERROR_FACTOR = 4.0
+ERROR_FLOOR = 64 * EPS
+# integrate carries no prefactor; these make it the calculus value
+PREFACTOR = {CalculusKind.S: 0.5 / np.pi, CalculusKind.Q: -1.0 / np.pi,
+             CalculusKind.P2: 0.5 / np.pi, CalculusKind.F: 0.5 / np.pi}
+
+MEMBERS = [(name, t1) for name in corpus.BASES for t1 in (0.0, 0.3)]
+
+
+def _per_node(T):
+    """A copy of T whose cached eigenbasis is None, so that kernel_sum
+    takes the per-node path."""
+    copy = CommutingOperator(*T.components)
+    vars(copy)["eigenbasis"] = None
+    return copy
+
+
+def _integrate(c, kind, T, f, side):
+    """integrate's value or its SingularMatrixError, and whether it ran
+    the per-node path (called _pencil_term)."""
+    calls = []
+    original = kernels._pencil_term
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_pencil_term", counting)
+        try:
+            return integrate(c, kind, T, f, side), bool(calls)
+        except SingularMatrixError as exc:
+            return exc, bool(calls)
+
+
+@pytest.mark.parametrize("name, t1", MEMBERS)
+@pytest.mark.parametrize("kind", list(CalculusKind))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_corpus_eigenbasis_or_exact_fallback(name, t1, kind, side):
+    T = corpus.operator(corpus.BASES[name], t1)
+    c = auto_contour(T.spheres, range(len(T.spheres)), N=256)
+    f = SlicePoly.monomial(3, side=side)
+    got, per_node = _integrate(c, kind, T, f, side)
+    want, _ = _integrate(c, kind, _per_node(T), f, side)
+    if per_node:
+        if isinstance(want, SingularMatrixError):
+            assert isinstance(got, SingularMatrixError)
+            assert got.batch_index == want.batch_index
+        else:
+            assert np.array_equal(got.data, want.data)
+        return
+    assert T.eigenbasis is not None
+    # the pairing does not depend on N; 32 nodes per circle keep the
+    # per-node oracle, one kernel call per node, quick
+    coarse = c.with_nodes(32)
+    oracle, scale = pair_per_node(coarse, partial(kernel, kind, T, side=side), f, side)
+    assert (integrate(coarse, kind, T, f, side) - oracle).norm() <= 1e-12 * scale
+    exact = stem_moment(kind, T, 3)
+    error = lambda v: (v * PREFACTOR[kind] - exact).norm() / max(exact.norm(), 1.0)
+    assert error(got) <= ERROR_FACTOR * max(error(want), ERROR_FLOOR)
+
+
+def test_corpus_takes_both_paths():
+    """Grcar matrices are non-normal but have a well-conditioned
+    eigenbasis; a Jordan block has none, and Kahan's and Frank's are too
+    ill-conditioned for the contour's nodes."""
+    basis = {name: corpus.operator(B, 0.0).eigenbasis for name, B in corpus.BASES.items()}
+    assert basis["grcar8"] is not None and basis["grcar12"] is not None
+    assert basis["jordbloc8"] is None and basis["jordbloc12"] is None
+    for name in ("kahan10", "frank8"):
+        T = corpus.operator(corpus.BASES[name], 0.0)
+        c = auto_contour(T.spheres, range(len(T.spheres)), N=256)
+        assert _integrate(c, CalculusKind.S, T, SlicePoly.monomial(3), "left")[1]

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import pair_per_node, rel
@@ -127,6 +128,52 @@ def test_report_serialization():
         assert name == report.name and passed == str(report.passed).lower()
         assert (residual, scale) == (repr(report.residual), repr(report.scale))
         assert (float(residual), float(scale)) == (report.residual, report.scale)
+
+
+def _report_by_worst_pair(pairs, tol):
+    """The rule _report followed before: residual and scale of the pair
+    with the largest relative residual, NaN the largest."""
+    scored = [((lhs - rhs).norm(), max(lhs.norm(), rhs.norm(), 1.0)) for lhs, rhs in pairs]
+    r, s = max(scored, key=lambda rs: (math.isnan(rs[0] / rs[1]), rs[0] / rs[1]),
+               default=(0.0, 1.0))
+    return r, s, r <= tol * s and not math.isnan(r / s)
+
+
+def test_report_scale_is_the_largest_over_pairs(rng):
+    def noisy_pair(size, noise):
+        A = QuatMatrix(size * rng.standard_normal((3, 3, 4)))
+        return A, A + QuatMatrix(noise * size * rng.standard_normal((3, 3, 4)))
+
+    pairs = [noisy_pair(size, noise) for size, noise in
+             [(0.1, 3e-16), (5.0, 1e-15), (40.0, 2e-16), (2.0, 8e-16), (1.0, 0.0)]]
+    largest = max(max(lhs.norm(), rhs.norm(), 1.0) for lhs, rhs in pairs)
+    for _ in range(10):
+        order = [pairs[k] for k in rng.permutation(len(pairs))]
+        r, s, _ = _report_by_worst_pair(order, 0.0)
+        for tol in (0.0, r / s * (1 - 1e-9), r / s * (1 + 1e-9), 1.0):
+            report = identities._report("x", "", order, tol)
+            assert report.passed == _report_by_worst_pair(order, tol)[2]
+            assert report.scale == largest
+            assert report.residual / report.scale == pytest.approx(r / s, rel=1e-15)
+    # two pairs at one relative residual: a small change that swaps the
+    # worst pair moved the old scale, and does not move the new one
+    a = noisy_pair(1.0, 1e-9)
+    b = (a[0] * 20.0, a[1] * 20.0)
+    old, new = set(), set()
+    for bump in (1.0 - 1e-6, 1.0 + 1e-6):
+        bumped = [a, (b[0], b[0] + (b[1] - b[0]) * bump)]
+        old.add(_report_by_worst_pair(bumped, 1e-8)[1])
+        new.add(identities._report("x", "", bumped, 1e-8).scale)
+    assert max(old) / min(old) == pytest.approx(20.0)
+    assert max(new) - min(new) <= 1e-12 * max(new)
+
+
+def test_report_nan_pair_fails():
+    big = QuatMatrix(np.full((2, 2, 4), np.inf))
+    ok = (QuatMatrix.zeros(2), QuatMatrix.zeros(2))
+    with np.errstate(invalid="ignore"):
+        report = identities._report("x", "", [ok, (big, big)], 1.0)
+    assert not report.passed and math.isnan(report.residual)
 
 
 def test_closing_rewrite_disagrees(rng):

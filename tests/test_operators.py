@@ -367,3 +367,28 @@ def test_spectrum_scales_exactly_by_powers_of_two(n, draw, k, seed):
     scaled = CommutingOperator(*(np.ldexp(C, k) for C in T.components))
     assert [(sp.u, sp.v, sp.multiplicity) for sp in s_spectrum(scaled)] == [
         (math.ldexp(sp.u, k), math.ldexp(sp.v, k), sp.multiplicity) for sp in s_spectrum(T)]
+
+
+def test_eigenbasis_diagonalises_every_component(rng):
+    T = random_commuting_operator(rng, 6)
+    basis = T.eigenbasis
+    assert basis is not None and basis is T.eigenbasis
+    assert np.allclose(basis.V @ basis.W, np.eye(6), atol=1e-12)
+    for C, lam in zip(T.components, basis.values):
+        assert np.allclose(basis.V @ np.diag(lam) @ basis.W, C, atol=1e-12)
+
+
+def test_eigenbasis_of_a_jordan_block_is_none():
+    J = 2.0 * np.eye(5) + np.eye(5, k=1)
+    z = np.zeros((5, 5))
+    assert CommutingOperator(J, 0.3 * J @ J, z, z).eigenbasis is None
+
+
+def test_eigenbasis_refused_where_the_mix_merges_joint_eigenvalues(rng):
+    # joint eigenvalues (m, 0) and (0, 1) meet at m in T0 + m T1, so the
+    # eigenvectors of the mix are arbitrary in their plane
+    m = operators.EIGENBASIS_MIX[1]
+    R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    z = np.zeros((2, 2))
+    T = CommutingOperator(R @ np.diag([m, 0.0]) @ R.T, R @ np.diag([0.0, 1.0]) @ R.T, z, z)
+    assert T.eigenbasis is None

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import pair_per_node
+from corpus import jordbloc, operator
 from sspectrum import Quaternion, SlicePoly, integrate
-from sspectrum import kernels
+from sspectrum import kernels, operators
 from sspectrum.cli import main
 from sspectrum.contour import (Circle, Contour, DiskPair, contour_to_dict,
                                node_arrays, slice_nodes)
@@ -66,9 +67,17 @@ def test_pairing_matches_stack_oracle(rng, kind, side):
             assert (got - want).norm() <= 1e-12 * scale, (kind, side, c)
 
 
+def _jordan_operator(n):
+    """T0 a Jordan block, T1 = 0.3 T0^2: no eigenbasis, so kernel_sum
+    inverts one pencil per node."""
+    T = operator(jordbloc(n, 0.2, 0.5), 0.3)
+    assert T.eigenbasis is None
+    return T
+
+
 def test_pairing_matches_stack_oracle_across_chunks(rng):
     # at n = 32 a chunk holds 64 nodes; 130 inverted nodes take three
-    T = random_commuting_operator(rng, 32)
+    T = _jordan_operator(32)
     c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
     f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
     for kind in (CalculusKind.P2, CalculusKind.S):
@@ -124,10 +133,48 @@ def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
         return original(kind, T0, K, z, index)
 
     monkeypatch.setattr(kernels, "_pencil_term", counting)
-    T = random_commuting_operator(np.random.default_rng(5), 3)
+    T = _jordan_operator(3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
     integrate(c, CalculusKind.P2, T, SlicePoly.left(1.0, 2.0), "left")
     assert len(inverted) == expect == len(set(inverted))
+
+
+@pytest.mark.parametrize("kind", list(CalculusKind))
+def test_diagonalisable_operator_inverts_no_pencil(monkeypatch, kind):
+    def refuse(*args):
+        pytest.fail("a pencil was inverted")
+
+    monkeypatch.setattr(kernels, "_pencil_term", refuse)
+    T = random_commuting_operator(np.random.default_rng(5), 3)
+    c = Contour(random_imaginary_unit(np.random.default_rng(6)),
+                (Circle(0.0, 2.0), DiskPair(0.0, 5.0, 1.0)), 64)
+    for side in ("left", "right"):
+        integrate(c, kind, T, SlicePoly.monomial(2, side=side), side)
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--calculus", "p2", "--function", "FUNCTION"],
+    ["projector", "--calculus", "s"],
+    ["projector", "--calculus", "q", "--cluster", "0"],
+])
+def test_eigenbasis_computed_once_per_command(monkeypatch, tmp_path, capsys, argv):
+    computed = []
+    original = operators.joint_eigenbasis
+
+    def counting(T):
+        computed.append(T)
+        return original(T)
+
+    monkeypatch.setattr(operators, "joint_eigenbasis", counting)
+    T = random_commuting_operator(np.random.default_rng(8), 4, zero_e3=True,
+                                  symmetric_base=True)
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    op.write_text(json.dumps(operator_to_dict(T)))
+    fn.write_text(json.dumps({"side": "left", "coeffs": [[0, 0, 0, 0], [1, 2, 0, 0]]}))
+    argv = [str(fn) if a == "FUNCTION" else a for a in argv]
+    assert main(argv + ["--operator", str(op)]) == 0
+    capsys.readouterr()
+    assert len(computed) == 1
 
 
 def _spectrum_through(z):
