@@ -105,8 +105,9 @@ def _cmd_projector(config: RunConfig):
     # trace(Re P) counts the joint eigenvalues on the enclosed spheres: a
     # sphere's multiplicity, and half that of a real point, which its
     # conjugate pair of pencil roots counts twice
+    turns = c.winding([sp.u for sp in T.spheres], [sp.v for sp in T.spheres])[0]
     rank = sum(sp.multiplicity if sp.v > 0.0 else sp.multiplicity / 2
-               for sp in T.spheres if c.winding(sp.u, sp.v)[0] == 1)
+               for sp, t in zip(T.spheres, turns) if t == 1)
     trace_error = abs(float(np.trace(P.data[..., 0])) - rank)
     ok = residual <= config.tol * scale and trace_error <= config.tol * scale
     doc = {

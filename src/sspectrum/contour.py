@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,18 +118,24 @@ class Contour:
             out.extend(comp.plane_circles())
         return out
 
-    def winding(self, u: float, v: float):
-        """(turns, gap) of u + Jv: its winding number, the sum of the
-        orientations of the circles containing it, and its distance to
-        the nearest boundary circle, inf for a contour without circles."""
-        turns, gap = 0, math.inf
-        for comp in self.components:
-            for (cu, cv, r) in comp.plane_circles():
-                d = math.hypot(u - cu, v - cv)
-                gap = min(gap, abs(d - r))
-                if d < r:
-                    turns += comp.orientation
-        return turns, gap
+    @cached_property
+    def _circle_table(self):
+        """(4, C): centre u, centre v, radius and orientation of every
+        circle in C_J, in plane_circles order."""
+        return np.array([(cu, cv, r, comp.orientation) for comp in self.components
+                         for (cu, cv, r) in comp.plane_circles()],
+                        dtype=np.float64).reshape(-1, 4).T
+
+    def winding(self, u, v):
+        """(turns, gap) of the points u + Jv, for u and v numbers or
+        arrays that broadcast together: the winding number of each, the
+        sum of the orientations of the circles containing it, as ints,
+        and its distance to the nearest boundary circle, inf for a
+        contour without circles.  One table over points and circles."""
+        cu, cv, r, orientation = self._circle_table
+        d = np.hypot(np.subtract.outer(u, cu), np.subtract.outer(v, cv))
+        turns = ((d < r) @ orientation).astype(int)
+        return turns, np.abs(d - r).min(axis=-1, initial=np.inf)
 
 
 def check_nodes(N) -> None:
@@ -143,15 +150,18 @@ def check_nodes(N) -> None:
 def check_winding(c: Contour, points, turns, what: str) -> None:
     """Raise GeometryError unless, for every (u, v, clearance) in points,
     c winds about both u + Jv and u - Jv a number of times in turns, and
-    every boundary circle passes farther than clearance from them."""
-    for (u, v0, clearance) in points:
-        for v in {v0, -v0}:
-            t, gap = c.winding(u, v)
-            if t not in turns or not gap > clearance:
-                raise GeometryError(
-                    f"contour winds {t} times about {what} ({u}, {v}), "
-                    f"{gap:.3e} from its boundary; needs a winding number in "
-                    f"{sorted(turns)} and a distance above {clearance:.3e}")
+    every boundary circle passes farther than clearance from them.  Every
+    contour is closed under conjugation, and its table at u - Jv is the
+    one at u + Jv bit for bit, so only u + Jv is looked up."""
+    u, v, clearance = np.array(points, dtype=np.float64).reshape(-1, 3).T
+    t, gap = c.winding(u, v)
+    bad = (t[:, None] != sorted(turns)).all(axis=-1) | ~(gap > clearance)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeometryError(
+            f"contour winds {t[k]} times about {what} ({u[k]}, {v[k]}), "
+            f"{gap[k]:.3e} from its boundary; needs a winding number in "
+            f"{sorted(turns)} and a distance above {clearance[k]:.3e}")
 
 
 def node_arrays(c: Contour):

@@ -1,12 +1,18 @@
 """Operators T = T0 + T1 e1 + T2 e2 + T3 e3 with commuting real components.
 
-The S-spectrum of such an operator is computed from the real quadratic
-pencil s^2 I - 2 s T0 + K, K = T0^2 + T1^2 + T2^2 + T3^2, by companion
-linearization to a 2n x 2n real matrix followed by a dense nonsymmetric
-eigenvalue computation.  Roots that rounding split off one multiple
-root are clustered back together; conjugate clusters u +- iv collapse
-to one sphere [u + J v], and clusters on the real axis give spheres
-with v = 0.
+The S-spectrum of such an operator is where the real quadratic pencil
+Q(s) = s^2 I - 2 s T0 + K, K = T0^2 + T1^2 + T2^2 + T3^2, is singular.
+It has two routes.  Where T has a joint eigenbasis (``joint_eigenbasis``,
+T_i = V diag(lam_i) V^-1) whose joint eigenvalues are accurate to well
+within the clustering tolerance, Q(s) = V diag(q_j(s)) V^-1 with scalar
+quadratics q_j, so the spheres are the roots lam_0 +- sqrt(-sum_i lam_i^2)
+of the joint eigenvalues, clustered in C^4: one eig serves the spectrum
+and every contour sum.  Otherwise (a Jordan block, or a basis too
+ill-conditioned for the bound) the pencil is linearized to its 2n x 2n
+real companion matrix, whose eigenvalues are computed densely and the
+roots that rounding split off one multiple root are clustered back
+together.  Either way conjugate clusters u +- iv collapse to one sphere
+[u + J v], and clusters on the real axis give spheres with v = 0.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ EIGENBASIS_KAPPA_LIMIT = 1e6
 # benchmark's operators leave at most 5.5e-13 (n = 32, kappa_2(V) = 80);
 # 1e-10 keeps the perturbation two decades below the default --tol 1e-8.
 EIGENBASIS_RTOL = 1e-10
+# s_spectrum reads the spheres off a basis only when kappa_2(V) times its
+# residual (at least eps) at unit scale, a first-order (Bauer-Fike) bound
+# on the error of the joint eigenvalues, stays two decades below the
+# distance at which two of them are linked as one point.
+JOINT_SPECTRUM_BOUND = 1e-2 * PAIRING_RTOL
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,25 @@ class CommutingOperator:
         spheres; None when T is not diagonalisable to working precision."""
         return joint_eigenbasis(self)
 
+    @cached_property
+    def _unit(self):
+        """(p, signs, comps): 2^p the power of two nearest ||T|| (2^0 for
+        T = 0); signs (4,), 1 for T0 and for each of T1..T3 the sign of
+        its first nonzero entry; comps (4, n, n) the components times
+        signs / 2^p.  Both steps are exact and Q(s) depends only on T0
+        and the T_i^2, so s_spectrum, which reads only comps, gives
+        2^k s_spectrum(T) for 2^k T and s_spectrum(T) for conj(T) bit
+        for bit."""
+        S = np.array(self.components)
+        # ||T|| from the components brought below 1 by 2^-e, so it cannot overflow
+        e = math.frexp(float(np.abs(S).max()))[1]
+        norm = math.sqrt(float((np.ldexp(S, -e) ** 2).sum()))
+        p = e + math.floor(math.log2(norm) + 0.5) if norm > 0.0 else 0
+        vector = S[1:].reshape(3, -1)
+        first = vector[np.arange(3), np.argmax(vector != 0.0, axis=1)]
+        signs = np.where(np.concatenate(([1.0], first)) < 0.0, -1.0, 1.0)
+        return p, signs, np.ldexp(S, -p) * signs[:, None, None]
+
     @property
     def components(self):
         return (self.T0, self.T1, self.T2, self.T3)
@@ -139,10 +169,14 @@ class CommutingOperator:
         return float(np.linalg.norm(self.T3)) <= 1e-10 * scale
 
     def has_real_component_spectra(self) -> bool:
-        """Whether every component matrix has (numerically) real spectrum."""
-        for C in self.components:
+        """Whether every component matrix has (numerically) real spectrum.
+        Where T has an eigenbasis, its joint eigenvalues values[i] are
+        T_i's eigenvalues; otherwise each T_i's come from eigvals."""
+        basis = self.eigenbasis
+        for i, C in enumerate(self.components):
             scale = max(float(np.linalg.norm(C)), 1.0)
-            if np.max(np.abs(np.linalg.eigvals(C).imag)) > REAL_SPECTRUM_RTOL * scale:
+            lam = np.linalg.eigvals(C) if basis is None else basis.values[i]
+            if np.max(np.abs(lam.imag)) > REAL_SPECTRUM_RTOL * scale:
                 return False
         return True
 
@@ -163,12 +197,15 @@ def _check_commutation(comps):
 class Eigenbasis:
     """A common eigenbasis of the components: T_i = V diag(values[i]) W
     for i = 0..3, with W = V^-1, V (n, n) of unit columns, values (4, n)
-    the joint eigenvalues and kappa the 2-norm condition number of V."""
+    the joint eigenvalues, kappa the 2-norm condition number of V and
+    residual the Frobenius norm of the stack T_i V - V diag(values[i])
+    for T / 2^p, the scaling to about unit norm that s_spectrum uses."""
 
     V: np.ndarray
     W: np.ndarray
     values: np.ndarray
     kappa: float
+    residual: float
 
 
 def joint_eigenbasis(T: CommutingOperator) -> Eigenbasis | None:
@@ -184,13 +221,19 @@ def joint_eigenbasis(T: CommutingOperator) -> Eigenbasis | None:
     eigenvalues all the same, the basis of the merged eigenspace fails
     the residual test below and the caller takes its exact route.
 
-    The joint eigenvalues are the diagonals of W T_i V.  The basis is
-    refused when kappa_2(V) exceeds EIGENBASIS_KAPPA_LIMIT (a defective
-    or nearly defective T, such as a Jordan block) or when
+    The basis is computed from T's components scaled to unit norm,
+    with T1..T3 sign-normalised (CommutingOperator._unit), so that
+    s_spectrum, which reads its spheres off it, is exact under scaling
+    by 2^k and under conjugation.  The joint eigenvalues are the
+    diagonals of W T_i V, scaled back to T.  The basis is refused when
+    kappa_2(V) exceeds EIGENBASIS_KAPPA_LIMIT (a defective or nearly
+    defective T, such as a Jordan block), when the residual
     ||T_i V - V diag(values[i])||_F, summed in squares over i, exceeds
-    EIGENBASIS_RTOL ||T||.
+    EIGENBASIS_RTOL ||T||, or when a joint eigenvalue of T lies beyond
+    the float range.
     """
-    C = sum(c * M for c, M in zip(EIGENBASIS_MIX, T.components))
+    p, signs, comps = T._unit
+    C = np.dot(EIGENBASIS_MIX, comps.reshape(4, -1)).reshape(T.n, T.n)
     try:
         V = np.linalg.eig(C)[1]
         sigma = np.linalg.svd(V, compute_uv=False)
@@ -201,12 +244,23 @@ def joint_eigenbasis(T: CommutingOperator) -> Eigenbasis | None:
         W = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         return None
-    TV = np.stack(T.components) @ V
-    values = np.sum(W.T * TV, axis=-2)
-    residual = np.linalg.norm(TV - V * values[:, None, :])
-    if not residual <= EIGENBASIS_RTOL * T.norm():
+    TV = comps @ V
+    unit = np.sum(W.T * TV, axis=-2)
+    residual = float(np.linalg.norm(TV - V * unit[:, None, :]))
+    if not residual <= EIGENBASIS_RTOL * np.linalg.norm(comps):
         return None
-    return Eigenbasis(V, W, values, kappa)
+    with np.errstate(over="ignore"):
+        values = _ldexp(unit * signs[:, None], p)
+    if not np.all(np.isfinite(values)):
+        return None
+    return Eigenbasis(V, W, values, kappa, residual)
+
+
+def _ldexp(x, p):
+    """x 2^p, exact as np.ldexp is, for a real or complex array x."""
+    if np.iscomplexobj(x):
+        return np.ldexp(np.ascontiguousarray(x).view(np.float64), p).view(np.complex128)
+    return np.ldexp(x, p)
 
 
 def gram(T: CommutingOperator) -> np.ndarray:
@@ -256,37 +310,98 @@ def s_spectrum(T: CommutingOperator):
     """All spheres of the S-spectrum, sorted by u and, among spheres whose
     u agree within PAIRING_RTOL (1 + |u|), by v.
 
-    Roots of det(s^2 I - 2 s T0 + K) are the eigenvalues of the 2n x 2n
-    companion matrix A = [[0, I], [-K, 2 T0]] of T / 2^p, 2^p the power
-    of two nearest ||T||, which gives A's blocks unit scale as the tests
-    below assume; scaling by 2^p is exact, so s_spectrum(2^k T) is
-    2^k s_spectrum(T) bit for bit.
+    Both routes work on T / 2^p, 2^p the power of two nearest ||T||, so
+    that their tolerances read at unit scale; scaling by 2^p is exact, so
+    s_spectrum(2^k T) is 2^k s_spectrum(T) bit for bit.  The multiplicity
+    of a sphere counts its roots above the real axis, and that of a real
+    point both roots of each joint eigenvalue on it.
 
-    Rounding splits an m-fold root into m roots about eps^(1/m) * scale
-    apart (a real spectral point is always a double root), so the roots
-    are clustered before they become spheres: two roots belong to one
-    cluster when they lie within PAIRING_RTOL (1 + |lam|) of each other,
-    or when the point halfway between them is itself an eigenvalue of A
-    to working precision,
+    Joint eigenbasis route, taken when T.eigenbasis exists and
+    kappa_2(V) max(residual, eps) <= JOINT_SPECTRUM_BOUND: the pencil is
+    V diag(q_j(s)) V^-1, so its roots are those of the scalars q_j.  Two
+    joint eigenvalues lam_j in C^4 are one point when they lie within
+    PAIRING_RTOL (1 + |lam|) of each other; each point's mean gives the
+    roots lam_0 +- sqrt(-sum_i lam_i^2), and roots within PAIRING_RTOL
+    (1 + |r|) of each other, or that close to the real axis, join.  The
+    roots come from C^4, not from the sums of squares, so a real point
+    is off the axis by about eps, not sqrt(eps).  Should the roots above
+    and below the axis not pair up, the companion route runs.
+
+    Companion route, for every other T: the roots of
+    det(s^2 I - 2 s T0 + K) are the eigenvalues of the 2n x 2n companion
+    matrix A = [[0, I], [-K, 2 T0]] (Tisseur and Meerbergen, SIAM Rev.
+    2001).  Rounding splits an m-fold root into m roots about
+    eps^(1/m) * scale apart (a real spectral point is always a double
+    root), so the roots are clustered before they become spheres: two
+    roots belong to one cluster when they lie within PAIRING_RTOL
+    (1 + |lam|) of each other, or when the point halfway between them is
+    itself an eigenvalue of A to working precision,
     sigma_min(A - z I) <= CLUSTER_SIGMA_RTOL * eps * |A|_F.  Only pairs
     whose first-order perturbation discs overlap, and that are not yet
     in one cluster, are tested, by increasing gap.
     Each cluster's centre is its mean, which is well conditioned even
-    where the single roots are not (Tisseur and Meerbergen, SIAM Rev.
-    2001); a cluster whose spread reaches the real axis is a real point.
-    The multiplicity is the cluster size, so a real point counts both
-    roots of its pair and a sphere counts its upper roots.
+    where the single roots are not; a cluster whose spread reaches the
+    real axis is a real point.
     """
-    # ||T|| from the components brought below 1 by 2^-e, so it cannot overflow
-    e = math.frexp(max(float(np.max(np.abs(C))) for C in T.components))[1]
-    norm = math.sqrt(sum(float(np.sum(np.ldexp(C, -e) ** 2)) for C in T.components))
-    p = e + math.floor(math.log2(norm) + 0.5) if norm > 0.0 else 0
-    points = _spheres_of(_companion([np.ldexp(C, -p) for C in T.components]))
+    p, _, comps = T._unit
+    basis = T.eigenbasis
+    points = None
+    if basis is not None and basis.kappa * max(basis.residual, EPS) <= JOINT_SPECTRUM_BOUND:
+        points = _joint_points(_ldexp(basis.values, -p))
+    if points is None:
+        points = _spheres_of(_companion(comps))
     try:
         return [SpectralSphere(math.ldexp(u, p), math.ldexp(v, p), k)
                 for u, v, k in points]
     except OverflowError as exc:
         raise EigenvalueError(f"spectrum beyond the float range: {exc}") from exc
+
+
+def _joint_points(lam):
+    """The (u, v, k) points of s_spectrum from the joint eigenvalues lam
+    (4, n) at unit scale, or None when the roots above and below the
+    real axis do not pair up."""
+    count, mean = _merge(lam.astype(np.complex128), np.ones(lam.shape[1], dtype=int))
+    w = np.sqrt(-(mean[1:] ** 2).sum(axis=0))
+    roots = np.concatenate((mean[0] + w, mean[0] - w))
+    roots = np.where(np.abs(roots.imag) <= PAIRING_RTOL * (1.0 + np.abs(roots)),
+                     roots.real, roots)
+    weight, centre = _merge(roots[None, :], np.concatenate((count, count)))
+    centre = centre[0]
+    real = np.abs(centre.imag) <= PAIRING_RTOL * (1.0 + np.abs(centre))
+    upper = ~real & (centre.imag > 0.0)
+    if weight[upper].sum() != weight[~real & ~upper].sum():
+        return None
+    keep = real | upper
+    return _in_order(list(zip(centre.real[keep].tolist(),
+                              np.where(real, 0.0, centre.imag)[keep].tolist(),
+                              weight[keep].tolist())))
+
+
+def _merge(X, weight):
+    """Single-linkage clusters of the columns of X (d, m), two columns
+    joining when within PAIRING_RTOL (1 + the larger norm) of each
+    other: the clusters' total weights (k,) and weighted means (d, k)."""
+    size = np.sqrt((np.abs(X) ** 2).sum(axis=0))
+    reach = PAIRING_RTOL * (1.0 + np.maximum.outer(size, size))
+    gap2 = sum(np.abs(x[:, None] - x) ** 2 for x in X)
+    near = gap2 <= reach * reach
+    m = len(size)
+    if np.count_nonzero(near) == m:
+        return weight, X
+    # each column takes the least label among its neighbours, then the
+    # label of that label, until no label changes; a cluster's label is
+    # then its first column
+    label = np.arange(m)
+    while True:
+        new = np.where(near, label, m).min(axis=1)
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    member = label == np.flatnonzero(label == np.arange(m))[:, None]
+    total = member @ weight
+    return total, ((X * weight) @ member.T) / total
 
 
 def _companion(comps) -> np.ndarray:

@@ -174,6 +174,52 @@ def test_contour_winding_counts_orientation():
     assert Contour(E1, (), 64).winding(0.0, 0.0) == (0, math.inf)
 
 
+def _winding_loop(c, u, v):
+    """The scalar reference of Contour.winding: one point, one loop over
+    the circles."""
+    turns, gap = 0, math.inf
+    for comp in c.components:
+        for (cu, cv, r) in comp.plane_circles():
+            d = math.hypot(u - cu, v - cv)
+            gap = min(gap, abs(d - r))
+            if d < r:
+                turns += comp.orientation
+    return turns, gap
+
+
+def test_winding_table_matches_the_scalar_loop():
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        comps = []
+        for _ in range(rng.integers(0, 5)):
+            orientation = int(rng.choice([-1, 1]))
+            if rng.random() < 0.5:
+                comps.append(Circle(float(rng.normal()), float(rng.uniform(0.1, 3.0)),
+                                    orientation))
+            else:
+                v = float(rng.uniform(0.5, 4.0))
+                comps.append(DiskPair(float(rng.normal()), v,
+                                      float(rng.uniform(0.05, 0.95)) * v, orientation))
+        c = Contour(E1, tuple(comps), 64)
+        pts = [tuple(p) for p in rng.normal(scale=3.0, size=(20, 2))]
+        # the centre and four points on each circle, at offsets that are
+        # exact in floats, so both hypots give the same distance
+        for (cu, cv, r) in c.plane_circles():
+            pts += [(cu, cv), (cu + r, cv), (cu - r, cv), (cu, cv + r), (cu, cv - r)]
+        u, v = np.array(pts).T
+        turns, gap = c.winding(u, v)
+        assert turns.dtype.kind == "i"
+        # every contour is closed under conjugation, which check_winding
+        # relies on to look up u + Jv alone
+        mirrored = c.winding(u, -v)
+        assert np.array_equal(mirrored[0], turns) and np.array_equal(mirrored[1], gap)
+        scale = max(np.abs(pts).max(), max((r for (_, _, r) in c.plane_circles()), default=0.0))
+        for k, (a, b) in enumerate(pts):
+            t, g = _winding_loop(c, a, b)
+            assert turns[k] == t, (trial, k)
+            assert gap[k] == g if g == math.inf else abs(gap[k] - g) <= 1e-15 * scale, (trial, k)
+
+
 def test_auto_contour_keeps_overlapping_circles_that_hold_no_sphere():
     """A real cluster's circle reaches into a disk pair's circles without
     covering a sphere of the other, so the contour winds once about every

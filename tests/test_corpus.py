@@ -15,7 +15,7 @@ from sspectrum.calculus import stem_moment
 from sspectrum.contour import auto_contour
 from sspectrum.errors import SingularMatrixError
 from sspectrum.kernels import CalculusKind, kernel
-from sspectrum.operators import CommutingOperator
+from sspectrum.operators import JOINT_SPECTRUM_BOUND, CommutingOperator
 
 EPS = float(np.finfo(np.float64).eps)
 # The eigenbasis value may be this many times further from stem_moment
@@ -33,7 +33,8 @@ MEMBERS = [(name, t1) for name in corpus.BASES for t1 in (0.0, 0.3)]
 
 def _per_node(T):
     """A copy of T whose cached eigenbasis is None, so that kernel_sum
-    takes the per-node path."""
+    takes the per-node path, s_spectrum the companion route and
+    has_real_component_spectra reads eigvals."""
     copy = CommutingOperator(*T.components)
     vars(copy)["eigenbasis"] = None
     return copy
@@ -95,3 +96,25 @@ def test_corpus_takes_both_paths():
         T = corpus.operator(corpus.BASES[name], 0.0)
         c = auto_contour(T.spheres, range(len(T.spheres)), N=256)
         assert _integrate(c, CalculusKind.S, T, SlicePoly.monomial(3), "left")[1]
+
+
+@pytest.mark.parametrize("name, t1", MEMBERS)
+def test_corpus_spectrum_route(name, t1):
+    """Frank(8), whose basis fails the spectrum's bound, and the Jordan
+    blocks, which have none, give the companion route's spheres bit for
+    bit; Grcar and Kahan read theirs off the basis, within 1e-12 of the
+    companion's.  Realness reads the same off the basis as off eigvals."""
+    T = corpus.operator(corpus.BASES[name], t1)
+    basis = T.eigenbasis
+    on_basis = basis is not None and basis.kappa * max(basis.residual, EPS) <= JOINT_SPECTRUM_BOUND
+    assert on_basis == (name not in ("frank8", "jordbloc8", "jordbloc12"))
+    got = [(sp.u, sp.v, sp.multiplicity) for sp in T.spheres]
+    want = [(sp.u, sp.v, sp.multiplicity) for sp in _per_node(T).spheres]
+    if not on_basis:
+        assert got == want
+    else:
+        reach = max(abs(complex(u, v)) for u, v, _ in want)
+        assert [k for _, _, k in got] == [k for _, _, k in want]
+        for (u, v, _), (wu, wv, _) in zip(got, want):
+            assert abs(u - wu) <= 1e-12 * reach and abs(v - wv) <= 1e-12 * reach
+    assert T.has_real_component_spectra() == _per_node(T).has_real_component_spectra()

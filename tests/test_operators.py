@@ -229,25 +229,53 @@ def test_non_normal_real_example():
     assert np.allclose([s.u for s in sp], [2.5 - root, 2.5 + root], atol=1e-12)
 
 
-@pytest.mark.parametrize("shift", [0.0, 1.0])
-def test_repeated_root_clustering_is_batched(monkeypatch, shift):
-    # 2 I (shift 0) and 2 I plus a nilpotent Jordan part (shift 1) at
-    # n = 32: one real point of multiplicity 64, which rounding splits so
-    # far that every pair of roots may be a midpoint candidate
+def without_basis(T):
+    """A copy of T whose cached eigenbasis is None, so that s_spectrum
+    takes the companion route and has_real_component_spectra reads
+    eigvals."""
+    copy = CommutingOperator(*T.components)
+    vars(copy)["eigenbasis"] = None
+    return copy
+
+
+def shifted_identity(shift):
+    """T0 = Q (2 I + shift E) Q^T at n = 32, E the upper shift and Q a
+    random orthogonal matrix; T1 = T2 = T3 = 0."""
     n = 32
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
     T0 = Q @ (2.0 * np.eye(n) + shift * np.diag(np.ones(n - 1), 1)) @ Q.T
     z = np.zeros((n, n))
+    return CommutingOperator(T0, z, z, z)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_repeated_root_clustering_is_batched(monkeypatch, shift):
+    # 2 I (shift 0) and 2 I plus a nilpotent Jordan part (shift 1) at
+    # n = 32 through the companion route: one real point of multiplicity
+    # 64, which rounding splits so far that every pair of roots may be a
+    # midpoint candidate
+    n = 32
+    T = without_basis(shifted_identity(shift))
     batches = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda M, **kw: batches.append(len(M)) or svd(M, **kw))
-    sp = s_spectrum(CommutingOperator(T0, z, z, z))
+    sp = s_spectrum(T)
     assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 2 * n)]
     assert abs(sp[0].u - 2.0) < 1e-8
     m = 2 * n
     assert all(b * m * m <= operators.CLUSTER_BATCH_ENTRIES for b in batches)
     assert sum(batches) < m * (m - 1) // 4
+
+
+def test_shifted_identity_through_the_basis_route(monkeypatch):
+    # 2 I conjugated by Q: the joint eigenvalues agree to rounding, so the
+    # basis route gives one real point without a companion matrix
+    T = shifted_identity(0.0)
+    monkeypatch.setattr(operators, "_companion", None)
+    sp = s_spectrum(T)
+    assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 64)]
+    assert abs(sp[0].u - 2.0) <= 1e-14
 
 
 JOINT = st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
@@ -278,6 +306,91 @@ def test_similarity_transformed_spectrum(joint, seed):
     assert (P @ P - P).norm() <= 1e-8 * max(P.norm(), 1.0)
     rank = sum(1 for d, b in joint if spheres[0].point_distance(d, b) < 1e-8)
     assert abs(np.trace(P.data[..., 0]) - rank) < 1e-6
+
+
+def takes_basis_route(T):
+    basis = T.eigenbasis
+    return (basis is not None and basis.kappa * max(basis.residual, operators.EPS)
+            <= operators.JOINT_SPECTRUM_BOUND)
+
+
+# a joint eigenvalue (a, b cos phi, b sin phi, 0) lies on the sphere (a, |b|)
+POINT = st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                  st.sampled_from([0.0, 0.7, 1.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(POINT, st.integers(1, 3), st.booleans(),
+                          st.sampled_from([0.0, 0.6, 1.0])), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_both_routes_give_the_constructed_spheres(draws, seed):
+    # T = V diag(joint eigenvalues) V^-1 under a non-orthogonal V of
+    # condition <= 3: each drawn point (a, b) is taken m times, as the
+    # sign pair (a, +-b) where paired, with its vector part turned by phi
+    # into the (e1, e2) plane
+    joint, expect = [], Counter()
+    for (a, b), m, paired, phi in draws:
+        for k in range(m):
+            sign = -1.0 if paired and k % 2 else 1.0
+            joint.append((a, sign * b * np.cos(phi), sign * b * np.sin(phi)))
+            expect[(a, b)] += 2 if b == 0.0 else 1
+    n = len(joint)
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    V = np.eye(n) + 0.5 * G / max(np.linalg.norm(G, 2), 1e-12)
+    Vi = np.linalg.inv(V)
+    lam = np.array(joint).T
+    T = CommutingOperator(*(V @ np.diag(d) @ Vi for d in lam), np.zeros((n, n)))
+    assert takes_basis_route(T)
+    for spheres in (s_spectrum(T), s_spectrum(without_basis(T))):
+        assert len(spheres) == len(expect)
+        for (u, v), m in expect.items():
+            sp = min(spheres, key=lambda sp: sp.point_distance(u, v))
+            assert sp.point_distance(u, v) < 1e-8
+            assert sp.multiplicity == m
+            assert (sp.v == 0.0) == (v == 0.0)
+
+
+@pytest.mark.parametrize("symmetric_base", [False, True])
+def test_realness_from_the_basis_matches_eigvals(symmetric_base):
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(40):
+        T = random_commuting_operator(rng, int(rng.integers(1, 7)),
+                                      zero_e3=True, symmetric_base=symmetric_base)
+        assert T.eigenbasis is not None
+        real = T.has_real_component_spectra()
+        assert without_basis(T).has_real_component_spectra() == real
+        seen.add(real)
+    assert seen == ({True} if symmetric_base else {False, True})
+
+
+@pytest.mark.parametrize("rotated", range(4))
+def test_realness_reads_every_component(rotated):
+    # one component is the rotation R, with spectrum +-i; the others are
+    # multiples of I, which commute with it
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    comps = [(k + 1.0) * np.eye(2) for k in range(4)]
+    comps[rotated] = R
+    T = CommutingOperator(*comps)
+    assert T.eigenbasis is not None
+    assert not T.has_real_component_spectra()
+    assert not without_basis(T).has_real_component_spectra()
+
+
+@pytest.mark.parametrize("v", [0.6e-8, 0.9e-8])
+def test_roots_within_the_tolerance_of_the_axis_are_one_real_point(v):
+    # the roots +-iv of the joint eigenvalue (0, v) lie closer than
+    # PAIRING_RTOL to the real axis but more than PAIRING_RTOL apart
+    T = diag_op([0.0, 1.0], [v, 0.0])
+    for spheres in (s_spectrum(T), s_spectrum(without_basis(T))):
+        assert [(sp.v, sp.multiplicity) for sp in spheres] == [(0.0, 2), (0.0, 2)]
+        assert abs(spheres[0].u) < 1e-15 and abs(spheres[1].u - 1.0) < 1e-15
+
+
+def test_unpaired_roots_are_refused():
+    # joint eigenvalues that are not closed under conjugation cannot come
+    # from real components: their roots do not pair up across the axis
+    assert operators._joint_points(np.array([[1.0 + 1.0j], [0.0], [0.0], [0.0]])) is None
 
 
 def test_spectrum_computed_once_per_operator(monkeypatch):

@@ -158,6 +158,8 @@ def test_diagonalisable_operator_inverts_no_pencil(monkeypatch, kind):
     ["projector", "--calculus", "q", "--cluster", "0"],
 ])
 def test_eigenbasis_computed_once_per_command(monkeypatch, tmp_path, capsys, argv):
+    # the spectrum, the realness test of the Q projector and the contour
+    # sum all read the one basis, so a command runs one eig and no eigvals
     computed = []
     original = operators.joint_eigenbasis
 
@@ -166,6 +168,10 @@ def test_eigenbasis_computed_once_per_command(monkeypatch, tmp_path, capsys, arg
         return original(T)
 
     monkeypatch.setattr(operators, "joint_eigenbasis", counting)
+    calls = []
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name,
+                            _f=getattr(np.linalg, name), **kw: calls.append(_name) or _f(*a, **kw))
     T = random_commuting_operator(np.random.default_rng(8), 4, zero_e3=True,
                                   symmetric_base=True)
     op, fn = tmp_path / "op.json", tmp_path / "f.json"
@@ -175,6 +181,7 @@ def test_eigenbasis_computed_once_per_command(monkeypatch, tmp_path, capsys, arg
     assert main(argv + ["--operator", str(op)]) == 0
     capsys.readouterr()
     assert len(computed) == 1
+    assert calls == ["eig"]
 
 
 def _spectrum_through(z):
