@@ -13,7 +13,7 @@ from .contour import (Circle, Contour, DiskPair, auto_contour,
                       enclosing_circle, integrate)
 from .identities import (IdentityReport, verify_all, verify_integral,
                          verify_pointwise, verify_seeded)
-from .kernels import kernel, p2_series, s_series
+from .kernels import kernel, kernel_forms, p2_series, s_series
 from .operators import CommutingOperator, gram, qcs_op, s_spectrum
 from .qlinalg import QuatMatrix, real_adjoint
 from .quat import (E1, E2, E3, ONE, Quaternion, SpectralSphere,

@@ -14,6 +14,13 @@ draw gives the whole ``(T, f, g, c_in, c_out)`` that its pairs take.
 ``verify_all`` walks the rows in registry order on one seeded stream;
 ``verify_seeded`` draws the rows before one name and evaluates only
 that one.  Evaluation never draws, so both agree for a fixed seed.
+
+Shared inputs are evaluated once per row: a pointwise row takes every
+kernel form it needs at one resolvent point from one pencil inverse
+(``kernel_forms``), a power shift sums all the degrees of its option
+set in one pass over the powers of T, and an integral row pairs the
+stems of one kind, contour and side in one ``apply_stems`` pass.  Each
+value is the same, bit for bit, as when evaluated on its own.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import CalculusKind, apply_calculus, riesz_projector
+from .calculus import CalculusKind, apply_calculus, apply_stems, riesz_projector
 from .contour import (DEFAULT_NODES, Contour, auto_contour, check_winding,
                       enclosing_circle, integrate)
 from .errors import InputError, NumericError, PreconditionError
-from .kernels import kernel
+from .kernels import kernel, kernel_forms
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
@@ -103,38 +110,33 @@ def _bracket(X: QuatMatrix, s: Quaternion, p: Quaternion) -> QuatMatrix:
     return (X.rmul(p) - X.lmul(s.conjugate())).rmul(qinv(qs_poly(s, p)))
 
 
+S, Q, P2, F = CalculusKind.S, CalculusKind.Q, CalculusKind.P2, CalculusKind.F
+
+
 def _s_resolvent_eq(T, s, p):
-    SR = kernel(CalculusKind.S, T, s, "right")
-    SL = kernel(CalculusKind.S, T, p)
+    SR = kernel(S, T, s, "right")
+    SL = kernel(S, T, p)
     return [(SR @ SL, _bracket(SR - SL, s, p))]
 
 
 def _s_resolvent_eq_intertwined(T, s, p, B: QuatMatrix):
-    SR = kernel(CalculusKind.S, T, s, "right")
-    SL = kernel(CalculusKind.S, T, p)
+    SR = kernel(S, T, s, "right")
+    SL = kernel(S, T, p)
     X = SR @ B - B @ SL
     return [(SR @ B @ SL, _bracket(X, s, p))]
 
 
 def _p2_mixed_resolvent_eq(T, s, p):
-    SR = kernel(CalculusKind.S, T, s, "right")
-    SL = kernel(CalculusKind.S, T, p)
-    P2L = kernel(CalculusKind.P2, T, p)
-    P2R = kernel(CalculusKind.P2, T, s, "right")
-    Qs = kernel(CalculusKind.Q, T, s)
-    Qp = kernel(CalculusKind.Q, T, p)
+    SR, P2R, Qs = kernel_forms(T, s, [(S, "right"), (P2, "right"), (Q, "left")])
+    SL, P2L, Qp = kernel_forms(T, p, [(S, "left"), (P2, "left"), (Q, "left")])
     uT = T.vector_part()
     lhs = SR @ P2L + P2R @ SL - (Qs @ uT @ Qp) * 4.0
     return [(lhs, _bracket(P2R - P2L, s, p))]
 
 
 def _p2_resolvent_eq(T, s, p):
-    SR = kernel(CalculusKind.S, T, s, "right")
-    SL = kernel(CalculusKind.S, T, p)
-    P2L = kernel(CalculusKind.P2, T, p)
-    P2R = kernel(CalculusKind.P2, T, s, "right")
-    FL = kernel(CalculusKind.F, T, p)
-    FR = kernel(CalculusKind.F, T, s, "right")
+    SR, P2R, FR = kernel_forms(T, s, [(S, "right"), (P2, "right"), (F, "right")])
+    SL, P2L, FL = kernel_forms(T, p, [(S, "left"), (P2, "left"), (F, "left")])
     uT = T.vector_part()
     uT2 = uT @ uT
     lhs = (SR @ P2L + P2R @ SL
@@ -144,18 +146,16 @@ def _p2_resolvent_eq(T, s, p):
 
 
 def _q_resolvent_eq(T, s, p):
-    SR = kernel(CalculusKind.S, T, s, "right")
-    SL = kernel(CalculusKind.S, T, p)
-    Qs = kernel(CalculusKind.Q, T, s)
-    Qp = kernel(CalculusKind.Q, T, p)
+    SR, Qs = kernel_forms(T, s, [(S, "right"), (Q, "left")])
+    SL, Qp = kernel_forms(T, p, [(S, "left"), (Q, "left")])
     uT = T.vector_part()
     lhs = Qs @ SL + SR @ Qp - (Qs @ uT @ Qp) * 2.0
     return [(lhs, _bracket(Qs - Qp, s, p))]
 
 
 def _q_resolvent_eq_legacy(T, s, p):
-    Qs = kernel(CalculusKind.Q, T, s)
-    Qp = kernel(CalculusKind.Q, T, p)
+    Qs = kernel(Q, T, s)
+    Qp = kernel(Q, T, p)
     Tbar = T.conjugate().as_matrix()
     lhs = (Qs @ Qp).lmul(s).rmul(p) - (Qs @ Tbar @ Qp).lmul(s) \
         - (Qs @ Tbar @ Qp).rmul(p) + Qs @ Tbar @ Tbar @ Qp
@@ -165,84 +165,67 @@ def _q_resolvent_eq_legacy(T, s, p):
 
 
 def _f_kernel_shift(T, s, p=None, side="left"):
-    Qs = kernel(CalculusKind.Q, T, s)
-    F = kernel(CalculusKind.F, T, s, side)
+    Qs, Fs = kernel_forms(T, s, [(Q, "left"), (F, side)])
     Mt = T.as_matrix()
-    lhs = F.rmul(s) - Mt @ F if side == "left" else F.lmul(s) - F @ Mt
+    lhs = Fs.rmul(s) - Mt @ Fs if side == "left" else Fs.lmul(s) - Fs @ Mt
     return [(lhs, Qs * -4.0)]
 
 
 def _pseudo_split(T, s, p=None, side="left"):
-    Qs = kernel(CalculusKind.Q, T, s)
-    P2 = kernel(CalculusKind.P2, T, s, side)
-    F = kernel(CalculusKind.F, T, s, side)
+    Qs, P2s, Fs = kernel_forms(T, s, [(Q, "left"), (P2, side), (F, side)])
     uT = T.vector_part()
-    rhs = (P2 + uT @ F) * 0.25 if side == "left" else (P2 + F @ uT) * 0.25
+    rhs = (P2s + uT @ Fs) * 0.25 if side == "left" else (P2s + Fs @ uT) * 0.25
     return [(Qs, rhs)]
 
 
 def _p2_kernel_shift(T, s, p=None, side="left"):
-    Qs = kernel(CalculusKind.Q, T, s)
-    P2 = kernel(CalculusKind.P2, T, s, side)
-    S = kernel(CalculusKind.S, T, s, side)
+    Qs, P2s, Ss = kernel_forms(T, s, [(Q, "left"), (P2, side), (S, side)])
     uT = T.vector_part()
     Mt = T.as_matrix()
     if side == "left":
-        return [(P2.rmul(s) - Mt @ P2, (S - uT @ Qs) * 4.0)]
-    return [(P2.lmul(s) - P2 @ Mt, (S - Qs @ uT) * 4.0)]
-
-
-def _power_sums(T, s, m, side):
-    """The two four-fold sums entering the degree-m kernel shift, and T^m."""
-    n = T.n
-    Qs = kernel(CalculusKind.Q, T, s)
-    uT = T.vector_part()
-    Mt = T.as_matrix()
-    S = kernel(CalculusKind.S, T, s, side)
-    A = QuatMatrix.zeros(n)
-    Bm = QuatMatrix.zeros(n)
-    tpow = QuatMatrix.identity(n)
-    for i in range(m):
-        spow = s ** (m - i - 1)
-        if side == "left":
-            A = A + (tpow @ S).rmul(spow)
-            Bm = Bm + (tpow @ uT @ Qs).rmul(spow)
-        else:
-            A = A + (S @ tpow).lmul(spow)
-            Bm = Bm + (Qs @ uT @ tpow).lmul(spow)
-        tpow = tpow @ Mt
-    return A * 4.0, Bm * 4.0, tpow
+        return [(P2s.rmul(s) - Mt @ P2s, (Ss - uT @ Qs) * 4.0)]
+    return [(P2s.lmul(s) - P2s @ Mt, (Ss - Qs @ uT) * 4.0)]
 
 
 def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
-    A, Bm, tm = _power_sums(T, s, m, side)
-    P2 = kernel(CalculusKind.P2, T, s, side)
-    lhs = P2.rmul(s ** m) - tm @ P2 if side == "left" else P2.lmul(s ** m) - P2 @ tm
-    return [(lhs, A - Bm)]
-
-
-def p2_power_shift_alt_terms(T: CommutingOperator, s: Quaternion, m: int):
-    """The closing rewriting of the degree-m sum, with its stated index
-    bounds taken verbatim.  Compared against the main display by the
-    test suite; the stated bounds do not reproduce it."""
-    n = T.n
-    Qs = kernel(CalculusKind.Q, T, s)
+    """One pair per degree, m one degree or a sequence of them.  The
+    four-fold sums of every degree come from one pass over the powers
+    T^i: each of T^i, T^i S and T^i uT Q is formed once and added, in
+    increasing i, to the sums of the degrees above i; at i = m the
+    degree-m pair is complete."""
+    degrees = [m] if isinstance(m, int) else list(m)
+    Qs, Ss, P2s = kernel_forms(T, s, [(Q, "left"), (S, side), (P2, side)])
+    uT = T.vector_part()
     Mt = T.as_matrix()
-    Tbar = T.conjugate().as_matrix()
-    first = QuatMatrix.zeros(n)
-    tpow = Mt @ Mt
-    for i in range(1, m + 1):
-        spow = qinv(s) if m - i - 1 == -1 else s ** (m - i - 1)
-        first = first + (tpow @ Qs).rmul(spow)
+    A = {k: QuatMatrix.zeros(T.n) for k in degrees}
+    Bm = dict(A)
+    pairs = {}
+    tpow = QuatMatrix.identity(T.n)
+    top = max(degrees, default=0)
+    for i in range(top + 1):
+        if i in A:
+            if side == "left":
+                lhs = P2s.rmul(s ** i) - tpow @ P2s
+            else:
+                lhs = P2s.lmul(s ** i) - P2s @ tpow
+            pairs[i] = (lhs, A[i] * 4.0 - Bm[i] * 4.0)
+        if i == top:
+            break
+        if side == "left":
+            X, Y = tpow @ Ss, tpow @ uT @ Qs
+        else:
+            X, Y = Ss @ tpow, Qs @ uT @ tpow
+        for k in degrees:
+            if k > i:
+                spow = s ** (k - i - 1)
+                if side == "left":
+                    A[k] = A[k] + X.rmul(spow)
+                    Bm[k] = Bm[k] + Y.rmul(spow)
+                else:
+                    A[k] = A[k] + X.lmul(spow)
+                    Bm[k] = Bm[k] + Y.lmul(spow)
         tpow = tpow @ Mt
-    second = QuatMatrix.zeros(n)
-    tpow = QuatMatrix.identity(n)
-    for i in range(m):
-        second = second + (tpow @ Qs).rmul(s ** (m - i - 1))
-        tpow = tpow @ Mt
-    B_alt = first * 2.0 - (Tbar @ second) * 2.0
-    _, B_main, _ = _power_sums(T, s, m, "left")
-    return B_main, B_alt
+    return [pairs[k] for k in degrees]
 
 
 def _no_options(rng, T):
@@ -254,8 +237,8 @@ def _draw_intertwiner(rng, T):
 
 
 def _power_degrees(rng, T):
-    """The degrees m = 1..5, drawing nothing."""
-    return [{"m": m} for m in range(1, 6)]
+    """One option set of the degrees m = 1..5, drawing nothing."""
+    return [{"m": (1, 2, 3, 4, 5)}]
 
 
 POINTWISE_IDENTITIES = {
@@ -286,38 +269,35 @@ def _p2_product_rule(T, f, g, c_in, c_out, side="left"):
     if g.side != side:
         raise PreconditionError(f"this product rule takes a {side} stem g")
     uT = T.vector_part()
-    lhs = apply_calculus(CalculusKind.P2, stem_product(f, g), T, c_in)
-    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
-    Pf = apply_calculus(CalculusKind.P2, f, T, c_out)
-    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
-    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
-    Pg = apply_calculus(CalculusKind.P2, g, T, c_in)
-    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
+    lhs, Pg = apply_stems(P2, [stem_product(f, g), g], T, c_in)
+    Sf = apply_calculus(S, f, T, c_out)
+    Pf = apply_calculus(P2, f, T, c_out)
+    Qf = apply_calculus(Q, f, T, c_out)
+    Sg = apply_calculus(S, g, T, c_in)
+    Qg = apply_calculus(Q, g, T, c_in)
     if side == "left":
         return [(lhs, Sf @ Pg + Pf @ Sg - Qf @ uT @ Qg)]
     return [(lhs, Sg @ Pf + Pg @ Sf - Qg @ uT @ Qf)]
 
 
 def _f_product_rule(T, f, g, c_in, c_out):
-    lhs = apply_calculus(CalculusKind.F, stem_product(f, g), T, c_in)
-    Ff = apply_calculus(CalculusKind.F, f, T, c_out)
-    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
-    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
-    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
-    Fg = apply_calculus(CalculusKind.F, g, T, c_in)
-    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
+    lhs, Fg = apply_stems(F, [stem_product(f, g), g], T, c_in)
+    Ff = apply_calculus(F, f, T, c_out)
+    Sf = apply_calculus(S, f, T, c_out)
+    Qf = apply_calculus(Q, f, T, c_out)
+    Sg = apply_calculus(S, g, T, c_in)
+    Qg = apply_calculus(Q, g, T, c_in)
     return [(lhs, Ff @ Sg + Sf @ Fg - Qf @ Qg)]
 
 
 def _f_product_rule_via_p2(T, f, g, c_in, c_out):
     uT = T.vector_part()
-    Ff = apply_calculus(CalculusKind.F, f, T, c_out)
-    Fg = apply_calculus(CalculusKind.F, g, T, c_in)
-    Pf = apply_calculus(CalculusKind.P2, f, T, c_out)
-    Pg = apply_calculus(CalculusKind.P2, g, T, c_in)
-    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
-    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
-    lhs = apply_calculus(CalculusKind.F, stem_product(f, g), T, c_in)
+    Ff = apply_calculus(F, f, T, c_out)
+    Fg, lhs = apply_stems(F, [g, stem_product(f, g)], T, c_in)
+    Pf = apply_calculus(P2, f, T, c_out)
+    Pg = apply_calculus(P2, g, T, c_in)
+    Sf = apply_calculus(S, f, T, c_out)
+    Sg = apply_calculus(S, g, T, c_in)
     rhs = (Ff @ Sg + Sf @ Fg
            - (Pf @ Pg) * 0.25
            - (Pf @ uT @ Fg) * 0.25
@@ -328,25 +308,22 @@ def _f_product_rule_via_p2(T, f, g, c_in, c_out):
 
 def _q_product_rule(T, f, g, c_in, c_out):
     uT = T.vector_part()
-    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
-    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
-    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
-    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
-    lhs = apply_calculus(CalculusKind.Q, stem_product(f, g), T, c_in)
+    Qf = apply_calculus(Q, f, T, c_out)
+    Qg, lhs = apply_stems(Q, [g, stem_product(f, g)], T, c_in)
+    Sf = apply_calculus(S, f, T, c_out)
+    Sg = apply_calculus(S, g, T, c_in)
     return [(lhs, Sf @ Qg + Qf @ Sg + Qf @ uT @ Qg)]
 
 
 def _q_product_rule_legacy(T, f, g, c_in, c_out):
     Tbar = T.conjugate().as_matrix()
     fg = stem_product(f, g)
-    lhs = (apply_calculus(CalculusKind.Q, stem_shift(fg), T, c_in)
-           - Tbar @ apply_calculus(CalculusKind.Q, fg, T, c_in)) * 2.0
-    Sf = apply_calculus(CalculusKind.S, f, T, c_out)
-    Qf = apply_calculus(CalculusKind.Q, f, T, c_out)
-    Qf_shift = apply_calculus(CalculusKind.Q, stem_shift(f), T, c_out)
-    Sg = apply_calculus(CalculusKind.S, g, T, c_in)
-    Qg = apply_calculus(CalculusKind.Q, g, T, c_in)
-    Qg_shift = apply_calculus(CalculusKind.Q, stem_shift(g), T, c_in)
+    Qfg_shift, Qfg, Qg, Qg_shift = apply_stems(
+        Q, [stem_shift(fg), fg, g, stem_shift(g)], T, c_in)
+    lhs = (Qfg_shift - Tbar @ Qfg) * 2.0
+    Sf = apply_calculus(S, f, T, c_out)
+    Qf, Qf_shift = apply_stems(Q, [f, stem_shift(f)], T, c_out)
+    Sg = apply_calculus(S, g, T, c_in)
     rhs = (Sf @ Qg_shift - Sf @ Tbar @ Qg
            + Qf_shift @ Sg - Qf @ Tbar @ Sg)
     return [(lhs, rhs)]
@@ -355,17 +332,17 @@ def _q_product_rule_legacy(T, f, g, c_in, c_out):
 def _p2_vanishing_integral(T, f, g, c_in, c_out):
     one = SlicePoly.monomial(0)
     zero = QuatMatrix.zeros(T.n)
-    return [(integrate(c_in, CalculusKind.P2, T, one, side), zero)
+    return [(integrate(c_in, P2, T, one, side), zero)
             for side in ("left", "right")]
 
 
 def _q_vanishing_integral(T, f, g, c_in, c_out):
-    val = integrate(c_in, CalculusKind.Q, T, SlicePoly.monomial(0))
+    val = integrate(c_in, Q, T, SlicePoly.monomial(0))
     return [(val, QuatMatrix.zeros(T.n))]
 
 
 def _intrinsic_left_right(T, f, g, c_in, c_out,
-                          kinds=(CalculusKind.S, CalculusKind.Q, CalculusKind.F)):
+                          kinds=(S, Q, F)):
     if not f.is_intrinsic():
         raise PreconditionError("left/right agreement needs an intrinsic stem")
     fl = SlicePoly("left", f.coeffs)
@@ -375,13 +352,13 @@ def _intrinsic_left_right(T, f, g, c_in, c_out,
 
 
 def _p2_riesz_projector(T, f, g, c_in, c_out):
-    P = riesz_projector(CalculusKind.P2, T, c_in)
+    P = riesz_projector(P2, T, c_in)
     Mt = T.as_matrix()
     return [(P @ P, P), (Mt @ P, P @ Mt)]
 
 
 def _q_riesz_projector(T, f, g, c_in, c_out):
-    P = riesz_projector(CalculusKind.Q, T, c_in)
+    P = riesz_projector(Q, T, c_in)
     return [(P @ P, P)]
 
 
@@ -416,7 +393,7 @@ INTEGRAL_IDENTITIES = {
     "q_vanishing_integral": Row(_q_vanishing_integral, _draw_split),
     "intrinsic_left_right": Row(_intrinsic_left_right, _draw_stems),
     "p2_intrinsic_left_right":
-        Row(partial(_intrinsic_left_right, kinds=(CalculusKind.P2,)), _draw_stems),
+        Row(partial(_intrinsic_left_right, kinds=(P2,)), _draw_stems),
     "p2_riesz_projector": Row(_p2_riesz_projector, _draw_split),
     "q_riesz_projector": Row(_q_riesz_projector, _draw_split),
 }

@@ -27,10 +27,12 @@ C and Z_j are real matrix polynomials in T applied to z^p G, p <= 2, with
 G = Q^-1 or +-4 Q^-2, and X + iY stands for X + YJ.
 
 ``kernel_at_nodes`` turns C and Z into quaternions at every node, an
-(N, n, n, 4) stack, and ``kernel`` at one point: C by the embedding
-``qlinalg.in_plane``, and sum_j e_j Z_j as X + Y J (X + J Y for right
-forms), X and Y the vector quaternions of the real and imaginary parts
-of the Z_j, so the one product in it is ``qmul_arr``.  Paired node by node,
+(N, n, n, 4) stack, and ``kernel_forms`` at one point s, for several
+(kind, side) forms from one Q(s)^-1 (``kernel`` is its one-form call):
+C by the embedding ``qlinalg.in_plane``, and sum_j e_j Z_j as X + Y J
+(X + J Y for right forms), X and Y the vector quaternions of the real
+and imaginary parts of the Z_j, so the one product in it is
+``qmul_arr``.  Paired node by node,
 that stack is the tests' oracle for the contracted sum.  ``kernel_sum``,
 the one path by which ``contour.integrate`` pairs a kernel with stems,
 never forms that stack: the map from z^p G to the kernel is real-linear,
@@ -69,6 +71,7 @@ from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
 __all__ = [
     "CalculusKind",
     "kernel",
+    "kernel_forms",
     "kernel_at_nodes",
     "kernel_sum",
     "p2_series",
@@ -124,16 +127,37 @@ def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
         s_arr = s_arr[None, :]
     n = T.n
     K = gram(T)
-    powers = np.arange(_DEGREE[kind] + 1)
     out = np.empty(s_arr.shape[:1] + (n, n, 4))
     chunk = max(1, CHUNK_ENTRIES // (n * n))
     for lo in range(0, len(s_arr), chunk):
         hi = min(lo + chunk, len(s_arr))
         z, J = _slice_coordinates(s_arr[lo:hi])
         G = _pencil_term(kind, T.T0, K, z, np.arange(lo, hi))
-        S = (z[:, None] ** powers)[:, :, None, None] * G[:, None]
-        out[lo:hi] = _to_quaternion(*_kernel_parts(kind, side, T, S), J, side)
+        out[lo:hi] = _form(kind, side, T, z, J, G)
     return out[0] if squeeze else out
+
+
+def kernel_forms(T: CommutingOperator, s: Quaternion, forms) -> list:
+    """Several forms of the kernels at one point s in the S-resolvent
+    set of T, from one pencil inverse Q(s)^-1.
+
+    forms is a sequence of (kind, side); the result lists one QuatMatrix
+    per form, each equal bit for bit to kernel(kind, T, s, side)."""
+    forms = [(CalculusKind(kind), side) for kind, side in forms]
+    for _, side in forms:
+        _check_side(side)
+    z, J = _slice_coordinates(s.as_array()[None, :])
+    Qinv = _pencil_term(CalculusKind.Q, T.T0, gram(T), z, np.arange(1))
+    G = {kind: _factored(kind, Qinv) for kind, _ in forms}
+    return [QuatMatrix(_form(kind, side, T, z, J, G[kind])[0]) for kind, side in forms]
+
+
+def _form(kind, side, T, z, J, G):
+    """The side form of one kind's kernel, (N, n, n, 4), from its pencil
+    term G (N, n, n) at the slice values z with units J."""
+    powers = np.arange(_DEGREE[kind] + 1)
+    S = (z[:, None] ** powers)[:, :, None, None] * G[:, None]
+    return _to_quaternion(*_kernel_parts(kind, side, T, S), J, side)
 
 
 def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
@@ -291,6 +315,11 @@ def _pencil_term(kind, T0, K, z, index):
             f"pencil at node {label} has condition {cond[which]:.3e} "
             f"above {COND_LIMIT:.0e}",
             batch_index=label)
+    return _factored(kind, Qinv)
+
+
+def _factored(kind, Qinv):
+    """G from Q^-1: Q^-1 itself for S and Q, -4 Q^-2 for F, 4 Q^-2 for P2."""
     if kind in _FACTOR:
         # the F and P2 prefactors are linear, so they go on Q^-2
         return np.matmul(_FACTOR[kind] * Qinv, Qinv)
@@ -354,7 +383,7 @@ def kernel(kind: CalculusKind, T: CommutingOperator, s: Quaternion,
            side: str = "left") -> QuatMatrix:
     """The side form of one kind's kernel at one point s in the
     S-resolvent set of T."""
-    return QuatMatrix(kernel_at_nodes(kind, T, s.as_array(), side))
+    return kernel_forms(T, s, [(kind, side)])[0]
 
 
 # ---------------------------------------------------------------------------

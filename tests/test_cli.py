@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from sspectrum import CommutingOperator, QuatMatrix, Quaternion, cli, identities
 from sspectrum.calculus import CalculusKind, stem_moment
 from sspectrum.cli import MAX_DEGREE, RunConfig, run
 from sspectrum.contour import MAX_NODES
-from sspectrum.operators import MAX_DIMENSION
+from sspectrum.operators import MAX_DIMENSION, save_operator
 from sspectrum.errors import InputError, NumericError
 
 
@@ -284,6 +285,23 @@ def test_negative_m_is_a_parse_error(capsys):
     assert cli.main(["verify", "--name", "p2_kernel_power_shift_left", "--m", "-1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def test_power_shift_memory_does_not_grow_with_the_degree(tmp_path, capsys):
+    """verify --m 1024 on an n = 32 operator keeps a few n x n matrices,
+    not one per power of T (that would be about 100 MB)."""
+    path = tmp_path / "op.json"
+    save_operator(identities.random_commuting_operator(np.random.default_rng(3), 32), path)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--name", "p2_kernel_power_shift_left",
+                         "--m", "1024", "--operator", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["inputs"].endswith(" m=1024")
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -7,21 +7,20 @@ import pytest
 
 from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion,
-                       QuatMatrix, enclosing_circle, identities, kernel, qinv,
-                       qs_poly, s_spectrum, verify_all, verify_integral,
-                       verify_pointwise, verify_seeded)
+                       QuatMatrix, calculus, enclosing_circle, identities,
+                       kernel, kernels, qinv, qs_poly, s_spectrum, verify_all,
+                       verify_integral, verify_pointwise, verify_seeded)
 from sspectrum.contour import Circle, Contour
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import (INTEGRAL_IDENTITIES, POINTWISE_IDENTITIES,
                                   random_commuting_polynomial,
-                                  p2_power_shift_alt_terms,
                                   random_commuting_operator,
                                   random_resolvent_point, random_stem,
                                   registry_names, reports_to_csv,
                                   split_spectrum_operator)
 
-MANIFEST = json.loads(
-    (Path(__file__).parent / "data" / "identity_manifest.json").read_text())
+DATA = Path(__file__).parent / "data"
+MANIFEST = json.loads((DATA / "identity_manifest.json").read_text())
 
 
 def test_registry_matches_manifest():
@@ -174,6 +173,131 @@ def test_report_nan_pair_fails():
     with np.errstate(invalid="ignore"):
         report = identities._report("x", "", [ok, (big, big)], 1.0)
     assert not report.passed and math.isnan(report.residual)
+
+
+def _power_sums_of_degree(T, s, m, side):
+    """The two four-fold sums of the degree-m kernel shift, and T^m, each
+    degree summed on its own: the loop that the registry's one pass over
+    all degrees reproduces bit for bit."""
+    n = T.n
+    Qs = kernel(CalculusKind.Q, T, s)
+    uT = T.vector_part()
+    Mt = T.as_matrix()
+    S = kernel(CalculusKind.S, T, s, side)
+    A = QuatMatrix.zeros(n)
+    Bm = QuatMatrix.zeros(n)
+    tpow = QuatMatrix.identity(n)
+    for i in range(m):
+        spow = s ** (m - i - 1)
+        if side == "left":
+            A = A + (tpow @ S).rmul(spow)
+            Bm = Bm + (tpow @ uT @ Qs).rmul(spow)
+        else:
+            A = A + (S @ tpow).lmul(spow)
+            Bm = Bm + (Qs @ uT @ tpow).lmul(spow)
+        tpow = tpow @ Mt
+    return A * 4.0, Bm * 4.0, tpow
+
+
+def p2_power_shift_alt_terms(T: CommutingOperator, s: Quaternion, m: int):
+    """The closing rewriting of the degree-m sum, with its stated index
+    bounds taken verbatim, and the main display's sum."""
+    n = T.n
+    Qs = kernel(CalculusKind.Q, T, s)
+    Mt = T.as_matrix()
+    Tbar = T.conjugate().as_matrix()
+    first = QuatMatrix.zeros(n)
+    tpow = Mt @ Mt
+    for i in range(1, m + 1):
+        spow = qinv(s) if m - i - 1 == -1 else s ** (m - i - 1)
+        first = first + (tpow @ Qs).rmul(spow)
+        tpow = tpow @ Mt
+    second = QuatMatrix.zeros(n)
+    tpow = QuatMatrix.identity(n)
+    for i in range(m):
+        second = second + (tpow @ Qs).rmul(s ** (m - i - 1))
+        tpow = tpow @ Mt
+    B_alt = first * 2.0 - (Tbar @ second) * 2.0
+    _, B_main, _ = _power_sums_of_degree(T, s, m, "left")
+    return B_main, B_alt
+
+
+def _same_bytes(A: QuatMatrix, B: QuatMatrix) -> bool:
+    return A.data.tobytes() == B.data.tobytes()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_power_shift_degrees_from_one_pass_bit_for_bit(rng, side):
+    row = POINTWISE_IDENTITIES[f"p2_kernel_power_shift_{side}"]
+    for n in (1, 2, 3):
+        T = random_commuting_operator(rng, n)
+        s = random_resolvent_point(rng, T)
+        P2 = kernel(CalculusKind.P2, T, s, side)
+        together = row.pairs(T, s, m=range(7))
+        assert len(together) == 7
+        for m, (lhs, rhs) in enumerate(together):
+            (lhs_m, rhs_m), = row.pairs(T, s, m=m)
+            assert _same_bytes(lhs, lhs_m) and _same_bytes(rhs, rhs_m), (n, m)
+            A, Bm, tm = _power_sums_of_degree(T, s, m, side)
+            want = P2.rmul(s ** m) - tm @ P2 if side == "left" else P2.lmul(s ** m) - P2 @ tm
+            assert _same_bytes(lhs, want) and _same_bytes(rhs, A - Bm), (n, m)
+        # a subset of degrees in any order keeps its own order
+        picked = row.pairs(T, s, m=[5, 0, 2])
+        for m, (lhs, rhs) in zip([5, 0, 2], picked):
+            assert _same_bytes(lhs, together[m][0]) and _same_bytes(rhs, together[m][1])
+
+
+def test_reports_equal_the_stored_reference():
+    """verify_all at seeds 0..5 and the default nodes, against the reports
+    of the per-kernel, per-degree and per-stem evaluation it replaced,
+    stored in data/selftest_reference.json (numpy 2.4 on x86-64)."""
+    reference = json.loads((DATA / "selftest_reference.json").read_text())
+    assert sorted(reference) == [str(seed) for seed in range(6)]
+    for seed, reports in reference.items():
+        assert [r.to_dict() for r in verify_all(seed=int(seed))] == reports, seed
+
+
+TWO_POINT_ROWS = {"s_resolvent_eq", "s_resolvent_eq_intertwined",
+                  "p2_mixed_resolvent_eq", "p2_resolvent_eq", "q_resolvent_eq",
+                  "q_resolvent_eq_legacy"}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of pencil inversions (kernels._pencil_term) and of contour
+    passes (integrate, as calculus and identities call it)."""
+    counts = {"pencils": 0, "integrate": 0}
+    pencil_term, integrate = kernels._pencil_term, calculus.integrate
+
+    def counting_pencil(*args):
+        counts["pencils"] += 1
+        return pencil_term(*args)
+
+    def counting_integrate(*args, **kwargs):
+        counts["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_pencil_term", counting_pencil)
+    monkeypatch.setattr(calculus, "integrate", counting_integrate)
+    monkeypatch.setattr(identities, "integrate", counting_integrate)
+    return counts
+
+
+def test_pointwise_rows_invert_one_pencil_per_point(rng, counted):
+    T = random_commuting_operator(rng, 3)
+    s = random_resolvent_point(rng, T)
+    p = random_resolvent_point(rng, T, avoid=s)
+    for name, row in POINTWISE_IDENTITIES.items():
+        for opts in row.draw(rng, T):
+            counted["pencils"] = 0
+            verify_pointwise(name, T, s, p, **opts)
+            assert counted["pencils"] == (2 if name in TWO_POINT_ROWS else 1), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_verify_all_pencil_and_contour_counts(counted, seed):
+    verify_all(seed=seed)
+    assert counted == {"pencils": 60, "integrate": 45}
 
 
 def test_closing_rewrite_disagrees(rng):

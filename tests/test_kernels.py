@@ -5,8 +5,8 @@ import pytest
 
 from conftest import qrel, rel
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion, QuatMatrix,
-                       kernel, p2_series, qinv, s_series)
-from sspectrum.errors import DivergenceError, SingularMatrixError
+                       kernel, kernel_forms, kernels, p2_series, qinv, s_series)
+from sspectrum.errors import DivergenceError, InputError, SingularMatrixError
 from sspectrum.identities import (random_commuting_operator,
                                   random_resolvent_point)
 from sspectrum.kernels import (cauchy_kernel_left, cauchy_kernel_right,
@@ -334,3 +334,64 @@ def test_node_on_sphere_in_large_batch_raises(rng, n, bad):
             kernel_at_nodes(kind, T, pts, side)
         assert err.value.batch_index == bad
     kernel_at_nodes(S, T, np.delete(pts, bad, axis=0))
+
+
+# every (kind, side), Q^-1 on both of its sides
+FORMS = [(kind, side) for kind in CalculusKind for side in ("left", "right")]
+
+
+def _real_resolvent_point(rng, T):
+    """A real point (b = 0) at distance >= 0.3 from every sphere."""
+    while True:
+        u = rng.uniform(-2.0, 2.0)
+        if all(sp.point_distance(u, 0.0) >= 0.3 for sp in s_spectrum(T)):
+            return Quaternion(u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_forms_equal_one_form_calls_bit_for_bit(rng, n):
+    T = random_commuting_operator(rng, n)
+    points = [random_resolvent_point(rng, T) for _ in range(3)]
+    points.append(_real_resolvent_point(rng, T))
+    for s in points:
+        # shuffled, with repeats: each answer depends on its own form only
+        forms = [FORMS[k] for k in rng.integers(0, len(FORMS), 12)] + FORMS
+        for (kind, side), got in zip(forms, kernel_forms(T, s, forms)):
+            one = kernel(kind, T, s, side)
+            batch = kernel_at_nodes(kind, T, s.as_array(), side)
+            assert got.data.tobytes() == one.data.tobytes() == batch.tobytes(), \
+                (kind, side, s)
+
+
+def test_kernel_forms_invert_one_pencil(monkeypatch, rng):
+    calls = []
+    original = kernels._pencil_term
+
+    def counting(kind, T0, K, z, index):
+        calls.append(len(z))
+        return original(kind, T0, K, z, index)
+
+    monkeypatch.setattr(kernels, "_pencil_term", counting)
+    T = random_commuting_operator(rng, 3)
+    kernel_forms(T, random_resolvent_point(rng, T), FORMS)
+    assert calls == [1]
+
+
+def test_kernel_forms_on_a_sphere_raise_as_one_form_calls(rng):
+    T = random_commuting_operator(rng, 3)
+    J = Quaternion(0.0, 0.6, 0.0, 0.8)
+    for sp in s_spectrum(T):
+        s = Quaternion.embed(sp.u, J, sp.v) if sp.v > 0 else Quaternion(sp.u)
+        with pytest.raises(SingularMatrixError) as many:
+            kernel_forms(T, s, FORMS)
+        for kind, side in FORMS:
+            with pytest.raises(SingularMatrixError) as one:
+                kernel(kind, T, s, side)
+            assert str(one.value) == str(many.value)
+            assert one.value.batch_index == many.value.batch_index == 0
+
+
+def test_kernel_forms_check_every_side(rng):
+    T = random_commuting_operator(rng, 2)
+    with pytest.raises(InputError):
+        kernel_forms(T, random_resolvent_point(rng, T), [(S, "left"), (Q, "up")])
