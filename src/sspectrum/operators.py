@@ -2,17 +2,12 @@
 
 The S-spectrum of such an operator is where the real quadratic pencil
 Q(s) = s^2 I - 2 s T0 + K, K = T0^2 + T1^2 + T2^2 + T3^2, is singular.
-It has two routes.  Where T has a joint eigenbasis (``joint_eigenbasis``,
-T_i = V diag(lam_i) V^-1) whose joint eigenvalues are accurate to well
-within the clustering tolerance, Q(s) = V diag(q_j(s)) V^-1 with scalar
-quadratics q_j, so the spheres are the roots lam_0 +- sqrt(-sum_i lam_i^2)
-of the joint eigenvalues, clustered in C^4: one eig serves the spectrum
-and every contour sum.  Otherwise (a Jordan block, or a basis too
-ill-conditioned for the bound) the pencil is linearized to its 2n x 2n
-real companion matrix, whose eigenvalues are computed densely and the
-roots that rounding split off one multiple root are clustered back
-together.  Either way conjugate clusters u +- iv collapse to one sphere
-[u + J v], and clusters on the real axis give spheres with v = 0.
+One rule (s_spectrum) makes its spheres from the joint eigenvalues of
+the components.  They are read off the joint eigenbasis
+(``joint_eigenbasis``) where it is accurate enough, so that one eig
+serves the spectrum and every contour sum, and otherwise off one complex
+Schur form of a generic combination of the components (a Jordan block,
+or a basis too ill-conditioned for the bound).
 """
 
 from __future__ import annotations
@@ -40,18 +35,21 @@ __all__ = [
 
 COMMUTATION_RTOL = 1e-10
 PAIRING_RTOL = 1e-8
-# sigma_min(A - z I) below this multiple of eps |A|_F makes z an
-# eigenvalue of the companion matrix A to working precision.  Halfway
-# points inside a split multiple root measured at most 12 on random
-# similarity-transformed operators, and at least 2e3 between distinct
-# roots 1e-6 apart.
+# sigma_min(C - z I) below this multiple of eps |C|_F makes z an
+# eigenvalue of the matrix C to working precision.  Halfway points inside
+# a split multiple eigenvalue measured at most 0.42 on Jordan blocks of
+# sizes 2-6 under random similarities of condition <= 3, and at least
+# 1.2e8 between distinct eigenvalues 1e-6 apart.
 CLUSTER_SIGMA_RTOL = 100.0
 EPS = float(np.finfo(np.float64).eps)
-# Matrix entries per batch of midpoint tests (pairs times m^2).
+# Matrix entries per batch of midpoint tests (pairs times n^2).
 CLUSTER_BATCH_ENTRIES = 1 << 16
 REAL_SPECTRUM_RTOL = 1e-8
-# The largest n of an operator document: the eig of the 2n x 2n companion
-# took 1.5 s at n = 512 on 2 CPUs and grows as n^3, to about 100 s at 2048.
+# The largest n of an operator document: the spectrum of a random operator
+# took 0.6-0.9 s at n = 512 and 3-5 s at n = 1024 on 2 CPUs (the basis's
+# eig, or the Schur route) and grows as n^3, to about 40 s at 2048.  A
+# Jordan block under a rotation is slower, one n x n SVD per midpoint
+# test: 5 s at n = 256.
 MAX_DIMENSION = 2048
 # Weights of the combination whose eigenvectors are the joint eigenbasis:
 # 1, sqrt(5) - 2, sqrt(2) - 1 and sqrt(3) - 1 are linearly independent
@@ -169,16 +167,35 @@ class CommutingOperator:
         return float(np.linalg.norm(self.T3)) <= 1e-10 * scale
 
     def has_real_component_spectra(self) -> bool:
-        """Whether every component matrix has (numerically) real spectrum.
-        Where T has an eigenbasis, its joint eigenvalues values[i] are
-        T_i's eigenvalues; otherwise each T_i's come from eigvals."""
-        basis = self.eigenbasis
+        """Whether every component matrix has (numerically) real spectrum,
+        read off the joint eigenvalues that s_spectrum reads its spheres
+        off: values[i] are T_i's eigenvalues."""
+        p, values = self._unit[0], self._joint[0]
         for i, C in enumerate(self.components):
             scale = max(float(np.linalg.norm(C)), 1.0)
-            lam = np.linalg.eigvals(C) if basis is None else basis.values[i]
-            if np.max(np.abs(lam.imag)) > REAL_SPECTRUM_RTOL * scale:
+            if np.ldexp(np.max(np.abs(values[i].imag)), p) > REAL_SPECTRUM_RTOL * scale:
                 return False
         return True
+
+    @cached_property
+    def _joint(self):
+        """(values, points): the joint eigenvalues (4, k) of T / 2^p that
+        s_spectrum reads its spheres off, each standing for one or more
+        of T's, and those spheres as (u, v, k) points at the same scale.
+        They come from the eigenbasis when it passes the bound and its
+        roots pair up, otherwise from _schur_values."""
+        p, _, comps = self._unit
+        basis = self.eigenbasis
+        if basis is not None and basis.kappa * max(basis.residual, EPS) <= JOINT_SPECTRUM_BOUND:
+            values = _ldexp(basis.values, -p)
+            points = _joint_points(values, np.ones(self.n, dtype=int))
+            if points is not None:
+                return values, points
+        values, weight = _schur_values(comps)
+        points = _joint_points(values, weight)
+        if points is None:
+            raise EigenvalueError("the roots above and below the real axis do not pair up")
+        return values, points
 
 
 def _check_commutation(comps):
@@ -310,58 +327,42 @@ def s_spectrum(T: CommutingOperator):
     """All spheres of the S-spectrum, sorted by u and, among spheres whose
     u agree within PAIRING_RTOL (1 + |u|), by v.
 
-    Both routes work on T / 2^p, 2^p the power of two nearest ||T||, so
-    that their tolerances read at unit scale; scaling by 2^p is exact, so
-    s_spectrum(2^k T) is 2^k s_spectrum(T) bit for bit.  The multiplicity
-    of a sphere counts its roots above the real axis, and that of a real
-    point both roots of each joint eigenvalue on it.
+    The spectrum is computed for T / 2^p, 2^p the power of two nearest
+    ||T||, so that the tolerances read at unit scale; scaling by 2^p is
+    exact, so s_spectrum(2^k T) is 2^k s_spectrum(T) bit for bit.  The
+    multiplicity of a sphere counts its roots above the real axis, and
+    that of a real point both roots of each joint eigenvalue on it.
 
-    Joint eigenbasis route, taken when T.eigenbasis exists and
-    kappa_2(V) max(residual, eps) <= JOINT_SPECTRUM_BOUND: the pencil is
-    V diag(q_j(s)) V^-1, so its roots are those of the scalars q_j.  Two
-    joint eigenvalues lam_j in C^4 are one point when they lie within
-    PAIRING_RTOL (1 + |lam|) of each other; each point's mean gives the
-    roots lam_0 +- sqrt(-sum_i lam_i^2), and roots within PAIRING_RTOL
-    (1 + |r|) of each other, or that close to the real axis, join.  The
-    roots come from C^4, not from the sums of squares, so a real point
-    is off the axis by about eps, not sqrt(eps).  Should the roots above
-    and below the axis not pair up, the companion route runs.
+    In a basis in which every component is triangular the pencil is
+    triangular with diagonal q_j(s), so its roots are those of the
+    scalars q_j for the joint eigenvalues lam_j in C^4 (_joint_points).
+    Two joint eigenvalues are one point when they lie within
+    PAIRING_RTOL (1 + |lam|) of each other; each point's weighted mean
+    gives the roots lam_0 +- sqrt(-sum_i lam_i^2), and roots within
+    PAIRING_RTOL (1 + |r|) of each other, or that close to the real axis,
+    join.  The roots come from C^4, not from the sums of squares, so a
+    real point is off the axis by about eps, not sqrt(eps).
 
-    Companion route, for every other T: the roots of
-    det(s^2 I - 2 s T0 + K) are the eigenvalues of the 2n x 2n companion
-    matrix A = [[0, I], [-K, 2 T0]] (Tisseur and Meerbergen, SIAM Rev.
-    2001).  Rounding splits an m-fold root into m roots about
-    eps^(1/m) * scale apart (a real spectral point is always a double
-    root), so the roots are clustered before they become spheres: two
-    roots belong to one cluster when they lie within PAIRING_RTOL
-    (1 + |lam|) of each other, or when the point halfway between them is
-    itself an eigenvalue of A to working precision,
-    sigma_min(A - z I) <= CLUSTER_SIGMA_RTOL * eps * |A|_F.  Only pairs
-    whose first-order perturbation discs overlap, and that are not yet
-    in one cluster, are tested, by increasing gap.
-    Each cluster's centre is its mean, which is well conditioned even
-    where the single roots are not; a cluster whose spread reaches the
-    real axis is a real point.
+    The joint eigenvalues are read off T.eigenbasis when it exists,
+    kappa_2(V) max(residual, eps) <= JOINT_SPECTRUM_BOUND and the roots
+    above and below the axis pair up; otherwise they are the cluster means
+    of one complex Schur form (_schur_values).  EigenvalueError (exit 4)
+    when the Schur route fails or its roots do not pair up, or when a
+    sphere lies beyond the float range.
     """
-    p, _, comps = T._unit
-    basis = T.eigenbasis
-    points = None
-    if basis is not None and basis.kappa * max(basis.residual, EPS) <= JOINT_SPECTRUM_BOUND:
-        points = _joint_points(_ldexp(basis.values, -p))
-    if points is None:
-        points = _spheres_of(_companion(comps))
+    p = T._unit[0]
     try:
         return [SpectralSphere(math.ldexp(u, p), math.ldexp(v, p), k)
-                for u, v, k in points]
+                for u, v, k in T._joint[1]]
     except OverflowError as exc:
         raise EigenvalueError(f"spectrum beyond the float range: {exc}") from exc
 
 
-def _joint_points(lam):
+def _joint_points(lam, weight):
     """The (u, v, k) points of s_spectrum from the joint eigenvalues lam
-    (4, n) at unit scale, or None when the roots above and below the
-    real axis do not pair up."""
-    count, mean = _merge(lam.astype(np.complex128), np.ones(lam.shape[1], dtype=int))
+    (4, m) at unit scale, lam[:, j] standing for weight[j] of T's, or None
+    when the roots above and below the real axis do not pair up."""
+    count, mean = _merge(lam.astype(np.complex128), weight)
     w = np.sqrt(-(mean[1:] ** 2).sum(axis=0))
     roots = np.concatenate((mean[0] + w, mean[0] - w))
     roots = np.where(np.abs(roots.imag) <= PAIRING_RTOL * (1.0 + np.abs(roots)),
@@ -404,36 +405,61 @@ def _merge(X, weight):
     return total, ((X * weight) @ member.T) / total
 
 
-def _companion(comps) -> np.ndarray:
-    n = comps[0].shape[0]
-    return np.block([
-        [np.zeros((n, n)), np.eye(n)],
-        [-sum(C @ C for C in comps), 2.0 * comps[0]],
-    ])
+def _schur_values(comps):
+    """Joint eigenvalues of the unit-scale components comps (4, n, n) from
+    the complex Schur form C = Z R Z^H of C = sum_i EIGENBASIS_MIX[i]
+    comps[i]: the means (4, k) of diag(Z^H comps[i] Z) over clusters of
+    diag(R), and the clusters' sizes (k,).
 
+    Commuting matrices are triangular in one unitary basis, and the Schur
+    vectors of a generic combination are one (Corless, Gianni and Trager,
+    ISSAC 1997).  Rounding splits an m-fold eigenvalue of C into m about
+    eps^(1/m) * scale apart, so diag(R) is clustered before it is
+    averaged: two eigenvalues are one when they lie within PAIRING_RTOL
+    (1 + |lam|) of each other, or when the point halfway between them is
+    itself an eigenvalue of C to working precision,
+    sigma_min(C - z I) <= CLUSTER_SIGMA_RTOL eps ||C||_F.  Only pairs
+    whose first-order perturbation discs overlap, and that are not yet in
+    one cluster, are tested, by increasing gap.  A cluster's mean of
+    diag(Z^H T_i Z) is the mean of T_i's eigenvalues on the cluster's
+    spectral subspace, well conditioned where the single eigenvalues are
+    not.  EigenvalueError when the Schur form fails, or when the
+    strictly lower parts of the Z^H comps[i] Z exceed EIGENBASIS_RTOL ||T||.
+    """
+    import scipy.linalg  # only operators without a usable basis pay for the import
 
-def _spheres_of(A: np.ndarray):
+    n = comps.shape[-1]
+    C = np.dot(EIGENBASIS_MIX, comps.reshape(4, -1)).reshape(n, n)
     try:
-        roots, X = np.linalg.eig(A)
+        R, Z = scipy.linalg.schur(C, output="complex")
     except np.linalg.LinAlgError as exc:
-        raise EigenvalueError(f"eigenvalue iteration failed: {exc}") from exc
-    m = len(roots)
-    # eigenvalue condition numbers |x| |y| / |y^H x|, with the left
-    # eigenvectors y taken as the rows of X^-1 (columns of X are unit)
+        raise EigenvalueError(f"Schur form failed: {exc}") from exc
+    D = Z.conj().T @ comps @ Z
+    lower = float(np.linalg.norm(np.tril(D, -1)))
+    if not lower <= EIGENBASIS_RTOL * np.linalg.norm(comps):
+        raise EigenvalueError(
+            f"the components are {lower:.3e} from triangular in one Schur basis")
+    lam = np.diag(R)
+    # eigenvalue condition numbers |x_k| |w_k| / |w_k x_k| from the right
+    # and left eigenvectors of R, x_k zero below k and w_k zero above, so
+    # that w_k x_k = x_k[k] = w_k[k] = 1: one back and one forward
+    # substitution serve every eigenvalue at once
+    X = np.eye(n, dtype=np.complex128)
+    W = np.eye(n, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        try:
-            kappa = np.linalg.norm(np.linalg.inv(X), axis=1)
-        except np.linalg.LinAlgError:
-            kappa = np.full(m, np.inf)
-    kappa = np.where(np.isfinite(kappa), kappa, np.inf)
-    sigma_tol = CLUSTER_SIGMA_RTOL * EPS * np.linalg.norm(A)
-    radius = sigma_tol * kappa
-    i, j = np.triu_indices(m, 1)
-    gap = np.abs(roots[i] - roots[j])
-    near = gap <= PAIRING_RTOL * (1.0 + np.maximum(np.abs(roots[i]), np.abs(roots[j])))
+        for a in range(n - 2, -1, -1):
+            X[a, a + 1:] = -(R[a, a + 1:] @ X[a + 1:, a + 1:]) / (lam[a] - lam[a + 1:])
+        for b in range(1, n):
+            W[:b, b] = -(W[:b, :b] @ R[:b, b]) / (lam[b] - lam[:b])
+        kappa = np.linalg.norm(X, axis=0) * np.linalg.norm(W, axis=1)
+        sigma_tol = CLUSTER_SIGMA_RTOL * EPS * np.linalg.norm(C)
+        radius = sigma_tol * np.where(np.isfinite(kappa), kappa, np.inf)
+    i, j = np.triu_indices(n, 1)
+    gap = np.abs(lam[i] - lam[j])
+    near = gap <= PAIRING_RTOL * (1.0 + np.maximum(np.abs(lam[i]), np.abs(lam[j])))
     test = ~near & (gap <= radius[i] + radius[j])
 
-    parent = list(range(m))
+    parent = list(range(n))
 
     def find(k):
         while parent[k] != k:
@@ -445,24 +471,24 @@ def _spheres_of(A: np.ndarray):
         parent[find(a)] = find(b)
 
     def join_eigenvalue_midpoints(pairs):
-        mid = 0.5 * (roots[i[pairs]] + roots[j[pairs]])
-        # a root of another cluster nearer the midpoint than the pair
-        # itself makes the midpoint an eigenvalue whatever the pair is
-        # (+-0.7i about an 8-fold root at 0), so the test says nothing
-        label = np.array([find(k) for k in range(m)])
-        dist = np.abs(roots[None, :] - mid[:, None])
+        mid = 0.5 * (lam[i[pairs]] + lam[j[pairs]])
+        # an eigenvalue of another cluster nearer the midpoint than the
+        # pair itself makes the midpoint an eigenvalue whatever the pair
+        # is (-1 and 2 about 0.5), so the test says nothing
+        label = np.array([find(k) for k in range(n)])
+        dist = np.abs(lam[None, :] - mid[:, None])
         for ends in (i[pairs], j[pairs]):
             dist[label[None, :] == label[ends][:, None]] = np.inf
         clear = ~(np.min(dist, axis=1) < 0.5 * gap[pairs])
         pairs, mid = pairs[clear], mid[clear]
-        shifted = A[None, :, :] - mid[:, None, None] * np.eye(m)
+        shifted = C[None, :, :] - mid[:, None, None] * np.eye(n)
         joined = pairs[np.linalg.svd(shifted, compute_uv=False)[:, -1] <= sigma_tol]
         for a, b in zip(i[joined], j[joined]):
             parent[find(a)] = find(b)
 
-    # midpoint tests by increasing gap, a bounded number of (m, m)
+    # midpoint tests by increasing gap, a bounded number of (n, n)
     # matrices at a time; a pair already in one cluster needs no test
-    batch = max(1, CLUSTER_BATCH_ENTRIES // (m * m))
+    batch = max(1, CLUSTER_BATCH_ENTRIES // (n * n))
     pairs = []
     for k in np.flatnonzero(test)[np.argsort(gap[test], kind="stable")]:
         if find(i[k]) != find(j[k]):
@@ -472,26 +498,10 @@ def _spheres_of(A: np.ndarray):
             pairs = []
     if pairs:
         join_eigenvalue_midpoints(np.array(pairs))
-    clusters = {}
-    for k in range(m):
-        clusters.setdefault(find(k), []).append(k)
-
-    points = []
-    upper = lower = 0
-    for members in clusters.values():
-        centre = np.mean(roots[members])
-        spread = float(np.max(np.abs(roots[members] - centre)))
-        if abs(centre.imag) <= spread:
-            points.append((float(centre.real), 0.0, len(members)))
-        elif centre.imag > 0.0:
-            points.append((float(centre.real), float(centre.imag), len(members)))
-            upper += len(members)
-        else:
-            lower += len(members)
-    if upper != lower:
-        raise EigenvalueError(
-            f"{upper} roots above the real axis against {lower} below")
-    return _in_order(points)
+    label = np.array([find(k) for k in range(n)])
+    member = label == np.unique(label)[:, None]
+    size = member.sum(axis=1)
+    return (np.diagonal(D, axis1=-2, axis2=-1) @ member.T) / size, size
 
 
 def _in_order(points):

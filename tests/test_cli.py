@@ -221,6 +221,65 @@ def test_projector_on_non_normal_real_spectrum(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
+def _rotated_jordan_block(tmp_path, shift):
+    """T0 = Q (2 I + shift E) Q^T at n = 12, E the upper shift and Q a
+    random orthogonal matrix, T1 = T2 = T3 = 0, as an operator file."""
+    n = 12
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    T0 = Q @ (2.0 * np.eye(n) + shift * np.eye(n, k=1)) @ Q.T
+    z = np.zeros((n, n))
+    path = str(tmp_path / "op.json")
+    save_operator(CommutingOperator(T0, z, z, z), path)
+    return path
+
+
+@pytest.mark.parametrize("calculus", ["s", "q", "p2", "f"])
+def test_projector_on_a_rotated_jordan_block(tmp_path, capsys, calculus):
+    # the one eigenvalue 2 is real, so every kind applies, and the
+    # projector onto the one real point (2, 0) is I
+    op = _rotated_jordan_block(tmp_path, 1.0)
+    assert cli.main(["projector", "--operator", op, "--calculus", calculus]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    P = np.array(doc["projector"])
+    assert doc["pass"] is True and doc["idempotency_residual"] <= 1e-12
+    assert np.abs(P[..., 0] - np.eye(12)).max() <= 1e-12
+    assert np.abs(P[..., 1:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("calculus", ["s", "q", "p2", "f"])
+def test_projector_on_an_ill_conditioned_jordan_block_is_a_numeric_error(
+        tmp_path, capsys, calculus):
+    # with the superdiagonal 10, the pencil's condition on the contour
+    # exceeds kernels.COND_LIMIT at the first node (about 2.7e12)
+    op = _rotated_jordan_block(tmp_path, 10.0)
+    assert cli.main(["projector", "--operator", op, "--calculus", calculus]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "SingularMatrixError" and "condition" in error["message"]
+
+
+def test_commands_on_operators_with_a_basis_do_not_import_scipy(tmp_path):
+    # scipy serves only the Schur route of s_spectrum, for operators with
+    # no usable eigenbasis; its import costs about as much as a command
+    basis = str(tmp_path / "basis.json")
+    save_operator(identities.random_commuting_operator(np.random.default_rng(1), 8), basis)
+    jordan = _rotated_jordan_block(tmp_path, 1.0)
+    stem = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]})
+    script = f"""
+import sys
+from sspectrum import cli
+from sspectrum.cli import RunConfig
+runs = [RunConfig("selftest", seed=0),
+        RunConfig("apply", operator={basis!r}, function={stem!r}, calculus="p2"),
+        RunConfig("projector", operator={basis!r}, cluster="0", calculus="s")]
+print([cli.run(config)[0] for config in runs], "scipy" in sys.modules)
+cli.run(RunConfig("spectrum", operator={jordan!r}))
+print("scipy" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[0, 0, 0] False", "True"]
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 2, "T0": [[1.0, float("nan")], [0.0, 2.0]]},
     {"n": 2, "T1": [[1.0, float("inf")], [0.0, 2.0]]},

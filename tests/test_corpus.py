@@ -3,6 +3,7 @@ corpus: where kernel_sum falls back to one pencil inversion per node, the
 value is that path's bit for bit; where it sums in the eigenbasis, the
 value matches the per-node oracle and is as close to stem_moment."""
 
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -33,8 +34,8 @@ MEMBERS = [(name, t1) for name in corpus.BASES for t1 in (0.0, 0.3)]
 
 def _per_node(T):
     """A copy of T whose cached eigenbasis is None, so that kernel_sum
-    takes the per-node path, s_spectrum the companion route and
-    has_real_component_spectra reads eigvals."""
+    takes the per-node path, and s_spectrum and
+    has_real_component_spectra the Schur route."""
     copy = CommutingOperator(*T.components)
     vars(copy)["eigenbasis"] = None
     return copy
@@ -98,23 +99,48 @@ def test_corpus_takes_both_paths():
         assert _integrate(c, CalculusKind.S, T, SlicePoly.monomial(3), "left")[1]
 
 
+def _true_spheres(name, t1):
+    """The S-spectrum of a corpus member from the known eigenvalues mu of
+    its base matrix B: T0 = B and T1 = t1 B^2 have the joint eigenvalues
+    (mu, t1 mu^2), so each distinct mu of multiplicity k gives the
+    sphere (mu, t1 mu^2) of multiplicity k, or for t1 = 0 the real point
+    mu of multiplicity 2k.  A Jordan block has the one eigenvalue on its
+    diagonal, and Kahan's triangular matrix its diagonal.  Frank's come
+    in pairs mu and 1/mu, so its ill-conditioned small eigenvalues are
+    the reciprocals of its well-conditioned large ones.  Grcar's have no
+    closed form: None."""
+    B = corpus.BASES[name]
+    if name.startswith("grcar"):
+        return None
+    if name.startswith("frank"):
+        large = np.sort(np.linalg.eigvals(B).real)[len(B) // 2:]
+        mu = np.concatenate((1.0 / large, large))
+    else:
+        mu = np.diag(B)
+    return sorted((u, t1 * u * u, k if t1 else 2 * k)
+                  for u, k in Counter(mu.tolist()).items())
+
+
 @pytest.mark.parametrize("name, t1", MEMBERS)
 def test_corpus_spectrum_route(name, t1):
-    """Frank(8), whose basis fails the spectrum's bound, and the Jordan
-    blocks, which have none, give the companion route's spheres bit for
-    bit; Grcar and Kahan read theirs off the basis, within 1e-12 of the
-    companion's.  Realness reads the same off the basis as off eigvals."""
+    """Every member's spheres, on its own route and on the Schur route,
+    are the true ones within 1e-12 of their reach; Grcar's, which have no
+    closed form, are those of the basis route.  Frank(8), whose basis
+    fails the spectrum's bound, and the Jordan blocks, which have none,
+    take the Schur route.  Realness is that of the true spectrum on both
+    routes."""
     T = corpus.operator(corpus.BASES[name], t1)
     basis = T.eigenbasis
     on_basis = basis is not None and basis.kappa * max(basis.residual, EPS) <= JOINT_SPECTRUM_BOUND
     assert on_basis == (name not in ("frank8", "jordbloc8", "jordbloc12"))
-    got = [(sp.u, sp.v, sp.multiplicity) for sp in T.spheres]
-    want = [(sp.u, sp.v, sp.multiplicity) for sp in _per_node(T).spheres]
-    if not on_basis:
-        assert got == want
-    else:
-        reach = max(abs(complex(u, v)) for u, v, _ in want)
+    want = _true_spheres(name, t1)
+    if want is None:
+        want = [(sp.u, sp.v, sp.multiplicity) for sp in T.spheres]
+    reach = max(abs(complex(u, v)) for u, v, _ in want)
+    for copy in (T, _per_node(T)):
+        got = [(sp.u, sp.v, sp.multiplicity) for sp in copy.spheres]
         assert [k for _, _, k in got] == [k for _, _, k in want]
         for (u, v, _), (wu, wv, _) in zip(got, want):
             assert abs(u - wu) <= 1e-12 * reach and abs(v - wv) <= 1e-12 * reach
-    assert T.has_real_component_spectra() == _per_node(T).has_real_component_spectra()
+            assert (v == 0.0) == (wv == 0.0)
+        assert copy.has_real_component_spectra() == (not name.startswith("grcar"))

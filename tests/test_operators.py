@@ -11,7 +11,8 @@ from sspectrum import (E1, CalculusKind, CommutingOperator, Quaternion,
                        QuatMatrix, auto_contour, gram, qcs_op,
                        riesz_projector, s_spectrum)
 from sspectrum import operators
-from sspectrum.errors import CommutationError, InputError, SingularMatrixError
+from sspectrum.errors import (CommutationError, EigenvalueError, InputError,
+                              SingularMatrixError)
 from sspectrum.identities import random_commuting_operator, split_spectrum_operator
 from sspectrum.operators import (load_operator, operator_from_dict,
                                  operator_to_dict, qcs_pencil_at, save_operator)
@@ -231,8 +232,8 @@ def test_non_normal_real_example():
 
 def without_basis(T):
     """A copy of T whose cached eigenbasis is None, so that s_spectrum
-    takes the companion route and has_real_component_spectra reads
-    eigvals."""
+    and has_real_component_spectra read the joint eigenvalues off the
+    Schur route."""
     copy = CommutingOperator(*T.components)
     vars(copy)["eigenbasis"] = None
     return copy
@@ -251,9 +252,9 @@ def shifted_identity(shift):
 @pytest.mark.parametrize("shift", [0.0, 1.0])
 def test_repeated_root_clustering_is_batched(monkeypatch, shift):
     # 2 I (shift 0) and 2 I plus a nilpotent Jordan part (shift 1) at
-    # n = 32 through the companion route: one real point of multiplicity
-    # 64, which rounding splits so far that every pair of roots may be a
-    # midpoint candidate
+    # n = 32 through the Schur route: one real point of multiplicity 64,
+    # from the n eigenvalues of C, which rounding splits so far that every
+    # pair of them may be a midpoint candidate
     n = 32
     T = without_basis(shifted_identity(shift))
     batches = []
@@ -263,19 +264,71 @@ def test_repeated_root_clustering_is_batched(monkeypatch, shift):
     sp = s_spectrum(T)
     assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 2 * n)]
     assert abs(sp[0].u - 2.0) < 1e-8
-    m = 2 * n
+    m = n
     assert all(b * m * m <= operators.CLUSTER_BATCH_ENTRIES for b in batches)
     assert sum(batches) < m * (m - 1) // 4
 
 
 def test_shifted_identity_through_the_basis_route(monkeypatch):
     # 2 I conjugated by Q: the joint eigenvalues agree to rounding, so the
-    # basis route gives one real point without a companion matrix
+    # basis route gives one real point without a Schur form
     T = shifted_identity(0.0)
-    monkeypatch.setattr(operators, "_companion", None)
+    monkeypatch.setattr(operators, "_schur_values", None)
     sp = s_spectrum(T)
     assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 64)]
     assert abs(sp[0].u - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_jordan_block_with_a_scalar_vector_part(rotated):
+    # T0 = 2 I + 10 E (n = 12), E the upper shift, has the one eigenvalue
+    # 2 and T1 = 0.5 I the one eigenvalue 0.5: the joint eigenvalue
+    # (2, 0.5) twelve times, so the one sphere (2, 0.5) of multiplicity 12
+    n = 12
+    T0 = 2.0 * np.eye(n) + 10.0 * np.eye(n, k=1)
+    if rotated:
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+        T0 = Q @ T0 @ Q.T
+    z = np.zeros((n, n))
+    T = CommutingOperator(T0, 0.5 * np.eye(n), z, z)
+    assert T.eigenbasis is None
+    spheres = s_spectrum(T)
+    assert [sp.multiplicity for sp in spheres] == [n]
+    assert abs(spheres[0].u - 2.0) <= 1e-12 and abs(spheres[0].v - 0.5) <= 1e-12
+
+
+def test_schur_route_equals_the_basis_route_on_random_operators():
+    # both routes give the spheres of the same joint eigenvalues; the
+    # basis route is trusted to JOINT_SPECTRUM_BOUND at unit scale
+    rng = np.random.default_rng(2026)
+    on_basis = 0
+    for _ in range(200):
+        T = random_commuting_operator(rng, int(rng.integers(1, 9)),
+                                      zero_e3=bool(rng.integers(2)),
+                                      symmetric_base=bool(rng.integers(2)),
+                                      scale=float(rng.uniform(0.1, 10.0)))
+        on_basis += takes_basis_route(T)
+        got = [(sp.u, sp.v, sp.multiplicity) for sp in s_spectrum(T)]
+        want = [(sp.u, sp.v, sp.multiplicity) for sp in s_spectrum(without_basis(T))]
+        assert [k for _, _, k in got] == [k for _, _, k in want]
+        tol = operators.JOINT_SPECTRUM_BOUND * max(abs(complex(u, v)) for u, v, _ in want)
+        for (u, v, _), (wu, wv, _) in zip(got, want):
+            assert abs(u - wu) <= tol and abs(v - wv) <= tol
+            assert (v == 0.0) == (wv == 0.0)
+    assert on_basis >= 190
+
+
+def test_schur_route_refuses_components_it_does_not_triangularise(rng):
+    # joint eigenvalues (m, 0) and (0, 1) meet at m in the combination
+    # T0 + m T1 + ..., whose Schur vectors are then arbitrary in their
+    # plane and leave T0 and T1 far from triangular: a numeric failure,
+    # not spheres read off the wrong diagonal
+    m = operators.EIGENBASIS_MIX[1]
+    R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    z = np.zeros((2, 2))
+    T = CommutingOperator(R @ np.diag([m, 0.0]) @ R.T, R @ np.diag([0.0, 1.0]) @ R.T, z, z)
+    with pytest.raises(EigenvalueError, match="from triangular"):
+        s_spectrum(T)
 
 
 JOINT = st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
@@ -387,10 +440,15 @@ def test_roots_within_the_tolerance_of_the_axis_are_one_real_point(v):
         assert abs(spheres[0].u) < 1e-15 and abs(spheres[1].u - 1.0) < 1e-15
 
 
-def test_unpaired_roots_are_refused():
+def test_unpaired_roots_are_refused(monkeypatch):
     # joint eigenvalues that are not closed under conjugation cannot come
-    # from real components: their roots do not pair up across the axis
-    assert operators._joint_points(np.array([[1.0 + 1.0j], [0.0], [0.0], [0.0]])) is None
+    # from real components: their roots do not pair up across the axis,
+    # which the Schur route reports as a numeric failure
+    lam = np.array([[1.0 + 1.0j], [0.0], [0.0], [0.0]])
+    assert operators._joint_points(lam, np.ones(1, dtype=int)) is None
+    monkeypatch.setattr(operators, "_schur_values", lambda comps: (lam, np.ones(1, dtype=int)))
+    with pytest.raises(EigenvalueError, match="do not pair up"):
+        s_spectrum(without_basis(diag_op([1.0], [0.0])))
 
 
 def test_spectrum_computed_once_per_operator(monkeypatch):
