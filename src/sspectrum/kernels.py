@@ -45,12 +45,17 @@ pencil is V diag(q(z)) V^-1 with the scalars
 q(z) = z^2 - 2 z lam_0 + sum_i lam_i^2, and each moment is
 V diag(sum_k a_k g(z_k)) V^-1 with g = 1/q or +-4/q^2: one eig per
 operator in place of one inversion per node (Higham, Functions of
-Matrices, SIAM 2008, 4.5).  The per-node path inverts the pencil at
+Matrices, SIAM 2008, 4.5).  The scalar sums run over blocks of
+EIGEN_BLOCK upper nodes, each with its conjugates, so their work arrays
+are (n, 2 EIGEN_BLOCK) however long the contour; a contour whose upper
+nodes fit in one block is summed by exactly the arithmetic of one pass
+over all nodes.  The per-node path inverts the pencil at
 the nodes on or above the real axis only, since the pencil is real and
 Q(conj z)^-1 = conj Q(z)^-1.  It runs when T has no eigenbasis (a
 Jordan block, say) or when the bound n kappa_2(V)^2 max|q| / min|q| on
-a pencil's condition number exceeds COND_LIMIT at some node; it is then
-the one path that raises SingularMatrixError for that node.
+a pencil's condition number exceeds COND_LIMIT at some node of any
+block; it is then the one path that raises SingularMatrixError for
+that node.
 
 Scalar (n = 1) closed forms of the same kernels are provided separately
 as the function-theory oracles.
@@ -88,9 +93,15 @@ __all__ = [
 # A pencil whose 1-norm condition number exceeds this counts as singular:
 # the node sits on, or numerically grazes, the S-spectrum.
 COND_LIMIT = 1.0 / PIVOT_RTOL
-# Matrix entries per batch of nodes (nodes times n^2), so that each
-# complex work array stays near one megabyte however long the contour.
+# Matrix entries per batch of nodes (nodes times n^2) on the per-node
+# path, so that each complex work array stays near one megabyte however
+# long the contour.
 CHUNK_ENTRIES = 1 << 16
+# Upper nodes per block of the eigenbasis sum: the 129 upper nodes of a
+# default 256-node Circle and the 256 of a DiskPair's upper circle fit
+# in one.  A block's work arrays are (n, 2 EIGEN_BLOCK); a budget that
+# shrank with n made n = 128 slower from the Python cost per block.
+EIGEN_BLOCK = 256
 
 
 class CalculusKind(Enum):
@@ -217,33 +228,46 @@ def _eigen_moments(kind, T, z, c, c_conj):
     Q(z) = V diag(q(z)) V^-1 with q(z) = z^2 - 2 z lam_0 + sum_i lam_i^2,
     so G = V diag(g(z)) V^-1 with g = 1/q (S, Q) or +-4/q^2 (F, P2), and
     each moment is V diag(sum_k a_k g(z_k)) V^-1 for scalar weights a_k.
-    The conjugate nodes are evaluated at conj(z) directly.  Per node,
-    n kappa_2(V)^2 max|q| / min|q| bounds the 1-norm condition number
-    of Q(z) that _pencil_term tests, so when it exceeds COND_LIMIT at
-    any node, the per-node path runs and raises where it would."""
+    The diagonal sums D run over blocks of EIGEN_BLOCK upper nodes, each
+    block with its conjugate nodes, evaluated at conj(z) directly, so
+    the (n, 2 EIGEN_BLOCK) work arrays do not grow with the contour.
+    When every upper node fits in one block, the arithmetic is that of
+    one pass over all nodes: one product, and no sum of blocks.  Per
+    node, n kappa_2(V)^2 max|q| / min|q| bounds the 1-norm condition
+    number of Q(z) that _pencil_term tests.  Every block tests it at
+    each of its nodes before summing them, and the first block where it
+    exceeds COND_LIMIT ends the sum with None, so the per-node path runs
+    and raises where it would."""
     basis = T.eigenbasis
     if basis is None:
         return None
     n, P = T.n, _DEGREE[kind] + 1
     lam = basis.values[:, :, None]
-    nodes = np.concatenate((z, np.conj(z)))
-    q = nodes * (nodes - 2.0 * lam[0]) + np.sum(lam * lam, axis=0)
-    size = np.abs(q)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
-    if not np.all(bound <= COND_LIMIT):
-        return None
-    g = 1.0 / q
-    if kind in _FACTOR:
-        g *= g
-        g *= _FACTOR[kind]
-    # a_k = c_{k,q} z_k^p in columns (q, p), for the nodes and their
-    # conjugates, so that every D_{q,p} = sum_k a_k g(z_k) is one product
-    zp = np.ones((len(nodes), P), dtype=np.complex128)
-    for p in range(1, P):
-        zp[:, p] = zp[:, p - 1] * nodes
-    a = np.concatenate((c, c_conj), axis=1)[..., None] * zp[:, None, :]
-    D = g @ a.reshape(len(c), len(nodes), 4 * P)
+    shift = np.sum(lam * lam, axis=0)
+    D = None
+    # one block even without nodes, so that D is the zero sum
+    for lo in range(0, max(len(z), 1), EIGEN_BLOCK):
+        block = slice(lo, lo + EIGEN_BLOCK)
+        nodes = np.concatenate((z[block], np.conj(z[block])))
+        q = nodes * (nodes - 2.0 * lam[0]) + shift
+        size = np.abs(q)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
+        if not np.all(bound <= COND_LIMIT):
+            return None
+        g = 1.0 / q
+        if kind in _FACTOR:
+            g *= g
+            g *= _FACTOR[kind]
+        # a_k = c_{k,q} z_k^p in columns (q, p), for the block's nodes and
+        # their conjugates, so that the block's share of every
+        # D_{q,p} = sum_k a_k g(z_k) is one product
+        zp = np.ones((len(nodes), P), dtype=np.complex128)
+        for p in range(1, P):
+            zp[:, p] = zp[:, p - 1] * nodes
+        a = np.concatenate((c[:, block], c_conj[:, block]), axis=1)[..., None] * zp[:, None, :]
+        part = g @ a.reshape(len(c), len(nodes), 4 * P)
+        D = part if D is None else D + part
     D = np.moveaxis(D, 1, -1).reshape(len(c), 4, P, n)
     return (basis.V * D[..., None, :]) @ basis.W
 

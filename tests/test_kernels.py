@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import qrel, rel
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion, QuatMatrix,
-                       kernel, kernel_forms, kernels, p2_series, qinv, s_series)
+                       SlicePoly, kernel, kernel_forms, kernels, p2_series, qinv,
+                       s_series)
 from sspectrum.errors import DivergenceError, InputError, SingularMatrixError
 from sspectrum.identities import (random_commuting_operator,
                                   random_resolvent_point)
+from sspectrum.contour import Circle, Contour, DiskPair, integrate, slice_nodes
 from sspectrum.kernels import (cauchy_kernel_left, cauchy_kernel_right,
                                f_kernel_left, f_kernel_right, kernel_at_nodes,
-                               p2_kernel_left, p2_kernel_right, pseudo_kernel)
+                               kernel_sum, p2_kernel_left, p2_kernel_right,
+                               pseudo_kernel)
 from sspectrum.operators import qcs_op, qcs_pencil_at, s_spectrum
 from sspectrum.qlinalg import (eye_arr, matmul, real_adjoint, scal_left,
                                scal_right, solve_arr)
@@ -395,3 +399,165 @@ def test_kernel_forms_check_every_side(rng):
     T = random_commuting_operator(rng, 2)
     with pytest.raises(InputError):
         kernel_forms(T, random_resolvent_point(rng, T), [(S, "left"), (Q, "up")])
+
+
+# -- the eigenbasis sum in blocks of upper nodes ------------------------------
+
+
+def _one_pass_moments(kind, T, z, c, c_conj):
+    """kernels._eigen_moments as one pass over all nodes and their
+    conjugates at once, with (n, 2U) work arrays: the reference that the
+    blocked sum equals bit for bit when the U upper nodes fit in one
+    block."""
+    basis = T.eigenbasis
+    if basis is None:
+        return None
+    n, P = T.n, kernels._DEGREE[kind] + 1
+    lam = basis.values[:, :, None]
+    nodes = np.concatenate((z, np.conj(z)))
+    q = nodes * (nodes - 2.0 * lam[0]) + np.sum(lam * lam, axis=0)
+    size = np.abs(q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
+    if not np.all(bound <= kernels.COND_LIMIT):
+        return None
+    g = 1.0 / q
+    if kind in kernels._FACTOR:
+        g *= g
+        g *= kernels._FACTOR[kind]
+    zp = np.ones((len(nodes), P), dtype=np.complex128)
+    for p in range(1, P):
+        zp[:, p] = zp[:, p - 1] * nodes
+    a = np.concatenate((c, c_conj), axis=1)[..., None] * zp[:, None, :]
+    D = g @ a.reshape(len(c), len(nodes), 4 * P)
+    D = np.moveaxis(D, 1, -1).reshape(len(c), 4, P, n)
+    return (basis.V * D[..., None, :]) @ basis.W
+
+
+def _blocked_and_one_pass(monkeypatch, contour, kind, T, stems, side):
+    """integrate's values with the blocked sum and with the one-pass
+    reference, which must take the eigenbasis path, and the contour's
+    number of upper nodes."""
+    taken = []
+
+    def one_pass_moments(*args):
+        taken.append(_one_pass_moments(*args))
+        return taken[-1]
+
+    blocked = integrate(contour, kind, T, stems, side)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_eigen_moments", one_pass_moments)
+        one_pass = integrate(contour, kind, T, stems, side)
+    assert len(taken) == 1 and taken[0] is not None
+    return blocked, one_pass, len(slice_nodes(contour)[2])
+
+
+def _contours(N):
+    """A Circle, a DiskPair and both together, clear of the spectra of
+    random_commuting_operator (norm 1), all with N nodes per circle."""
+    J = Quaternion(0.0, 0.6, 0.0, 0.8)
+    return [Contour(J, [Circle(0.2, 3.0)], N),
+            Contour(J, [DiskPair(0.5, 6.0, 2.0)], N),
+            Contour(J, [Circle(0.0, 2.5, -1), DiskPair(-1.0, 5.0, 1.5)], N)]
+
+
+def _stems(rng, n, side):
+    """1 to 3 random quadratic stems on side."""
+    return [SlicePoly(side, [random_quaternion(rng) for _ in range(3)])
+            for _ in range(1 + n % 3)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_eigen_sum_in_one_block_equals_the_one_pass_sum_bit_for_bit(monkeypatch, rng, n):
+    T = random_commuting_operator(rng, n)
+    assert T.eigenbasis is not None
+    seen = set()
+    # upper nodes: Circle N // 2 + 1, DiskPair N, both 3 N / 2 + 1
+    for contour in [_contours(510)[0], *_contours(256)[:2], *_contours(168), *_contours(8)]:
+        for kind, side in FORMS:
+            blocked, one_pass, U = _blocked_and_one_pass(
+                monkeypatch, contour, kind, T, _stems(rng, n, side), side)
+            seen.add(U)
+            for b, o in zip(blocked, one_pass):
+                assert b.data.tobytes() == o.data.tobytes(), (contour, kind, side)
+    assert seen == {256, 129, 85, 168, 253, 5, 8, 13}
+
+
+def test_eigen_sum_across_blocks_matches_the_one_pass_sum(monkeypatch, rng):
+    worst, seen = 0.0, set()
+    for n in (1, 3, 7, 12):
+        T = random_commuting_operator(rng, n)
+        # upper nodes 257 and 512 (Circle at N = 512 and 1022), and 601
+        # and 901 (Circle and DiskPair at N = 400 and 600): one node past
+        # a block, two whole blocks, and three and four blocks, the last
+        # partial.  Each contour winds about the spectrum, so that no
+        # value is the near-zero sum of a holomorphic integrand.
+        for contour in (_contours(512)[0], _contours(1022)[0], _contours(400)[2],
+                        _contours(600)[2]):
+            for kind, side in FORMS:
+                blocked, one_pass, U = _blocked_and_one_pass(
+                    monkeypatch, contour, kind, T, _stems(rng, n, side), side)
+                seen.add(U)
+                for b, o in zip(blocked, one_pass):
+                    err = (b - o).norm() / o.norm()
+                    worst = max(worst, err)
+                    assert err < 1e-13, (n, contour, kind, side, err)
+    assert seen == {257, 512, 601, 901}
+    assert 0.0 < worst
+
+
+@pytest.mark.parametrize("kind", list(CalculusKind))
+def test_a_failing_node_in_the_last_block_takes_the_per_node_path(monkeypatch, kind):
+    # A diagonal operator, kappa_2(V) = 1, with the sphere (0, 1), and
+    # upper nodes on |z| = 4 but the last, which sits in the third block.
+    # At z = i + delta, |q| = 2 delta at that sphere and at most 5 at the
+    # other joint values, so the bound n kappa^2 max|q| / min|q| is
+    # 2e12 > COND_LIMIT, while the diagonal pencil's condition, 5e11,
+    # passes: the per-node path gives the value.  At z = i it raises.
+    T = CommutingOperator(np.diag([0.0, 0.5, -1.0, 2.0]), np.diag([1.0, 0.7, 0.3, 0.0]),
+                          np.zeros((4, 4)), np.zeros((4, 4)))
+    assert T.eigenbasis is not None and T.eigenbasis.kappa == 1.0
+    U = 3 * kernels.EIGEN_BLOCK - 40
+    near = 4.0 * np.exp(1j * np.pi * np.arange(U) / U)
+    on = near.copy()
+    near[-1], on[-1] = 5e-12 + 1j, 1j
+    c, c_conj = np.random.default_rng(7).standard_normal((2, 2, U, 4))
+    index = np.arange(U) + 1000
+    J = Quaternion(0.0, 0.0, 1.0, 0.0).as_array()
+    assert kernels._eigen_moments(kind, T, near[:-1], c[:, :-1], c_conj[:, :-1]) is not None
+    assert kernels._eigen_moments(kind, T, near, c, c_conj) is None
+    for side in ("left", "right"):
+        got = kernel_sum(kind, T, J, near, c, side, c_conj, index)
+        with pytest.raises(SingularMatrixError) as err:
+            kernel_sum(kind, T, J, on, c, side, c_conj, index)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_eigen_moments", _one_pass_moments)
+            want = kernel_sum(kind, T, J, near, c, side, c_conj, index)
+            with pytest.raises(SingularMatrixError) as one_pass:
+                kernel_sum(kind, T, J, on, c, side, c_conj, index)
+        assert got.tobytes() == want.tobytes()
+        assert err.value.batch_index == one_pass.value.batch_index == U - 1 + 1000
+        assert str(err.value) == str(one_pass.value)
+
+
+def test_eigen_sum_work_arrays_do_not_grow_with_the_nodes(rng):
+    n, U = 32, 1 << 14
+    T = random_commuting_operator(rng, n)
+    z = 3.0 * np.exp(1j * np.pi * np.arange(U) / U)
+    c, c_conj = rng.standard_normal((2, 1, U, 4))
+    J = E1.as_array()
+    index = np.arange(U)
+    # the eigenbasis is cached on T before tracing, and the sum takes it
+    assert kernels._eigen_moments(P2, T, z, c, c_conj) is not None
+    tracemalloc.start()
+    try:
+        kernel_sum(P2, T, J, z, c, "left", c_conj, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block of 256 upper nodes and their conjugates has work arrays of
+    # n x 512 complex entries, 16 B each: 256 KiB at n = 32.  Live at
+    # once are q, |q|, g and the temporaries of q's expression, and the
+    # n x n moments afterwards take less.  Eight such arrays bound the
+    # sum; one pass over all 2 x 16,384 nodes allocates 16 MiB per array.
+    assert peak < 8 * n * 512 * 16, peak

@@ -14,10 +14,11 @@ package from the ``src/`` next to this directory:
 
 Each run is written as one JSON line: its id, exit code, stdout and
 stderr.  Run the sweep in two checkouts and compare the files.
-``--compare`` prints, per command and object key, the largest deviation
-of a float relative to the largest finite |value| of its document in A,
-and lists every run whose exit code, stderr error kind or non-float
-content differs.  It exits 1 when it lists a run.
+``--compare`` prints, per command, how many runs are byte-identical
+(same exit code, stdout and stderr), and per command and object key,
+the largest deviation of a float relative to the largest finite |value|
+of its document in A, and lists every run whose exit code, stderr error
+kind or non-float content differs.  It exits 1 when it lists a run.
 
 The file is not collected by pytest.
 """
@@ -32,6 +33,7 @@ import json
 import math
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,10 +158,11 @@ def compare(path_a, path_b) -> int:
     load = lambda p: {r["id"]: r for r in map(json.loads, Path(p).read_text().splitlines())}
     runs_a, runs_b = load(path_a), load(path_b)
     differ = sorted(set(runs_a) ^ set(runs_b))
-    worst = {}
+    worst, same = {}, {}
     for run_id in sorted(set(runs_a) & set(runs_b)):
         a, b = runs_a[run_id], runs_b[run_id]
         command = run_id.split()[0]
+        same[command] = same.get(command, 0) + (a == b)
         devs = _deviations(_tokens(a["stdout"]), _tokens(b["stdout"])) if a["stdout"] else {}
         if (a["exit"] != b["exit"] or _error_kind(a["stderr"]) != _error_kind(b["stderr"])
                 or bool(a["stdout"]) != bool(b["stdout"]) or devs is None):
@@ -169,6 +172,10 @@ def compare(path_a, path_b) -> int:
             if dev >= worst.get((command, key), (-1.0,))[0]:
                 worst[command, key] = (dev, run_id)
     print(f"{len(runs_a)} runs in {path_a}, {len(runs_b)} in {path_b}")
+    print("byte-identical runs per command:")
+    commands = Counter(run_id.split()[0] for run_id in runs_a)
+    for command in sorted(same):
+        print(f"  {command} {same[command]}/{commands[command]}")
     print("largest float deviation relative to the document's largest |value|:")
     for (command, key), (dev, run_id) in sorted(worst.items(), key=str):
         print(f"  {command} {key or 'values'}: {dev:.3e} ({run_id})")
