@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -283,40 +285,68 @@ def _weights(f, s_arr, w_arr, side):
 
 
 def _min_enclosing_circle(points):
-    """Smallest circle containing a small set of plane points."""
-    pts = [np.array(p, dtype=float) for p in points]
-    if len(pts) == 1:
-        return pts[0], 0.0
+    """((u, v), r): the smallest circle containing the plane points, by
+    Welzl's move-to-front algorithm, expected linear in their number.
 
-    def covers(center, r2):
-        return all(np.sum((p - center) ** 2) <= r2 * (1.0 + 1e-12) + 1e-12 for p in pts)
-
-    best_c, best_r2 = None, math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            c = 0.5 * (pts[i] + pts[j])
-            r2 = float(np.sum((pts[i] - c) ** 2))
-            if r2 < best_r2 and covers(c, r2):
-                best_c, best_r2 = c, r2
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                c = _circumcenter(pts[i], pts[j], pts[k])
-                if c is None:
-                    continue
-                r2 = float(np.sum((pts[i] - c) ** 2))
-                if r2 < best_r2 and covers(c, r2):
-                    best_c, best_r2 = c, r2
-    return best_c, math.sqrt(best_r2)
+    The points are visited in a fixed pseudo-random order, and every
+    point found outside moves to the front, so the result is the same on
+    every call.  Only products, sums and square roots of the coordinates
+    enter, so scaling the points by a power of two scales the circle by
+    it exactly."""
+    pts = [(float(u), float(v)) for u, v in points]
+    random.Random(0).shuffle(pts)
+    return _mtf_circle(pts, len(pts), ())
 
 
-def _circumcenter(a, b, c):
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14:
-        return None
-    ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
-    uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
-    return np.array([ux, uy])
+def _mtf_circle(pts, end, boundary):
+    """Smallest circle through the boundary points (at most three) that
+    contains pts[:end]; moves each point it finds outside to the front."""
+    (cu, cv), r = _circle_through(boundary)
+    if len(boundary) == 3:
+        return (cu, cv), r
+    r2 = _cover2(r)
+    for i in range(end):
+        pu, pv = p = pts[i]
+        if (pu - cu) * (pu - cu) + (pv - cv) * (pv - cv) > r2:
+            (cu, cv), r = _mtf_circle(pts, i, boundary + (p,))
+            r2 = _cover2(r)
+            pts.insert(0, pts.pop(i))
+    return (cu, cv), r
+
+
+def _cover2(r):
+    """Squared distance up to which a point counts as inside a circle of
+    radius r: 1e-12 r beyond it, so rounding in a circumcentre cannot put
+    its own boundary points outside; -1 for the empty circle."""
+    return r * r * (1.0 + 1e-12) if r >= 0.0 else -1.0
+
+
+def _circle_through(boundary):
+    """Smallest circle through up to three points; a collinear triple gets
+    the circle on its farthest pair.  No points give the empty circle,
+    radius -1."""
+    if not boundary:
+        return (0.0, 0.0), -1.0
+    if len(boundary) == 1:
+        return boundary[0], 0.0
+    if len(boundary) == 3:
+        (au, av), (bu, bv), (qu, qv) = boundary
+        bu, bv, qu, qv = bu - au, bv - av, qu - au, qv - av
+        d = 2.0 * (bu * qv - bv * qu)
+        if d != 0.0:
+            b2, q2 = bu * bu + bv * bv, qu * qu + qv * qv
+            cu, cv = (qv * b2 - bv * q2) / d, (bu * q2 - qu * b2) / d
+            r = max(math.sqrt(cu * cu + cv * cv),
+                    math.sqrt((cu - bu) ** 2 + (cv - bv) ** 2),
+                    math.sqrt((cu - qu) ** 2 + (cv - qv) ** 2))
+            return (au + cu, av + cv), r
+        a, b, q = boundary
+        boundary = max(((a, b), (a, q), (b, q)),
+                       key=lambda pair: (pair[0][0] - pair[1][0]) ** 2
+                       + (pair[0][1] - pair[1][1]) ** 2)
+    (au, av), (bu, bv) = boundary
+    cu, cv = 0.5 * (au + bu), 0.5 * (av + bv)
+    return (cu, cv), math.sqrt((au - cu) ** 2 + (av - cv) ** 2)
 
 
 def _axis_centered_radius(points):
@@ -368,9 +398,8 @@ def _cluster(points, threshold):
 def default_margin(spheres) -> float:
     """0.25 of the smallest gap between distinct spheres; for a single
     sphere, half of (1 + its distance from the origin)."""
-    gaps = [spheres[i].distance(spheres[j])
-            for i in range(len(spheres)) for j in range(i + 1, len(spheres))
-            if spheres[i].distance(spheres[j]) > 0.0]
+    gaps = [d for i in range(len(spheres)) for j in range(i + 1, len(spheres))
+            if (d := spheres[i].distance(spheres[j])) > 0.0]
     if gaps:
         return 0.25 * min(gaps)
     reach = max((math.hypot(sp.u, sp.v) for sp in spheres), default=0.0)
@@ -379,18 +408,24 @@ def default_margin(spheres) -> float:
 
 def auto_contour(spheres, selection, margin: float | None = None,
                  J: Quaternion = E1, N: int = DEFAULT_NODES) -> Contour:
-    """Minimal union of circles enclosing exactly the selected spheres.
+    """Union of circles that winds once about exactly the selected spheres.
 
-    Selected spheres are clustered by single linkage with gap threshold
-    4 * margin; each cluster becomes a conjugate disk pair when it sits
-    far enough from the real axis and a real-centered circle otherwise.
-    The result is checked with check_winding: it winds once about every
+    A selection of two or more spheres that leaves at least one out gets
+    one component around all of it where its N-node trapezoid rule
+    converges to rounding and it clears every sphere by margin
+    (_one_component).  Otherwise, and for whole-spectrum and
+    single-sphere selections, selected spheres are clustered by single
+    linkage with gap threshold 4 * margin; each cluster becomes a
+    conjugate disk pair when it sits far enough from the real axis and a
+    real-centered circle otherwise, margin beyond its spheres.  The
+    result is checked with check_winding: it winds once about every
     selected sphere and not at all about an excluded one, with every
     boundary clear of both by margin (1 - 1e-9), so a selected and an
     excluded sphere closer than twice that raise GeometryError.
     """
     spheres = list(spheres)
-    selection = sorted(set(int(i) for i in selection))
+    chosen = set(int(i) for i in selection)
+    selection = sorted(chosen)
     for i in selection:
         if not 0 <= i < len(spheres):
             raise InputError(f"selection index {i} out of range")
@@ -399,26 +434,70 @@ def auto_contour(spheres, selection, margin: float | None = None,
     if margin <= 0.0:
         raise GeometryError("margin must be positive")
     selected = [spheres[i] for i in selection]
-    excluded = [sp for i, sp in enumerate(spheres) if i not in selection]
+    excluded = [sp for i, sp in enumerate(spheres) if i not in chosen]
     if not selected:
         return Contour(J, (), N)
 
     pts = [(sp.u, sp.v) for sp in selected]
-    components = []
-    for group in _cluster(pts, 4.0 * margin):
-        gpts = [pts[i] for i in group]
-        center, r = _min_enclosing_circle(gpts)
-        if center is not None and center[1] - (r + margin) > 0.0:
-            components.append(DiskPair(float(center[0]), float(center[1]),
-                                       r + margin))
-        else:
-            c, rr = _axis_centered_radius(gpts)
-            components.append(Circle(float(c), rr + margin))
-    contour = Contour(J, tuple(components), N)
+    one = None
+    if len(selected) >= 2 and excluded:
+        one = _one_component(pts, [(sp.u, sp.v) for sp in excluded], margin, N)
+    components = (one,) if one is not None else _cluster_components(pts, margin)
+    contour = Contour(J, components, N)
     slack = margin * (1.0 - 1e-9)
     check_winding(contour, [(sp.u, sp.v, slack) for sp in selected], {1}, "selected sphere")
     check_winding(contour, [(sp.u, sp.v, slack) for sp in excluded], {0}, "excluded sphere")
     return contour
+
+
+def _cluster_components(pts, margin):
+    """One disk pair, or real-centred circle where a disk pair would
+    reach the axis, margin beyond each single-linkage cluster of the
+    points (gap threshold 4 * margin)."""
+    components = []
+    for group in _cluster(pts, 4.0 * margin):
+        gpts = [pts[i] for i in group]
+        (cu, cv), r = _min_enclosing_circle(gpts)
+        if cv - (r + margin) > 0.0:
+            components.append(DiskPair(cu, cv, r + margin))
+        else:
+            c, rr = _axis_centered_radius(gpts)
+            components.append(Circle(c, rr + margin))
+    return tuple(components)
+
+
+def _one_component(inner, outer, margin, N):
+    """One circle or disk pair around every inner point (u, v) that
+    leaves every outer point outside, or None where its N-node rule
+    would not converge to rounding or it would pass within margin of a
+    point.
+
+    The kernels have poles at both roots u + Jv and u - Jv of every
+    sphere.  With the roots to enclose within r of the centre and the
+    nearest root to leave out D from it, the trapezoid rule on radius R
+    errs by about (r/R)^N + (R/D)^N (Trefethen & Weideman, SIAM Rev.
+    2014), which R = sqrt(r D) balances; the component is kept when that
+    error is below eps, N ln(D/R) >= ln(1/eps).  The centre is the inner
+    points' smallest enclosing circle, and the component a disk pair
+    when R stays below its v, with the conjugates of the inner points
+    among the roots to leave out.  Otherwise it is a real-centred circle
+    around them, which encloses their conjugates too.
+    """
+    (cu, cv), r = _min_enclosing_circle(inner)
+    roots = outer + [(u, -v) for u, v in outer + inner]
+    D = min(math.hypot(u - cu, v - cv) for u, v in roots)
+    R = math.sqrt(r * D)
+    if R < cv:
+        component = DiskPair(cu, cv, R)
+    else:
+        cu, r = _axis_centered_radius(inner)
+        D = min(math.hypot(u - cu, v) for u, v in outer)
+        R = math.sqrt(r * D)
+        component = Circle(cu, R)
+    if (R - r > margin and D - R > margin
+            and N * math.log(D / R) >= -math.log(sys.float_info.epsilon)):
+        return component
+    return None
 
 
 def enclosing_circle(spheres, margin: float, J: Quaternion = E1,

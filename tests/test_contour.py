@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
                        auto_contour, enclosing_circle, integrate, qinv,
-                       stem_moment)
+                       riesz_projector, stem_moment)
 from sspectrum.contour import (MAX_NODES, Circle, Contour, DiskPair,
-                               _axis_centered_radius, contour_from_dict, contour_to_dict,
+                               _axis_centered_radius, _cluster, _min_enclosing_circle,
+                               contour_from_dict, contour_to_dict, default_margin,
                                load_contour, node_arrays, save_contour)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import random_commuting_operator
@@ -242,6 +245,293 @@ def test_auto_contour_two_clusters():
                SpectralSphere(8.5, 0.0)]
     c = auto_contour(spheres, [0, 1, 2], margin=0.4)
     assert len(c.components) == 2
+
+
+# -- one component around a partial selection --------------------------------
+
+
+def _brute_enclosing_circle(points):
+    """Oracle: the smallest circle containing a small set of plane points,
+    by trying the circle on every pair and through every triple."""
+    pts = [np.array(p, dtype=float) for p in points]
+    if len(pts) == 1:
+        return pts[0], 0.0
+
+    def covers(center, r2):
+        return all(np.sum((p - center) ** 2) <= r2 * (1.0 + 1e-12) + 1e-12 for p in pts)
+
+    best_c, best_r2 = None, math.inf
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            c = 0.5 * (pts[i] + pts[j])
+            r2 = float(np.sum((pts[i] - c) ** 2))
+            if r2 < best_r2 and covers(c, r2):
+                best_c, best_r2 = c, r2
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for k in range(j + 1, len(pts)):
+                c = _circumcenter(pts[i], pts[j], pts[k])
+                if c is None:
+                    continue
+                r2 = float(np.sum((pts[i] - c) ** 2))
+                if r2 < best_r2 and covers(c, r2):
+                    best_c, best_r2 = c, r2
+    return best_c, math.sqrt(best_r2)
+
+
+def _circumcenter(a, b, c):
+    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+    if abs(d) < 1e-14:
+        return None
+    ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
+    uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
+    return np.array([ux, uy])
+
+
+def _old_default_margin(spheres):
+    """The margin rule as it was first written, two distance calls a pair."""
+    gaps = [spheres[i].distance(spheres[j])
+            for i in range(len(spheres)) for j in range(i + 1, len(spheres))
+            if spheres[i].distance(spheres[j]) > 0.0]
+    if gaps:
+        return 0.25 * min(gaps)
+    reach = max((math.hypot(sp.u, sp.v) for sp in spheres), default=0.0)
+    return 0.5 * (1.0 + reach)
+
+
+def _per_sphere_contour(spheres, selection, J=E1, N=256):
+    """Reference: the per-cluster rule of auto_contour with its default
+    margin, one disk pair or real-centred circle margin beyond each
+    single-linkage cluster of the selected spheres."""
+    margin = _old_default_margin(spheres)
+    pts = [(sp.u, sp.v) for i, sp in enumerate(spheres) if i in set(selection)]
+    components = []
+    for group in _cluster(pts, 4.0 * margin):
+        gpts = [pts[i] for i in group]
+        center, r = _brute_enclosing_circle(gpts)
+        if center is not None and center[1] - (r + margin) > 0.0:
+            components.append(DiskPair(float(center[0]), float(center[1]), r + margin))
+        else:
+            c, rr = _axis_centered_radius(gpts)
+            components.append(Circle(float(c), rr + margin))
+    return Contour(J, tuple(components), N)
+
+
+def _clustered_operator(seed, n, clusters, on_axis=False, selected=None):
+    """(T, V, a, b, selection): T0 = V diag(a) V^-1 and T1 = V diag(b) V^-1,
+    T2 = T3 = 0, for a random non-orthogonal V (condition number at most
+    3), whose joint eigenvalues a + b e1 lie in clusters about 3 apart,
+    0.12 or more from each other; with on_axis, cluster 0 sits near the
+    real axis and holds a real point.  selection indexes, in s_spectrum's
+    order, the spheres of one cluster of ceil(n / 2)."""
+    rng = np.random.default_rng(seed)
+    if selected is None:
+        selected = int(rng.integers(clusters))
+    others = [c for c in range(clusters) if c != selected]
+    sizes = [0] * clusters
+    sizes[selected] = n - n // 2
+    for k in range(n // 2):
+        sizes[others[k % len(others)]] += 1
+    points, labels = [], []
+    for c in range(clusters):
+        axis = on_axis and c == 0
+        cu = 3.0 * c + rng.uniform(-0.5, 0.5)
+        cv = 0.3 if axis else rng.uniform(0.9, 2.0)
+        here = [(cu, 0.0)] if axis else []
+        while len(here) < sizes[c]:
+            u, v = cu + rng.uniform(-0.4, 0.4), cv + rng.uniform(-0.4, 0.4)
+            if v >= 0.1 and all(math.hypot(u - p, v - q) >= 0.12 for p, q in points + here):
+                here.append((u, v))
+        points += here
+        labels += [c] * len(here)
+    a = np.array([p[0] for p in points])
+    b = np.array([p[1] for p in points]) * rng.choice((-1.0, 1.0), size=n)
+    G = rng.standard_normal((n, n))
+    V = np.eye(n) + 0.5 * G / np.linalg.norm(G, 2)
+    Vinv = np.linalg.inv(V)
+    z = np.zeros((n, n))
+    T = CommutingOperator(V @ np.diag(a) @ Vinv, V @ np.diag(b) @ Vinv, z, z)
+    order = sorted(range(n), key=lambda k: points[k])
+    got = [(sp.u, sp.v) for sp in T.spheres]
+    assert np.allclose(got, [points[k] for k in order], atol=1e-9)
+    selection = [pos for pos, k in enumerate(order) if labels[k] == selected]
+    return T, V, a, b, selection
+
+
+CLUSTERED = [(seed, n, clusters, on_axis)
+             for seed, (n, clusters, on_axis) in enumerate(
+                 [(8, 2, False), (12, 3, False), (5, 2, False), (12, 2, True),
+                  (8, 3, True), (8, 2, False), (12, 3, False), (8, 2, True)])]
+
+
+def _far_root(spheres, selection, center):
+    """(D, conjugate): the distance from center to the nearest root that a
+    disk pair around the selection must leave out, and whether it is the
+    conjugate of a selected sphere."""
+    cu, cv = center
+    out = [math.hypot(sp.u - cu, w - cv) for i, sp in enumerate(spheres)
+           if i not in selection for w in (sp.v, -sp.v)]
+    conj = [math.hypot(spheres[i].u - cu, -spheres[i].v - cv) for i in selection]
+    return min(out + conj), min(conj) < min(out)
+
+
+def test_a_clustered_selection_gets_one_disk_pair_of_radius_sqrt_r_d():
+    nearest_conjugate = 0
+    for seed, n, clusters, on_axis in CLUSTERED:
+        T, _, _, _, selection = _clustered_operator(seed, n, clusters, on_axis, 1)
+        spheres = T.spheres
+        center, r = _brute_enclosing_circle([(spheres[i].u, spheres[i].v)
+                                             for i in selection])
+        D, conjugate = _far_root(spheres, selection, center)
+        nearest_conjugate += conjugate
+        c = auto_contour(spheres, selection)
+        assert len(c.components) == 1, seed
+        (comp,) = c.components
+        assert isinstance(comp, DiskPair)
+        assert abs(comp.u - center[0]) <= 1e-12 * r and abs(comp.v - center[1]) <= 1e-12 * r
+        assert abs(comp.radius - math.sqrt(r * D)) <= 1e-12 * comp.radius, seed
+    # the conjugates of the selected spheres set D in some draws
+    assert 0 < nearest_conjugate < len(CLUSTERED)
+
+
+def test_a_cluster_on_the_axis_gets_one_real_centred_circle():
+    T, _, _, _, selection = _clustered_operator(3, 12, 2, True, 0)
+    spheres = T.spheres
+    pts = [(spheres[i].u, spheres[i].v) for i in selection]
+    c, r = _axis_centered_radius(pts)
+    D = min(math.hypot(sp.u - c, sp.v) for i, sp in enumerate(spheres) if i not in selection)
+    assert auto_contour(spheres, selection).components == (Circle(c, math.sqrt(r * D)),)
+
+
+def test_an_excluded_sphere_inside_the_selection_keeps_the_per_sphere_contour():
+    ring = [SpectralSphere(math.cos(t), 3.0 + math.sin(t))
+            for t in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)]
+    spheres = ring + [SpectralSphere(0.0, 3.0), SpectralSphere(4.0, 1.0)]
+    selection = range(5)
+    c = auto_contour(spheres, selection)
+    assert c == _per_sphere_contour(spheres, selection)
+    assert len(c.components) == 5
+
+
+def test_a_cluster_too_near_the_axis_keeps_the_per_sphere_contour():
+    # the selection's circle would cross the axis, and the real-centred
+    # circle around it passes within margin of the excluded sphere above
+    spheres = [SpectralSphere(0.0, 0.1), SpectralSphere(0.6, 0.1),
+               SpectralSphere(0.3, 0.6)]
+    (_, cv), r = _min_enclosing_circle([(0.0, 0.1), (0.6, 0.1)])
+    assert math.sqrt(r * math.hypot(0.3, 0.2)) >= cv
+    c = auto_contour(spheres, [0, 1])
+    assert c == _per_sphere_contour(spheres, [0, 1])
+    assert len(c.components) == 2
+
+
+def test_few_nodes_keep_the_per_sphere_contour_where_the_rule_would_not_converge():
+    fell_back = kept = 0
+    for (seed, n, clusters, on_axis), selected in itertools.product(CLUSTERED, (None, 1)):
+        T, _, _, _, selection = _clustered_operator(seed, n, clusters, on_axis, selected)
+        spheres = T.spheres
+        center, r = _brute_enclosing_circle([(spheres[i].u, spheres[i].v)
+                                             for i in selection])
+        D, _ = _far_root(spheres, selection, center)
+        c = auto_contour(spheres, selection, N=32)
+        if 32 * math.log(D / math.sqrt(r * D)) < -math.log(np.finfo(float).eps):
+            assert c == _per_sphere_contour(spheres, selection, N=32), seed
+            fell_back += 1
+        elif center[1] > math.sqrt(r * D):
+            assert len(c.components) == 1, seed
+            kept += 1
+    assert fell_back >= len(CLUSTERED) and kept >= 1
+
+
+def test_whole_and_single_sphere_selections_keep_the_per_sphere_contour():
+    rng = np.random.default_rng(19)
+    cases = [_clustered_operator(*case)[0] for case in CLUSTERED]
+    cases += [random_commuting_operator(rng, n) for n in (2, 3, 4)]
+    for T in cases:
+        spheres = T.spheres
+        everything = range(len(spheres))
+        assert auto_contour(spheres, everything) == _per_sphere_contour(spheres, everything)
+        for i in everything:
+            assert auto_contour(spheres, [i]) == _per_sphere_contour(spheres, [i])
+
+
+def test_default_margin_is_the_old_rule_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for m in range(1, 12):
+        spheres = [SpectralSphere(float(u), abs(float(v)))
+                   for u, v in rng.standard_normal((m, 2))]
+        spheres += spheres[:m // 3]            # zero gaps are skipped
+        assert default_margin(spheres) == _old_default_margin(spheres)
+
+
+def _scaled(comp, s):
+    if isinstance(comp, Circle):
+        return Circle(s * comp.center, s * comp.radius, comp.orientation)
+    return DiskPair(s * comp.u, s * comp.v, s * comp.radius, comp.orientation)
+
+
+@pytest.mark.parametrize("N", [32, 256])
+def test_the_contour_of_a_power_of_two_times_t_is_scaled_exactly(N):
+    for seed, n, clusters, on_axis in CLUSTERED[:5]:
+        T, _, _, _, selection = _clustered_operator(seed, n, clusters, on_axis,
+                                                    0 if on_axis else None)
+        c = auto_contour(T.spheres, selection, N=N)
+        for k in range(-60, 61, 4):
+            s = 2.0 ** k
+            Ts = CommutingOperator(*(s * C for C in T.components))
+            cs = auto_contour(Ts.spheres, selection, N=N)
+            assert cs.components == tuple(_scaled(comp, s) for comp in c.components), (seed, k)
+
+
+def _shapes(rng, m, shape):
+    """m plane points: scattered, with duplicates, on a line, or on a circle."""
+    if shape == 0:
+        return rng.standard_normal((m, 2))
+    if shape == 1:
+        P = rng.standard_normal((m, 2))
+        P[rng.integers(0, m, size=m // 2 + 1)] = P[0]
+        return P
+    if shape == 2:
+        return rng.standard_normal(2) + rng.standard_normal(m)[:, None] * rng.standard_normal(2)
+    t = rng.uniform(0.0, 2.0 * math.pi, m)
+    return rng.standard_normal(2) + rng.uniform(0.5, 2.0) * np.c_[np.cos(t), np.sin(t)]
+
+
+def test_welzl_matches_the_brute_force_circle():
+    rng = np.random.default_rng(29)
+    for trial in range(500):
+        pts = [tuple(p) for p in _shapes(rng, int(rng.integers(1, 13)), trial % 4)]
+        (cu, cv), r = _min_enclosing_circle(pts)
+        c0, r0 = _brute_enclosing_circle(pts)
+        scale = max(r0, abs(c0[0]), abs(c0[1]))
+        assert abs(r - r0) <= 1e-12 * scale, trial
+        assert math.hypot(cu - c0[0], cv - c0[1]) <= 1e-12 * scale, trial
+        assert max(math.hypot(u - cu, v - cv) for u, v in pts) <= r * (1.0 + 1e-12), trial
+
+
+def test_welzl_is_fast_on_many_points():
+    pts = [tuple(p) for p in np.random.default_rng(31).standard_normal((2048, 2))]
+    start = time.perf_counter()
+    (cu, cv), r = _min_enclosing_circle(pts)
+    assert time.perf_counter() - start < 0.5
+    assert max(math.hypot(u - cu, v - cv) for u, v in pts) <= r * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("kind", list(CalculusKind))
+def test_projector_on_the_auto_contour_is_the_exact_projector(kind):
+    """On real joint eigenvalues a + b e1 both roots of each lie on one
+    sphere, so the projector is V diag(chi) V^-1, chi the winding number
+    about each sphere."""
+    for seed, n, clusters, on_axis in CLUSTERED[:5]:
+        T, V, a, b, selection = _clustered_operator(seed, n, clusters, on_axis,
+                                                    0 if on_axis else None)
+        for N in (64, 256, 1024):
+            c = auto_contour(T.spheres, selection, N=N)
+            chi = c.winding(a, np.abs(b))[0]
+            assert chi.sum() == len(selection)
+            exact = QuatMatrix.from_real(V @ np.diag(chi.astype(float)) @ np.linalg.inv(V))
+            P = riesz_projector(kind, T, c)
+            assert (P - exact).norm() <= 1e-11 * exact.norm(), (seed, N)
 
 
 # -- stability of calculus outputs under discretization choices ---------------
