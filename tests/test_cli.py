@@ -259,9 +259,13 @@ def test_projector_on_an_ill_conditioned_jordan_block_is_a_numeric_error(
 
 def test_commands_on_operators_with_a_basis_do_not_import_scipy(tmp_path):
     # scipy serves only the Schur route of s_spectrum, for operators with
-    # no usable eigenbasis; its import costs about as much as a command
+    # no usable eigenbasis; its import costs about as much as a command.
+    # numpy.ma comes with np.unique and costs a megabyte resident; the
+    # split operator's selected real point (5, 0) gets a real-centred circle
     basis = str(tmp_path / "basis.json")
     save_operator(identities.random_commuting_operator(np.random.default_rng(1), 8), basis)
+    split = str(tmp_path / "split.json")
+    save_operator(identities.split_spectrum_operator(), split)
     jordan = _rotated_jordan_block(tmp_path, 1.0)
     stem = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]})
     script = f"""
@@ -270,14 +274,16 @@ from sspectrum import cli
 from sspectrum.cli import RunConfig
 runs = [RunConfig("selftest", seed=0),
         RunConfig("apply", operator={basis!r}, function={stem!r}, calculus="p2"),
-        RunConfig("projector", operator={basis!r}, cluster="0", calculus="s")]
-print([cli.run(config)[0] for config in runs], "scipy" in sys.modules)
+        RunConfig("projector", operator={basis!r}, cluster="0", calculus="s"),
+        RunConfig("projector", operator={split!r}, cluster="1", calculus="s")]
+print([cli.run(config)[0] for config in runs], "scipy" in sys.modules,
+      "numpy.ma" in sys.modules)
 cli.run(RunConfig("spectrum", operator={jordan!r}))
 print("scipy" in sys.modules)
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["[0, 0, 0] False", "True"]
+    assert done.stdout.split("\n")[:2] == ["[0, 0, 0, 0] False False", "True"]
 
 
 @pytest.mark.parametrize("doc", [
