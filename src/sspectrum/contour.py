@@ -379,25 +379,9 @@ def _axis_centered_radius(points):
     return c, radius_at(c)
 
 
-def _pair_gaps(points):
-    """(i, j, d): every pair i < j of the plane points and np.hypot of
-    its coordinate differences, which may differ from SpectralSphere.
-    distance's math.hypot in the last bits."""
-    u, v = np.asarray(points, dtype=np.float64).reshape(-1, 2).T
-    k = np.arange(len(u))
-    i, j = np.nonzero(k[:, None] < k)
-    return i, j, np.hypot(u[i] - u[j], v[i] - v[j])
-
-
-def _near(d, x):
-    """Where d lies within 4 ulps of x: there np.hypot and math.hypot may
-    fall on two sides of x."""
-    return np.abs(d - x) <= 4.0 * np.spacing(x)
-
-
 def _cluster(points, threshold):
     """Single-linkage clusters of half-plane points; merge when closer
-    than threshold, math.hypot deciding the pairs near it."""
+    than threshold."""
     m = len(points)
     parent = list(range(m))
 
@@ -407,32 +391,24 @@ def _cluster(points, threshold):
             i = parent[i]
         return i
 
-    i, j, d = _pair_gaps(points)
-    near = _near(d, threshold)
-    merge = d < threshold
-    merge[near] = [math.hypot(points[a][0] - points[b][0], points[a][1] - points[b][1])
-                   < threshold for a, b in zip(i[near], j[near])]
-    for a, b in zip(i[merge].tolist(), j[merge].tolist()):
-        parent[find(a)] = find(b)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if math.hypot(points[i][0] - points[j][0],
+                          points[i][1] - points[j][1]) < threshold:
+                parent[find(i)] = find(j)
     groups = {}
-    for k in range(m):
-        groups.setdefault(find(k), []).append(k)
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
     return sorted(groups.values(), key=min)
 
 
 def default_margin(spheres) -> float:
     """0.25 of the smallest gap between distinct spheres; for a single
-    sphere, half of (1 + its distance from the origin).  The gap is
-    SpectralSphere.distance of the pairs whose np.hypot lies within 4
-    ulps of the least positive one."""
-    i, j, d = _pair_gaps([(sp.u, sp.v) for sp in spheres])
-    positive = d > 0.0
-    if positive.any():
-        least = d[positive].min()
-        # d <= least keeps an infinite least, which has no ulps
-        pairs = positive & ((d <= least) | _near(d, least))
-        return 0.25 * min(spheres[a].distance(spheres[b])
-                          for a, b in zip(i[pairs].tolist(), j[pairs].tolist()))
+    sphere, half of (1 + its distance from the origin)."""
+    gaps = [d for i in range(len(spheres)) for j in range(i + 1, len(spheres))
+            if (d := spheres[i].distance(spheres[j])) > 0.0]
+    if gaps:
+        return 0.25 * min(gaps)
     reach = max((math.hypot(sp.u, sp.v) for sp in spheres), default=0.0)
     return 0.5 * (1.0 + reach)
 

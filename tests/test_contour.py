@@ -1,7 +1,6 @@
 import itertools
 import math
 import time
-import timeit
 
 import numpy as np
 import pytest
@@ -659,85 +658,6 @@ def test_axis_centered_radius_is_the_np_unique_one_bit_for_bit():
         assert np.array(got).tobytes() == np.array(want).tobytes(), (trial, pts)
         negative_zero += got[0] == 0.0 and math.copysign(1.0, got[0]) < 0
     assert negative_zero > 0
-
-
-def _loop_cluster(points, threshold):
-    """Oracle: _cluster as first written, math.hypot over every pair."""
-    m = len(points)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if math.hypot(points[i][0] - points[j][0],
-                          points[i][1] - points[j][1]) < threshold:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=min)
-
-
-def _hypot_split(rng, count):
-    """count pairs of plane points whose np.hypot and math.hypot gaps
-    differ, with both gaps."""
-    found = []
-    while len(found) < count:
-        (pu, pv), (qu, qv) = np.abs(rng.standard_normal((2, 2))) * 2.0 ** int(rng.integers(-30, 31))
-        d = math.hypot(pu - qu, pv - qv)
-        d_np = float(np.hypot(pu - qu, pv - qv))
-        if d_np != d:
-            found.append(((float(pu), float(pv)), (float(qu), float(qv)), d, d_np))
-    return found
-
-
-def test_cluster_and_margin_are_the_pair_loops_exactly():
-    rng = np.random.default_rng(101)
-    for trial in range(600):
-        m = int(rng.integers(1, 30))
-        P = rng.standard_normal((m, 2)) * 2.0 ** int(rng.integers(-40, 41))
-        if trial % 2:
-            P = np.round(P, 1)                     # ties and duplicate points
-        pts = [(float(u), abs(float(v))) for u, v in P]
-        spheres = [SpectralSphere(u, v) for u, v in pts]
-        margin = default_margin(spheres)
-        assert margin == _old_default_margin(spheres), trial
-        for threshold in (4.0 * margin, float(rng.uniform(0.0, 2.0) * np.ptp(P) + 1e-300)):
-            assert _cluster(pts, threshold) == _loop_cluster(pts, threshold), trial
-
-
-def test_cluster_and_margin_at_pairs_where_np_hypot_differs():
-    # a pair whose gap is the threshold, or the least gap, once per hypot
-    rng = np.random.default_rng(103)
-    for p, q, d, d_np in _hypot_split(rng, 40):
-        far = (p[0] + 9.0 * (abs(p[0]) + d), p[1])
-        pts = [p, q, far]
-        spheres = [SpectralSphere(*x) for x in pts]
-        assert default_margin(spheres) == _old_default_margin(spheres) == 0.25 * d
-        for threshold in (d, d_np, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
-            assert _cluster(pts, threshold) == _loop_cluster(pts, threshold)
-        assert _cluster(pts, d) == [[0], [1], [2]]
-
-
-def test_cluster_and_margin_are_fast_on_512_spheres():
-    P = np.random.default_rng(107).standard_normal((512, 2))
-    spheres = [SpectralSphere(float(u), abs(float(v))) for u, v in P]
-    pts = [(sp.u, sp.v) for sp in spheres]
-    margin = _old_default_margin(spheres)
-
-    def best(f, *args):
-        return min(timeit.repeat(lambda: f(*args), number=1, repeat=3))
-
-    assert best(default_margin, spheres) < 0.1
-    assert best(_cluster, pts, 4.0 * margin) < 0.1
-    # the pair loops take about 8 (two distance calls a pair) and 3 times as long
-    assert best(default_margin, spheres) < 0.5 * best(_old_default_margin, spheres)
-    assert best(_cluster, pts, 4.0 * margin) < 0.5 * best(_loop_cluster, pts, 4.0 * margin)
 
 
 # -- serialization ------------------------------------------------------------
