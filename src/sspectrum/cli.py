@@ -132,6 +132,9 @@ def _cmd_verify(config: RunConfig):
         if "m" in opts:  # --m overrides the drawn degree
             opts["m"] = config.m
         report = identities.verify_pointwise(name, T, s, p, tol=config.tol, **opts)
+    elif config.operator is not None and name in identities.INTEGRAL_IDENTITIES:
+        raise InputError(f"--operator is refused on the integral row '{name}': "
+                         "integral rows draw their own operator and contours")
     else:
         report = identities.verify_seeded(name, config.seed, config.tol,
                                           _nodes(config))

@@ -379,29 +379,6 @@ def _axis_centered_radius(points):
     return c, radius_at(c)
 
 
-def _cluster(points, threshold):
-    """Single-linkage clusters of half-plane points; merge when closer
-    than threshold."""
-    m = len(points)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if math.hypot(points[i][0] - points[j][0],
-                          points[i][1] - points[j][1]) < threshold:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=min)
-
-
 def default_margin(spheres) -> float:
     """0.25 of the smallest gap between distinct spheres; for a single
     sphere, half of (1 + its distance from the origin)."""
@@ -413,22 +390,21 @@ def default_margin(spheres) -> float:
     return 0.5 * (1.0 + reach)
 
 
-def auto_contour(spheres, selection, margin: float | None = None,
-                 J: Quaternion = E1, N: int = DEFAULT_NODES) -> Contour:
+def auto_contour(spheres, selection, J: Quaternion = E1,
+                 N: int = DEFAULT_NODES) -> Contour:
     """Union of circles that winds once about exactly the selected spheres.
 
-    A selection of two or more spheres that leaves at least one out gets
-    one component around all of it where its N-node trapezoid rule
-    converges to rounding and it clears every sphere by margin
-    (_one_component).  Otherwise, and for whole-spectrum and
-    single-sphere selections, selected spheres are clustered by single
-    linkage with gap threshold 4 * margin; each cluster becomes a
-    conjugate disk pair when it sits far enough from the real axis and a
-    real-centered circle otherwise, margin beyond its spheres.  The
-    result is checked with check_winding: it winds once about every
-    selected sphere and not at all about an excluded one, with every
-    boundary clear of both by margin (1 - 1e-9), so a selected and an
-    excluded sphere closer than twice that raise GeometryError.
+    The margin is default_margin(spheres).  A selection of two or more
+    spheres that leaves at least one out gets one component around all
+    of it where its N-node trapezoid rule converges to rounding and it
+    clears every sphere by margin (_one_component).  Otherwise, and for
+    whole-spectrum and single-sphere selections, each distinct selected
+    sphere (u, v) gets the conjugate disk pair of radius margin around
+    it where v > margin, and the real-centred circle of radius v + margin
+    otherwise.  The result is checked with check_winding: it winds once
+    about every selected sphere and not at all about an excluded one,
+    with every boundary clear of both by margin (1 - 1e-9).  A component
+    whose geometry overflows the float range raises NumericError.
     """
     spheres = list(spheres)
     chosen = set(int(i) for i in selection)
@@ -436,10 +412,9 @@ def auto_contour(spheres, selection, margin: float | None = None,
     for i in selection:
         if not 0 <= i < len(spheres):
             raise InputError(f"selection index {i} out of range")
-    if margin is None:
-        margin = default_margin(spheres) if spheres else 1.0
+    margin = default_margin(spheres)
     if margin <= 0.0:
-        raise GeometryError("margin must be positive")
+        raise GeometryError("the spheres are too close for a positive margin")
     selected = [spheres[i] for i in selection]
     excluded = [sp for i, sp in enumerate(spheres) if i not in chosen]
     if not selected:
@@ -448,29 +423,22 @@ def auto_contour(spheres, selection, margin: float | None = None,
     pts = [(sp.u, sp.v) for sp in selected]
     one = None
     if len(selected) >= 2 and excluded:
-        one = _one_component(pts, [(sp.u, sp.v) for sp in excluded], margin, N)
-    components = (one,) if one is not None else _cluster_components(pts, margin)
+        try:
+            one = _one_component(pts, [(sp.u, sp.v) for sp in excluded], margin, N)
+        except OverflowError as exc:
+            raise NumericError("the contour around the selected spheres "
+                               "overflows the float range") from exc
+    if one is not None:
+        components = (one,)
+    else:
+        components = tuple(DiskPair(float(u), float(v), margin) if v - margin > 0.0
+                           else Circle(float(u), float(v) + margin)
+                           for u, v in dict.fromkeys(pts))
     contour = Contour(J, components, N)
     slack = margin * (1.0 - 1e-9)
     check_winding(contour, [(sp.u, sp.v, slack) for sp in selected], {1}, "selected sphere")
     check_winding(contour, [(sp.u, sp.v, slack) for sp in excluded], {0}, "excluded sphere")
     return contour
-
-
-def _cluster_components(pts, margin):
-    """One disk pair, or real-centred circle where a disk pair would
-    reach the axis, margin beyond each single-linkage cluster of the
-    points (gap threshold 4 * margin)."""
-    components = []
-    for group in _cluster(pts, 4.0 * margin):
-        gpts = [pts[i] for i in group]
-        (cu, cv), r = _min_enclosing_circle(gpts)
-        if cv - (r + margin) > 0.0:
-            components.append(DiskPair(cu, cv, r + margin))
-        else:
-            c, rr = _axis_centered_radius(gpts)
-            components.append(Circle(c, rr + margin))
-    return tuple(components)
 
 
 def _one_component(inner, outer, margin, N):

@@ -585,6 +585,33 @@ def test_verify_refuses_a_spectrum_too_large_to_sample(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_verify_refuses_an_operator_on_an_integral_row(split_op, exists, capsys):
+    # an integral row draws its own operator and contours, so a file
+    # given to it would go unread; it is refused, valid or missing
+    op = split_op if exists else split_op + ".missing"
+    assert cli.main(["verify", "--name", "p2_product_rule_left",
+                     "--operator", op, "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert "integral rows draw their own operator" in json.loads(lines[0])["message"]
+    assert captured.out == ""
+
+
+def test_a_projector_whose_contour_overflows_is_a_numeric_error(tmp_path, capsys):
+    # the smallest circle around the two selected spheres, whose u lie
+    # 2e307 apart at v = 1.5e308, squares distances beyond the float range
+    op = write_json(tmp_path / "op.json", {"T0": [[1e307, 0, 0], [0, -1e307, 0], [0, 0, 3e307]],
+                                           "T1": [[1.5e308, 0, 0], [0, 1.5e308, 0], [0, 0, 0]]})
+    assert cli.main(["projector", "--operator", op, "--cluster", "0,1",
+                     "--calculus", "s"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericError"
+    assert captured.out == ""
+
+
 def _split_scaled(tmp_path, r):
     return write_json(tmp_path / "op.json", {"n": 2, "T0": [[0.0, 0.0], [0.0, 5.0 * r]],
                                              "T1": [[r, 0.0], [0.0, 0.0]]})

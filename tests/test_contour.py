@@ -5,13 +5,14 @@ import time
 import numpy as np
 import pytest
 
+import corpus
 from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
                        auto_contour, enclosing_circle, integrate, qinv,
                        riesz_projector, stem_moment)
 from sspectrum.contour import (MAX_NODES, Circle, Contour, DiskPair,
-                               _axis_centered_radius, _cluster, _min_enclosing_circle,
+                               _axis_centered_radius, _min_enclosing_circle,
                                contour_from_dict, contour_to_dict, default_margin,
                                load_contour, node_arrays, save_contour)
 from sspectrum.errors import GeometryError, InputError
@@ -136,24 +137,16 @@ def test_contour_integer_fields_must_be_ints(components, nodes):
 
 
 def test_auto_contour_disk_pair_example():
-    spheres = [SpectralSphere(0.0, 1.0), SpectralSphere(5.0, 0.0)]
-    c = auto_contour(spheres, [0], margin=0.5)
+    # v = 3 exceeds the default margin, a quarter of the gap sqrt(34)
+    spheres = [SpectralSphere(0.0, 3.0), SpectralSphere(5.0, 0.0)]
+    c = auto_contour(spheres, [0])
     assert len(c.components) == 1
     comp = c.components[0]
     assert isinstance(comp, DiskPair)
     assert comp.radius <= 1.5
     assert c.winding(5.0, 0.0)[0] == 0
-    assert c.winding(0.0, 1.0)[0] == 1
-    assert c.winding(0.0, -1.0)[0] == 1
-
-
-def test_auto_contour_select_all_one_cluster():
-    spheres = [SpectralSphere(0.0, 1.0), SpectralSphere(0.5, 0.0)]
-    c = auto_contour(spheres, [0, 1], margin=0.5)
-    assert len(c.components) == 1
-    assert isinstance(c.components[0], Circle)
-    for sp in spheres:
-        assert c.winding(sp.u, sp.v)[0] == 1
+    assert c.winding(0.0, 3.0)[0] == 1
+    assert c.winding(0.0, -3.0)[0] == 1
 
 
 def test_auto_contour_select_none():
@@ -161,10 +154,15 @@ def test_auto_contour_select_none():
     assert c.components == ()
 
 
-def test_auto_contour_separation_precondition():
-    spheres = [SpectralSphere(0.0, 0.0), SpectralSphere(1.0, 0.0)]
-    with pytest.raises(GeometryError):
-        auto_contour(spheres, [0], margin=0.6)
+def test_a_sphere_listed_twice_gets_one_component():
+    spheres = [SpectralSphere(0.0, 2.0), SpectralSphere(0.0, 2.0), SpectralSphere(4.0, 0.0)]
+    margin = default_margin(spheres)
+    for selection, components in (([0, 1], (DiskPair(0.0, 2.0, margin),)),
+                                  ([0, 1, 2], (DiskPair(0.0, 2.0, margin),
+                                               Circle(4.0, margin)))):
+        c = auto_contour(spheres, selection)
+        assert c.components == components
+        assert c == _per_sphere_contour(spheres, selection)
 
 
 def test_contour_winding_counts_orientation():
@@ -226,25 +224,20 @@ def test_winding_table_matches_the_scalar_loop():
 def test_auto_contour_keeps_overlapping_circles_that_hold_no_sphere():
     """A real cluster's circle reaches into a disk pair's circles without
     covering a sphere of the other, so the contour winds once about every
-    sphere and its P2 value agrees with the closed form."""
+    sphere and its P2 value agrees with the closed form.  The contour is
+    the one that single linkage at margin 0.5 gave; at the default
+    margin auto_contour's per-sphere components can at most touch."""
     T0 = np.diag([0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 3.6, 5.4])
     T1 = np.diag([0.0] * 7 + [5.6, 5.6])
     z = np.zeros((9, 9))
     T = CommutingOperator(T0, T1, z, z)
-    c = auto_contour(T.spheres, range(len(T.spheres)), margin=0.5)
+    c = Contour(E1, (Circle(4.5, 5.0), DiskPair(4.5, 5.6, 1.4)))
     (cu, cv, r), (du, dv, dr) = c.plane_circles()[:2]
     assert math.hypot(cu - du, cv - dv) < r + dr
     for sp in T.spheres:
         assert c.winding(sp.u, sp.v)[0] == 1
     val = apply_calculus(CalculusKind.P2, SlicePoly.monomial(3), T, c)
     assert rel(val, stem_moment(CalculusKind.P2, T, 3)) < 1e-9
-
-
-def test_auto_contour_two_clusters():
-    spheres = [SpectralSphere(0.0, 1.0), SpectralSphere(8.0, 0.0),
-               SpectralSphere(8.5, 0.0)]
-    c = auto_contour(spheres, [0, 1, 2], margin=0.4)
-    assert len(c.components) == 2
 
 
 # -- one component around a partial selection --------------------------------
@@ -299,10 +292,34 @@ def _old_default_margin(spheres):
     return 0.5 * (1.0 + reach)
 
 
+def _cluster(points, threshold):
+    """Single-linkage clusters of half-plane points, as lists of indexes
+    in order of their first point; merge when closer than threshold."""
+    m = len(points)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if math.hypot(points[i][0] - points[j][0],
+                          points[i][1] - points[j][1]) < threshold:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=min)
+
+
 def _per_sphere_contour(spheres, selection, J=E1, N=256):
-    """Reference: the per-cluster rule of auto_contour with its default
-    margin, one disk pair or real-centred circle margin beyond each
-    single-linkage cluster of the selected spheres."""
+    """Reference: the rule auto_contour once had for whole-spectrum and
+    single-sphere selections, one disk pair or real-centred circle the
+    default margin beyond each single-linkage cluster of the selected
+    spheres at gap threshold 4 * margin."""
     margin = _old_default_margin(spheres)
     pts = [(sp.u, sp.v) for i, sp in enumerate(spheres) if i in set(selection)]
     components = []
@@ -444,9 +461,15 @@ def test_few_nodes_keep_the_per_sphere_contour_where_the_rule_would_not_converge
 
 
 def test_whole_and_single_sphere_selections_keep_the_per_sphere_contour():
+    """4 * default_margin is the smallest gap between distinct spheres,
+    measured as _cluster measures it, so single linkage never joined two
+    spheres and each selected sphere gets its own component."""
     rng = np.random.default_rng(19)
     cases = [_clustered_operator(*case)[0] for case in CLUSTERED]
-    cases += [random_commuting_operator(rng, n) for n in (2, 3, 4)]
+    cases += [random_commuting_operator(rng, n) for n in (2, 3, 4, 1, 8, 16, 32, 64)]
+    cases += [CommutingOperator(*(s * C for C in corpus.operator(B, t1).components))
+              for B in corpus.BASES.values() for t1 in (0.0, 0.3)
+              for s in (2.0 ** -40, 1.0, 2.0 ** 40)]
     for T in cases:
         spheres = T.spheres
         everything = range(len(spheres))

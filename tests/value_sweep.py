@@ -3,7 +3,7 @@
     python3 tests/value_sweep.py OUT.jsonl
     python3 tests/value_sweep.py --compare A.jsonl B.jsonl
 
-The sweep is 321 runs of ``sspectrum.cli.main``, in process, with the
+The sweep is 398 runs of ``sspectrum.cli.main``, in process, with the
 package from the ``src/`` next to this directory:
 
 - ``selftest --seed 0..5``, in JSON and in CSV (12 runs)
@@ -11,6 +11,9 @@ package from the ``src/`` next to this directory:
 - every ``apply`` (96) and ``projector`` (135) op that
   ``perfbench/workloads.py`` generates at seeds 501-503; the generators
   are imported and only read
+- the ``apply`` (32) and ``projector`` (45) ops of seed 501 again,
+  without their contour file or ``--cluster``, so ``auto_contour``
+  builds a contour around every sphere
 
 Each run is written as one JSON line: its id, exit code, stdout and
 stderr.  Run the sweep in two checkouts and compare the files.
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SELFTEST_SEEDS = range(6)
 VERIFY_SEEDS = range(3)
 WORKLOAD_SEEDS = (501, 502, 503)
+WHOLE_SPECTRUM_SEED = 501
 
 
 def _invocations(workdir):
@@ -61,10 +65,20 @@ def _invocations(workdir):
             ops = workloads.GENERATORS[workload](seed)
             configs = workloads.materialize(ops, workdir, f"{workload}{seed}-")
             for i, config in enumerate(configs):
-                argv = [config.pop("command")]
-                for key, value in config.items():
-                    argv += [f"--{key}", str(value)]
-                yield f"{workload} seed={seed} op={i:03d}", argv
+                yield f"{workload} seed={seed} op={i:03d}", _argv(config)
+            if seed == WHOLE_SPECTRUM_SEED:
+                for i, config in enumerate(configs):
+                    whole = {key: value for key, value in config.items()
+                             if key not in ("contour", "cluster")}
+                    yield f"{workload} seed={seed} op={i:03d} whole", _argv(whole)
+
+
+def _argv(config):
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key != "command":
+            argv += [f"--{key}", str(value)]
+    return argv
 
 
 def sweep(out_path) -> None:
