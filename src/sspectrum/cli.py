@@ -142,6 +142,14 @@ def _cmd_verify(config: RunConfig):
 
 
 def _cmd_selftest(config: RunConfig):
+    given = [flag for flag, value in (("--operator", config.operator),
+                                      ("--function", config.function),
+                                      ("--cluster", config.cluster)) if value is not None]
+    if config.contour != "auto":
+        given.append("--contour")
+    if given:
+        raise InputError(f"{', '.join(given)} refused: selftest draws its own "
+                         "operators, stems and contours")
     reports = identities.verify_all(seed=config.seed, tol=config.tol,
                                     nodes=_nodes(config))
     ok = all(r.passed for r in reports)

@@ -30,7 +30,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -524,15 +524,8 @@ def _finite(item, key) -> float:
 
 
 def contour_to_dict(c: Contour) -> dict:
-    circles = []
-    for comp in c.components:
-        if isinstance(comp, Circle):
-            circles.append({"center": comp.center, "radius": comp.radius,
-                            "orientation": comp.orientation})
-        else:
-            circles.append({"u": comp.u, "v": comp.v, "radius": comp.radius,
-                            "orientation": comp.orientation})
-    return {"J": [c.J.w, c.J.x, c.J.y, c.J.z], "circles": circles,
+    return {"J": [c.J.w, c.J.x, c.J.y, c.J.z],
+            "circles": [asdict(comp) for comp in c.components],
             "nodes": c.nodes_per_circle}
 
 

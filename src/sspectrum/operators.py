@@ -292,16 +292,7 @@ def qcs_op(T: CommutingOperator, s: Quaternion) -> QuatMatrix:
     T + conj(T) = 2 T0 and T conj(T) = gram(T) are real matrices, so the
     quaternion scalar s acts on real entries and the side is immaterial.
     """
-    n = T.n
-    out = np.zeros((n, n, 4))
-    out[..., 0] = gram(T)
-    s2 = (s * s).as_array()
-    sa = s.as_array()
-    two_t0 = 2.0 * T.T0
-    for c in range(4):
-        out[..., c] -= sa[c] * two_t0
-    out[np.arange(n), np.arange(n), :] += s2
-    return QuatMatrix(out)
+    return QuatMatrix(qcs_pencil_at(T, s.as_array()[None, :])[0])
 
 
 def qcs_pencil_at(T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:

@@ -246,21 +246,9 @@ class QuatMatrix:
         self._check(other)
         return QuatMatrix(self.data - other.data)
 
-    def __neg__(self):
-        return QuatMatrix(-self.data)
-
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float)):
             return QuatMatrix(self.data * float(scalar))
-        if isinstance(scalar, Quaternion):
-            return self.rmul(scalar)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, float)):
-            return QuatMatrix(self.data * float(scalar))
-        if isinstance(scalar, Quaternion):
-            return self.lmul(scalar)
         return NotImplemented
 
     def __matmul__(self, other):

@@ -52,9 +52,6 @@ class Quaternion:
         return Quaternion(self.w - other.w, self.x - other.x,
                           self.y - other.y, self.z - other.z)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __neg__(self):
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
@@ -74,11 +71,6 @@ class Quaternion:
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
             return self * other
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -107,22 +99,12 @@ class Quaternion:
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
-    @property
-    def real(self) -> float:
-        return self.w
-
     def vec(self) -> "Quaternion":
         """Vector (imaginary) part x e1 + y e2 + z e3."""
         return Quaternion(0.0, self.x, self.y, self.z)
 
     def vec_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def decompose(self):
         """Split q = u + J*v with J a unit imaginary direction.
@@ -175,7 +157,11 @@ E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 def qinv(a: Quaternion) -> Quaternion:
     """Multiplicative inverse conj(a)/|a|^2; zero input raises."""
-    return _coerce(a).inverse()
+    a = _coerce(a)
+    n2 = a.norm_sq()
+    if n2 == 0.0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return Quaternion(a.w / n2, -a.x / n2, -a.y / n2, -a.z / n2)
 
 
 def qs_poly(s: Quaternion, p: Quaternion) -> Quaternion:

@@ -120,9 +120,6 @@ class SlicePoly:
         cs[0] = cs[0] + a
         return SlicePoly(self.side, cs)
 
-    def scaled(self, r: float) -> "SlicePoly":
-        return SlicePoly(self.side, [c * r for c in self.coeffs])
-
 
 def _as_quat(c) -> Quaternion:
     if isinstance(c, Quaternion):
@@ -181,26 +178,6 @@ class PAPoly:
             mono = tp[a] @ cp[b]
             acc = acc + (mono.rmul(c) if self.coeff_side == "right" else mono.lmul(c))
         return acc
-
-    def __add__(self, other: "PAPoly") -> "PAPoly":
-        if self.coeff_side != other.coeff_side and self.terms and other.terms:
-            raise InputError("cannot mix coefficient sides")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Quaternion()) + c
-        return PAPoly(out, self.coeff_side if self.terms else other.coeff_side)
-
-    def __sub__(self, other: "PAPoly") -> "PAPoly":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, r: float) -> "PAPoly":
-        return PAPoly({k: c * r for k, c in self.terms.items()}, self.coeff_side)
-
-    def coeff_mul(self, a: Quaternion) -> "PAPoly":
-        """Attach a stem coefficient on this polynomial's coefficient side."""
-        if self.coeff_side == "right":
-            return PAPoly({k: c * a for k, c in self.terms.items()}, "right")
-        return PAPoly({k: a * c for k, c in self.terms.items()}, "left")
 
     def has_real_coeffs(self) -> bool:
         scale = max([c.norm() for c in self.terms.values()] + [1.0])
@@ -265,13 +242,14 @@ def fueter_apply(f: SlicePoly, op: FueterOp) -> PAPoly:
     """
     rule = _POWER_RULES[FueterOp(op)]
     coeff_side = "right" if f.side == "left" else "left"
-    acc = PAPoly({}, coeff_side)
+    terms = {}
     for m, a in enumerate(f.coeffs):
         if a.norm() == 0.0:
             continue
-        base = PAPoly({k: Quaternion(r) for k, r in rule(m).items()}, coeff_side)
-        acc = acc + base.coeff_mul(a)
-    return acc
+        for key, r in rule(m).items():
+            term = Quaternion(r) * a if coeff_side == "right" else a * Quaternion(r)
+            terms[key] = terms.get(key, Quaternion()) + term
+    return PAPoly(terms, coeff_side)
 
 
 def dconj_power(n: int) -> PAPoly:

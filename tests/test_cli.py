@@ -874,3 +874,101 @@ def test_contour_nodes_beyond_the_bound_are_a_parse_error(tmp_path, capsys, spli
     assert _apply_on_contour(tmp_path, split_op, doc) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and err["exit"] == 2
+
+
+def _stem_file(tmp_path):
+    return write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]})
+
+
+def _contour_file(tmp_path, nodes=256, name="c.json"):
+    return write_json(tmp_path / name, {"J": [0, 1, 0, 0], "nodes": nodes,
+                                            "circles": [{"center": 2.5, "radius": 4.0}]})
+
+
+@pytest.mark.parametrize("flag, exists", [("--operator", True), ("--operator", False),
+                                          ("--function", True), ("--function", False),
+                                          ("--contour", True), ("--contour", False),
+                                          ("--cluster", True)])
+def test_selftest_refuses_a_document_flag(tmp_path, split_op, capsys, flag, exists):
+    # selftest draws its own operators, stems and contours, so a file
+    # given to it would go unread; it is refused, valid or missing
+    value = {"--operator": split_op, "--function": _stem_file(tmp_path),
+             "--contour": _contour_file(tmp_path), "--cluster": "0,1"}[flag]
+    if not exists:
+        value += ".missing"
+    assert cli.main(["selftest", "--seed", "0", flag, value]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InputError" and err["exit"] == 2
+    assert flag in err["message"] and "selftest draws its own" in err["message"]
+    assert captured.out == ""
+    with pytest.raises(InputError, match="selftest draws its own"):
+        run(RunConfig("selftest", **{flag[2:]: value}))
+
+
+def test_nodes_flag_equals_the_contour_file_nodes(tmp_path, split_op, capsys):
+    # --nodes on a contour file replaces the file's node count
+    f = _stem_file(tmp_path)
+    outs = []
+    for argv in (["--contour", _contour_file(tmp_path, 256, "c256.json"), "--nodes", "32"],
+                 ["--contour", _contour_file(tmp_path, 32, "c32.json")]):
+        assert cli.main(["apply", "--operator", split_op, "--function", f] + argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_apply_without_a_function_names_the_flag(split_op, capsys):
+    assert cli.main(["apply", "--operator", split_op]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "--function" in err["message"]
+
+
+def test_verify_without_a_name_is_a_parse_error(capsys):
+    assert cli.main(["verify", "--seed", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "--name" in err["message"]
+
+
+def _raise_in_one_integral_row(monkeypatch):
+    """Makes the first integral row's pairs raise; returns its name."""
+    from sspectrum.errors import PreconditionError
+
+    def pairs(*args):
+        raise PreconditionError("synthetic refusal")
+
+    name, row = next(iter(identities.INTEGRAL_IDENTITIES.items()))
+    monkeypatch.setitem(identities.INTEGRAL_IDENTITIES, name, row._replace(pairs=pairs))
+    return name
+
+
+def test_a_raising_integral_row_is_reported_failed(monkeypatch):
+    name = _raise_in_one_integral_row(monkeypatch)
+    reports = {r.name: r for r in identities.verify_all(seed=0, nodes=64)}
+    report = reports[name]
+    assert report.passed is False and report.residual == math.inf
+    assert report.inputs.startswith("error:") and "synthetic refusal" in report.inputs
+
+
+def test_selftest_with_a_raising_integral_row_exits_1(monkeypatch, capsys):
+    name = _raise_in_one_integral_row(monkeypatch)
+    assert cli.main(["selftest", "--seed", "0", "--nodes", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = {entry["name"]: entry for entry in json.loads(captured.out)}
+    assert doc[name]["pass"] is False and doc[name]["inputs"].startswith("error:")
+
+
+def test_a_stem_coefficient_of_three_entries_is_a_parse_error(tmp_path, split_op, capsys):
+    f = write_json(tmp_path / "f.json", {"coeffs": [[0, 0, 0, 0], [1, 0, 0]]})
+    assert cli.main(["apply", "--operator", split_op, "--function", f]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "4 entries" in err["message"]
+
+
+def test_a_nested_contour_unit_is_a_parse_error(tmp_path, split_op, capsys):
+    doc = {"J": [[0, 1, 0, 0]], "circles": [{"center": 2.5, "radius": 4.0}], "nodes": 64}
+    assert _apply_on_contour(tmp_path, split_op, doc) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "flat array" in err["message"]

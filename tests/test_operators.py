@@ -34,6 +34,15 @@ def test_commutation_checked():
         CommutingOperator(A, B, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_components_must_be_square_and_of_one_size():
+    # the loader checks these first, so only direct construction reaches them
+    z2 = np.zeros((2, 2))
+    with pytest.raises(InputError, match="T1 must be a square matrix"):
+        CommutingOperator(z2, np.zeros((2, 3)), z2, z2)
+    with pytest.raises(InputError, match="one dimension"):
+        CommutingOperator(z2, z2, np.zeros((3, 3)), z2)
+
+
 def test_conj_op():
     T = CommutingOperator.from_quaternion(E1)
     assert np.allclose(T.conjugate().T1, -T.T1)

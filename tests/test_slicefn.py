@@ -8,7 +8,7 @@ from sspectrum import (E1, CommutingOperator, Quaternion, SlicePoly, dconj_power
                        fd_fueter_oracle, fueter_apply, stem_product, stem_shift)
 from sspectrum.errors import IntrinsicError
 from sspectrum.quat import random_quaternion
-from sspectrum.slicefn import (FueterOp, PAPoly, load_stem, save_stem,
+from sspectrum.slicefn import (_POWER_RULES, FueterOp, PAPoly, load_stem, save_stem,
                                stem_from_dict, stem_to_dict)
 
 ALL_OPS = (FueterOp.D, FueterOp.DBAR, FueterOp.DELTA)
@@ -25,6 +25,45 @@ def test_first_order_constants():
     # D q^2 = -2(q + qbar) = -4 q0
     dq2 = fueter_apply(q_mono(2), FueterOp.D)
     assert dq2.terms == {(1, 0): Quaternion(-2.0), (0, 1): Quaternion(-2.0)}
+
+
+def _monomial_by_monomial(f, op):
+    """fueter_apply as a sum of polynomials: one PAPoly per monomial, its
+    real rule coefficients times the stem coefficient on the coefficient
+    side, added to the sum with the PAPoly zero filter after each."""
+    coeff_side = "right" if f.side == "left" else "left"
+    acc = PAPoly({}, coeff_side)
+    for m, a in enumerate(f.coeffs):
+        if a.norm() == 0.0:
+            continue
+        base = PAPoly({k: Quaternion(r) for k, r in _POWER_RULES[op](m).items()}, coeff_side)
+        scaled = PAPoly({k: c * a if coeff_side == "right" else a * c
+                         for k, c in base.terms.items()}, coeff_side)
+        out = dict(acc.terms)
+        for key, c in scaled.terms.items():
+            out[key] = out.get(key, Quaternion()) + c
+        acc = PAPoly(out, coeff_side)
+    return acc
+
+
+def _coefficient(rng, kind):
+    if kind == 0:
+        return Quaternion()
+    if kind == 1:
+        return Quaternion(float(rng.standard_normal()))
+    # 1e-170 squares to zero, so its norm is 0.0 and the monomial is skipped
+    return random_quaternion(rng, (1.0, 1e-170, 1e150)[kind % 3])
+
+
+def test_fueter_apply_equals_the_monomial_by_monomial_sum():
+    rng = np.random.default_rng(23)
+    bits = lambda P: (P.coeff_side, [(k, c.as_array().tobytes()) for k, c in P.terms.items()])
+    for trial in range(3000):
+        side = ("left", "right")[trial % 2]
+        kinds = rng.integers(0, 6, size=trial % 9 + 1)
+        f = SlicePoly(side, [_coefficient(rng, int(k)) for k in kinds])
+        for op in ALL_OPS:
+            assert bits(fueter_apply(f, op)) == bits(_monomial_by_monomial(f, op)), (trial, op)
 
 
 def test_constants_killed():
