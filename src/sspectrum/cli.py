@@ -4,7 +4,8 @@ Commands: spectrum | apply | projector | verify | selftest.  Results go
 to stdout (or --out FILE) as JSON by default; identity reports can also
 be emitted as CSV.  Errors are printed as machine-readable JSON on
 stderr with exit codes 2 (parse), 3 (precondition) and 4 (numeric);
-failing checks exit 1.
+failing checks exit 1.  A flag that the command does not read
+(``_READS``) is a parse error unless it holds its default.
 
 Every document is one ``json.dumps`` call: floats print as their
 shortest round-trip ``repr`` (NaN, Infinity and -Infinity as written),
@@ -18,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +92,9 @@ def _cmd_apply(config: RunConfig):
 
 
 def _cmd_projector(config: RunConfig):
+    if config.cluster is not None and config.contour != "auto":
+        raise InputError("--cluster needs --contour auto: a contour file "
+                         "decides the enclosed spheres")
     T = load_operator(_require(config.operator, "--operator"))
     selection = None
     if config.cluster is not None:
@@ -142,14 +146,6 @@ def _cmd_verify(config: RunConfig):
 
 
 def _cmd_selftest(config: RunConfig):
-    given = [flag for flag, value in (("--operator", config.operator),
-                                      ("--function", config.function),
-                                      ("--cluster", config.cluster)) if value is not None]
-    if config.contour != "auto":
-        given.append("--contour")
-    if given:
-        raise InputError(f"{', '.join(given)} refused: selftest draws its own "
-                         "operators, stems and contours")
     reports = identities.verify_all(seed=config.seed, tol=config.tol,
                                     nodes=_nodes(config))
     ok = all(r.passed for r in reports)
@@ -162,6 +158,17 @@ _COMMANDS = {
     "projector": _cmd_projector,
     "verify": _cmd_verify,
     "selftest": _cmd_selftest,
+}
+
+# The RunConfig fields each command reads.  run() refuses every other
+# field set to a value other than its default; command and out are read
+# by main for every command.
+_READS = {
+    "spectrum": ("operator",),
+    "apply": ("operator", "function", "calculus", "contour", "nodes"),
+    "projector": ("operator", "calculus", "contour", "cluster", "nodes", "tol"),
+    "verify": ("name", "operator", "seed", "tol", "nodes", "m", "out_format"),
+    "selftest": ("seed", "tol", "nodes", "out_format"),
 }
 
 
@@ -181,10 +188,7 @@ def _json(doc) -> str:
 def _render(config: RunConfig, doc) -> str:
     if config.out_format == "json":
         return _json(doc)
-    reports = doc if isinstance(doc, list) else [doc]
-    if not all(isinstance(r, identities.IdentityReport) for r in reports):
-        raise InputError("csv output is only defined for identity reports")
-    return identities.reports_to_csv(reports)
+    return identities.reports_to_csv(doc if isinstance(doc, list) else [doc])
 
 
 def run(config: RunConfig):
@@ -203,6 +207,14 @@ def run(config: RunConfig):
         check_nodes(config.nodes)
         if config.nodes < MIN_NODES:
             raise InputError(f"--nodes must be at least {MIN_NODES}, got {config.nodes}")
+    reads = _READS[config.command]
+    unread = ["--format" if f.name == "out_format" else f"--{f.name}"
+              for f in fields(RunConfig)
+              if f.name not in reads and f.name not in ("command", "out")
+              and getattr(config, f.name) != f.default]
+    if unread:
+        raise InputError(f"{', '.join(unread)} refused: {config.command} "
+                         "does not read them")
     status, doc = _COMMANDS[config.command](config)
     return status, _render(config, doc)
 
@@ -220,20 +232,25 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Quaternionic functional calculi on the S-spectrum")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _COMMANDS:
-        # an absent flag stays out of the namespace: RunConfig holds every default
+        # an absent flag stays out of the namespace: RunConfig holds every
+        # default; a flag the command does not read still parses, so that
+        # run() refuses it by name, but --help leaves it out
         sp = sub.add_parser(cmd, argument_default=argparse.SUPPRESS)
-        sp.add_argument("--operator")
-        sp.add_argument("--function")
-        sp.add_argument("--calculus", choices=[kind.value for kind in CalculusKind])
-        sp.add_argument("--contour")
-        sp.add_argument("--cluster")
-        sp.add_argument("--nodes", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--format", dest="out_format", choices=["json", "csv"])
-        sp.add_argument("--out")
-        sp.add_argument("--name")
-        sp.add_argument("--m", type=int)
+        for action in (
+                sp.add_argument("--operator"),
+                sp.add_argument("--function"),
+                sp.add_argument("--calculus", choices=[kind.value for kind in CalculusKind]),
+                sp.add_argument("--contour"),
+                sp.add_argument("--cluster"),
+                sp.add_argument("--nodes", type=int),
+                sp.add_argument("--tol", type=float),
+                sp.add_argument("--seed", type=int),
+                sp.add_argument("--format", dest="out_format", choices=["json", "csv"]),
+                sp.add_argument("--out"),
+                sp.add_argument("--name"),
+                sp.add_argument("--m", type=int)):
+            if action.dest not in _READS[cmd] and action.dest != "out":
+                action.help = argparse.SUPPRESS
     return parser
 
 

@@ -7,7 +7,7 @@ from sspectrum import (CalculusKind, CommutingOperator, E1, Quaternion,
                        auto_contour, enclosing_circle, riesz_projector,
                        s_spectrum, stem_moment)
 from sspectrum.contour import Circle, Contour
-from sspectrum.errors import GeometryError, HypothesisError
+from sspectrum.errors import GeometryError, HypothesisError, PreconditionError
 from sspectrum.identities import (random_commuting_operator, random_stem,
                                   split_spectrum_operator)
 from sspectrum.quat import random_imaginary_unit, random_quaternion
@@ -70,6 +70,21 @@ def test_moment_closed_form_values():
     assert stem_moment(CalculusKind.F, Z, 0).norm() == 0.0
     assert stem_moment(CalculusKind.F, Z, 1).norm() == 0.0
     assert rel(stem_moment(CalculusKind.S, Z, 0), I) == 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_negative_moment_index_is_refused(kind):
+    with pytest.raises(PreconditionError, match="non-negative"):
+        stem_moment(kind, CommutingOperator.zero(2), -1)
+
+
+def test_apply_stems_takes_stems_of_one_side():
+    T = split_spectrum_operator()
+    c = full_contour(T, N=64)
+    assert apply_stems(CalculusKind.S, [], T, c) == []
+    stems = [SlicePoly.monomial(1), SlicePoly.monomial(2, side="right")]
+    with pytest.raises(PreconditionError, match="common stem side"):
+        apply_stems(CalculusKind.S, stems, T, c)
 
 
 def _displayed_moment(kind, T, m):

@@ -329,6 +329,7 @@ def test_non_numeric_cluster_is_a_parse_error(split_op, capsys):
     {"T0": [["x", 1], [0, 1]]},
     {"T0": [[1, 2], [3]]},                     # ragged rows
     {"n": 2, "T1": [[1, 0], [0, {"a": 1}]]},
+    [[0, 0], [0, 5]],                          # not an object
 ])
 def test_malformed_operator_is_a_parse_error(tmp_path, capsys, doc):
     op = write_json(tmp_path / "op.json", doc)
@@ -679,6 +680,28 @@ def test_split_operator_is_served_at_every_scale(tmp_path, capsys, calculus):
 # ---------------------------------------------------------------------------
 # every input, mutated: documents and flags
 
+# the RunConfig fields each command reads, restated from the README;
+# command and out are read for every command
+_READS = {
+    "spectrum": ("operator",),
+    "apply": ("operator", "function", "calculus", "contour", "nodes"),
+    "projector": ("operator", "calculus", "contour", "cluster", "nodes", "tol"),
+    "verify": ("name", "operator", "seed", "tol", "nodes", "m", "out_format"),
+    "selftest": ("seed", "tol", "nodes", "out_format"),
+}
+# a valid value other than the default for each of those fields; a
+# document field holds the name of its document in _VALID_DOCS
+_NON_DEFAULT = {"operator": "operator", "function": "function", "contour": "contour",
+                "calculus": "q", "cluster": "0", "nodes": 64, "tol": 1e-6, "seed": 1,
+                "out_format": "csv", "name": "q_resolvent_eq", "m": 2}
+_UNREAD = [(command, field) for command, reads in _READS.items()
+           for field in _NON_DEFAULT if field not in reads]
+
+
+def _option(field):
+    return "--format" if field == "out_format" else f"--{field}"
+
+
 _VALID_DOCS = {
     "operator": {"n": 2, "T0": [[0, 0], [0, 5]], "T1": [[1, 0], [0, 0]]},
     "function": {"side": "left", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]},
@@ -743,39 +766,48 @@ def _flag(name, values, refused=()):
 
 # refused values: argparse's (not a number, not a choice) and run's
 # (beyond a bound, non-finite, negative)
-_FLAGS = st.tuples(
-    _flag("cluster", st.one_of(st.text("01,-x ", max_size=5), st.just("9" * 400))),
-    _flag("nodes", st.sampled_from([8, 33, 64]),
-          [-1, 0, 7, MAX_NODES + 1, 10 ** 12, "abc", "1.5", ""]),
-    _flag("tol", st.sampled_from(["0", "1e-300", "1e-8", "1"]),
-          ["nan", "inf", "-inf", "-1", "abc", ""]),
-    _flag("m", st.integers(0, 6), [-3, -1, MAX_DEGREE + 1, 10 ** 9, "x", "2.5"]),
-    _flag("calculus", st.sampled_from(["s", "q", "p2", "f"]), ["x", "", "S"]),
-    st.sampled_from([["--contour", "auto"], ["--contour", "FILE"], []]).map(
+_FLAGS = {
+    "cluster": _flag("cluster", st.one_of(st.text("01,-x ", max_size=5), st.just("9" * 400))),
+    "nodes": _flag("nodes", st.sampled_from([8, 33, 64]),
+                   [-1, 0, 7, MAX_NODES + 1, 10 ** 12, "abc", "1.5", ""]),
+    "tol": _flag("tol", st.sampled_from(["0", "1e-300", "1e-8", "1"]),
+                 ["nan", "inf", "-inf", "-1", "abc", ""]),
+    "m": _flag("m", st.integers(0, 6), [-3, -1, MAX_DEGREE + 1, 10 ** 9, "x", "2.5"]),
+    "calculus": _flag("calculus", st.sampled_from(["s", "q", "p2", "f"]), ["x", "", "S"]),
+    "contour": st.sampled_from([["--contour", "auto"], ["--contour", "FILE"], []]).map(
         lambda group: (group, False)),
-)
+}
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(["apply", "projector", "spectrum",
                         "verify --name=p2_kernel_power_shift_left",
                         "verify --name=q_resolvent_eq"]),
-       _mutated(), _FLAGS)
-def test_any_input_exits_with_a_documented_code(command, mutation, flags):
-    """Mutated documents and flags exit 0 or 1 with a document on stdout,
-    or 2, 3 or 4 with one JSON error on stderr, never a traceback; a
-    refused flag value, and a document that the command reads and that
-    holds a value no field accepts, exit 2."""
+       _mutated(), st.data())
+def test_any_input_exits_with_a_documented_code(command, mutation, data):
+    """Mutated documents and the flags a command reads exit 0 or 1 with a
+    document on stdout, or 2, 3 or 4 with one JSON error on stderr, never
+    a traceback; a refused flag value, a flag the command does not read,
+    and a document that the command reads and that holds a value no
+    field accepts, exit 2."""
     docs, target, refused = mutation
+    reads = _READS[command.split()[0]]
+    flags = data.draw(st.tuples(*(draw for field, draw in _FLAGS.items() if field in reads)))
+    unread = data.draw(st.none() | st.sampled_from(
+        [field for field in _NON_DEFAULT if field not in reads]))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, doc in docs.items():
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
-        argv = command.split() + ["--operator", paths["operator"],
-                                  "--function", paths["function"]]
+        argv = command.split() + ["--operator", paths["operator"]]
+        if "function" in reads:
+            argv += ["--function", paths["function"]]
         for group, _ in flags:
             argv += [paths["contour"] if a == "FILE" else a for a in group]
+        if unread is not None:
+            value = _NON_DEFAULT[unread]
+            argv.append(f"{_option(unread)}={paths.get(value, value)}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -790,6 +822,9 @@ def test_any_input_exits_with_a_documented_code(command, mutation, flags):
         assert out.getvalue() == ""
     if any(flag_refused for _, flag_refused in flags):
         assert code == 2, argv
+    elif unread is not None:
+        assert code == 2, argv
+        assert f"{_option(unread)} refused" in json.loads(err.getvalue())["message"]
     read = {"operator": True, "function": command == "apply",
             "contour": paths["contour"] in argv and command in ("apply", "projector")}
     if refused and read[target]:
@@ -902,10 +937,119 @@ def test_selftest_refuses_a_document_flag(tmp_path, split_op, capsys, flag, exis
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "InputError" and err["exit"] == 2
-    assert flag in err["message"] and "selftest draws its own" in err["message"]
+    assert flag in err["message"] and "selftest does not read them" in err["message"]
     assert captured.out == ""
-    with pytest.raises(InputError, match="selftest draws its own"):
+    with pytest.raises(InputError, match="selftest does not read them"):
         run(RunConfig("selftest", **{flag[2:]: value}))
+
+
+# the fields that let each command run, so that a refusal is the flag's
+_REQUIRED = {"spectrum": ("operator",), "apply": ("operator", "function"),
+             "projector": ("operator",), "verify": ("name",), "selftest": ()}
+
+
+def _fields(tmp_path, names):
+    """{field: the _NON_DEFAULT value} for names, documents written under tmp_path."""
+    out = {}
+    for field in names:
+        value = _NON_DEFAULT[field]
+        if value in _VALID_DOCS:
+            value = write_json(tmp_path / f"{value}.json", _VALID_DOCS[value])
+        out[field] = value
+    return out
+
+
+@pytest.mark.parametrize("command, field", _UNREAD)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, command, field):
+    given = _fields(tmp_path, _REQUIRED[command] + (field,))
+    argv = [command]
+    for name, value in given.items():
+        argv += [_option(name), str(value)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InputError" and err["exit"] == 2
+    assert err["message"] == f"{_option(field)} refused: {command} does not read them"
+    assert captured.out == ""
+    with pytest.raises(InputError, match=f"^{_option(field)} refused: {command} does not"):
+        run(RunConfig(command, **given))
+
+
+def test_every_flag_a_command_reads_is_accepted(tmp_path, monkeypatch):
+    # 23 (command, field) pairs are read and the other 32 are refused
+    assert sum(map(len, _READS.values())) == 23 and len(_UNREAD) == 32
+    given = _fields(tmp_path, _NON_DEFAULT)
+    for command, reads in _READS.items():
+        monkeypatch.setitem(cli._COMMANDS, command, lambda config: (0, []))
+        config = RunConfig(command, **{field: given[field] for field in reads})
+        assert run(config)[0] == 0, command
+
+
+def test_two_unread_flags_are_refused_in_one_message(split_op, capsys):
+    assert cli.main(["projector", "--operator", split_op, "--function", "/nonexistent.json",
+                     "--seed", "3", "--cluster", "0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "--function, --seed refused: projector does not read them"
+
+
+def test_a_flag_at_its_default_is_accepted(split_op, capsys):
+    assert cli.main(["spectrum", "--operator", split_op, "--contour", "auto",
+                     "--calculus", "s", "--format", "json", "--m", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+
+
+def test_help_lists_only_the_flags_a_command_reads(capsys):
+    for argv in (["spectrum", "--help"], ["apply", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    spectrum, apply = capsys.readouterr().out.split("usage: sspectrum apply")
+    assert "--operator" in spectrum and "--out" in spectrum
+    assert "--function" not in spectrum and "--nodes" not in spectrum
+    assert "--function" in apply and "--cluster" not in apply
+
+
+@pytest.mark.parametrize("cluster", ["0", "1", "0,1"])
+def test_projector_refuses_a_cluster_on_a_contour_file(tmp_path, split_op, capsys, cluster):
+    # the file decides which spheres are enclosed, so a selection would go unread
+    ct = _contour_file(tmp_path)
+    assert cli.main(["projector", "--operator", split_op, "--contour", ct,
+                     "--cluster", cluster]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert "--cluster needs --contour auto" in json.loads(lines[0])["message"]
+    assert captured.out == ""
+    with pytest.raises(InputError, match="contour file decides the enclosed spheres"):
+        run(RunConfig("projector", operator=split_op, contour=ct, cluster=cluster))
+    # the file alone, and the selection on the auto contour, still run
+    assert cli.main(["projector", "--operator", split_op, "--contour", ct]) == 0
+    assert cli.main(["projector", "--operator", split_op, "--contour", "auto",
+                     "--cluster", cluster]) == 0
+    status, _ = run(RunConfig("projector", operator=split_op, contour="auto", cluster=cluster))
+    assert status == 0
+
+
+@pytest.mark.parametrize("cluster", ["2", "-1", "0,2"])
+def test_a_cluster_index_out_of_range_is_a_parse_error(split_op, capsys, cluster):
+    assert cli.main(["projector", "--operator", split_op, f"--cluster={cluster}"]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "InputError" and "out of range" in err["message"]
+    assert captured.out == ""
+
+
+def test_spheres_too_close_for_a_margin_are_a_geometry_error(tmp_path, capsys):
+    # the spheres 0 and 1e-323 are distinct, but a quarter of their gap
+    # underflows to a margin of 0
+    op = write_json(tmp_path / "op.json", {"T0": [[0.0, 0.0], [0.0, 1e-323]]})
+    assert cli.main(["projector", "--operator", op, "--cluster", "0"]) == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "GeometryError" and "positive margin" in err["message"]
+    assert captured.out == ""
 
 
 def test_nodes_flag_equals_the_contour_file_nodes(tmp_path, split_op, capsys):

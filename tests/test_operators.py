@@ -27,6 +27,16 @@ def diag_op(d0, d1, d2=None, d3=None):
     return CommutingOperator(np.diag(d0), np.diag(d1), mk(d2), mk(d3))
 
 
+def test_no_eigenbasis_when_a_joint_eigenvalue_overflows():
+    # T0's eigenvalue 2e308 lies beyond the float range: no basis, and the
+    # spectrum is refused as a numeric failure
+    with np.errstate(all="ignore"):
+        T = CommutingOperator(np.full((2, 2), 1e308), *[np.zeros((2, 2))] * 3)
+        assert operators.joint_eigenbasis(T) is None
+        with pytest.raises(EigenvalueError):
+            s_spectrum(T)
+
+
 def test_commutation_checked():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0, 0.0], [1.0, 0.0]])
