@@ -93,13 +93,9 @@ def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
     stems = list(stems)
     if not stems:
         return []
-    side = stems[0].side
-    if any(g.side != side for g in stems):
-        raise PreconditionError("apply_stems needs a common stem side")
     kind = CalculusKind(kind)
     _check_encloses(c, T, {1})
-    return [val * _PREFACTOR[kind]
-            for val in integrate(c, kind, T, stems, side)]
+    return [val * _PREFACTOR[kind] for val in integrate(c, kind, T, stems)]
 
 
 def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
@@ -136,4 +132,4 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour) -> Qua
         return QuatMatrix.zeros(T.n)
     _check_encloses(c, T, {0, 1})
     prefactor, degree = _PROJECTOR[kind]
-    return integrate(c, kind, T, SlicePoly.monomial(degree)) * prefactor
+    return integrate(c, kind, T, [SlicePoly.monomial(degree)])[0] * prefactor

@@ -125,7 +125,10 @@ def _cmd_projector(config: RunConfig):
 
 def _cmd_verify(config: RunConfig):
     name = _require(config.name, "--name")
-    if name in identities.POINTWISE_IDENTITIES:
+    row = identities.POINTWISE_IDENTITIES.get(name)
+    if row is not None:
+        _refuse(config, ("nodes",) if row.draw is identities._power_degrees
+                else ("nodes", "m"), f"verify --name {name}")
         rng = np.random.default_rng(config.seed)
         if config.operator is not None:
             T = load_operator(config.operator)
@@ -136,10 +139,9 @@ def _cmd_verify(config: RunConfig):
         if "m" in opts:  # --m overrides the drawn degree
             opts["m"] = config.m
         report = identities.verify_pointwise(name, T, s, p, tol=config.tol, **opts)
-    elif config.operator is not None and name in identities.INTEGRAL_IDENTITIES:
-        raise InputError(f"--operator is refused on the integral row '{name}': "
-                         "integral rows draw their own operator and contours")
     else:
+        if name in identities.INTEGRAL_IDENTITIES:
+            _refuse(config, ("operator", "m"), f"verify --name {name}")
         report = identities.verify_seeded(name, config.seed, config.tol,
                                           _nodes(config))
     return (0 if report.passed else 1), report
@@ -161,7 +163,8 @@ _COMMANDS = {
 }
 
 # The RunConfig fields each command reads.  run() refuses every other
-# field set to a value other than its default; command and out are read
+# field set to a value other than its default, and _cmd_verify those of
+# verify's that the named row does not read; command and out are read
 # by main for every command.
 _READS = {
     "spectrum": ("operator",),
@@ -170,6 +173,16 @@ _READS = {
     "verify": ("name", "operator", "seed", "tol", "nodes", "m", "out_format"),
     "selftest": ("seed", "tol", "nodes", "out_format"),
 }
+
+
+def _refuse(config: RunConfig, names, reader: str) -> None:
+    """Raise InputError naming every field in names that config sets
+    off its default: reader does not read them."""
+    given = ["--format" if f.name == "out_format" else f"--{f.name}"
+             for f in fields(RunConfig)
+             if f.name in names and getattr(config, f.name) != f.default]
+    if given:
+        raise InputError(f"{', '.join(given)} refused: {reader} does not read them")
 
 
 def _require(value, flag):
@@ -207,14 +220,8 @@ def run(config: RunConfig):
         check_nodes(config.nodes)
         if config.nodes < MIN_NODES:
             raise InputError(f"--nodes must be at least {MIN_NODES}, got {config.nodes}")
-    reads = _READS[config.command]
-    unread = ["--format" if f.name == "out_format" else f"--{f.name}"
-              for f in fields(RunConfig)
-              if f.name not in reads and f.name not in ("command", "out")
-              and getattr(config, f.name) != f.default]
-    if unread:
-        raise InputError(f"{', '.join(unread)} refused: {config.command} "
-                         "does not read them")
+    _refuse(config, {f.name for f in fields(RunConfig)}
+            - set(_READS[config.command]) - {"command", "out"}, config.command)
     status, doc = _COMMANDS[config.command](config)
     return status, _render(config, doc)
 

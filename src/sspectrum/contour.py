@@ -35,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (GeometryError, InputError, NumericError, read_document,
-                     read_numbers)
+from .errors import (GeometryError, InputError, NumericError, PreconditionError,
+                     read_document, read_numbers)
 from .kernels import CalculusKind, kernel_sum
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix, in_plane, qmul_arr
@@ -233,51 +233,49 @@ def _complex(re, im):
     return out
 
 
-def integrate(c: Contour, kind: CalculusKind, T: CommutingOperator, f,
-              side: str = "left"):
-    """Discrete pairing of the side form of one kind's kernel of T with
-    stems on the same side.
+def integrate(c: Contour, kind: CalculusKind, T: CommutingOperator, stems):
+    """Discrete pairings of one kind's kernel of T with a list of stems
+    of one side, from one pass over the kernel: one value per stem.
 
-    side='left' accumulates K_L(s_k) w_k f(s_k); side='right'
-    accumulates f(s_k) w_k K_R(s_k).  No prefactor is applied.  f is a
-    stem with a batched ``at_nodes`` method, or a list of them, which
-    gives a list of values from one pass over the kernel.  The pairing
-    goes through kernels.kernel_sum, which is handed the nodes on or
-    above the real axis and folds in their conjugates from the
-    contour's structure.  It sums in T's joint eigenbasis, one eig per
-    operator, and inverts one pencil per node only where T has no
-    eigenbasis or the basis's condition bound fails at a node.  Results
-    are reproducible for a fixed machine and BLAS thread count.  Stem
-    values or sums that overflow raise NumericError.
+    The stems' side picks the kernel's form: left stems accumulate
+    K_L(s_k) w_k f(s_k), right stems f(s_k) w_k K_R(s_k).  No prefactor
+    is applied.  Each stem has a ``side`` and a batched ``at_nodes``
+    method; stems of two sides raise PreconditionError, and no stems
+    give [].  The pairing goes through kernels.kernel_sum, which is
+    handed the nodes on or above the real axis and folds in their
+    conjugates from the contour's structure.  It sums in T's joint
+    eigenbasis, one eig per operator, and inverts one pencil per node
+    only where T has no eigenbasis or the basis's condition bound fails
+    at a node.  Results are reproducible for a fixed machine and BLAS
+    thread count.  Stem values or sums that overflow raise NumericError.
     """
-    if side not in ("left", "right"):
-        raise InputError("side must be 'left' or 'right'")
-    many = isinstance(f, (list, tuple))
-    stems = list(f) if many else [f]
+    stems = list(stems)
+    if not stems:
+        return []
+    side = stems[0].side
+    if any(g.side != side for g in stems):
+        raise PreconditionError("integrate needs a common stem side")
     z, w, upper, mirror = slice_nodes(c)
     if len(z) == 0:
-        vals = [np.zeros((T.n, T.n, 4)) for _ in stems]
-    else:
-        J = c.J.as_array()
-        s_arr, w_arr = in_plane(z, J), in_plane(w, J)
-        weights = np.stack([_weights(g, s_arr, w_arr, side) for g in stems])
-        if not np.all(np.isfinite(weights)):
-            raise NumericError("stem values at the contour nodes are not finite")
-        paired = mirror >= 0
-        c_conj = np.zeros((len(stems), len(upper), 4))
-        c_conj[:, paired] = weights[:, mirror[paired]]
-        vals = kernel_sum(kind, T, J, z[upper], weights[:, upper],
-                          side, c_conj, upper)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("the contour sum is not finite")
-    out = [QuatMatrix(v) for v in vals]
-    return out if many else out[0]
+        return [QuatMatrix.zeros(T.n) for _ in stems]
+    J = c.J.as_array()
+    s_arr, w_arr = in_plane(z, J), in_plane(w, J)
+    weights = np.stack([_weights(g, s_arr, w_arr) for g in stems])
+    if not np.all(np.isfinite(weights)):
+        raise NumericError("stem values at the contour nodes are not finite")
+    paired = mirror >= 0
+    c_conj = np.zeros((len(stems), len(upper), 4))
+    c_conj[:, paired] = weights[:, mirror[paired]]
+    vals = kernel_sum(kind, T, J, z[upper], weights[:, upper], side, c_conj, upper)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("the contour sum is not finite")
+    return [QuatMatrix(v) for v in vals]
 
 
-def _weights(f, s_arr, w_arr, side):
-    """w_k f(s_k) (left) or f(s_k) w_k (right) at every node, (M, 4)."""
+def _weights(f, s_arr, w_arr):
+    """w_k f(s_k) (left stem) or f(s_k) w_k (right stem) at every node, (M, 4)."""
     fvals = f.at_nodes(s_arr)
-    return qmul_arr(w_arr, fvals) if side == "left" else qmul_arr(fvals, w_arr)
+    return qmul_arr(w_arr, fvals) if f.side == "left" else qmul_arr(fvals, w_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -330,14 +330,13 @@ def _q_product_rule_legacy(T, f, g, c_in, c_out):
 
 
 def _p2_vanishing_integral(T, f, g, c_in, c_out):
-    one = SlicePoly.monomial(0)
     zero = QuatMatrix.zeros(T.n)
-    return [(integrate(c_in, P2, T, one, side), zero)
+    return [(integrate(c_in, P2, T, [SlicePoly.monomial(0, side=side)])[0], zero)
             for side in ("left", "right")]
 
 
 def _q_vanishing_integral(T, f, g, c_in, c_out):
-    val = integrate(c_in, Q, T, SlicePoly.monomial(0))
+    val = integrate(c_in, Q, T, [SlicePoly.monomial(0)])[0]
     return [(val, QuatMatrix.zeros(T.n))]
 
 

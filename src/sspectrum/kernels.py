@@ -12,10 +12,10 @@ and drive the order-2 polyanalytic calculus; F produces the Laplacian
 image, and Q^-1 itself the harmonic one.
 
 A kernel is named by the calculus it serves, ``CalculusKind`` (S, Q,
-P2, F), and a side.  The side picks the left or the right form, and the
-same side decides the pairing with stems, so a left form only ever meets
-left stems and a right form right ones.  Q^-1 is two-sided: both of its
-sides give the same kernel.
+P2, F), and a side.  The side picks the left or the right form;
+``contour.integrate`` takes it from the stems it pairs, so a left form
+only ever meets left stems and a right form right ones.  Q^-1 is
+two-sided: both of its sides give the same kernel.
 
 Evaluation works in the complex slice of each node.  Writing s = a + bJ,
 every entry of the pencil lies in span{1, J}, which is a copy of C, so
@@ -68,7 +68,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, InputError, SingularMatrixError
-from .operators import CommutingOperator, gram
+from .operators import BATCH_ENTRIES, CommutingOperator, gram
 from .qlinalg import PIVOT_RTOL, QuatMatrix, in_plane, product_matrices, qmul_arr
 from .quat import Quaternion, qinv, qs_poly
 from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
@@ -93,10 +93,6 @@ __all__ = [
 # A pencil whose 1-norm condition number exceeds this counts as singular:
 # the node sits on, or numerically grazes, the S-spectrum.
 COND_LIMIT = 1.0 / PIVOT_RTOL
-# Matrix entries per batch of nodes (nodes times n^2) on the per-node
-# path, so that each complex work array stays near one megabyte however
-# long the contour.
-CHUNK_ENTRIES = 1 << 16
 # Upper nodes per block of the eigenbasis sum: the 129 upper nodes of a
 # default 256-node Circle and the 256 of a DiskPair's upper circle fit
 # in one.  A block's work arrays are (n, 2 EIGEN_BLOCK); a budget that
@@ -139,7 +135,7 @@ def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
     n = T.n
     K = gram(T)
     out = np.empty(s_arr.shape[:1] + (n, n, 4))
-    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    chunk = max(1, BATCH_ENTRIES // (n * n))
     for lo in range(0, len(s_arr), chunk):
         hi = min(lo + chunk, len(s_arr))
         z, J = _slice_coordinates(s_arr[lo:hi])
@@ -280,7 +276,7 @@ def _node_moments(kind, T, z, c, c_conj, index):
     powers = np.arange(_DEGREE[kind] + 1)
     rows = 4 * len(powers)
     moments = np.zeros((len(c), 2 * rows, n * n))
-    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    chunk = max(1, BATCH_ENTRIES // (n * n))
     for lo in range(0, len(z), chunk):
         hi = min(lo + chunk, len(z))
         G = _pencil_term(kind, T.T0, K, z[lo:hi], index[lo:hi])
@@ -439,8 +435,7 @@ def s_series(T: CommutingOperator, s: Quaternion, N: int,
     """Partial sum sum_{m=0..N} T^m s^(-1-m) (scalars left for
     side='right'): the truncated Cauchy series evaluated at T."""
     f = _cauchy_series(T, s, N, side)
-    return PAPoly({(m, 0): c for m, c in enumerate(f.coeffs)},
-                  "right" if side == "left" else "left").at_operator(T)
+    return PAPoly({(m, 0): c for m, c in enumerate(f.coeffs)}, side).at_operator(T)
 
 
 # ---------------------------------------------------------------------------

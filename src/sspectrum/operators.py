@@ -42,8 +42,10 @@ PAIRING_RTOL = 1e-8
 # 1.2e8 between distinct eigenvalues 1e-6 apart.
 CLUSTER_SIGMA_RTOL = 100.0
 EPS = float(np.finfo(np.float64).eps)
-# Matrix entries per batch of midpoint tests (pairs times n^2).
-CLUSTER_BATCH_ENTRIES = 1 << 16
+# Matrix entries per batch (items times n^2) of the midpoint tests here
+# and of the kernels' per-node path, so that each work array stays
+# within a megabyte however many pairs or nodes.
+BATCH_ENTRIES = 1 << 16
 REAL_SPECTRUM_RTOL = 1e-8
 # The largest n of an operator document: the spectrum of a random operator
 # took 0.6-0.9 s at n = 512 and 3-5 s at n = 1024 on 2 CPUs (the basis's
@@ -479,7 +481,7 @@ def _schur_values(comps):
 
     # midpoint tests by increasing gap, a bounded number of (n, n)
     # matrices at a time; a pair already in one cluster needs no test
-    batch = max(1, CLUSTER_BATCH_ENTRIES // (n * n))
+    batch = max(1, BATCH_ENTRIES // (n * n))
     pairs = []
     for k in np.flatnonzero(test)[np.argsort(gap[test], kind="stable")]:
         if find(i[k]) != find(j[k]):

@@ -133,23 +133,23 @@ class PAPoly:
     """Polynomial in the commuting pair (q, conj(q)).
 
     Terms map exponent pairs (a, b) to quaternion coefficients.  The
-    coefficient side mirrors the stem that produced the polynomial:
-    images of left stems carry coefficients on the right of q^a conj(q)^b
-    and images of right stems carry them on the left.
+    side is that of the stem the polynomial is the image of, and places
+    the coefficients as the stem does: a left image carries them on the
+    right of q^a conj(q)^b, a right image on the left.
     """
 
-    __slots__ = ("terms", "coeff_side")
+    __slots__ = ("terms", "side")
 
-    def __init__(self, terms, coeff_side: str = "right"):
-        if coeff_side not in ("left", "right"):
-            raise InputError("coeff_side must be 'left' or 'right'")
+    def __init__(self, terms, side: str = "left"):
+        if side not in ("left", "right"):
+            raise InputError("side must be 'left' or 'right'")
         clean = {}
         for (a, b), c in terms.items():
             c = _as_quat(c)
             if c.norm() != 0.0:
                 clean[(int(a), int(b))] = c
         self.terms = clean
-        self.coeff_side = coeff_side
+        self.side = side
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         if not self.terms:
@@ -161,14 +161,14 @@ class PAPoly:
         acc = Quaternion()
         for (a, b), c in self.terms.items():
             mono = qp[a] * cp[b]
-            acc = acc + (mono * c if self.coeff_side == "right" else c * mono)
+            acc = acc + (mono * c if self.side == "left" else c * mono)
         return acc
 
     __call__ = evaluate
 
     def at_operator(self, T) -> QuatMatrix:
         """The value at an operator T with commuting components: each term
-        q^a conj(q)^b c becomes T^a conj(T)^b c, c on the coefficient side."""
+        q^a conj(q)^b c becomes T^a conj(T)^b c, c on the same side."""
         one = QuatMatrix.identity(T.n)
         top = lambda k: max((key[k] for key in self.terms), default=0)
         tp = _powers(T.as_matrix(), top(0), one, matmul)
@@ -176,7 +176,7 @@ class PAPoly:
         acc = QuatMatrix.zeros(T.n)
         for (a, b), c in self.terms.items():
             mono = tp[a] @ cp[b]
-            acc = acc + (mono.rmul(c) if self.coeff_side == "right" else mono.lmul(c))
+            acc = acc + (mono.rmul(c) if self.side == "left" else mono.lmul(c))
         return acc
 
     def has_real_coeffs(self) -> bool:
@@ -188,7 +188,7 @@ class PAPoly:
         where it reduces to exchanging the exponents of q and conj(q)."""
         if not self.has_real_coeffs():
             raise InputError("conjugate is implemented for real coefficients only")
-        return PAPoly({(b, a): c for (a, b), c in self.terms.items()}, self.coeff_side)
+        return PAPoly({(b, a): c for (a, b), c in self.terms.items()}, self.side)
 
     def same_terms(self, other: "PAPoly", tol: float = 0.0) -> bool:
         keys = set(self.terms) | set(other.terms)
@@ -199,7 +199,7 @@ class PAPoly:
 
     def __repr__(self):
         body = ", ".join(f"q^{a} qbar^{b}: {c}" for (a, b), c in sorted(self.terms.items()))
-        return f"PAPoly({{{body}}}, side={self.coeff_side})"
+        return f"PAPoly({{{body}}}, side={self.side})"
 
 
 def _powers(x, top: int, one, product):
@@ -241,15 +241,14 @@ def fueter_apply(f: SlicePoly, op: FueterOp) -> PAPoly:
     this is valid because each power rule has real coefficients.
     """
     rule = _POWER_RULES[FueterOp(op)]
-    coeff_side = "right" if f.side == "left" else "left"
     terms = {}
     for m, a in enumerate(f.coeffs):
         if a.norm() == 0.0:
             continue
         for key, r in rule(m).items():
-            term = Quaternion(r) * a if coeff_side == "right" else a * Quaternion(r)
+            term = Quaternion(r) * a if f.side == "left" else a * Quaternion(r)
             terms[key] = terms.get(key, Quaternion()) + term
-    return PAPoly(terms, coeff_side)
+    return PAPoly(terms, f.side)
 
 
 def dconj_power(n: int) -> PAPoly:

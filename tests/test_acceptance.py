@@ -178,7 +178,7 @@ def test_criterion_5_factor_two_adjudication():
     T = CommutingOperator(*(C / reach for C in T.components))
     c = enclosing_circle(s_spectrum(T), margin=0.6, N=512)
     for m in range(0, 9):
-        quad = integrate(c, CalculusKind.P2, T, SlicePoly.monomial(m + 1), "left") \
+        quad = integrate(c, CalculusKind.P2, T, [SlicePoly.monomial(m + 1)])[0] \
             * (1.0 / (2.0 * np.pi))
         doubled = stem_moment(CalculusKind.P2, T, m + 1)
         halved = doubled * 0.5
@@ -317,7 +317,6 @@ def test_criterion_8_wellposedness_and_invariances():
     # vanishing integrals of the order-2 and harmonic kernels over
     # contours enclosing all, part, or none of the spectrum
     spheres = s_spectrum(Tsplit)
-    one = SlicePoly.monomial(0)
     worst_v = 0.0
     from sspectrum.contour import Circle
 
@@ -328,7 +327,7 @@ def test_criterion_8_wellposedness_and_invariances():
         for kind, side in ((CalculusKind.P2, "left"),
                            (CalculusKind.P2, "right"),
                            (CalculusKind.Q, "left")):
-            val = integrate(c, kind, Tsplit, one, side)
+            val = integrate(c, kind, Tsplit, [SlicePoly.monomial(0, side=side)])[0]
             worst_v = max(worst_v, val.norm())
     assert worst_v <= tol
 

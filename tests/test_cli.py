@@ -558,6 +558,8 @@ _OK_CONTOUR = '{"J": [0, 1, 0, 0], "circles": [{"center": 2.5, "radius": 4.0}]}'
                  id="contour-string-circle"),
     pytest.param("operator", b'{"n": null, "T0": [[0, 0], [0, 5]]}', id="operator-null-n"),
     pytest.param("operator", b'{"n": %d}' % (MAX_DIMENSION + 1), id="operator-n-above-bound"),
+    pytest.param("function", b'{"side": "up", "coeffs": [[1, 0, 0, 0]]}', id="function-side-up"),
+    pytest.param("function", b'{"side": 5, "coeffs": [[1, 0, 0, 0]]}', id="function-side-5"),
 ])
 def test_unreadable_documents_are_parse_errors(tmp_path, capsys, which, text):
     docs = {"operator": _OK_OP, "function": _OK_STEM, "contour": _OK_CONTOUR}
@@ -596,8 +598,40 @@ def test_verify_refuses_an_operator_on_an_integral_row(split_op, exists, capsys)
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
-    assert "integral rows draw their own operator" in json.loads(lines[0])["message"]
+    assert json.loads(lines[0])["message"] == (
+        "--operator refused: verify --name p2_product_rule_left does not read them")
     assert captured.out == ""
+
+
+def test_verify_refuses_the_flags_a_row_does_not_read(monkeypatch, split_op, capsys):
+    # --operator reaches the pointwise rows, --m the two power shifts and
+    # --nodes the integral rows; any other of the three is refused before
+    # the row runs, one message naming them all
+    assert cli.main(["verify", "--name", "q_resolvent_eq", "--seed", "1",
+                     "--nodes", "64", "--m", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["message"] == (
+        "--nodes, --m refused: verify --name q_resolvent_eq does not read them")
+    ran = []
+    report = identities.IdentityReport("stub", "", 0.0, 1.0, 1e-8, True)
+    monkeypatch.setattr(identities, "verify_pointwise",
+                        lambda name, *args, **opts: ran.append(name) or report)
+    monkeypatch.setattr(identities, "verify_seeded",
+                        lambda name, *args: ran.append(name) or report)
+    power = ("p2_kernel_power_shift_left", "p2_kernel_power_shift_right")
+    for name in identities.registry_names():
+        pointwise = name in identities.POINTWISE_IDENTITIES
+        reads = {"operator": pointwise, "nodes": not pointwise, "m": name in power}
+        for field, value in (("operator", split_op), ("nodes", 64), ("m", 2)):
+            config = RunConfig("verify", name=name, **{field: value})
+            ran.clear()
+            if reads[field]:
+                assert run(config)[0] == 0 and ran == [name], (name, field)
+            else:
+                with pytest.raises(InputError, match=f"^--{field} refused: verify "
+                                   f"--name {name} does not read them$"):
+                    run(config)
+                assert ran == []
 
 
 def test_a_projector_whose_contour_overflows_is_a_numeric_error(tmp_path, capsys):
@@ -696,6 +730,10 @@ _NON_DEFAULT = {"operator": "operator", "function": "function", "contour": "cont
                 "out_format": "csv", "name": "q_resolvent_eq", "m": 2}
 _UNREAD = [(command, field) for command, reads in _READS.items()
            for field in _NON_DEFAULT if field not in reads]
+# the verify fields each row of test_any_input_exits_with_a_documented_code
+# does not read
+_ROW_UNREAD = {"verify --name=p2_kernel_power_shift_left": ("nodes",),
+               "verify --name=q_resolvent_eq": ("nodes", "m")}
 
 
 def _option(field):
@@ -791,7 +829,8 @@ def test_any_input_exits_with_a_documented_code(command, mutation, data):
     and a document that the command reads and that holds a value no
     field accepts, exit 2."""
     docs, target, refused = mutation
-    reads = _READS[command.split()[0]]
+    reads = [field for field in _READS[command.split()[0]]
+             if field not in _ROW_UNREAD.get(command, ())]
     flags = data.draw(st.tuples(*(draw for field, draw in _FLAGS.items() if field in reads)))
     unread = data.draw(st.none() | st.sampled_from(
         [field for field in _NON_DEFAULT if field not in reads]))
@@ -874,6 +913,16 @@ def test_run_refuses_an_unknown_calculus(zero_op, tmp_path):
         run(RunConfig("apply", operator=zero_op, function=fn, calculus="x"))
 
 
+@pytest.mark.parametrize("config, match", [
+    (RunConfig("nope"), "unknown command 'nope'"),
+    (RunConfig("selftest", out_format="xml"), "unknown format 'xml'"),
+])
+def test_run_refuses_an_unknown_command_or_format(config, match):
+    # run() is called without the parser, whose choices guard both
+    with pytest.raises(InputError, match=match):
+        run(config)
+
+
 def test_run_config_holds_every_default():
     # the parser leaves an absent flag out, so RunConfig's default applies
     assert vars(cli._build_parser().parse_args(["selftest"])) == {"command": "selftest"}
@@ -899,7 +948,8 @@ def test_flags_beyond_their_bound_exit_before_the_command(monkeypatch, capsys, s
 
 
 def test_m_at_its_bound_is_accepted(capsys):
-    assert cli.main(["verify", "--name", "q_resolvent_eq", "--m", str(MAX_DEGREE)]) == 0
+    assert cli.main(["verify", "--name", "p2_kernel_power_shift_left",
+                     "--m", str(MAX_DEGREE)]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 

@@ -100,15 +100,16 @@ def test_vanishing_integral_off_spectrum(rng):
     # pseudo resolvent integrated over a contour avoiding the spectrum
     T = random_commuting_operator(rng, 2)
     far = Contour(E1, (Circle(50.0, 1.0),), 128)
-    val = integrate(far, CalculusKind.Q, T, SlicePoly.monomial(0), "left")
+    val = integrate(far, CalculusKind.Q, T, [SlicePoly.monomial(0)])[0]
     assert val.norm() < 1e-10
 
 
 def test_empty_contour():
     c = Contour(E1, (), 64)
     val = integrate(c, CalculusKind.Q, CommutingOperator.zero(2),
-                    SlicePoly.monomial(0), "left")
+                    [SlicePoly.monomial(0)])[0]
     assert val.norm() == 0.0
+    assert enclosing_circle([], 0.5).components == ()
 
 
 def test_geometry_validation():
@@ -118,6 +119,8 @@ def test_geometry_validation():
         Contour(E1, (DiskPair(0.0, 1.0, 1.5),), 64)
     with pytest.raises(InputError):
         Contour(E1, (Circle(0.0, 1.0),), 4)
+    with pytest.raises(InputError, match="Circle or DiskPair"):
+        Contour(E1, ("x",), 64)
 
 
 @pytest.mark.parametrize("components, nodes", [

@@ -41,7 +41,7 @@ def _per_node(T):
     return copy
 
 
-def _integrate(c, kind, T, f, side):
+def _integrate(c, kind, T, f):
     """integrate's value or its SingularMatrixError, and whether it ran
     the per-node path (called _pencil_term)."""
     calls = []
@@ -54,7 +54,7 @@ def _integrate(c, kind, T, f, side):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_pencil_term", counting)
         try:
-            return integrate(c, kind, T, f, side), bool(calls)
+            return integrate(c, kind, T, [f])[0], bool(calls)
         except SingularMatrixError as exc:
             return exc, bool(calls)
 
@@ -66,8 +66,8 @@ def test_corpus_eigenbasis_or_exact_fallback(name, t1, kind, side):
     T = corpus.operator(corpus.BASES[name], t1)
     c = auto_contour(T.spheres, range(len(T.spheres)), N=256)
     f = SlicePoly.monomial(3, side=side)
-    got, per_node = _integrate(c, kind, T, f, side)
-    want, _ = _integrate(c, kind, _per_node(T), f, side)
+    got, per_node = _integrate(c, kind, T, f)
+    want, _ = _integrate(c, kind, _per_node(T), f)
     if per_node:
         if isinstance(want, SingularMatrixError):
             assert isinstance(got, SingularMatrixError)
@@ -80,7 +80,7 @@ def test_corpus_eigenbasis_or_exact_fallback(name, t1, kind, side):
     # per-node oracle, one kernel call per node, quick
     coarse = c.with_nodes(32)
     oracle, scale = pair_per_node(coarse, partial(kernel, kind, T, side=side), f, side)
-    assert (integrate(coarse, kind, T, f, side) - oracle).norm() <= 1e-12 * scale
+    assert (integrate(coarse, kind, T, [f])[0] - oracle).norm() <= 1e-12 * scale
     exact = stem_moment(kind, T, 3)
     error = lambda v: (v * PREFACTOR[kind] - exact).norm() / max(exact.norm(), 1.0)
     assert error(got) <= ERROR_FACTOR * max(error(want), ERROR_FLOOR)
@@ -96,7 +96,7 @@ def test_corpus_takes_both_paths():
     for name in ("kahan10", "frank8"):
         T = corpus.operator(corpus.BASES[name], 0.0)
         c = auto_contour(T.spheres, range(len(T.spheres)), N=256)
-        assert _integrate(c, CalculusKind.S, T, SlicePoly.monomial(3), "left")[1]
+        assert _integrate(c, CalculusKind.S, T, SlicePoly.monomial(3))[1]
 
 
 def _true_spheres(name, t1):

@@ -70,6 +70,8 @@ def test_unknown_name():
     T = CommutingOperator.zero(1)
     with pytest.raises(InputError):
         verify_pointwise("no_such_identity", T, Quaternion(1))
+    with pytest.raises(InputError, match="unknown integral identity"):
+        verify_integral("no_such_identity", T, None, None, Contour(Quaternion(0, 1), (), 64))
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
@@ -372,6 +374,21 @@ def test_verify_integral_intrinsic_enforced(rng):
 
     with pytest.raises(PreconditionError):
         verify_integral("q_product_rule", T, f, random_stem(rng, 2), c)
+
+
+def test_integral_rows_refuse_a_stem_they_do_not_take(rng):
+    # the left product rule takes a left g, and the left/right agreement
+    # an intrinsic f; verify_integral itself checks only f
+    T = random_commuting_operator(rng, 2, zero_e3=True)
+    c = enclosing_circle(s_spectrum(T), margin=0.5, N=64)
+    f = random_stem(rng, 2, intrinsic=True)
+    from sspectrum.errors import PreconditionError
+
+    with pytest.raises(PreconditionError, match="takes a left stem g"):
+        verify_integral("p2_product_rule_left", T, f, random_stem(rng, 2, side="right"), c)
+    with pytest.raises(PreconditionError, match="needs an intrinsic stem"):
+        INTEGRAL_IDENTITIES["intrinsic_left_right"].pairs(
+            T, random_stem(rng, 2, intrinsic=False), None, c, c)
 
 
 def test_power_shift_example_values():

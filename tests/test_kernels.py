@@ -209,8 +209,8 @@ def test_integral_representation_sign_pattern(rng):
     c = enclosing_circle(s_spectrum(T), margin=1.0, N=256)
     f = SlicePoly.left(Quaternion(0.5, 1, 0, 0), Quaternion(0, 0, 2, 0),
                        Quaternion(1, 0, 0, 3))
-    i0 = integrate(c, F, T, f, "left")
-    i1 = integrate(c, F, T, stem_shift(f), "left")
+    i0 = integrate(c, F, T, [f])[0]
+    i1 = integrate(c, F, T, [stem_shift(f)])[0]
     two_term = (i1 * -1.0 + i0.rmul(Quaternion(q.w))) * (1.0 / (2.0 * math.pi))
     direct = apply_calculus(CalculusKind.P2, f, T, c)
     assert rel(two_term, direct) < 1e-12
@@ -434,7 +434,7 @@ def _one_pass_moments(kind, T, z, c, c_conj):
     return (basis.V * D[..., None, :]) @ basis.W
 
 
-def _blocked_and_one_pass(monkeypatch, contour, kind, T, stems, side):
+def _blocked_and_one_pass(monkeypatch, contour, kind, T, stems):
     """integrate's values with the blocked sum and with the one-pass
     reference, which must take the eigenbasis path, and the contour's
     number of upper nodes."""
@@ -444,10 +444,10 @@ def _blocked_and_one_pass(monkeypatch, contour, kind, T, stems, side):
         taken.append(_one_pass_moments(*args))
         return taken[-1]
 
-    blocked = integrate(contour, kind, T, stems, side)
+    blocked = integrate(contour, kind, T, stems)
     with monkeypatch.context() as m:
         m.setattr(kernels, "_eigen_moments", one_pass_moments)
-        one_pass = integrate(contour, kind, T, stems, side)
+        one_pass = integrate(contour, kind, T, stems)
     assert len(taken) == 1 and taken[0] is not None
     return blocked, one_pass, len(slice_nodes(contour)[2])
 
@@ -476,7 +476,7 @@ def test_eigen_sum_in_one_block_equals_the_one_pass_sum_bit_for_bit(monkeypatch,
     for contour in [_contours(510)[0], *_contours(256)[:2], *_contours(168), *_contours(8)]:
         for kind, side in FORMS:
             blocked, one_pass, U = _blocked_and_one_pass(
-                monkeypatch, contour, kind, T, _stems(rng, n, side), side)
+                monkeypatch, contour, kind, T, _stems(rng, n, side))
             seen.add(U)
             for b, o in zip(blocked, one_pass):
                 assert b.data.tobytes() == o.data.tobytes(), (contour, kind, side)
@@ -496,7 +496,7 @@ def test_eigen_sum_across_blocks_matches_the_one_pass_sum(monkeypatch, rng):
                         _contours(600)[2]):
             for kind, side in FORMS:
                 blocked, one_pass, U = _blocked_and_one_pass(
-                    monkeypatch, contour, kind, T, _stems(rng, n, side), side)
+                    monkeypatch, contour, kind, T, _stems(rng, n, side))
                 seen.add(U)
                 for b, o in zip(blocked, one_pass):
                     err = (b - o).norm() / o.norm()

@@ -284,7 +284,7 @@ def test_repeated_root_clustering_is_batched(monkeypatch, shift):
     assert [(s.v, s.multiplicity) for s in sp] == [(0.0, 2 * n)]
     assert abs(sp[0].u - 2.0) < 1e-8
     m = n
-    assert all(b * m * m <= operators.CLUSTER_BATCH_ENTRIES for b in batches)
+    assert all(b * m * m <= operators.BATCH_ENTRIES for b in batches)
     assert sum(batches) < m * (m - 1) // 4
 
 

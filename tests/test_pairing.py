@@ -14,19 +14,20 @@ from sspectrum import kernels, operators
 from sspectrum.cli import main
 from sspectrum.contour import (Circle, Contour, DiskPair, contour_to_dict,
                                node_arrays, slice_nodes)
-from sspectrum.errors import SingularMatrixError
+from sspectrum.errors import PreconditionError, SingularMatrixError
 from sspectrum.identities import random_commuting_operator
 from sspectrum.kernels import CalculusKind, kernel
 from sspectrum.operators import CommutingOperator, operator_to_dict
+from sspectrum.qlinalg import in_plane, qmul_arr
 from sspectrum.quat import random_imaginary_unit
 
 
 class _Callable:
-    """A quaternion-valued callable stem with the batched at_nodes that
-    integrate reads, evaluated one node at a time."""
+    """A quaternion-valued callable stem on side, with the batched
+    at_nodes that integrate reads, evaluated one node at a time."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, fn, side):
+        self.fn, self.side = fn, side
 
     def __call__(self, s):
         return self.fn(s)
@@ -47,12 +48,12 @@ def _contours(rng):
     ]
 
 
-def _stems(rng):
+def _stems(rng, side):
     a, b, c = (Quaternion(*rng.standard_normal(4)) for _ in range(3))
     return [
-        SlicePoly.left(a, b, c),                 # non-intrinsic, left
-        SlicePoly.right(c, a),                   # non-intrinsic, right
-        _Callable(lambda s: a * s * b + s * s * c),   # quaternion-valued
+        SlicePoly(side, (a, b, c)),              # non-intrinsic
+        SlicePoly(side, (c, a)),
+        _Callable(lambda s: a * s * b + s * s * c, side),   # quaternion-valued
     ]
 
 
@@ -61,8 +62,8 @@ def _stems(rng):
 def test_pairing_matches_stack_oracle(rng, kind, side):
     T = random_commuting_operator(rng, 3)
     for c in _contours(rng):
-        for f in _stems(rng):
-            got = integrate(c, kind, T, f, side)
+        for f in _stems(rng, side):
+            got = integrate(c, kind, T, [f])[0]
             want, scale = pair_per_node(c, partial(kernel, kind, T, side=side), f, side)
             assert (got - want).norm() <= 1e-12 * scale, (kind, side, c)
 
@@ -81,7 +82,7 @@ def test_pairing_matches_stack_oracle_across_chunks(rng):
     c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
     f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
     for kind in (CalculusKind.P2, CalculusKind.S):
-        got = integrate(c, kind, T, f, "right")
+        got = integrate(c, kind, T, [f])[0]
         want, scale = pair_per_node(c, partial(kernel, kind, T, side="right"), f, "right")
         assert (got - want).norm() <= 1e-12 * scale, kind
 
@@ -91,8 +92,46 @@ def test_list_of_stems_gives_each_single_value(rng):
     c = _contours(rng)[2]
     stems = [SlicePoly.left(*[Quaternion(*rng.standard_normal(4)) for _ in range(3)])
              for _ in range(3)]
-    many = integrate(c, CalculusKind.F, T, stems, "left")
-    assert [integrate(c, CalculusKind.F, T, g, "left") for g in stems] == many
+    many = integrate(c, CalculusKind.F, T, stems)
+    assert [integrate(c, CalculusKind.F, T, [g])[0] for g in stems] == many
+
+
+def test_stems_of_two_sides_are_refused(rng):
+    T = random_commuting_operator(rng, 3)
+    c = _contours(rng)[0]
+    assert integrate(c, CalculusKind.S, T, []) == []
+    for stems in ([SlicePoly.left(1.0), SlicePoly.right(1.0)],
+                  [SlicePoly.right(1.0), _Callable(lambda s: s, "left")]):
+        with pytest.raises(PreconditionError, match="common stem side"):
+            integrate(c, CalculusKind.S, T, stems)
+
+
+def _paired_on_side(c, kind, T, f, side):
+    """The pairing with the side given apart from the stem, as integrate
+    formed it when it took one: f's weights on side, then kernel_sum's
+    side form."""
+    z, w, upper, mirror = slice_nodes(c)
+    J = c.J.as_array()
+    s_arr, w_arr = in_plane(z, J), in_plane(w, J)
+    fvals = f.at_nodes(s_arr)
+    weights = (qmul_arr(w_arr, fvals) if side == "left" else qmul_arr(fvals, w_arr))[None]
+    paired = mirror >= 0
+    c_conj = np.zeros((1, len(upper), 4))
+    c_conj[:, paired] = weights[:, mirror[paired]]
+    return kernels.kernel_sum(kind, T, J, z[upper], weights[:, upper], side, c_conj, upper)[0]
+
+
+@pytest.mark.parametrize("kind", list(CalculusKind))
+def test_the_stem_side_picks_the_kernel_form_bit_for_bit(rng, kind):
+    # a Circle and a DiskPair, on an operator with an eigenbasis and on
+    # a Jordan block without one, which inverts one pencil per node
+    for T in (random_commuting_operator(rng, 3), _jordan_operator(4)):
+        for c in _contours(rng)[:2]:
+            for side in ("left", "right"):
+                f = SlicePoly(side, [Quaternion(*rng.standard_normal(4)) for _ in range(4)])
+                got = integrate(c, kind, T, [f])[0]
+                want = _paired_on_side(c, kind, T, f, side)
+                assert got.data.tobytes() == want.tobytes(), (kind, side, c)
 
 
 @pytest.mark.parametrize("N", [8, 9, 64, 65])
@@ -135,7 +174,7 @@ def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
     monkeypatch.setattr(kernels, "_pencil_term", counting)
     T = _jordan_operator(3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
-    integrate(c, CalculusKind.P2, T, SlicePoly.left(1.0, 2.0), "left")
+    integrate(c, CalculusKind.P2, T, [SlicePoly.left(1.0, 2.0)])
     assert len(inverted) == expect == len(set(inverted))
 
 
@@ -149,7 +188,7 @@ def test_diagonalisable_operator_inverts_no_pencil(monkeypatch, kind):
     c = Contour(random_imaginary_unit(np.random.default_rng(6)),
                 (Circle(0.0, 2.0), DiskPair(0.0, 5.0, 1.0)), 64)
     for side in ("left", "right"):
-        integrate(c, kind, T, SlicePoly.monomial(2, side=side), side)
+        integrate(c, kind, T, [SlicePoly.monomial(2, side=side)])
 
 
 @pytest.mark.parametrize("argv", [
@@ -201,7 +240,7 @@ def test_node_on_spectrum_names_its_index(hit, first):
     T = _spectrum_through(slice_nodes(c)[0][hit])
     for kind in (CalculusKind.Q, CalculusKind.P2, CalculusKind.S):
         with pytest.raises(SingularMatrixError) as err:
-            integrate(c, kind, T, SlicePoly.left(1.0), "left")
+            integrate(c, kind, T, [SlicePoly.left(1.0)])
         assert err.value.batch_index == first
         assert f"node {first} " in str(err.value)
 

@@ -29,20 +29,20 @@ def test_first_order_constants():
 
 def _monomial_by_monomial(f, op):
     """fueter_apply as a sum of polynomials: one PAPoly per monomial, its
-    real rule coefficients times the stem coefficient on the coefficient
-    side, added to the sum with the PAPoly zero filter after each."""
-    coeff_side = "right" if f.side == "left" else "left"
-    acc = PAPoly({}, coeff_side)
+    real rule coefficients times the stem coefficient on the side the
+    stem places it, added to the sum with the PAPoly zero filter after
+    each."""
+    acc = PAPoly({}, f.side)
     for m, a in enumerate(f.coeffs):
         if a.norm() == 0.0:
             continue
-        base = PAPoly({k: Quaternion(r) for k, r in _POWER_RULES[op](m).items()}, coeff_side)
-        scaled = PAPoly({k: c * a if coeff_side == "right" else a * c
-                         for k, c in base.terms.items()}, coeff_side)
+        base = PAPoly({k: Quaternion(r) for k, r in _POWER_RULES[op](m).items()}, f.side)
+        scaled = PAPoly({k: c * a if f.side == "left" else a * c
+                         for k, c in base.terms.items()}, f.side)
         out = dict(acc.terms)
         for key, c in scaled.terms.items():
             out[key] = out.get(key, Quaternion()) + c
-        acc = PAPoly(out, coeff_side)
+        acc = PAPoly(out, f.side)
     return acc
 
 
@@ -57,7 +57,7 @@ def _coefficient(rng, kind):
 
 def test_fueter_apply_equals_the_monomial_by_monomial_sum():
     rng = np.random.default_rng(23)
-    bits = lambda P: (P.coeff_side, [(k, c.as_array().tobytes()) for k, c in P.terms.items()])
+    bits = lambda P: (P.side, [(k, c.as_array().tobytes()) for k, c in P.terms.items()])
     for trial in range(3000):
         side = ("left", "right")[trial % 2]
         kinds = rng.integers(0, 6, size=trial % 9 + 1)

@@ -3,7 +3,7 @@
     python3 tests/value_sweep.py OUT.jsonl
     python3 tests/value_sweep.py --compare A.jsonl B.jsonl
 
-The sweep is 398 runs of ``sspectrum.cli.main``, in process, with the
+The sweep is 518 runs of ``sspectrum.cli.main``, in process, with the
 package from the ``src/`` next to this directory:
 
 - ``selftest --seed 0..5``, in JSON and in CSV (12 runs)
@@ -14,6 +14,12 @@ package from the ``src/`` next to this directory:
 - the ``apply`` (32) and ``projector`` (45) ops of seed 501 again,
   without their contour file or ``--cluster``, so ``auto_contour``
   builds a contour around every sphere
+- on each ``tests/corpus.py`` operator, the six bases with T1 = 0 and
+  T1 = 0.3 B^2 (120 runs): ``spectrum``, ``apply --contour auto`` of
+  each kind on one fixed left and one fixed right degree-3 stem, and
+  ``projector --calculus s --cluster 0``.  Most of these operators have
+  no usable eigenbasis, so their sums invert one pencil per node, and
+  the Jordan blocks take the Schur route of the spectrum
 
 Each run is written as one JSON line: its id, exit code, stdout and
 stderr.  Run the sweep in two checkouts and compare the files.
@@ -45,11 +51,16 @@ SELFTEST_SEEDS = range(6)
 VERIFY_SEEDS = range(3)
 WORKLOAD_SEEDS = (501, 502, 503)
 WHOLE_SPECTRUM_SEED = 501
+CORPUS_T1 = (0.0, 0.3)
+CORPUS_STEM = [[0.5, -1.0, 0.25, 2.0], [1.0, 0.0, -0.5, 0.75],
+               [-0.25, 1.5, 1.0, 0.0], [0.125, -0.5, 0.0, 1.0]]
 
 
 def _invocations(workdir):
     """(id, argv) of every run; workload documents go under workdir."""
     from sspectrum import identities
+    from sspectrum.operators import save_operator
+    import corpus
     import workloads
 
     for seed in SELFTEST_SEEDS:
@@ -71,6 +82,23 @@ def _invocations(workdir):
                     whole = {key: value for key, value in config.items()
                              if key not in ("contour", "cluster")}
                     yield f"{workload} seed={seed} op={i:03d} whole", _argv(whole)
+    stems = {}
+    for side in ("left", "right"):
+        stems[side] = str(Path(workdir) / f"corpus-stem-{side}.json")
+        Path(stems[side]).write_text(json.dumps({"side": side, "coeffs": CORPUS_STEM}))
+    for name, B in corpus.BASES.items():
+        for t1 in CORPUS_T1:
+            op = str(Path(workdir) / f"corpus-{name}-{t1}.json")
+            save_operator(corpus.operator(B, t1), op)
+            tag = f"{name} t1={t1}"
+            yield f"spectrum {tag}", ["spectrum", "--operator", op]
+            for kind in ("s", "q", "p2", "f"):
+                for side, stem in stems.items():
+                    yield f"apply {tag} {kind} {side}", [
+                        "apply", "--operator", op, "--function", stem,
+                        "--calculus", kind, "--contour", "auto"]
+            yield f"projector {tag} cluster=0", [
+                "projector", "--operator", op, "--calculus", "s", "--cluster", "0"]
 
 
 def _argv(config):
