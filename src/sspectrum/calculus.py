@@ -26,13 +26,19 @@ one spectral cluster:
 For the Q, P2 and F kinds the projector theory requires T3 = 0 and
 components with real spectrum; violations raise rather than silently
 returning a non-projector.
+
+Both are one-request calls of ``contour.integrate``, which checks the
+winding rule (CALCULUS_TURNS, PROJECTOR_TURNS) in its pass.  Several
+calculus values on one contour and stem side come from one integrate
+pass of (kind, stem) requests, each times its PREFACTOR, the same bit
+for bit as apply_calculus.
 """
 
 from __future__ import annotations
 
 import math
 
-from .contour import Contour, check_winding, integrate
+from .contour import Contour, integrate
 from .errors import HypothesisError, PreconditionError
 from .kernels import CalculusKind
 from .operators import CommutingOperator
@@ -42,13 +48,17 @@ from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
 __all__ = [
     "CalculusKind",
     "apply_calculus",
-    "apply_stems",
     "stem_moment",
     "riesz_projector",
 ]
 
 
-_PREFACTOR = {
+# the winding numbers that a calculus's contour may have about each
+# spectral point, and those of a projector's
+CALCULUS_TURNS = frozenset({1})
+PROJECTOR_TURNS = frozenset({0, 1})
+
+PREFACTOR = {
     CalculusKind.S: 1.0 / (2.0 * math.pi),
     CalculusKind.Q: -1.0 / math.pi,
     CalculusKind.P2: 1.0 / (2.0 * math.pi),
@@ -67,35 +77,13 @@ _PROJECTOR = {
 }
 
 
-def _check_encloses(c: Contour, T: CommutingOperator, turns):
-    """c winds about each spectral point p a number of times in turns,
-    {1} for a calculus and {0, 1} for a projector, clearing p by
-    1e-9 max(R, |p|), R the largest radius of c, so that the rule reads
-    the same at every scale of T."""
-    R = max((r for (_, _, r) in c.plane_circles()), default=0.0)
-    check_winding(c, [(sp.u, sp.v, 1e-9 * max(R, math.hypot(sp.u, sp.v)))
-                      for sp in T.spheres], turns, "spectrum point")
-
-
 def apply_calculus(kind: CalculusKind, f: SlicePoly, T: CommutingOperator,
                    c: Contour) -> QuatMatrix:
     """Evaluate one calculus: prefactor times the pairing of the stem f
-    with the kind's kernel over a contour enclosing all of sigma_S(T)."""
-    return apply_stems(kind, [f], T, c)[0]
-
-
-def apply_stems(kind: CalculusKind, stems, T: CommutingOperator,
-                c: Contour):
-    """Evaluate one calculus on several stems of a common side, from one
-    pass of pencil inversions over the contour nodes; each stem's
-    weights are contracted with their own product, so every value equals
-    the single-stem apply_calculus bit for bit."""
-    stems = list(stems)
-    if not stems:
-        return []
+    with the kind's kernel over a contour enclosing all of sigma_S(T),
+    one request of integrate's."""
     kind = CalculusKind(kind)
-    _check_encloses(c, T, {1})
-    return [val * _PREFACTOR[kind] for val in integrate(c, kind, T, stems)]
+    return integrate(c, T, [(kind, f)], CALCULUS_TURNS)[0] * PREFACTOR[kind]
 
 
 def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
@@ -130,6 +118,5 @@ def riesz_projector(kind: CalculusKind, T: CommutingOperator, c: Contour) -> Qua
                 f"{kind.value} projector requires components with real spectrum")
     if not c.components:
         return QuatMatrix.zeros(T.n)
-    _check_encloses(c, T, {0, 1})
     prefactor, degree = _PROJECTOR[kind]
-    return integrate(c, kind, T, [SlicePoly.monomial(degree)])[0] * prefactor
+    return integrate(c, T, [(kind, SlicePoly.monomial(degree))], PROJECTOR_TURNS)[0] * prefactor

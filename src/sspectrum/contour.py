@@ -17,7 +17,8 @@ and sines of the second half of the ring are the exact mirror of the
 first, so the node set of every circle and disk pair is closed under
 conjugation bit for bit, and ``integrate`` hands ``kernel_sum`` only
 the nodes on or above the real axis of C_J, with the weights of their
-conjugates.
+conjugates.  ``integrate`` takes (kind, stem) requests and serves all of
+one contour, operator and stem side in one pass.
 
 A contour suits a computation when its winding number about each
 spectral point, ``Contour.winding``, meets the caller's rule with the
@@ -31,7 +32,7 @@ import math
 import random
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,17 +178,21 @@ def node_arrays(c: Contour):
     return in_plane(z, J), in_plane(w, J)
 
 
+@lru_cache(maxsize=32)
 def _ring(N):
     """cos and sin of 2 pi k / N, k < N, with the second half the exact
     mirror of the first: cos[N - k] == cos[k], sin[N - k] == -sin[k],
-    and sin == 0 at k = 0 and k = N / 2."""
+    and sin == 0 at k = 0 and k = N / 2.  Kept per N, read-only."""
     half = N // 2
     theta = 2.0 * np.pi * np.arange(half + 1) / N
     cos, sin = np.cos(theta), np.sin(theta)
     if N % 2 == 0:
         cos[half], sin[half] = -1.0, 0.0
     tail = slice((N + 1) // 2 - 1, 0, -1)
-    return np.concatenate((cos, cos[tail])), np.concatenate((sin, -sin[tail]))
+    ring = np.concatenate((cos, cos[tail])), np.concatenate((sin, -sin[tail]))
+    for arr in ring:
+        arr.setflags(write=False)
+    return ring
 
 
 def slice_nodes(c: Contour):
@@ -233,43 +238,78 @@ def _complex(re, im):
     return out
 
 
-def integrate(c: Contour, kind: CalculusKind, T: CommutingOperator, stems):
-    """Discrete pairings of one kind's kernel of T with a list of stems
-    of one side, from one pass over the kernel: one value per stem.
+def integrate(c: Contour, T: CommutingOperator, requests, turns=None):
+    """Discrete pairings of kernels of T with stems of one side over c,
+    from one pass over the nodes: one value per (kind, stem) request, in
+    order.
 
-    The stems' side picks the kernel's form: left stems accumulate
+    The stems' side picks each kernel's form: left stems accumulate
     K_L(s_k) w_k f(s_k), right stems f(s_k) w_k K_R(s_k).  No prefactor
     is applied.  Each stem has a ``side`` and a batched ``at_nodes``
-    method; stems of two sides raise PreconditionError, and no stems
-    give [].  The pairing goes through kernels.kernel_sum, which is
-    handed the nodes on or above the real axis and folds in their
-    conjugates from the contour's structure.  It sums in T's joint
-    eigenbasis, one eig per operator, and inverts one pencil per node
-    only where T has no eigenbasis or the basis's condition bound fails
-    at a node.  Results are reproducible for a fixed machine and BLAS
-    thread count.  Stem values or sums that overflow raise NumericError.
+    method; stems of two sides raise PreconditionError, and no requests
+    give [].  Where turns is given, c must first wind about every
+    spectral point of T a number of times in turns, clear of it
+    (_check_encloses).
+
+    The pass builds the nodes once, evaluates each distinct stem's
+    weights once, and hands kernels.kernel_sum one row per kind, with
+    the nodes on or above the real axis, whose conjugates it folds in
+    from the contour's structure.  It sums in T's joint eigenbasis, one
+    eig per operator and one set of scalars per pass, and inverts one
+    pencil per node only where T has no eigenbasis or the basis's
+    condition bound fails at a node.  Each value is the same, bit for
+    bit, as when it is the only request.  Results are reproducible for
+    a fixed machine and BLAS thread count.  Stem values or sums that
+    overflow raise NumericError.
     """
-    stems = list(stems)
-    if not stems:
+    requests = [(CalculusKind(kind), stem) for kind, stem in requests]
+    if not requests:
         return []
-    side = stems[0].side
-    if any(g.side != side for g in stems):
+    side = requests[0][1].side
+    if any(stem.side != side for _, stem in requests):
         raise PreconditionError("integrate needs a common stem side")
+    if turns is not None:
+        _check_encloses(c, T, turns)
     z, w, upper, mirror = slice_nodes(c)
     if len(z) == 0:
-        return [QuatMatrix.zeros(T.n) for _ in stems]
+        return [QuatMatrix.zeros(T.n) for _ in requests]
+    # one row of weights per distinct stem object, and one kernel_sum
+    # row per kind over the weights of its stems
+    stems = list({id(stem): stem for _, stem in requests}.values())
+    row = {id(stem): i for i, stem in enumerate(stems)}
+    picks = {}
+    for kind, stem in requests:
+        rows = picks.setdefault(kind, [])
+        if row[id(stem)] not in rows:
+            rows.append(row[id(stem)])
     J = c.J.as_array()
     s_arr, w_arr = in_plane(z, J), in_plane(w, J)
     weights = np.stack([_weights(g, s_arr, w_arr) for g in stems])
     if not np.all(np.isfinite(weights)):
         raise NumericError("stem values at the contour nodes are not finite")
     paired = mirror >= 0
-    c_conj = np.zeros((len(stems), len(upper), 4))
+    c_upper = weights[:, upper]
+    c_conj = np.zeros((len(weights), len(upper), 4))
     c_conj[:, paired] = weights[:, mirror[paired]]
-    vals = kernel_sum(kind, T, J, z[upper], weights[:, upper], side, c_conj, upper)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("the contour sum is not finite")
-    return [QuatMatrix(v) for v in vals]
+    sums = kernel_sum(T, J, z[upper], side,
+                      [(kind, c_upper[rows], c_conj[rows]) for kind, rows in picks.items()],
+                      upper)
+    values = {}
+    for (kind, rows), vals in zip(picks.items(), sums):
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("the contour sum is not finite")
+        values.update(((kind, i), QuatMatrix(v)) for i, v in zip(rows, vals))
+    return [values[kind, row[id(stem)]] for kind, stem in requests]
+
+
+def _check_encloses(c: Contour, T: CommutingOperator, turns) -> None:
+    """c winds about each spectral point p of T a number of times in
+    turns, {1} for a calculus and {0, 1} for a projector, clearing p by
+    1e-9 max(R, |p|), R the largest radius of c, so that the rule reads
+    the same at every scale of T."""
+    R = max((r for (_, _, r) in c.plane_circles()), default=0.0)
+    check_winding(c, [(sp.u, sp.v, 1e-9 * max(R, math.hypot(sp.u, sp.v)))
+                      for sp in T.spheres], turns, "spectrum point")
 
 
 def _weights(f, s_arr, w_arr):

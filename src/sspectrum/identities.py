@@ -18,22 +18,24 @@ that one.  Evaluation never draws, so both agree for a fixed seed.
 Shared inputs are evaluated once per row: a pointwise row takes every
 kernel form it needs at one resolvent point from one pencil inverse
 (``kernel_forms``), a power shift sums all the degrees of its option
-set in one pass over the powers of T, and an integral row pairs the
-stems of one kind, contour and side in one ``apply_stems`` pass.  Each
-value is the same, bit for bit, as when evaluated on its own.
+set in one pass over the powers of T, and an integral row takes every
+(kind, stem) value it needs on one contour and side from one
+``integrate`` pass.  Each value is the same, bit for bit, as when
+evaluated on its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import CalculusKind, apply_calculus, apply_stems, riesz_projector
+from .calculus import (CALCULUS_TURNS, PREFACTOR, PROJECTOR_TURNS, CalculusKind,
+                       riesz_projector)
 from .contour import (DEFAULT_NODES, Contour, auto_contour, check_winding,
                       enclosing_circle, integrate)
 from .errors import InputError, NumericError, PreconditionError
@@ -74,9 +76,9 @@ class IdentityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["pass"] = doc.pop("passed")
-        return doc
+        """The fields in order, passed under the key "pass"."""
+        return {"name": self.name, "inputs": self.inputs, "residual": self.residual,
+                "scale": self.scale, "tol": self.tol, "pass": self.passed}
 
 
 class Row(NamedTuple):
@@ -129,7 +131,7 @@ def _s_resolvent_eq_intertwined(T, s, p, B: QuatMatrix):
 def _p2_mixed_resolvent_eq(T, s, p):
     SR, P2R, Qs = kernel_forms(T, s, [(S, "right"), (P2, "right"), (Q, "left")])
     SL, P2L, Qp = kernel_forms(T, p, [(S, "left"), (P2, "left"), (Q, "left")])
-    uT = T.vector_part()
+    uT = T.vector_part
     lhs = SR @ P2L + P2R @ SL - (Qs @ uT @ Qp) * 4.0
     return [(lhs, _bracket(P2R - P2L, s, p))]
 
@@ -137,7 +139,7 @@ def _p2_mixed_resolvent_eq(T, s, p):
 def _p2_resolvent_eq(T, s, p):
     SR, P2R, FR = kernel_forms(T, s, [(S, "right"), (P2, "right"), (F, "right")])
     SL, P2L, FL = kernel_forms(T, p, [(S, "left"), (P2, "left"), (F, "left")])
-    uT = T.vector_part()
+    uT = T.vector_part
     uT2 = uT @ uT
     lhs = (SR @ P2L + P2R @ SL
            - (P2R @ uT @ P2L + P2R @ uT2 @ FL
@@ -148,7 +150,7 @@ def _p2_resolvent_eq(T, s, p):
 def _q_resolvent_eq(T, s, p):
     SR, Qs = kernel_forms(T, s, [(S, "right"), (Q, "left")])
     SL, Qp = kernel_forms(T, p, [(S, "left"), (Q, "left")])
-    uT = T.vector_part()
+    uT = T.vector_part
     lhs = Qs @ SL + SR @ Qp - (Qs @ uT @ Qp) * 2.0
     return [(lhs, _bracket(Qs - Qp, s, p))]
 
@@ -156,7 +158,7 @@ def _q_resolvent_eq(T, s, p):
 def _q_resolvent_eq_legacy(T, s, p):
     Qs = kernel(Q, T, s)
     Qp = kernel(Q, T, p)
-    Tbar = T.conjugate().as_matrix()
+    Tbar = T.conjugate.as_matrix
     lhs = (Qs @ Qp).lmul(s).rmul(p) - (Qs @ Tbar @ Qp).lmul(s) \
         - (Qs @ Tbar @ Qp).rmul(p) + Qs @ Tbar @ Tbar @ Qp
     rhs = _bracket(Qs.lmul(s) - Qp.lmul(p), s, p) \
@@ -166,22 +168,22 @@ def _q_resolvent_eq_legacy(T, s, p):
 
 def _f_kernel_shift(T, s, p=None, side="left"):
     Qs, Fs = kernel_forms(T, s, [(Q, "left"), (F, side)])
-    Mt = T.as_matrix()
+    Mt = T.as_matrix
     lhs = Fs.rmul(s) - Mt @ Fs if side == "left" else Fs.lmul(s) - Fs @ Mt
     return [(lhs, Qs * -4.0)]
 
 
 def _pseudo_split(T, s, p=None, side="left"):
     Qs, P2s, Fs = kernel_forms(T, s, [(Q, "left"), (P2, side), (F, side)])
-    uT = T.vector_part()
+    uT = T.vector_part
     rhs = (P2s + uT @ Fs) * 0.25 if side == "left" else (P2s + Fs @ uT) * 0.25
     return [(Qs, rhs)]
 
 
 def _p2_kernel_shift(T, s, p=None, side="left"):
     Qs, P2s, Ss = kernel_forms(T, s, [(Q, "left"), (P2, side), (S, side)])
-    uT = T.vector_part()
-    Mt = T.as_matrix()
+    uT = T.vector_part
+    Mt = T.as_matrix
     if side == "left":
         return [(P2s.rmul(s) - Mt @ P2s, (Ss - uT @ Qs) * 4.0)]
     return [(P2s.lmul(s) - P2s @ Mt, (Ss - Qs @ uT) * 4.0)]
@@ -195,19 +197,20 @@ def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
     degree-m pair is complete."""
     degrees = [m] if isinstance(m, int) else list(m)
     Qs, Ss, P2s = kernel_forms(T, s, [(Q, "left"), (S, side), (P2, side)])
-    uT = T.vector_part()
-    Mt = T.as_matrix()
+    uT = T.vector_part
+    Mt = T.as_matrix
     A = {k: QuatMatrix.zeros(T.n) for k in degrees}
     Bm = dict(A)
     pairs = {}
     tpow = QuatMatrix.identity(T.n)
     top = max(degrees, default=0)
+    spows = [s ** i for i in range(top + 1)]
     for i in range(top + 1):
         if i in A:
             if side == "left":
-                lhs = P2s.rmul(s ** i) - tpow @ P2s
+                lhs = P2s.rmul(spows[i]) - tpow @ P2s
             else:
-                lhs = P2s.lmul(s ** i) - P2s @ tpow
+                lhs = P2s.lmul(spows[i]) - P2s @ tpow
             pairs[i] = (lhs, A[i] * 4.0 - Bm[i] * 4.0)
         if i == top:
             break
@@ -217,7 +220,7 @@ def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
             X, Y = Ss @ tpow, Qs @ uT @ tpow
         for k in degrees:
             if k > i:
-                spow = s ** (k - i - 1)
+                spow = spows[k - i - 1]
                 if side == "left":
                     A[k] = A[k] + X.rmul(spow)
                     Bm[k] = Bm[k] + Y.rmul(spow)
@@ -265,39 +268,35 @@ POINTWISE_IDENTITIES = {
 # the intrinsic stem f over c_out, and Sg, ... those of g over c_in.
 
 
+def _calculi(T, c, *requests):
+    """The calculus value of each (kind, stem) request over c, from one
+    integrate pass, each equal bit for bit to apply_calculus(kind, stem,
+    T, c)."""
+    values = integrate(c, T, requests, CALCULUS_TURNS)
+    return [val * PREFACTOR[kind] for (kind, _), val in zip(requests, values)]
+
+
 def _p2_product_rule(T, f, g, c_in, c_out, side="left"):
     if g.side != side:
         raise PreconditionError(f"this product rule takes a {side} stem g")
-    uT = T.vector_part()
-    lhs, Pg = apply_stems(P2, [stem_product(f, g), g], T, c_in)
-    Sf = apply_calculus(S, f, T, c_out)
-    Pf = apply_calculus(P2, f, T, c_out)
-    Qf = apply_calculus(Q, f, T, c_out)
-    Sg = apply_calculus(S, g, T, c_in)
-    Qg = apply_calculus(Q, g, T, c_in)
+    uT = T.vector_part
+    lhs, Pg, Sg, Qg = _calculi(T, c_in, (P2, stem_product(f, g)), (P2, g), (S, g), (Q, g))
+    Sf, Pf, Qf = _calculi(T, c_out, (S, f), (P2, f), (Q, f))
     if side == "left":
         return [(lhs, Sf @ Pg + Pf @ Sg - Qf @ uT @ Qg)]
     return [(lhs, Sg @ Pf + Pg @ Sf - Qg @ uT @ Qf)]
 
 
 def _f_product_rule(T, f, g, c_in, c_out):
-    lhs, Fg = apply_stems(F, [stem_product(f, g), g], T, c_in)
-    Ff = apply_calculus(F, f, T, c_out)
-    Sf = apply_calculus(S, f, T, c_out)
-    Qf = apply_calculus(Q, f, T, c_out)
-    Sg = apply_calculus(S, g, T, c_in)
-    Qg = apply_calculus(Q, g, T, c_in)
+    lhs, Fg, Sg, Qg = _calculi(T, c_in, (F, stem_product(f, g)), (F, g), (S, g), (Q, g))
+    Ff, Sf, Qf = _calculi(T, c_out, (F, f), (S, f), (Q, f))
     return [(lhs, Ff @ Sg + Sf @ Fg - Qf @ Qg)]
 
 
 def _f_product_rule_via_p2(T, f, g, c_in, c_out):
-    uT = T.vector_part()
-    Ff = apply_calculus(F, f, T, c_out)
-    Fg, lhs = apply_stems(F, [g, stem_product(f, g)], T, c_in)
-    Pf = apply_calculus(P2, f, T, c_out)
-    Pg = apply_calculus(P2, g, T, c_in)
-    Sf = apply_calculus(S, f, T, c_out)
-    Sg = apply_calculus(S, g, T, c_in)
+    uT = T.vector_part
+    Ff, Pf, Sf = _calculi(T, c_out, (F, f), (P2, f), (S, f))
+    Fg, lhs, Pg, Sg = _calculi(T, c_in, (F, g), (F, stem_product(f, g)), (P2, g), (S, g))
     rhs = (Ff @ Sg + Sf @ Fg
            - (Pf @ Pg) * 0.25
            - (Pf @ uT @ Fg) * 0.25
@@ -307,23 +306,19 @@ def _f_product_rule_via_p2(T, f, g, c_in, c_out):
 
 
 def _q_product_rule(T, f, g, c_in, c_out):
-    uT = T.vector_part()
-    Qf = apply_calculus(Q, f, T, c_out)
-    Qg, lhs = apply_stems(Q, [g, stem_product(f, g)], T, c_in)
-    Sf = apply_calculus(S, f, T, c_out)
-    Sg = apply_calculus(S, g, T, c_in)
+    uT = T.vector_part
+    Qf, Sf = _calculi(T, c_out, (Q, f), (S, f))
+    Qg, lhs, Sg = _calculi(T, c_in, (Q, g), (Q, stem_product(f, g)), (S, g))
     return [(lhs, Sf @ Qg + Qf @ Sg + Qf @ uT @ Qg)]
 
 
 def _q_product_rule_legacy(T, f, g, c_in, c_out):
-    Tbar = T.conjugate().as_matrix()
+    Tbar = T.conjugate.as_matrix
     fg = stem_product(f, g)
-    Qfg_shift, Qfg, Qg, Qg_shift = apply_stems(
-        Q, [stem_shift(fg), fg, g, stem_shift(g)], T, c_in)
+    Qfg_shift, Qfg, Qg, Qg_shift, Sg = _calculi(
+        T, c_in, (Q, stem_shift(fg)), (Q, fg), (Q, g), (Q, stem_shift(g)), (S, g))
     lhs = (Qfg_shift - Tbar @ Qfg) * 2.0
-    Sf = apply_calculus(S, f, T, c_out)
-    Qf, Qf_shift = apply_stems(Q, [f, stem_shift(f)], T, c_out)
-    Sg = apply_calculus(S, g, T, c_in)
+    Sf, Qf, Qf_shift = _calculi(T, c_out, (S, f), (Q, f), (Q, stem_shift(f)))
     rhs = (Sf @ Qg_shift - Sf @ Tbar @ Qg
            + Qf_shift @ Sg - Qf @ Tbar @ Sg)
     return [(lhs, rhs)]
@@ -331,12 +326,13 @@ def _q_product_rule_legacy(T, f, g, c_in, c_out):
 
 def _p2_vanishing_integral(T, f, g, c_in, c_out):
     zero = QuatMatrix.zeros(T.n)
-    return [(integrate(c_in, P2, T, [SlicePoly.monomial(0, side=side)])[0], zero)
+    return [(integrate(c_in, T, [(P2, SlicePoly.monomial(0, side=side))],
+                       PROJECTOR_TURNS)[0], zero)
             for side in ("left", "right")]
 
 
 def _q_vanishing_integral(T, f, g, c_in, c_out):
-    val = integrate(c_in, Q, T, [SlicePoly.monomial(0)])[0]
+    val = integrate(c_in, T, [(Q, SlicePoly.monomial(0))], PROJECTOR_TURNS)[0]
     return [(val, QuatMatrix.zeros(T.n))]
 
 
@@ -346,13 +342,14 @@ def _intrinsic_left_right(T, f, g, c_in, c_out,
         raise PreconditionError("left/right agreement needs an intrinsic stem")
     fl = SlicePoly("left", f.coeffs)
     fr = SlicePoly("right", f.coeffs)
-    return [(apply_calculus(kind, fl, T, c_in), apply_calculus(kind, fr, T, c_in))
-            for kind in kinds]
+    left = _calculi(T, c_in, *[(kind, fl) for kind in kinds])
+    right = _calculi(T, c_in, *[(kind, fr) for kind in kinds])
+    return list(zip(left, right))
 
 
 def _p2_riesz_projector(T, f, g, c_in, c_out):
     P = riesz_projector(P2, T, c_in)
-    Mt = T.as_matrix()
+    Mt = T.as_matrix
     return [(P @ P, P), (Mt @ P, P @ Mt)]
 
 
@@ -451,28 +448,27 @@ def random_commuting_operator(rng, n: int, zero_e3: bool = False,
     if symmetric_base:
         M = 0.5 * (M + M.T)
     M /= max(np.linalg.norm(M), 1e-12)
-    comps = []
-    for i in range(4):
-        if zero_e3 and i == 3:
-            comps.append(np.zeros((n, n)))
-            continue
-        C = np.zeros((n, n))
-        Mp = np.eye(n)
-        for _ in range(3):
-            C = C + rng.standard_normal() * Mp
-            Mp = Mp @ M
-        comps.append(C)
+    I, M2 = np.eye(n), M @ M
+    # three coefficients per drawn component, in one draw: the same
+    # stream as one draw per coefficient
+    drawn = 3 if zero_e3 else 4
+    coeffs = rng.standard_normal(3 * drawn).reshape(drawn, 3)
+    comps = [a0 * I + a1 * M + a2 * M2 for a0, a1, a2 in coeffs]
+    if zero_e3:
+        comps.append(np.zeros((n, n)))
     # CommutingOperator.norm() of comps, so that T is built once
-    nrm = float(np.sqrt(sum(np.sum(C * C) for C in comps)))
+    nrm = float(np.sqrt(sum((C * C).sum() for C in comps)))
     if nrm > 0:
         comps = [C * (scale / nrm) for C in comps]
     return CommutingOperator(*comps)
 
 
+@cache
 def split_spectrum_operator() -> CommutingOperator:
     """Diagonal 2 x 2 operator with the two separated spheres (0, 1) and
     (5, 0); the block decoupling makes its projectors exactly diag(1, 0)
-    and diag(0, 1)."""
+    and diag(0, 1).  Built once: the operator is immutable, and keeps
+    its spectrum and eigenbasis from one call to the next."""
     T0 = np.diag([0.0, 5.0])
     T1 = np.diag([1.0, 0.0])
     z = np.zeros((2, 2))

@@ -34,10 +34,12 @@ C by the embedding ``qlinalg.in_plane``, and sum_j e_j Z_j as X + Y J
 and imaginary parts of the Z_j, so the one product in it is
 ``qmul_arr``.  Paired node by node,
 that stack is the tests' oracle for the contracted sum.  ``kernel_sum``,
-the one path by which ``contour.integrate`` pairs a kernel with stems,
+the one path by which ``contour.integrate`` pairs kernels with stems,
 never forms that stack: the map from z^p G to the kernel is real-linear,
 so it contracts G with the quadrature weights over the nodes first and
 applies the T products and the quaternion map once, to n x n moments.
+It takes the weights of every kind that one contour pass needs, one row
+per kind, and shares between the rows what depends on the nodes alone.
 
 The components commute, so where T has a joint eigenbasis
 (``CommutingOperator.eigenbasis``, T_i = V diag(lam_i) V^-1), every
@@ -49,9 +51,9 @@ Matrices, SIAM 2008, 4.5).  The scalar sums run over blocks of
 EIGEN_BLOCK upper nodes, each with its conjugates, so their work arrays
 are (n, 2 EIGEN_BLOCK) however long the contour; a contour whose upper
 nodes fit in one block is summed by exactly the arithmetic of one pass
-over all nodes.  The per-node path inverts the pencil at
-the nodes on or above the real axis only, since the pencil is real and
-Q(conj z)^-1 = conj Q(z)^-1.  It runs when T has no eigenbasis (a
+over all nodes.  A block's q, its bound and 1/q serve every row.  The
+per-node path inverts the pencil at the nodes on or above the real axis
+only, since the pencil is real and Q(conj z)^-1 = conj Q(z)^-1.  It runs when T has no eigenbasis (a
 Jordan block, say) or when the bound n kappa_2(V)^2 max|q| / min|q| on
 a pencil's condition number exceeds COND_LIMIT at some node of any
 block; it is then the one path that raises SingularMatrixError for
@@ -68,7 +70,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DivergenceError, InputError, SingularMatrixError
-from .operators import BATCH_ENTRIES, CommutingOperator, gram
+from .operators import BATCH_ENTRIES, CommutingOperator
 from .qlinalg import PIVOT_RTOL, QuatMatrix, in_plane, product_matrices, qmul_arr
 from .quat import Quaternion, qinv, qs_poly
 from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
@@ -133,7 +135,7 @@ def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
     if squeeze:
         s_arr = s_arr[None, :]
     n = T.n
-    K = gram(T)
+    K = T.gram
     out = np.empty(s_arr.shape[:1] + (n, n, 4))
     chunk = max(1, BATCH_ENTRIES // (n * n))
     for lo in range(0, len(s_arr), chunk):
@@ -154,7 +156,7 @@ def kernel_forms(T: CommutingOperator, s: Quaternion, forms) -> list:
     for _, side in forms:
         _check_side(side)
     z, J = _slice_coordinates(s.as_array()[None, :])
-    Qinv = _pencil_term(CalculusKind.Q, T.T0, gram(T), z, np.arange(1))
+    Qinv = _pencil_term(CalculusKind.Q, T.T0, T.gram, z, np.arange(1))
     G = {kind: _factored(kind, Qinv) for kind, _ in forms}
     return [QuatMatrix(_form(kind, side, T, z, J, G[kind])[0]) for kind, side in forms]
 
@@ -167,21 +169,21 @@ def _form(kind, side, T, z, J, G):
     return _to_quaternion(*_kernel_parts(kind, side, T, S), J, side)
 
 
-def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
-               c_conj, index) -> np.ndarray:
-    """The side form of one kind's kernel paired with quaternion weights
-    on that side and summed over nodes.
+def kernel_sum(T: CommutingOperator, J, z, side: str, rows, index) -> list:
+    """The side form of several kinds' kernels paired with quaternion
+    weights on that side and summed over nodes.
 
     The nodes z (U,) are complex slice values a + ib standing for
     a + bJ in the plane C_J of the imaginary unit J, a (4,) quaternion
-    array; b may be negative.  For each row of weights
-    c (S, U, 4) this returns
+    array; b may be negative.  rows is a sequence of (kind, c, c_conj),
+    weights c and c_conj (S, U, 4) for S stems, and the result lists one
+    (S, n, n, 4) stack per row, whose entry for each stem is
 
         sum_k K(z_k) c_k  (side 'left')   or   sum_k c_k K(z_k)  (side 'right'),
 
-    plus the same sum at the conjugate nodes conj(z_k) with the weights
-    c_conj (S, U, 4), zero where z_k has no conjugate in the node set,
-    as an (S, n, n, 4) stack.  index (U,) labels the nodes in a
+    K the kind's kernel, plus the same sum at the conjugate nodes
+    conj(z_k) with the weights c_conj, zero where z_k has no conjugate
+    in the node set.  index (U,) labels the nodes in a
     SingularMatrixError.
 
     Only G = Q^-1, or the +-4 Q^-2 of the F and P2 kernels, depends on
@@ -195,30 +197,36 @@ def kernel_sum(kind: CalculusKind, T: CommutingOperator, J, z, c, side: str,
     sum_q Phi_q e_q on the left side and sum_q e_q Phi_q on the right.
 
     The moments are summed in T's joint eigenbasis, as scalar sums over
-    the joint eigenvalues (_eigen_moments), and by one pencil inversion
-    per node (_node_moments) when T has no eigenbasis or a node's pencil
-    may be too ill-conditioned for it.
+    the joint eigenvalues that every row shares (_eigen_moments), and by
+    one pencil inversion per node and row (_node_moments) when T has no
+    eigenbasis or a node's pencil may be too ill-conditioned for it.
+    Each row's value is the same, bit for bit, as when it is the only
+    row.
     """
-    kind = CalculusKind(kind)
     _check_side(side)
     J = np.asarray(J, dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128)
-    c = np.asarray(c, dtype=np.float64)
-    c_conj = np.asarray(c_conj, dtype=np.float64)
-    moments = _eigen_moments(kind, T, z, c, c_conj)
+    rows = [(CalculusKind(kind), np.asarray(c, dtype=np.float64),
+             np.asarray(c_conj, dtype=np.float64)) for kind, c, c_conj in rows]
+    moments = _eigen_moments(T, z, rows)
     if moments is None:
-        moments = _node_moments(kind, T, z, c, c_conj, np.asarray(index))
-    out = np.empty((len(c), T.n, T.n, 4))
-    for r, M in enumerate(moments):
+        moments = [_node_moments(kind, T, z, c, c_conj, np.asarray(index))
+                   for kind, c, c_conj in rows]
+    sums = []
+    for (kind, c, _), M in zip(rows, moments):
         Phi = _to_quaternion(*_kernel_parts(kind, side, T, M), J, side)
-        out[r] = np.tensordot(Phi, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
-    return out
+        out = np.empty((len(c), T.n, T.n, 4))
+        for r, Phi_r in enumerate(Phi):
+            out[r] = np.tensordot(Phi_r, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
+        sums.append(out)
+    return sums
 
 
-def _eigen_moments(kind, T, z, c, c_conj):
-    """The moments M_{q,p} of kernel_sum, (S, 4, P, n, n) for P powers
-    of z, contracted in T's joint eigenbasis, or None where that
-    contraction may not be trusted and the per-node path must run.
+def _eigen_moments(T, z, rows):
+    """The moments M_{q,p} of kernel_sum, one (S, 4, P, n, n) stack per
+    row for P powers of z, contracted in T's joint eigenbasis, or None
+    where that contraction may not be trusted and the per-node path
+    must run.
 
     With T_i = V diag(lam_i) V^-1, every pencil is
     Q(z) = V diag(q(z)) V^-1 with q(z) = z^2 - 2 z lam_0 + sum_i lam_i^2,
@@ -227,20 +235,23 @@ def _eigen_moments(kind, T, z, c, c_conj):
     The diagonal sums D run over blocks of EIGEN_BLOCK upper nodes, each
     block with its conjugate nodes, evaluated at conj(z) directly, so
     the (n, 2 EIGEN_BLOCK) work arrays do not grow with the contour.
-    When every upper node fits in one block, the arithmetic is that of
-    one pass over all nodes: one product, and no sum of blocks.  Per
-    node, n kappa_2(V)^2 max|q| / min|q| bounds the 1-norm condition
-    number of Q(z) that _pencil_term tests.  Every block tests it at
-    each of its nodes before summing them, and the first block where it
-    exceeds COND_LIMIT ends the sum with None, so the per-node path runs
-    and raises where it would."""
+    A block's scalars q, their bound and 1/q serve every row; each row
+    then takes its own g and powers of z from them.  When every upper
+    node fits in one block, the arithmetic is that of one pass over all
+    nodes: one product per row, and no sum of blocks.  Per node,
+    n kappa_2(V)^2 max|q| / min|q| bounds the 1-norm condition number
+    of Q(z) that _pencil_term tests.  Every block tests it at each of
+    its nodes before summing them, and the first block where it exceeds
+    COND_LIMIT ends the sum with None, so the per-node path runs and
+    raises where it would."""
     basis = T.eigenbasis
     if basis is None:
         return None
-    n, P = T.n, _DEGREE[kind] + 1
+    n = T.n
+    degrees = [_DEGREE[kind] + 1 for kind, _, _ in rows]
     lam = basis.values[:, :, None]
     shift = np.sum(lam * lam, axis=0)
-    D = None
+    D = [None] * len(rows)
     # one block even without nodes, so that D is the zero sum
     for lo in range(0, max(len(z), 1), EIGEN_BLOCK):
         block = slice(lo, lo + EIGEN_BLOCK)
@@ -251,28 +262,31 @@ def _eigen_moments(kind, T, z, c, c_conj):
             bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
         if not np.all(bound <= COND_LIMIT):
             return None
-        g = 1.0 / q
-        if kind in _FACTOR:
-            g *= g
-            g *= _FACTOR[kind]
-        # a_k = c_{k,q} z_k^p in columns (q, p), for the block's nodes and
-        # their conjugates, so that the block's share of every
-        # D_{q,p} = sum_k a_k g(z_k) is one product
-        zp = np.ones((len(nodes), P), dtype=np.complex128)
-        for p in range(1, P):
+        inv = 1.0 / q
+        zp = np.ones((len(nodes), max(degrees)), dtype=np.complex128)
+        for p in range(1, zp.shape[1]):
             zp[:, p] = zp[:, p - 1] * nodes
-        a = np.concatenate((c[:, block], c_conj[:, block]), axis=1)[..., None] * zp[:, None, :]
-        part = g @ a.reshape(len(c), len(nodes), 4 * P)
-        D = part if D is None else D + part
-    D = np.moveaxis(D, 1, -1).reshape(len(c), 4, P, n)
-    return (basis.V * D[..., None, :]) @ basis.W
+        for r, ((kind, c, c_conj), P) in enumerate(zip(rows, degrees)):
+            g = inv
+            if kind in _FACTOR:
+                g = inv * inv
+                g *= _FACTOR[kind]
+            # a_k = c_{k,q} z_k^p in columns (q, p), for the block's nodes
+            # and their conjugates, so that the block's share of every
+            # D_{q,p} = sum_k a_k g(z_k) is one product
+            a = (np.concatenate((c[:, block], c_conj[:, block]), axis=1)[..., None]
+                 * zp[:, None, :P])
+            part = g @ a.reshape(len(c), len(nodes), 4 * P)
+            D[r] = part if D[r] is None else D[r] + part
+    return [(basis.V * np.moveaxis(Dr, 1, -1).reshape(len(c), 4, P, n)[..., None, :]) @ basis.W
+            for Dr, (_, c, _), P in zip(D, rows, degrees)]
 
 
 def _node_moments(kind, T, z, c, c_conj, index):
     """The moments M_{q,p} of kernel_sum, (S, 4, P, n, n), from one
     pencil inversion per node, a chunk of nodes at a time."""
     n = T.n
-    K = gram(T)
+    K = T.gram
     powers = np.arange(_DEGREE[kind] + 1)
     rows = 4 * len(powers)
     moments = np.zeros((len(c), 2 * rows, n * n))
@@ -366,8 +380,7 @@ def _kernel_parts(kind, side, T, S):
 
     where H = (z - T0) G and G carries each kind's factor: P2 is the
     S and F form with H in place of G."""
-    T0 = T.T0
-    V = np.stack(T.components[1:])
+    T0, V = T.T0, T.vector_components
     S0 = S[..., 0, :, :]
     if kind is CalculusKind.Q:
         return S0, None
@@ -413,7 +426,7 @@ def kernel(kind: CalculusKind, T: CommutingOperator, s: Quaternion,
 def _cauchy_series(T: CommutingOperator, s: Quaternion, N: int, side: str) -> SlicePoly:
     """The truncated Cauchy series sum_{m=0..N} q^m s^(-1-m) as a stem on
     side, for |s| > ||T||, where it converges at T."""
-    tnorm = T.as_matrix().norm()
+    tnorm = T.as_matrix.norm()
     if tnorm >= s.norm():
         raise DivergenceError(
             f"series requires |s| > ||T||; got |s| = {s.norm():.3e}, "

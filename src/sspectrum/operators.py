@@ -26,7 +26,6 @@ from .quat import Quaternion, SpectralSphere
 
 __all__ = [
     "CommutingOperator",
-    "gram",
     "qcs_op",
     "s_spectrum",
     "load_operator",
@@ -142,13 +141,31 @@ class CommutingOperator:
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(C * C) for C in self.components)))
 
+    # The operator is immutable, so what is derived from it alone is
+    # computed on first use and kept, read-only, like spheres.
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """K = T0^2 + T1^2 + T2^2 + T3^2, the T*conj(T) coefficient of the
+        quadratic pencil (valid under the commutation invariant)."""
+        return _frozen(sum(C @ C for C in self.components))
+
+    @cached_property
+    def vector_components(self) -> np.ndarray:
+        """T1, T2 and T3 stacked, (3, n, n)."""
+        return _frozen(np.stack(self.components[1:]))
+
+    @cached_property
     def conjugate(self) -> "CommutingOperator":
+        """conj(T) = T0 - T1 e1 - T2 e2 - T3 e3."""
         return CommutingOperator(self.T0, -self.T1, -self.T2, -self.T3)
 
+    @cached_property
     def as_matrix(self) -> QuatMatrix:
         """T as a quaternion matrix acting by left multiplication."""
         return QuatMatrix(np.stack(self.components, axis=-1))
 
+    @cached_property
     def vector_part(self) -> QuatMatrix:
         """underline(T) = T1 e1 + T2 e2 + T3 e3 as a quaternion matrix."""
         zero = np.zeros_like(self.T0)
@@ -200,16 +217,31 @@ class CommutingOperator:
         return values, points
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# the six pairs (i, j), i < j, of the four components
+_PAIRS = np.triu_indices(4, 1)
+
+
 def _check_commutation(comps):
-    norms = [float(np.linalg.norm(C)) for C in comps]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            bound = COMMUTATION_RTOL * norms[i] * norms[j]
-            defect = float(np.linalg.norm(comps[i] @ comps[j] - comps[j] @ comps[i]))
-            if defect > bound:
-                raise CommutationError(
-                    f"components T{i} and T{j} do not commute: "
-                    f"defect {defect:.3e} exceeds {bound:.3e}")
+    """Raise CommutationError for the first pair T_i, T_j, i < j, whose
+    commutator exceeds COMMUTATION_RTOL ||T_i|| ||T_j|| in Frobenius
+    norm; the six commutators come from one batched product."""
+    S = np.stack(comps)
+    i, j = _PAIRS
+    D = S[i] @ S[j] - S[j] @ S[i]
+    norms = np.sqrt((S * S).sum(axis=(1, 2)))
+    defects = np.sqrt((D * D).sum(axis=(1, 2)))
+    bounds = COMMUTATION_RTOL * norms[i] * norms[j]
+    bad = defects > bounds
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise CommutationError(
+            f"components T{i[k]} and T{j[k]} do not commute: "
+            f"defect {defects[k]:.3e} exceeds {bounds[k]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -282,16 +314,10 @@ def _ldexp(x, p):
     return np.ldexp(x, p)
 
 
-def gram(T: CommutingOperator) -> np.ndarray:
-    """K = T0^2 + T1^2 + T2^2 + T3^2, the T*conj(T) coefficient of the
-    quadratic pencil (valid under the commutation invariant)."""
-    return sum(C @ C for C in T.components)
-
-
 def qcs_op(T: CommutingOperator, s: Quaternion) -> QuatMatrix:
     """The pseudo S-resolvent pencil s^2 I - s (T + conj(T)) + T conj(T).
 
-    T + conj(T) = 2 T0 and T conj(T) = gram(T) are real matrices, so the
+    T + conj(T) = 2 T0 and T conj(T) = T.gram are real matrices, so the
     quaternion scalar s acts on real entries and the side is immaterial.
     """
     return QuatMatrix(qcs_pencil_at(T, s.as_array()[None, :])[0])
@@ -302,7 +328,7 @@ def qcs_pencil_at(T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:
     n = T.n
     N = s_arr.shape[0]
     out = np.zeros((N, n, n, 4))
-    out[..., 0] = gram(T)
+    out[..., 0] = T.gram
     two_t0 = 2.0 * T.T0
     out -= s_arr[:, None, None, :] * two_t0[None, :, :, None]
     s2 = np.stack([

@@ -38,23 +38,22 @@ PIVOT_RTOL = 1e-12
 # component arithmetic on (..., 4) arrays
 
 
-def _pair(a):
-    """The complex pair (a1, a2) of a (..., 4) array, a = a1 + a2 e2 with
-    a1 = w + x e1 and a2 = y + z e1: its float64 memory read as complex."""
-    v = np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)
-    return v[..., 0], v[..., 1]
-
-
 def _hamilton(a, b, product):
     """The Hamilton product of (..., 4) arrays under product, np.multiply
-    or np.matmul, from the complex pairs: (a1 + a2 e2)(b1 + b2 e2) =
-    (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) e2, since e2 c = conj(c) e2
-    for c in span{1, e1} (F. Zhang, LAA 251, 1997)."""
-    a1, a2 = _pair(a)
-    b1, b2 = _pair(b)
-    c1 = product(a1, b1) - product(a2, b2.conj())
-    c2 = product(a1, b2) + product(a2, b1.conj())
-    return np.stack((c1, c2), axis=-1).view(np.float64)
+    or np.matmul, from the complex pairs, the float64 memory read as
+    complex: a = a1 + a2 e2 with a1 = w + x e1 and a2 = y + z e1, and
+    (a1 + a2 e2)(b1 + b2 e2) = (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) e2,
+    since e2 c = conj(c) e2 for c in span{1, e1} (F. Zhang, LAA 251,
+    1997)."""
+    a = np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.float64).view(np.complex128)
+    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    b_bar = b.conj()
+    p = product(a1, b1)
+    out = np.empty(p.shape + (2,), dtype=np.complex128)
+    np.subtract(p, product(a2, b_bar[..., 1]), out=out[..., 0])
+    np.add(product(a1, b2), product(a2, b_bar[..., 0]), out=out[..., 1])
+    return out.view(np.float64)
 
 
 def qmul_arr(a, b):
@@ -199,6 +198,16 @@ class QuatMatrix:
         arr.setflags(write=False)
         self.data = arr
 
+    @classmethod
+    def _adopt(cls, arr) -> "QuatMatrix":
+        """The matrix of arr, a fresh (n, n, 4) float64 array that nothing
+        else holds, made read-only in place: the results of the
+        operators below, which need neither a copy nor a shape check."""
+        out = cls.__new__(cls)
+        arr.setflags(write=False)
+        out.data = arr
+        return out
+
     # construction
 
     @staticmethod
@@ -240,28 +249,28 @@ class QuatMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return QuatMatrix(self.data + other.data)
+        return QuatMatrix._adopt(self.data + other.data)
 
     def __sub__(self, other):
         self._check(other)
-        return QuatMatrix(self.data - other.data)
+        return QuatMatrix._adopt(self.data - other.data)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float)):
-            return QuatMatrix(self.data * float(scalar))
+            return QuatMatrix._adopt(self.data * float(scalar))
         return NotImplemented
 
     def __matmul__(self, other):
         self._check(other)
-        return QuatMatrix(matmul(self.data, other.data))
+        return QuatMatrix._adopt(matmul(self.data, other.data))
 
     def lmul(self, s: Quaternion) -> "QuatMatrix":
         """Entrywise left scalar action s * A."""
-        return QuatMatrix(scal_left(s.as_array(), self.data))
+        return QuatMatrix._adopt(scal_left(s.as_array(), self.data))
 
     def rmul(self, s: Quaternion) -> "QuatMatrix":
         """Entrywise right scalar action A * s."""
-        return QuatMatrix(scal_right(self.data, s.as_array()))
+        return QuatMatrix._adopt(scal_right(self.data, s.as_array()))
 
     def norm(self) -> float:
         """Frobenius norm sqrt(sum |A_ij|^2)."""

@@ -171,8 +171,8 @@ class PAPoly:
         q^a conj(q)^b c becomes T^a conj(T)^b c, c on the same side."""
         one = QuatMatrix.identity(T.n)
         top = lambda k: max((key[k] for key in self.terms), default=0)
-        tp = _powers(T.as_matrix(), top(0), one, matmul)
-        cp = _powers(T.conjugate().as_matrix(), top(1), one, matmul)
+        tp = _powers(T.as_matrix, top(0), one, matmul)
+        cp = _powers(T.conjugate.as_matrix, top(1), one, matmul)
         acc = QuatMatrix.zeros(T.n)
         for (a, b), c in self.terms.items():
             mono = tp[a] @ cp[b]

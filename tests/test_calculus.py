@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import rel
+from corpus import jordbloc, operator
 from sspectrum import (CalculusKind, CommutingOperator, E1, Quaternion,
-                       QuatMatrix, SlicePoly, apply_calculus, apply_stems,
-                       auto_contour, enclosing_circle, riesz_projector,
+                       QuatMatrix, SlicePoly, apply_calculus, auto_contour,
+                       enclosing_circle, integrate, riesz_projector,
                        s_spectrum, stem_moment)
-from sspectrum.contour import Circle, Contour
+from sspectrum.calculus import CALCULUS_TURNS, PREFACTOR
+from sspectrum.contour import Circle, Contour, DiskPair
 from sspectrum.errors import GeometryError, HypothesisError, PreconditionError
 from sspectrum.identities import (random_commuting_operator, random_stem,
                                   split_spectrum_operator)
@@ -32,7 +34,7 @@ def test_apply_examples_at_zero():
 def test_s_moment_property(rng):
     T = random_commuting_operator(rng, 3)
     c = full_contour(T)
-    Mt = T.as_matrix()
+    Mt = T.as_matrix
     cube = Mt @ Mt @ Mt
     got = apply_calculus(CalculusKind.S, SlicePoly.monomial(3), T, c)
     assert rel(got, cube) < 1e-10
@@ -79,12 +81,14 @@ def test_a_negative_moment_index_is_refused(kind):
 
 
 def test_apply_stems_takes_stems_of_one_side():
+    # one integrate pass takes requests of one stem side, of any kinds
     T = split_spectrum_operator()
     c = full_contour(T, N=64)
-    assert apply_stems(CalculusKind.S, [], T, c) == []
-    stems = [SlicePoly.monomial(1), SlicePoly.monomial(2, side="right")]
+    assert integrate(c, T, [], CALCULUS_TURNS) == []
+    requests = [(CalculusKind.S, SlicePoly.monomial(1)),
+                (CalculusKind.Q, SlicePoly.monomial(2, side="right"))]
     with pytest.raises(PreconditionError, match="common stem side"):
-        apply_stems(CalculusKind.S, stems, T, c)
+        integrate(c, T, requests, CALCULUS_TURNS)
 
 
 def _displayed_moment(kind, T, m):
@@ -99,7 +103,7 @@ def _displayed_moment(kind, T, m):
     The S, Q and F moments are the values on q^m, the P2 moment the
     value on q^(m+1)."""
     n = T.n
-    Mt, Mtbar = T.as_matrix(), T.conjugate().as_matrix()
+    Mt, Mtbar = T.as_matrix, T.conjugate.as_matrix
     tpow, tbarpow = [QuatMatrix.identity(n)], [QuatMatrix.identity(n)]
     for _ in range(m + 1):
         tpow.append(tpow[-1] @ Mt)
@@ -147,12 +151,36 @@ def test_p2_moment_index_alignment(rng):
 
 
 def test_apply_stems_matches_single(rng):
-    T = random_commuting_operator(rng, 2)
-    c = full_contour(T)
-    stems = [SlicePoly.monomial(m) for m in range(4)]
-    shared = apply_stems(CalculusKind.F, stems, T, c)
-    for stem, val in zip(stems, shared):
-        assert rel(val, apply_calculus(CalculusKind.F, stem, T, c)) == 0.0
+    """Every (kind, stem) request of one mixed-kind integrate pass, times
+    the calculus prefactor, equals apply_calculus(kind, stem, T, c) bit
+    for bit: on both sides, on a Circle, a DiskPair and a two-component
+    contour, on operators with an eigenbasis and on a Jordan block,
+    whose sums invert one pencil per node."""
+    J = random_imaginary_unit(rng)
+    basis = random_commuting_operator(rng, 3)
+    two_spheres = CommutingOperator(np.diag([1.0, 1.2]), np.diag([1.0, 0.9]),
+                                    np.zeros((2, 2)), np.zeros((2, 2)))
+    split = split_spectrum_operator()
+    jordan = operator(jordbloc(4, 0.2, 0.5), 0.3)
+    assert jordan.eigenbasis is None
+    assert basis.eigenbasis is not None and two_spheres.eigenbasis is not None
+    cases = [(basis, full_contour(basis, J=J)),
+             (two_spheres, Contour(J, (DiskPair(1.1, 1.0, 0.5),), 64)),
+             (split, Contour(J, (DiskPair(0.0, 1.0, 0.5), Circle(5.0, 1.0)), 48)),
+             (jordan, Contour(J, (Circle(0.2, 1.5),), 40))]
+    for T, c in cases:
+        for side in ("left", "right"):
+            f, g = random_stem(rng, 3, side=side), random_stem(rng, 2, side=side)
+            # repeated stems, kinds in no order, and one request twice
+            requests = [(CalculusKind.P2, f), (CalculusKind.S, g), (CalculusKind.F, f),
+                        (CalculusKind.Q, g), (CalculusKind.S, f), (CalculusKind.P2, g),
+                        (CalculusKind.Q, f), (CalculusKind.F, g), (CalculusKind.S, g)]
+            shared = integrate(c, T, requests, CALCULUS_TURNS)
+            assert len(shared) == len(requests)
+            for (kind, stem), val in zip(requests, shared):
+                single = apply_calculus(kind, stem, T, c)
+                assert (val * PREFACTOR[kind]).data.tobytes() == single.data.tobytes(), \
+                    (T.n, c, side, kind)
 
 
 def test_contour_must_enclose_spectrum(rng):
@@ -197,7 +225,7 @@ def test_split_family_projectors(rng):
     c1 = auto_contour(spheres, [1], J=J, N=256)
     e00 = QuatMatrix.from_real(np.diag([1.0, 0.0]))
     e11 = QuatMatrix.from_real(np.diag([0.0, 1.0]))
-    Mt = T.as_matrix()
+    Mt = T.as_matrix
     for kind in ALL_KINDS:
         P0 = riesz_projector(kind, T, c0)
         P1 = riesz_projector(kind, T, c1)

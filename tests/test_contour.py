@@ -100,14 +100,14 @@ def test_vanishing_integral_off_spectrum(rng):
     # pseudo resolvent integrated over a contour avoiding the spectrum
     T = random_commuting_operator(rng, 2)
     far = Contour(E1, (Circle(50.0, 1.0),), 128)
-    val = integrate(far, CalculusKind.Q, T, [SlicePoly.monomial(0)])[0]
+    val = integrate(far, T, [(CalculusKind.Q, SlicePoly.monomial(0))])[0]
     assert val.norm() < 1e-10
 
 
 def test_empty_contour():
     c = Contour(E1, (), 64)
-    val = integrate(c, CalculusKind.Q, CommutingOperator.zero(2),
-                    [SlicePoly.monomial(0)])[0]
+    val = integrate(c, CommutingOperator.zero(2),
+                    [(CalculusKind.Q, SlicePoly.monomial(0))])[0]
     assert val.norm() == 0.0
     assert enclosing_circle([], 0.5).components == ()
 

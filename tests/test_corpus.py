@@ -54,7 +54,7 @@ def _integrate(c, kind, T, f):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_pencil_term", counting)
         try:
-            return integrate(c, kind, T, [f])[0], bool(calls)
+            return integrate(c, T, [(kind, f)])[0], bool(calls)
         except SingularMatrixError as exc:
             return exc, bool(calls)
 
@@ -80,7 +80,7 @@ def test_corpus_eigenbasis_or_exact_fallback(name, t1, kind, side):
     # per-node oracle, one kernel call per node, quick
     coarse = c.with_nodes(32)
     oracle, scale = pair_per_node(coarse, partial(kernel, kind, T, side=side), f, side)
-    assert (integrate(coarse, kind, T, [f])[0] - oracle).norm() <= 1e-12 * scale
+    assert (integrate(coarse, T, [(kind, f)])[0] - oracle).norm() <= 1e-12 * scale
     exact = stem_moment(kind, T, 3)
     error = lambda v: (v * PREFACTOR[kind] - exact).norm() / max(exact.norm(), 1.0)
     assert error(got) <= ERROR_FACTOR * max(error(want), ERROR_FLOOR)

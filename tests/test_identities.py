@@ -7,7 +7,7 @@ import pytest
 
 from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion,
-                       QuatMatrix, calculus, enclosing_circle, identities,
+                       QuatMatrix, calculus, contour, enclosing_circle, identities,
                        kernel, kernels, qinv, qs_poly, s_spectrum, verify_all,
                        verify_integral, verify_pointwise, verify_seeded)
 from sspectrum.contour import Circle, Contour
@@ -183,8 +183,8 @@ def _power_sums_of_degree(T, s, m, side):
     all degrees reproduces bit for bit."""
     n = T.n
     Qs = kernel(CalculusKind.Q, T, s)
-    uT = T.vector_part()
-    Mt = T.as_matrix()
+    uT = T.vector_part
+    Mt = T.as_matrix
     S = kernel(CalculusKind.S, T, s, side)
     A = QuatMatrix.zeros(n)
     Bm = QuatMatrix.zeros(n)
@@ -206,8 +206,8 @@ def p2_power_shift_alt_terms(T: CommutingOperator, s: Quaternion, m: int):
     bounds taken verbatim, and the main display's sum."""
     n = T.n
     Qs = kernel(CalculusKind.Q, T, s)
-    Mt = T.as_matrix()
-    Tbar = T.conjugate().as_matrix()
+    Mt = T.as_matrix
+    Tbar = T.conjugate.as_matrix
     first = QuatMatrix.zeros(n)
     tpow = Mt @ Mt
     for i in range(1, m + 1):
@@ -266,20 +266,31 @@ TWO_POINT_ROWS = {"s_resolvent_eq", "s_resolvent_eq_intertwined",
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of pencil inversions (kernels._pencil_term) and of contour
-    passes (integrate, as calculus and identities call it)."""
-    counts = {"pencils": 0, "integrate": 0}
-    pencil_term, integrate = kernels._pencil_term, calculus.integrate
+    """Counts of pencil inversions (kernels._pencil_term), of contour
+    passes (integrate, as calculus and identities call it), of the
+    distinct stem objects in each pass's requests, summed, of stem
+    weight evaluations (contour._weights) and of enclosure checks
+    (contour._check_encloses)."""
+    counts = {"pencils": 0, "integrate": 0, "stems": 0, "weights": 0, "encloses": 0}
 
-    def counting_pencil(*args):
-        counts["pencils"] += 1
-        return pencil_term(*args)
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_integrate(*args, **kwargs):
+    integrate = calculus.integrate
+
+    def counting_integrate(c, T, requests, turns=None):
+        requests = list(requests)
         counts["integrate"] += 1
-        return integrate(*args, **kwargs)
+        counts["stems"] += len({id(stem) for _, stem in requests})
+        return integrate(c, T, requests, turns)
 
-    monkeypatch.setattr(kernels, "_pencil_term", counting_pencil)
+    monkeypatch.setattr(kernels, "_pencil_term", counting("pencils", kernels._pencil_term))
+    monkeypatch.setattr(contour, "_weights", counting("weights", contour._weights))
+    monkeypatch.setattr(contour, "_check_encloses",
+                        counting("encloses", contour._check_encloses))
     monkeypatch.setattr(calculus, "integrate", counting_integrate)
     monkeypatch.setattr(identities, "integrate", counting_integrate)
     return counts
@@ -298,8 +309,13 @@ def test_pointwise_rows_invert_one_pencil_per_point(rng, counted):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_verify_all_pencil_and_contour_counts(counted, seed):
+    # the integral rows make one pass per (operator, contour, side): two
+    # per product rule and per left/right row, one or two per vanishing
+    # integral, one per projector; each pass evaluates each of its
+    # stems' weights once and checks the enclosure once
     verify_all(seed=seed)
-    assert counted == {"pencils": 60, "integrate": 45}
+    assert counted == {"pencils": 60, "integrate": 21, "stems": 30, "weights": 30,
+                       "encloses": 21}
 
 
 def test_closing_rewrite_disagrees(rng):

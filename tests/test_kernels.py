@@ -112,7 +112,7 @@ def test_f_kernel_shift_spot(rng):
         s = random_resolvent_point(rng, T)
         FL = kernel(F, T, s)
         Qinv = kernel(Q, T, s)
-        lhs = FL.rmul(s) - T.as_matrix() @ FL
+        lhs = FL.rmul(s) - T.as_matrix @ FL
         assert rel(lhs, Qinv * -4.0) < 1e-12
 
 
@@ -121,7 +121,7 @@ def test_pseudo_resolvent_split_spot(rng):
         T = random_commuting_operator(rng, n)
         s = random_resolvent_point(rng, T)
         Qinv = kernel(Q, T, s)
-        uT = T.vector_part()
+        uT = T.vector_part
         left = (kernel(P2, T, s)
                 + uT @ kernel(F, T, s)) * 0.25
         right = (kernel(P2, T, s, "right")
@@ -134,9 +134,9 @@ def test_p2_kernel_shift_spot(rng):
     T = random_commuting_operator(rng, 3)
     s = random_resolvent_point(rng, T)
     P2L = kernel(P2, T, s)
-    lhs = P2L.rmul(s) - T.as_matrix() @ P2L
+    lhs = P2L.rmul(s) - T.as_matrix @ P2L
     rhs = (kernel(S, T, s)
-           - T.vector_part() @ kernel(Q, T, s)) * 4.0
+           - T.vector_part @ kernel(Q, T, s)) * 4.0
     assert rel(lhs, rhs) < 1e-12
 
 
@@ -209,8 +209,8 @@ def test_integral_representation_sign_pattern(rng):
     c = enclosing_circle(s_spectrum(T), margin=1.0, N=256)
     f = SlicePoly.left(Quaternion(0.5, 1, 0, 0), Quaternion(0, 0, 2, 0),
                        Quaternion(1, 0, 0, 3))
-    i0 = integrate(c, F, T, [f])[0]
-    i1 = integrate(c, F, T, [stem_shift(f)])[0]
+    i0 = integrate(c, T, [(F, f)])[0]
+    i1 = integrate(c, T, [(F, stem_shift(f))])[0]
     two_term = (i1 * -1.0 + i0.rmul(Quaternion(q.w))) * (1.0 / (2.0 * math.pi))
     direct = apply_calculus(CalculusKind.P2, f, T, c)
     assert rel(two_term, direct) < 1e-12
@@ -237,9 +237,9 @@ def test_s_series_at_zero():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_series_converge_to_kernels(rng, side):
     T = random_commuting_operator(rng, 3, scale=0.6)
-    nrm = T.as_matrix().norm()
+    nrm = T.as_matrix.norm()
     s = Quaternion(2.0 * nrm, 0.9 * nrm, -0.5 * nrm, 0.0)
-    assert T.as_matrix().norm() <= s.norm() / 2.0
+    assert T.as_matrix.norm() <= s.norm() / 2.0
     kp = kernel(P2, T, s, side)
     ks = kernel(S, T, s, side)
     assert rel(p2_series(T, s, 60, side), kp) < 1e-10
@@ -285,7 +285,7 @@ def _adjoint_kernel(kind, side, T, s):
     n = T.n
     sI = real_adjoint(QuatMatrix.from_scalar(s, n))
     Qinv = np.linalg.inv(real_adjoint(qcs_op(T, s)))
-    B = sI - real_adjoint(T.conjugate().as_matrix())
+    B = sI - real_adjoint(T.conjugate.as_matrix)
     T0 = real_adjoint(QuatMatrix.from_real(T.T0))
     return {
         (Q, "left"): Qinv,
@@ -404,15 +404,15 @@ def test_kernel_forms_check_every_side(rng):
 # -- the eigenbasis sum in blocks of upper nodes ------------------------------
 
 
-def _one_pass_moments(kind, T, z, c, c_conj):
+def _one_pass_moments(T, z, rows):
     """kernels._eigen_moments as one pass over all nodes and their
-    conjugates at once, with (n, 2U) work arrays: the reference that the
-    blocked sum equals bit for bit when the U upper nodes fit in one
-    block."""
+    conjugates at once, with (n, 2U) work arrays, row by row: the
+    reference that the blocked sum equals bit for bit when the U upper
+    nodes fit in one block."""
     basis = T.eigenbasis
     if basis is None:
         return None
-    n, P = T.n, kernels._DEGREE[kind] + 1
+    n = T.n
     lam = basis.values[:, :, None]
     nodes = np.concatenate((z, np.conj(z)))
     q = nodes * (nodes - 2.0 * lam[0]) + np.sum(lam * lam, axis=0)
@@ -421,17 +421,21 @@ def _one_pass_moments(kind, T, z, c, c_conj):
         bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
     if not np.all(bound <= kernels.COND_LIMIT):
         return None
-    g = 1.0 / q
-    if kind in kernels._FACTOR:
-        g *= g
-        g *= kernels._FACTOR[kind]
-    zp = np.ones((len(nodes), P), dtype=np.complex128)
-    for p in range(1, P):
-        zp[:, p] = zp[:, p - 1] * nodes
-    a = np.concatenate((c, c_conj), axis=1)[..., None] * zp[:, None, :]
-    D = g @ a.reshape(len(c), len(nodes), 4 * P)
-    D = np.moveaxis(D, 1, -1).reshape(len(c), 4, P, n)
-    return (basis.V * D[..., None, :]) @ basis.W
+    moments = []
+    for kind, c, c_conj in rows:
+        P = kernels._DEGREE[kind] + 1
+        g = 1.0 / q
+        if kind in kernels._FACTOR:
+            g *= g
+            g *= kernels._FACTOR[kind]
+        zp = np.ones((len(nodes), P), dtype=np.complex128)
+        for p in range(1, P):
+            zp[:, p] = zp[:, p - 1] * nodes
+        a = np.concatenate((c, c_conj), axis=1)[..., None] * zp[:, None, :]
+        D = g @ a.reshape(len(c), len(nodes), 4 * P)
+        D = np.moveaxis(D, 1, -1).reshape(len(c), 4, P, n)
+        moments.append((basis.V * D[..., None, :]) @ basis.W)
+    return moments
 
 
 def _blocked_and_one_pass(monkeypatch, contour, kind, T, stems):
@@ -444,10 +448,11 @@ def _blocked_and_one_pass(monkeypatch, contour, kind, T, stems):
         taken.append(_one_pass_moments(*args))
         return taken[-1]
 
-    blocked = integrate(contour, kind, T, stems)
+    requests = [(kind, g) for g in stems]
+    blocked = integrate(contour, T, requests)
     with monkeypatch.context() as m:
         m.setattr(kernels, "_eigen_moments", one_pass_moments)
-        one_pass = integrate(contour, kind, T, stems)
+        one_pass = integrate(contour, T, requests)
     assert len(taken) == 1 and taken[0] is not None
     return blocked, one_pass, len(slice_nodes(contour)[2])
 
@@ -524,17 +529,18 @@ def test_a_failing_node_in_the_last_block_takes_the_per_node_path(monkeypatch, k
     c, c_conj = np.random.default_rng(7).standard_normal((2, 2, U, 4))
     index = np.arange(U) + 1000
     J = Quaternion(0.0, 0.0, 1.0, 0.0).as_array()
-    assert kernels._eigen_moments(kind, T, near[:-1], c[:, :-1], c_conj[:, :-1]) is not None
-    assert kernels._eigen_moments(kind, T, near, c, c_conj) is None
+    assert kernels._eigen_moments(T, near[:-1], [(kind, c[:, :-1], c_conj[:, :-1])]) is not None
+    assert kernels._eigen_moments(T, near, [(kind, c, c_conj)]) is None
+    rows = [(kind, c, c_conj)]
     for side in ("left", "right"):
-        got = kernel_sum(kind, T, J, near, c, side, c_conj, index)
+        got, = kernel_sum(T, J, near, side, rows, index)
         with pytest.raises(SingularMatrixError) as err:
-            kernel_sum(kind, T, J, on, c, side, c_conj, index)
+            kernel_sum(T, J, on, side, rows, index)
         with monkeypatch.context() as m:
             m.setattr(kernels, "_eigen_moments", _one_pass_moments)
-            want = kernel_sum(kind, T, J, near, c, side, c_conj, index)
+            want, = kernel_sum(T, J, near, side, rows, index)
             with pytest.raises(SingularMatrixError) as one_pass:
-                kernel_sum(kind, T, J, on, c, side, c_conj, index)
+                kernel_sum(T, J, on, side, rows, index)
         assert got.tobytes() == want.tobytes()
         assert err.value.batch_index == one_pass.value.batch_index == U - 1 + 1000
         assert str(err.value) == str(one_pass.value)
@@ -548,10 +554,10 @@ def test_eigen_sum_work_arrays_do_not_grow_with_the_nodes(rng):
     J = E1.as_array()
     index = np.arange(U)
     # the eigenbasis is cached on T before tracing, and the sum takes it
-    assert kernels._eigen_moments(P2, T, z, c, c_conj) is not None
+    assert kernels._eigen_moments(T, z, [(P2, c, c_conj)]) is not None
     tracemalloc.start()
     try:
-        kernel_sum(P2, T, J, z, c, "left", c_conj, index)
+        kernel_sum(T, J, z, "left", [(P2, c, c_conj)], index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sspectrum import (E1, CalculusKind, CommutingOperator, Quaternion,
-                       QuatMatrix, auto_contour, gram, qcs_op,
+                       QuatMatrix, auto_contour, qcs_op,
                        riesz_projector, s_spectrum)
 from sspectrum import operators
 from sspectrum.errors import (CommutationError, EigenvalueError, InputError,
@@ -37,6 +37,34 @@ def test_no_eigenbasis_when_a_joint_eigenvalue_overflows():
             s_spectrum(T)
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_failing_eig_leaves_the_spheres_to_the_schur_route(monkeypatch, rng, n):
+    # LAPACK's eig raising LinAlgError (no finite input was found that
+    # makes it) means no basis, and the spectrum comes from the Schur
+    # form, equal to the basis's spheres within PAIRING_RTOL
+    T = random_commuting_operator(rng, n)
+    assert T.eigenbasis is not None
+    want = T.spheres
+
+    def failing_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    schur_values = operators._schur_values
+    taken = []
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    monkeypatch.setattr(operators, "_schur_values",
+                        lambda comps: taken.append(1) or schur_values(comps))
+    fresh = CommutingOperator(*T.components)
+    assert operators.joint_eigenbasis(fresh) is None
+    assert fresh.eigenbasis is None
+    got = fresh.spheres
+    assert taken
+    assert [s.multiplicity for s in got] == [s.multiplicity for s in want]
+    for a, b in zip(got, want):
+        assert abs(a.u - b.u) <= operators.PAIRING_RTOL * (1.0 + abs(b.u)), (a, b)
+        assert abs(a.v - b.v) <= operators.PAIRING_RTOL * (1.0 + abs(b.v)), (a, b)
+
+
 def test_commutation_checked():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -55,11 +83,11 @@ def test_components_must_be_square_and_of_one_size():
 
 def test_conj_op():
     T = CommutingOperator.from_quaternion(E1)
-    assert np.allclose(T.conjugate().T1, -T.T1)
+    assert np.allclose(T.conjugate.T1, -T.T1)
     Treal = diag_op([1.0, 2.0], [0.0, 0.0])
-    assert np.allclose(Treal.conjugate().T0, Treal.T0)
+    assert np.allclose(Treal.conjugate.T0, Treal.T0)
     T2 = diag_op([1.0, 0.0], [2.0, 3.0], [0.5, 0.5])
-    back = T2.conjugate().conjugate()
+    back = T2.conjugate.conjugate
     for a, b in zip(back.components, T2.components):
         assert np.array_equal(a, b)
 
@@ -68,22 +96,22 @@ def test_conj_identities(rng):
     from sspectrum.identities import random_commuting_operator
 
     T = random_commuting_operator(rng, 3)
-    Tbar = T.conjugate()
+    Tbar = T.conjugate
     # T + conj(T) = 2 T0 and T conj(T) = gram
-    s = (T.as_matrix() + Tbar.as_matrix())
+    s = (T.as_matrix + Tbar.as_matrix)
     assert np.allclose(s.data[..., 0], 2 * T.T0)
     assert np.linalg.norm(s.data[..., 1:]) < 1e-14
-    prod = T.as_matrix() @ Tbar.as_matrix()
-    assert np.allclose(prod.data[..., 0], gram(T), atol=1e-12)
+    prod = T.as_matrix @ Tbar.as_matrix
+    assert np.allclose(prod.data[..., 0], T.gram, atol=1e-12)
     assert np.linalg.norm(prod.data[..., 1:]) < 1e-12
 
 
 def test_gram_examples():
     T = CommutingOperator.from_quaternion(E1)
-    assert np.allclose(gram(T), [[1.0]])
-    assert np.allclose(gram(CommutingOperator.zero(2)), np.zeros((2, 2)))
+    assert np.allclose(T.gram, [[1.0]])
+    assert np.allclose(CommutingOperator.zero(2).gram, np.zeros((2, 2)))
     T2 = diag_op([0.0, 5.0], [1.0, 0.0])
-    assert np.allclose(gram(T2), np.diag([1.0, 25.0]))
+    assert np.allclose(T2.gram, np.diag([1.0, 25.0]))
 
 
 def test_spectrum_examples():
@@ -111,7 +139,7 @@ def test_spectrum_conj_invariant(rng):
 
     T = random_commuting_operator(rng, 3)
     a = [(s.u, s.v, s.multiplicity) for s in s_spectrum(T)]
-    b = [(s.u, s.v, s.multiplicity) for s in s_spectrum(T.conjugate())]
+    b = [(s.u, s.v, s.multiplicity) for s in s_spectrum(T.conjugate)]
     assert a == b
 
 
@@ -129,7 +157,7 @@ def test_qcs_op_real_point_is_real(rng):
     T = random_commuting_operator(rng, 3)
     Q = qcs_op(T, Quaternion(1.7))
     assert np.linalg.norm(Q.data[..., 1:]) == 0.0
-    K = gram(T)
+    K = T.gram
     assert np.allclose(Q.data[..., 0], 1.7 ** 2 * np.eye(3) - 2 * 1.7 * T.T0 + K)
 
 

@@ -63,7 +63,7 @@ def test_pairing_matches_stack_oracle(rng, kind, side):
     T = random_commuting_operator(rng, 3)
     for c in _contours(rng):
         for f in _stems(rng, side):
-            got = integrate(c, kind, T, [f])[0]
+            got = integrate(c, T, [(kind, f)])[0]
             want, scale = pair_per_node(c, partial(kernel, kind, T, side=side), f, side)
             assert (got - want).norm() <= 1e-12 * scale, (kind, side, c)
 
@@ -82,7 +82,7 @@ def test_pairing_matches_stack_oracle_across_chunks(rng):
     c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
     f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
     for kind in (CalculusKind.P2, CalculusKind.S):
-        got = integrate(c, kind, T, [f])[0]
+        got = integrate(c, T, [(kind, f)])[0]
         want, scale = pair_per_node(c, partial(kernel, kind, T, side="right"), f, "right")
         assert (got - want).norm() <= 1e-12 * scale, kind
 
@@ -92,18 +92,18 @@ def test_list_of_stems_gives_each_single_value(rng):
     c = _contours(rng)[2]
     stems = [SlicePoly.left(*[Quaternion(*rng.standard_normal(4)) for _ in range(3)])
              for _ in range(3)]
-    many = integrate(c, CalculusKind.F, T, stems)
-    assert [integrate(c, CalculusKind.F, T, [g])[0] for g in stems] == many
+    many = integrate(c, T, [(CalculusKind.F, g) for g in stems])
+    assert [integrate(c, T, [(CalculusKind.F, g)])[0] for g in stems] == many
 
 
 def test_stems_of_two_sides_are_refused(rng):
     T = random_commuting_operator(rng, 3)
     c = _contours(rng)[0]
-    assert integrate(c, CalculusKind.S, T, []) == []
+    assert integrate(c, T, []) == []
     for stems in ([SlicePoly.left(1.0), SlicePoly.right(1.0)],
                   [SlicePoly.right(1.0), _Callable(lambda s: s, "left")]):
         with pytest.raises(PreconditionError, match="common stem side"):
-            integrate(c, CalculusKind.S, T, stems)
+            integrate(c, T, [(CalculusKind.S, g) for g in stems])
 
 
 def _paired_on_side(c, kind, T, f, side):
@@ -118,7 +118,8 @@ def _paired_on_side(c, kind, T, f, side):
     paired = mirror >= 0
     c_conj = np.zeros((1, len(upper), 4))
     c_conj[:, paired] = weights[:, mirror[paired]]
-    return kernels.kernel_sum(kind, T, J, z[upper], weights[:, upper], side, c_conj, upper)[0]
+    return kernels.kernel_sum(T, J, z[upper], side, [(kind, weights[:, upper], c_conj)],
+                              upper)[0][0]
 
 
 @pytest.mark.parametrize("kind", list(CalculusKind))
@@ -129,7 +130,7 @@ def test_the_stem_side_picks_the_kernel_form_bit_for_bit(rng, kind):
         for c in _contours(rng)[:2]:
             for side in ("left", "right"):
                 f = SlicePoly(side, [Quaternion(*rng.standard_normal(4)) for _ in range(4)])
-                got = integrate(c, kind, T, [f])[0]
+                got = integrate(c, T, [(kind, f)])[0]
                 want = _paired_on_side(c, kind, T, f, side)
                 assert got.data.tobytes() == want.tobytes(), (kind, side, c)
 
@@ -174,7 +175,7 @@ def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
     monkeypatch.setattr(kernels, "_pencil_term", counting)
     T = _jordan_operator(3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
-    integrate(c, CalculusKind.P2, T, [SlicePoly.left(1.0, 2.0)])
+    integrate(c, T, [(CalculusKind.P2, SlicePoly.left(1.0, 2.0))])
     assert len(inverted) == expect == len(set(inverted))
 
 
@@ -188,7 +189,7 @@ def test_diagonalisable_operator_inverts_no_pencil(monkeypatch, kind):
     c = Contour(random_imaginary_unit(np.random.default_rng(6)),
                 (Circle(0.0, 2.0), DiskPair(0.0, 5.0, 1.0)), 64)
     for side in ("left", "right"):
-        integrate(c, kind, T, [SlicePoly.monomial(2, side=side)])
+        integrate(c, T, [(kind, SlicePoly.monomial(2, side=side))])
 
 
 @pytest.mark.parametrize("argv", [
@@ -240,7 +241,7 @@ def test_node_on_spectrum_names_its_index(hit, first):
     T = _spectrum_through(slice_nodes(c)[0][hit])
     for kind in (CalculusKind.Q, CalculusKind.P2, CalculusKind.S):
         with pytest.raises(SingularMatrixError) as err:
-            integrate(c, kind, T, [SlicePoly.left(1.0)])
+            integrate(c, T, [(kind, SlicePoly.left(1.0))])
         assert err.value.batch_index == first
         assert f"node {first} " in str(err.value)
 

@@ -27,7 +27,18 @@ stderr.  Run the sweep in two checkouts and compare the files.
 (same exit code, stdout and stderr), and per command and object key,
 the largest deviation of a float relative to the largest finite |value|
 of its document in A, and lists every run whose exit code, stderr error
-kind or non-float content differs.  It exits 1 when it lists a run.
+kind or non-float content differs.  It exits 1 when it lists such a run.
+
+Every stem of the sweep is a polynomial, so every ``apply`` run has an
+exact reference: the stem at T for S, and ``fueter_apply(f, op)`` at T
+for the image under D, Dbar or Delta for Q, P2 and F (the package's
+``PAPoly.at_operator``).  ``--compare`` rebuilds the runs' documents,
+prints per file and per group of ``apply`` runs (workload, whole
+spectrum, corpus) how many are within CLOSED_FORM_RTOL of that
+reference, the largest deviation of a float of the value from the
+reference relative to the reference's largest |float| (a run that
+exits non-zero is not), and lists the runs whose relative error grew
+from A to B.
 
 The file is not collected by pytest.
 """
@@ -54,6 +65,7 @@ WHOLE_SPECTRUM_SEED = 501
 CORPUS_T1 = (0.0, 0.3)
 CORPUS_STEM = [[0.5, -1.0, 0.25, 2.0], [1.0, 0.0, -0.5, 0.75],
                [-0.25, 1.5, 1.0, 0.0], [0.125, -0.5, 0.0, 1.0]]
+CLOSED_FORM_RTOL = 1e-8
 
 
 def _invocations(workdir):
@@ -109,8 +121,12 @@ def _argv(config):
     return argv
 
 
-def sweep(out_path) -> None:
+def _import_paths():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+
+def sweep(out_path) -> None:
+    _import_paths()
     from sspectrum import cli
 
     with tempfile.TemporaryDirectory() as workdir, open(out_path, "w") as fh:
@@ -196,6 +212,62 @@ def _error_kind(stderr):
         return stderr
 
 
+def _apply_group(run_id):
+    """The group of an apply run: workload, whole spectrum or corpus."""
+    if " seed=" not in run_id:
+        return "corpus"
+    return "whole spectrum" if run_id.endswith(" whole") else "workload"
+
+
+def _closed_form_errors(run_ids, runs_by_file):
+    """{run id: relative error against the closed form} for every apply
+    run among run_ids, per file, inf where the run did not exit 0."""
+    _import_paths()
+    import numpy as np
+    from sspectrum.operators import load_operator
+    from sspectrum.slicefn import FueterOp, PAPoly, fueter_apply, load_stem
+
+    images = {"q": FueterOp.D, "p2": FueterOp.DBAR, "f": FueterOp.DELTA}
+    errors = [{} for _ in runs_by_file]
+    with tempfile.TemporaryDirectory() as workdir:
+        for run_id, argv in _invocations(workdir):
+            if argv[0] != "apply" or run_id not in run_ids:
+                continue
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            T = load_operator(flags["--operator"])
+            f = load_stem(flags["--function"])
+            kind = flags.get("--calculus", "s")
+            if kind == "s":
+                image = PAPoly({(m, 0): c for m, c in enumerate(f.coeffs)}, f.side)
+            else:
+                image = fueter_apply(f, images[kind])
+            ref = image.at_operator(T).data
+            for runs, out in zip(runs_by_file, errors):
+                run = runs[run_id]
+                if run["exit"] != 0:
+                    out[run_id] = math.inf
+                    continue
+                diff = np.abs(np.array(json.loads(run["stdout"])) - ref).max()
+                out[run_id] = float(diff / np.abs(ref).max())
+    return errors
+
+
+def _closed_form_report(paths, errors) -> None:
+    groups = sorted({_apply_group(run_id) for run_id in errors[0]})
+    print(f"apply runs within {CLOSED_FORM_RTOL:g} of the closed form:")
+    for path, errs in zip(paths, errors):
+        for group in groups:
+            member = [e for run_id, e in errs.items() if _apply_group(run_id) == group]
+            good = sum(e <= CLOSED_FORM_RTOL for e in member)
+            finite = [e for e in member if math.isfinite(e)]
+            worst = f", worst finite {max(finite):.1e}" if finite else ""
+            print(f"  {path} {group}: {good} of {len(member)}{worst}")
+    a, b = errors
+    for run_id in sorted(a):
+        if b[run_id] > a[run_id] or (math.isnan(b[run_id]) and not math.isnan(a[run_id])):
+            print(f"error grew: {run_id} ({a[run_id]:.3e} -> {b[run_id]:.3e})")
+
+
 def compare(path_a, path_b) -> int:
     load = lambda p: {r["id"]: r for r in map(json.loads, Path(p).read_text().splitlines())}
     runs_a, runs_b = load(path_a), load(path_b)
@@ -205,7 +277,8 @@ def compare(path_a, path_b) -> int:
         a, b = runs_a[run_id], runs_b[run_id]
         command = run_id.split()[0]
         same[command] = same.get(command, 0) + (a == b)
-        devs = _deviations(_tokens(a["stdout"]), _tokens(b["stdout"])) if a["stdout"] else {}
+        devs = (_deviations(_tokens(a["stdout"]), _tokens(b["stdout"]))
+                if a["stdout"] and b["stdout"] else {})
         if (a["exit"] != b["exit"] or _error_kind(a["stderr"]) != _error_kind(b["stderr"])
                 or bool(a["stdout"]) != bool(b["stdout"]) or devs is None):
             differ.append(run_id)
@@ -221,6 +294,8 @@ def compare(path_a, path_b) -> int:
     print("largest float deviation relative to the document's largest |value|:")
     for (command, key), (dev, run_id) in sorted(worst.items(), key=str):
         print(f"  {command} {key or 'values'}: {dev:.3e} ({run_id})")
+    both = set(runs_a) & set(runs_b)
+    _closed_form_report((path_a, path_b), _closed_form_errors(both, (runs_a, runs_b)))
     for run_id in differ:
         print(f"differs: {run_id}")
     return 1 if differ else 0
