@@ -52,12 +52,13 @@ EIGEN_BLOCK upper nodes, each with its conjugates, so their work arrays
 are (n, 2 EIGEN_BLOCK) however long the contour; a contour whose upper
 nodes fit in one block is summed by exactly the arithmetic of one pass
 over all nodes.  A block's q, its bound and 1/q serve every row.  The
-per-node path inverts the pencil at the nodes on or above the real axis
-only, since the pencil is real and Q(conj z)^-1 = conj Q(z)^-1.  It runs when T has no eigenbasis (a
-Jordan block, say) or when the bound n kappa_2(V)^2 max|q| / min|q| on
-a pencil's condition number exceeds COND_LIMIT at some node of any
-block; it is then the one path that raises SingularMatrixError for
-that node.
+per-node path inverts the pencil once at each node on or above the
+real axis, since the pencil is real and Q(conj z)^-1 = conj Q(z)^-1,
+and every row takes its G from that one inverse.  It runs when T has
+no eigenbasis (a Jordan block, say) or when the bound
+n kappa_2(V)^2 max|q| / min|q| on a pencil's condition number exceeds
+COND_LIMIT at some node of any block; it is then the one path that
+raises SingularMatrixError for that node.
 
 Scalar (n = 1) closed forms of the same kernels are provided separately
 as the function-theory oracles.
@@ -131,19 +132,11 @@ def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
     kind = CalculusKind(kind)
     _check_side(side)
     s_arr = np.asarray(s_arr, dtype=np.float64)
-    squeeze = s_arr.ndim == 1
-    if squeeze:
-        s_arr = s_arr[None, :]
-    n = T.n
-    K = T.gram
-    out = np.empty(s_arr.shape[:1] + (n, n, 4))
-    chunk = max(1, BATCH_ENTRIES // (n * n))
-    for lo in range(0, len(s_arr), chunk):
-        hi = min(lo + chunk, len(s_arr))
-        z, J = _slice_coordinates(s_arr[lo:hi])
-        G = _pencil_term(kind, T.T0, K, z, np.arange(lo, hi))
-        out[lo:hi] = _form(kind, side, T, z, J, G)
-    return out[0] if squeeze else out
+    z, J = _slice_coordinates(np.atleast_2d(s_arr))
+    out = np.empty((len(z), T.n, T.n, 4))
+    for part, Qinv in _inverses(T, z, np.arange(len(z))):
+        out[part] = _form(kind, side, T, z[part], J[part], _factored(kind, Qinv))
+    return out[0] if s_arr.ndim == 1 else out
 
 
 def kernel_forms(T: CommutingOperator, s: Quaternion, forms) -> list:
@@ -156,7 +149,7 @@ def kernel_forms(T: CommutingOperator, s: Quaternion, forms) -> list:
     for _, side in forms:
         _check_side(side)
     z, J = _slice_coordinates(s.as_array()[None, :])
-    Qinv = _pencil_term(CalculusKind.Q, T.T0, T.gram, z, np.arange(1))
+    Qinv = _pencil_term(T, z, np.arange(1))
     G = {kind: _factored(kind, Qinv) for kind, _ in forms}
     return [QuatMatrix(_form(kind, side, T, z, J, G[kind])[0]) for kind, side in forms]
 
@@ -197,9 +190,10 @@ def kernel_sum(T: CommutingOperator, J, z, side: str, rows, index) -> list:
     sum_q Phi_q e_q on the left side and sum_q e_q Phi_q on the right.
 
     The moments are summed in T's joint eigenbasis, as scalar sums over
-    the joint eigenvalues that every row shares (_eigen_moments), and by
-    one pencil inversion per node and row (_node_moments) when T has no
-    eigenbasis or a node's pencil may be too ill-conditioned for it.
+    the joint eigenvalues that every row shares (_eigen_moments), or
+    from one pencil inverse per node that every row shares
+    (_node_moments) when T has no eigenbasis or a node's pencil may be
+    too ill-conditioned for it.
     Each row's value is the same, bit for bit, as when it is the only
     row.
     """
@@ -210,8 +204,7 @@ def kernel_sum(T: CommutingOperator, J, z, side: str, rows, index) -> list:
              np.asarray(c_conj, dtype=np.float64)) for kind, c, c_conj in rows]
     moments = _eigen_moments(T, z, rows)
     if moments is None:
-        moments = [_node_moments(kind, T, z, c, c_conj, np.asarray(index))
-                   for kind, c, c_conj in rows]
+        moments = _node_moments(T, z, rows, np.asarray(index))
     sums = []
     for (kind, c, _), M in zip(rows, moments):
         Phi = _to_quaternion(*_kernel_parts(kind, side, T, M), J, side)
@@ -282,30 +275,29 @@ def _eigen_moments(T, z, rows):
             for Dr, (_, c, _), P in zip(D, rows, degrees)]
 
 
-def _node_moments(kind, T, z, c, c_conj, index):
-    """The moments M_{q,p} of kernel_sum, (S, 4, P, n, n), from one
-    pencil inversion per node, a chunk of nodes at a time."""
+def _node_moments(T, z, rows, index):
+    """The moments M_{q,p} of kernel_sum, one (S, 4, P, n, n) stack per
+    row for P powers of z, from one pencil inverse per node that every
+    row shares, a chunk of nodes at a time."""
     n = T.n
-    K = T.gram
-    powers = np.arange(_DEGREE[kind] + 1)
-    rows = 4 * len(powers)
-    moments = np.zeros((len(c), 2 * rows, n * n))
-    chunk = max(1, BATCH_ENTRIES // (n * n))
-    for lo in range(0, len(z), chunk):
-        hi = min(lo + chunk, len(z))
-        G = _pencil_term(kind, T.T0, K, z[lo:hi], index[lo:hi])
-        G = np.concatenate((G.real, G.imag)).reshape(2 * (hi - lo), n * n)
-        zp = z[lo:hi, None] ** powers
-        for r in range(len(c)):
-            # a G + conj(b G) = (a + conj b) Re G + i (a - conj b) Im G for
-            # a = c z^p and b = c_conj z^p, as one real product
-            a = (c[r, lo:hi, :, None] * zp[:, None, :]).reshape(hi - lo, rows).T
-            b_bar = np.conj(c_conj[r, lo:hi, :, None] * zp[:, None, :]).reshape(hi - lo, rows).T
-            plus, minus = a + b_bar, a - b_bar
-            L = np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
-            moments[r] += L @ G
-    return (moments[:, :rows] + 1j * moments[:, rows:]).reshape(
-        len(c), 4, len(powers), n, n)
+    degrees = [_DEGREE[kind] + 1 for kind, _, _ in rows]
+    moments = [np.zeros((len(c), 8 * P, n * n)) for (_, c, _), P in zip(rows, degrees)]
+    for part, Qinv in _inverses(T, z, index):
+        zp = z[part, None] ** np.arange(max(degrees))
+        m = len(zp)
+        for (kind, c, c_conj), P, M in zip(rows, degrees, moments):
+            G = _factored(kind, Qinv)
+            G = np.concatenate((G.real, G.imag)).reshape(2 * m, n * n)
+            for r in range(len(c)):
+                # a G + conj(b G) = (a + conj b) Re G + i (a - conj b) Im G for
+                # a = c z^p and b = c_conj z^p, as one real product
+                a = (c[r, part, :, None] * zp[:, None, :P]).reshape(m, 4 * P).T
+                b_bar = np.conj(c_conj[r, part, :, None] * zp[:, None, :P]).reshape(m, 4 * P).T
+                plus, minus = a + b_bar, a - b_bar
+                L = np.block([[plus.real, -minus.imag], [plus.imag, minus.real]])
+                M[r] += L @ G
+    return [(M[:, :4 * P] + 1j * M[:, 4 * P:]).reshape(len(c), 4, P, n, n)
+            for M, (_, c, _), P in zip(moments, rows, degrees)]
 
 
 def _check_side(side):
@@ -325,14 +317,21 @@ def _slice_coordinates(s_arr):
     return s_arr[:, 0] + 1j * b, J
 
 
-def _pencil_term(kind, T0, K, z, index):
-    """G(z) for complex nodes z (N,): Q^-1 for the S and Q kernels, and
-    -4 Q^-2 or 4 Q^-2 for F and P2, with Q(z) = z^2 I - 2 z T0 + K.
+def _inverses(T, z, index):
+    """Q(z)^-1 for the complex nodes z (N,), BATCH_ENTRIES // n^2 nodes
+    at a time: yields each chunk's slice of z with its inverses."""
+    chunk = max(1, BATCH_ENTRIES // (T.n * T.n))
+    for lo in range(0, len(z), chunk):
+        part = slice(lo, lo + chunk)
+        yield part, _pencil_term(T, z[part], index[part])
+
+
+def _pencil_term(T, z, index):
+    """Q(z)^-1 for complex nodes z (N,), with Q(z) = z^2 I - 2 z T0 + K.
     Raises SingularMatrixError naming the first ill-conditioned node by
     its label in index."""
-    n = T0.shape[0]
-    Q = K - 2.0 * z[:, None, None] * T0
-    idx = np.arange(n)
+    Q = T.gram - 2.0 * z[:, None, None] * T.T0
+    idx = np.arange(T.n)
     Q[:, idx, idx] += (z * z)[:, None]
     try:
         Qinv = np.linalg.inv(Q)
@@ -345,11 +344,11 @@ def _pencil_term(kind, T0, K, z, index):
     if np.any(bad):
         which = int(np.argmax(bad))
         label = int(index[which])
-        raise SingularMatrixError(
-            f"pencil at node {label} has condition {cond[which]:.3e} "
-            f"above {COND_LIMIT:.0e}",
-            batch_index=label)
-    return _factored(kind, Qinv)
+        reason = (f"has condition {cond[which]:.3e} above {COND_LIMIT:.0e}"
+                  if np.isfinite(cond[which]) else
+                  "is numerically singular: its condition is not finite")
+        raise SingularMatrixError(f"pencil at node {label} {reason}", batch_index=label)
+    return Qinv
 
 
 def _factored(kind, Qinv):

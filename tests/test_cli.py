@@ -666,6 +666,22 @@ def test_overflow_is_a_numeric_error(tmp_path, capsys, coeffs, scale):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "NumericError"
 
 
+def test_a_pencil_of_no_finite_condition_is_named_singular(tmp_path, capsys):
+    # every entry of the pencil is a product of two numbers near 1e-200,
+    # which underflows to zero: no inverse, and a NaN condition
+    op = write_json(tmp_path / "op.json", {"T0": [[1e-200, 0.0], [0.0, -1e-200]],
+                                           "T1": [[1e-200, 0.0], [0.0, 0.0]]})
+    f = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[1, 0, 0, 0], [0, 1, 0, 0]]})
+    assert cli.main(["apply", "--calculus", "s", "--operator", op, "--function", f]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "SingularMatrixError"
+    assert error["message"] == ("pencil at node 0 is numerically singular: "
+                                "its condition is not finite")
+    assert "nan" not in error["message"]
+
+
 def test_spectrum_beyond_the_float_range_is_a_numeric_error(tmp_path, capsys):
     op = write_json(tmp_path / "op.json", {"T0": [[1e308, 1e308], [1e308, 1e308]]})
     assert cli.main(["spectrum", "--operator", op]) == 4

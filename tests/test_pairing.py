@@ -165,18 +165,25 @@ def test_node_set_exactly_conjugate_symmetric(N):
     (64, (Circle(0.0, 2.0), DiskPair(0.0, 5.0, 1.0)), 97),
 ])
 def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
+    # one inversion per upper node and pass, however many kinds and
+    # stems the pass serves
     inverted = []
     original = kernels._pencil_term
 
-    def counting(kind, T0, K, z, index):
+    def counting(T, z, index):
         inverted.extend(index.tolist())
-        return original(kind, T0, K, z, index)
+        return original(T, z, index)
 
     monkeypatch.setattr(kernels, "_pencil_term", counting)
     T = _jordan_operator(3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
-    integrate(c, T, [(CalculusKind.P2, SlicePoly.left(1.0, 2.0))])
-    assert len(inverted) == expect == len(set(inverted))
+    f, g = SlicePoly.left(1.0, 2.0), SlicePoly.left(0.5, -1.0, 3.0)
+    for requests in ([(CalculusKind.P2, f)],
+                     [(kind, f) for kind in CalculusKind],
+                     [(kind, h) for kind in CalculusKind for h in (f, g)]):
+        inverted.clear()
+        integrate(c, T, requests)
+        assert len(inverted) == expect == len(set(inverted)), requests
 
 
 @pytest.mark.parametrize("kind", list(CalculusKind))

@@ -4,7 +4,7 @@ import pytest
 from conftest import rel
 from sspectrum import E1, E2, E3, Quaternion, QuatMatrix, real_adjoint
 from sspectrum.errors import SingularMatrixError
-from sspectrum.qlinalg import matmul, product_matrices, qmul_arr, solve_arr
+from sspectrum.qlinalg import matmul, product_matrices, qinv_arr, qmul_arr, solve_arr
 
 
 def random_qm(rng, n, scale=1.0):
@@ -27,6 +27,23 @@ def test_unit_product_diagonal():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         QuatMatrix.identity(2) @ QuatMatrix.identity(3)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: qinv_arr(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])),
+                 ZeroDivisionError, id="qinv_arr-zero"),
+    pytest.param(lambda: solve_arr(np.zeros((2, 3, 4)), np.zeros((2, 1, 4))),
+                 ValueError, id="solve_arr-A-not-square"),
+    pytest.param(lambda: solve_arr(np.zeros((2, 2, 3)), np.zeros((2, 1, 4))),
+                 ValueError, id="solve_arr-A-not-quaternion"),
+    pytest.param(lambda: solve_arr(np.zeros((2, 2, 4)), np.zeros((3, 1, 4))),
+                 ValueError, id="solve_arr-B-rows"),
+    pytest.param(lambda: QuatMatrix(np.zeros((2, 3, 4))), ValueError, id="QuatMatrix-not-square"),
+    pytest.param(lambda: QuatMatrix(np.zeros((2, 2))), ValueError, id="QuatMatrix-not-quaternion"),
+])
+def test_malformed_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_left_right_scalar_actions_differ():

@@ -154,3 +154,28 @@ def test_norm_example():
 def test_nan_imaginary_unit_is_rejected(value):
     with pytest.raises(InputError):
         imaginary_unit(value)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: Quaternion.from_array([1.0, 2.0, 3.0]), InputError, id="from_array-3"),
+    pytest.param(lambda: Quaternion.from_array([1.0] * 5), InputError, id="from_array-5"),
+    pytest.param(lambda: Quaternion(1.0) + "1", TypeError, id="add-str"),
+    pytest.param(lambda: qinv(None), TypeError, id="qinv-None"),
+])
+def test_malformed_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call, expect", [
+    pytest.param(lambda: Quaternion(1.0, 2.0, 3.0, 4.0) + 2, Quaternion(3.0, 2.0, 3.0, 4.0),
+                 id="add-int"),
+    pytest.param(lambda: 0.5 + Quaternion(1.0, 2.0, 3.0, 4.0), Quaternion(1.5, 2.0, 3.0, 4.0),
+                 id="radd-float"),
+    pytest.param(lambda: Quaternion(1.0, 2.0, 3.0, 4.0) - 1, Quaternion(0.0, 2.0, 3.0, 4.0),
+                 id="sub-int"),
+    pytest.param(lambda: qinv(4), Quaternion(0.25), id="qinv-int"),
+    pytest.param(lambda: qs_poly(1.0, E1), Quaternion(0.0, -2.0), id="qs_poly-float"),
+])
+def test_numbers_are_real_quaternions(call, expect):
+    assert call() == expect

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import qrel, random_unit_ball_quaternion
 from sspectrum import (E1, CommutingOperator, Quaternion, SlicePoly, dconj_power,
                        fd_fueter_oracle, fueter_apply, stem_product, stem_shift)
-from sspectrum.errors import IntrinsicError
+from sspectrum.errors import InputError, IntrinsicError
 from sspectrum.quat import random_quaternion
 from sspectrum.slicefn import (_POWER_RULES, FueterOp, PAPoly, load_stem, save_stem,
                                stem_from_dict, stem_to_dict)
@@ -278,3 +278,24 @@ def test_at_operator_of_a_scalar_operator_is_evaluate(rng, side):
             want = P.evaluate(q)
             got = P.at_operator(T).entry(0, 0)
             assert (got - want).norm() <= 1e-13 * max(1.0, want.norm()), (trial, P)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: SlicePoly("left", [1.0]), InputError, id="stem-float-coefficient"),
+    pytest.param(lambda: SlicePoly.left([1.0, 2.0]), InputError, id="stem-array-of-2"),
+    pytest.param(lambda: PAPoly({(1, 0): 1.0}, side="up"), InputError, id="papoly-side"),
+    pytest.param(lambda: PAPoly({(1, 0): E1}).conjugate(), InputError,
+                 id="papoly-conjugate-vector-coefficient"),
+    pytest.param(lambda: dconj_power(0), InputError, id="dconj_power-0"),
+    pytest.param(lambda: fd_fueter_oracle(q_mono(1), Quaternion(), FueterOp.D, h=0.0),
+                 InputError, id="fd-step-0"),
+    pytest.param(lambda: fd_fueter_oracle(q_mono(1), Quaternion(), FueterOp.D, h=-1e-3),
+                 InputError, id="fd-step-negative"),
+])
+def test_malformed_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_stem_coefficients_may_be_quaternion_arrays():
+    assert SlicePoly.left([0.0, 1.0, 0.0, 0.0], 2).coeffs == (E1, Quaternion(2.0))

@@ -10,8 +10,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from sspectrum import CalculusKind, kernels
 from sspectrum.cli import RunConfig, run
 from sspectrum.contour import Circle, Contour, auto_contour, save_contour
+from sspectrum.identities import random_commuting_operator, random_resolvent_point
 from sspectrum.operators import load_operator
 from sspectrum.quat import E1, E2
 
@@ -60,3 +64,18 @@ def test_contour_counters_match_the_contour(monkeypatch, tmp_path):
         assert tracer.calls["contour.integrate"] == 1
         assert tracer.counts["contour.circles"] == circles
         assert tracer.counts["contour.nodes"] == circles * c.nodes_per_circle
+
+
+def test_node_counter_reads_the_points_of_kernel_at_nodes(monkeypatch):
+    # the counter reads s_arr as the third argument: N for an (N, 4)
+    # array, 1 for a single (4,) point
+    tracing = _tracing(monkeypatch)
+    rng = np.random.default_rng(3)
+    T = random_commuting_operator(rng, 3)
+    points = np.stack([random_resolvent_point(rng, T).as_array() for _ in range(5)])
+    with tracing.Tracer() as tracer:
+        tracer.active = True
+        kernels.kernel_at_nodes(CalculusKind.S, T, points, "left")
+        kernels.kernel_at_nodes(CalculusKind.P2, T, points[0], "right")
+    assert tracer.calls["kernels.kernel_at_nodes"] == 2
+    assert tracer.counts["kernels.nodes"] == len(points) + 1
