@@ -27,6 +27,7 @@ evaluated on its own.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
@@ -41,7 +42,7 @@ from .contour import (DEFAULT_NODES, Contour, auto_contour, check_winding,
 from .errors import InputError, NumericError, PreconditionError
 from .kernels import kernel, kernel_forms
 from .operators import CommutingOperator
-from .qlinalg import QuatMatrix
+from .qlinalg import QuatMatrix, eye_arr, frobenius, matmul, qmul_arr
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
 from .slicefn import SlicePoly, stem_product, stem_shift
 
@@ -192,43 +193,65 @@ def _p2_kernel_shift(T, s, p=None, side="left"):
 def _p2_kernel_power_shift(T, s, p=None, m=3, side="left"):
     """One pair per degree, m one degree or a sequence of them.  The
     four-fold sums of every degree come from one pass over the powers
-    T^i: each of T^i, T^i S and T^i uT Q is formed once and added, in
-    increasing i, to the sums of the degrees above i; at i = m the
-    degree-m pair is complete."""
-    degrees = [m] if isinstance(m, int) else list(m)
-    Qs, Ss, P2s = kernel_forms(T, s, [(Q, "left"), (S, side), (P2, side)])
-    uT = T.vector_part
-    Mt = T.as_matrix
-    A = {k: QuatMatrix.zeros(T.n) for k in degrees}
-    Bm = dict(A)
-    pairs = {}
-    tpow = QuatMatrix.identity(T.n)
-    top = max(degrees, default=0)
-    spows = [s ** i for i in range(top + 1)]
+    T^i: at each i, T^i S and T^i uT Q are formed once, and their
+    products with the powers of s that the degrees above i take are
+    added, as one stack, to the sums of those degrees in increasing i;
+    at i = m the degree-m pair is complete.  The stacks hold one matrix
+    per distinct degree asked for, however high the degrees."""
+    degrees = _degrees_of(m)
+    Qs, Ss, P2s = (K.data for K in
+                   kernel_forms(T, s, [(Q, "left"), (S, side), (P2, side)]))
+    uT, Mt = T.vector_part.data, T.as_matrix.data
+    order = sorted(set(degrees))
+    top, ahead = order[-1], np.array(order)
+    spows = np.array([[q.w, q.x, q.y, q.z] for q in s.powers(top)])
+    left = side == "left"
+
+    def scaled(X, spow):
+        # X.rmul(spow) on the left side, X.lmul(spow) on the right, for a
+        # stack of scalars spow (D, 4)
+        spow = spow[..., None, None, :]
+        return qmul_arr(X, spow) if left else qmul_arr(spow, X)
+
+    # sums[0][d] and sums[1][d]: the sums of T^i S and T^i uT Q of degree order[d]
+    sums = np.zeros((2, len(order), T.n, T.n, 4))
+    tpow_p2 = np.empty((len(order), T.n, T.n, 4))
+    tpow = eye_arr(T.n)
+    Qs_uT = None if left else matmul(Qs, uT)
+    done = 0  # the degrees order[:done] are complete
     for i in range(top + 1):
-        if i in A:
-            if side == "left":
-                lhs = P2s.rmul(spows[i]) - tpow @ P2s
-            else:
-                lhs = P2s.lmul(spows[i]) - P2s @ tpow
-            pairs[i] = (lhs, A[i] * 4.0 - Bm[i] * 4.0)
+        if order[done] == i:
+            tpow_p2[done] = matmul(tpow, P2s) if left else matmul(P2s, tpow)
+            done += 1
         if i == top:
             break
-        if side == "left":
-            X, Y = tpow @ Ss, tpow @ uT @ Qs
+        if left:
+            XY = np.array((matmul(tpow, Ss), matmul(matmul(tpow, uT), Qs)))
         else:
-            X, Y = Ss @ tpow, Qs @ uT @ tpow
-        for k in degrees:
-            if k > i:
-                spow = spows[k - i - 1]
-                if side == "left":
-                    A[k] = A[k] + X.rmul(spow)
-                    Bm[k] = Bm[k] + Y.rmul(spow)
-                else:
-                    A[k] = A[k] + X.lmul(spow)
-                    Bm[k] = Bm[k] + Y.lmul(spow)
-        tpow = tpow @ Mt
+            XY = np.array((matmul(Ss, tpow), matmul(Qs_uT, tpow)))
+        sums[:, done:] += scaled(XY[:, None], spows[ahead[done:] - i - 1])
+        tpow = matmul(tpow, Mt)
+    # P2s as a stack of one: with one degree at n = 1, a product of
+    # (1, 1) and (1, 1, 1) entries would take numpy's strided loop, whose
+    # complex product rounds otherwise than that of equal shapes
+    lhs = scaled(P2s[None], spows[order]) - tpow_p2
+    rhs = sums[0] * 4.0 - sums[1] * 4.0
+    pairs = {k: (QuatMatrix._adopt(lhs[d]), QuatMatrix._adopt(rhs[d]))
+             for d, k in enumerate(order)}
     return [pairs[k] for k in degrees]
+
+
+def _degrees_of(m) -> list:
+    """The degrees of a power shift, m one degree or a sequence of them;
+    InputError for an empty sequence or a degree that is not a
+    non-negative integer."""
+    degrees = list(m) if isinstance(m, Iterable) else [m]
+    if not degrees:
+        raise InputError(f"the power shift needs at least one degree m, got {m!r}")
+    for k in degrees:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise InputError(f"power shift degree m must be a non-negative integer, got {k!r}")
+    return [int(k) for k in degrees]
 
 
 def _no_options(rng, T):
@@ -447,7 +470,7 @@ def random_commuting_operator(rng, n: int, zero_e3: bool = False,
     M = rng.standard_normal((n, n))
     if symmetric_base:
         M = 0.5 * (M + M.T)
-    M /= max(np.linalg.norm(M), 1e-12)
+    M /= max(frobenius(M), 1e-12)
     I, M2 = np.eye(n), M @ M
     # three coefficients per drawn component, in one draw: the same
     # stream as one draw per coefficient
@@ -488,7 +511,8 @@ def random_resolvent_point(rng, T: CommutingOperator, min_dist: float = 0.3,
     for _ in range(5000):
         u = rng.uniform(-1.5 * reach, 1.5 * reach)
         v = rng.uniform(0.0, 1.5 * reach)
-        if any(sp.point_distance(u, v) < min_dist for sp in spheres):
+        # sp.point_distance(u, v), v >= 0
+        if any(math.hypot(sp.u - u, sp.v - v) < min_dist for sp in spheres):
             continue
         if avoid is not None and math.hypot(u - au, v - av) < 0.25:
             continue

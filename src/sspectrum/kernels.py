@@ -110,15 +110,21 @@ class CalculusKind(Enum):
     P2 = "p2"
     F = "f"
 
+    # members are singletons that compare by identity, so they may hash
+    # by it: Enum's own __hash__ hashes the name in Python at every
+    # lookup of a table keyed by kind
+    __hash__ = object.__hash__
+
 
 _FACTOR = {CalculusKind.F: -4.0, CalculusKind.P2: 4.0}
 # highest power of the slice node z that multiplies G in each kernel
 _DEGREE = {CalculusKind.Q: 0, CalculusKind.S: 1, CalculusKind.F: 1,
            CalculusKind.P2: 2}
-# x @ _UNIT_PRODUCTS[side][q] is x e_q (side 'left', where the weight
-# sits right of the kernel) or e_q x (side 'right')
-_UNIT_PRODUCTS = {"left": product_matrices(np.eye(4), "right"),
-                  "right": product_matrices(np.eye(4), "left")}
+# rows 4q..4q+3 of _UNIT_PRODUCTS[side] (16, 4) are the real matrix R
+# with x @ R = x e_q (side 'left', where the weight sits right of the
+# kernel) or e_q x (side 'right'), for a quaternion row x
+_UNIT_PRODUCTS = {"left": product_matrices(np.eye(4), "right").reshape(16, 4),
+                  "right": product_matrices(np.eye(4), "left").reshape(16, 4)}
 
 
 def kernel_at_nodes(kind: CalculusKind, T: CommutingOperator, s_arr: np.ndarray,
@@ -144,14 +150,32 @@ def kernel_forms(T: CommutingOperator, s: Quaternion, forms) -> list:
     set of T, from one pencil inverse Q(s)^-1.
 
     forms is a sequence of (kind, side); the result lists one QuatMatrix
-    per form, each equal bit for bit to kernel(kind, T, s, side)."""
+    per form, each equal bit for bit to kernel_at_nodes(kind, T, s,
+    side) at the one point.  Each distinct form is evaluated once, and
+    the forms of one side become quaternions in one stacked
+    _to_quaternion (Q^-1, two-sided, in one embedding of its own)."""
     forms = [(CalculusKind(kind), side) for kind, side in forms]
     for _, side in forms:
         _check_side(side)
     z, J = _slice_coordinates(s.as_array()[None, :])
     Qinv = _pencil_term(T, z, np.arange(1))
-    G = {kind: _factored(kind, Qinv) for kind, _ in forms}
-    return [QuatMatrix(_form(kind, side, T, z, J, G[kind])[0]) for kind, side in forms]
+    zp = (z[:, None] ** np.arange(3))[:, :, None, None]
+    # each form's terms z^p G, p <= its degree, as _form takes them
+    terms = {kind: zp[:, :_DEGREE[kind] + 1] * _factored(kind, Qinv)[:, None]
+             for kind in dict.fromkeys(kind for kind, _ in forms)}
+    value = {}
+    if CalculusKind.Q in terms:
+        value[CalculusKind.Q] = _to_quaternion(terms[CalculusKind.Q][:, 0], None, J, "left")[0]
+    for side in ("left", "right"):
+        kinds = list(dict.fromkeys(kind for kind, sd in forms
+                                   if sd == side and kind is not CalculusKind.Q))
+        if kinds:
+            parts = [_kernel_parts(kind, side, T, terms[kind]) for kind in kinds]
+            stacked = _to_quaternion(np.concatenate([C for C, _ in parts]),
+                                     np.concatenate([Z for _, Z in parts]), J, side)
+            value.update(((kind, side), q) for kind, q in zip(kinds, stacked))
+    return [QuatMatrix._adopt(value[kind] if kind is CalculusKind.Q else value[kind, side])
+            for kind, side in forms]
 
 
 def _form(kind, side, T, z, J, G):
@@ -210,7 +234,10 @@ def kernel_sum(T: CommutingOperator, J, z, side: str, rows, index) -> list:
         Phi = _to_quaternion(*_kernel_parts(kind, side, T, M), J, side)
         out = np.empty((len(c), T.n, T.n, 4))
         for r, Phi_r in enumerate(Phi):
-            out[r] = np.tensordot(Phi_r, _UNIT_PRODUCTS[side], axes=([0, 3], [0, 1]))
+            # sum_q Phi_q e_q (or e_q Phi_q): the contraction over (q, c)
+            # that np.tensordot(Phi_r, products, ([0, 3], [0, 1])) makes
+            rows = Phi_r.transpose(1, 2, 0, 3).reshape(T.n * T.n, 16)
+            out[r] = np.dot(rows, _UNIT_PRODUCTS[side]).reshape(T.n, T.n, 4)
         sums.append(out)
     return sums
 
@@ -243,7 +270,7 @@ def _eigen_moments(T, z, rows):
     n = T.n
     degrees = [_DEGREE[kind] + 1 for kind, _, _ in rows]
     lam = basis.values[:, :, None]
-    shift = np.sum(lam * lam, axis=0)
+    shift = (lam * lam).sum(axis=0)
     D = [None] * len(rows)
     # one block even without nodes, so that D is the zero sum
     for lo in range(0, max(len(z), 1), EIGEN_BLOCK):
@@ -252,8 +279,8 @@ def _eigen_moments(T, z, rows):
         q = nodes * (nodes - 2.0 * lam[0]) + shift
         size = np.abs(q)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bound = n * basis.kappa * basis.kappa * (np.max(size, axis=0) / np.min(size, axis=0))
-        if not np.all(bound <= COND_LIMIT):
+            bound = n * basis.kappa * basis.kappa * (size.max(axis=0) / size.min(axis=0))
+        if not (bound <= COND_LIMIT).all():
             return None
         inv = 1.0 / q
         zp = np.ones((len(nodes), max(degrees)), dtype=np.complex128)
@@ -309,8 +336,8 @@ def _slice_coordinates(s_arr):
     """Each node as s = a + b J_s: the slice value z = a + ib and the unit
     J_s as an (N, 4) array (e1 for real nodes, where any unit does)."""
     vec = s_arr[:, 1:]
-    b = np.sqrt(np.sum(vec * vec, axis=1))
-    J = np.zeros_like(s_arr)
+    b = np.sqrt((vec * vec).sum(axis=1))
+    J = np.zeros(s_arr.shape)
     J[:, 1] = 1.0
     off_axis = b > 0.0
     J[off_axis, 1:] = vec[off_axis] / b[off_axis, None]
@@ -337,11 +364,11 @@ def _pencil_term(T, z, index):
         Qinv = np.linalg.inv(Q)
     except np.linalg.LinAlgError:
         Qinv = np.stack([_inv_or_nan(M) for M in Q])
-    norm1 = lambda M: np.max(np.sum(np.abs(M), axis=-2), axis=-1)
+    norm1 = lambda M: np.abs(M).sum(axis=-2).max(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
         cond = norm1(Q) * norm1(Qinv)
     bad = ~(cond <= COND_LIMIT)
-    if np.any(bad):
+    if bad.any():
         which = int(np.argmax(bad))
         label = int(index[which])
         reason = (f"has condition {cond[which]:.3e} above {COND_LIMIT:.0e}"
@@ -403,7 +430,7 @@ def _to_quaternion(C, Z, J, side):
     J = J[..., None, None, :]
     out = in_plane(C, J)
     if Z is not None:
-        Z = np.moveaxis(Z, -3, -1)
+        Z = Z.swapaxes(-3, -2).swapaxes(-2, -1)
         Y = np.zeros(out.shape)
         Y[..., 1:] = Z.imag
         out += qmul_arr(Y, J) if side == "left" else qmul_arr(J, Y)

@@ -16,12 +16,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import (CommutationError, EigenvalueError, InputError,
                      read_document, read_numbers)
-from .qlinalg import QuatMatrix
+from .qlinalg import QuatMatrix, frobenius
 from .quat import Quaternion, SpectralSphere
 
 __all__ = [
@@ -82,26 +83,30 @@ class CommutingOperator:
     T2: np.ndarray
     T3: np.ndarray
     n: int = field(init=False)
+    # T0..T3 are views of this read-only (4, n, n) stack
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = []
-        n = None
-        for name in ("T0", "T1", "T2", "T3"):
+        for name in _NAMES:
             M = np.asarray(getattr(self, name), dtype=np.float64)
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise InputError(f"component {name} must be a square matrix")
-            if n is None:
-                n = M.shape[0]
-            elif M.shape[0] != n:
+            if comps and M.shape != comps[0].shape:
                 raise InputError("all components must share one dimension")
-            if not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 raise InputError(f"component {name} has non-finite entries")
-            M = M.copy()
-            M.setflags(write=False)
-            object.__setattr__(self, name, M)
             comps.append(M)
-        object.__setattr__(self, "n", n)
-        _check_commutation(comps)
+        self._hold(np.array(comps))
+        _check_commutation(self.stack)
+
+    def _hold(self, stack):
+        """Take the fresh (4, n, n) array stack as the components, read-only."""
+        stack.setflags(write=False)
+        for name, M in zip(_NAMES, stack):
+            object.__setattr__(self, name, M)
+        object.__setattr__(self, "n", stack.shape[-1])
+        object.__setattr__(self, "stack", stack)
 
     @cached_property
     def spheres(self) -> tuple:
@@ -124,14 +129,14 @@ class CommutingOperator:
         and the T_i^2, so s_spectrum, which reads only comps, gives
         2^k s_spectrum(T) for 2^k T and s_spectrum(T) for conj(T) bit
         for bit."""
-        S = np.array(self.components)
+        S = self.stack
         # ||T|| from the components brought below 1 by 2^-e, so it cannot overflow
         e = math.frexp(float(np.abs(S).max()))[1]
         norm = math.sqrt(float((np.ldexp(S, -e) ** 2).sum()))
         p = e + math.floor(math.log2(norm) + 0.5) if norm > 0.0 else 0
-        vector = S[1:].reshape(3, -1)
-        first = vector[np.arange(3), np.argmax(vector != 0.0, axis=1)]
-        signs = np.where(np.concatenate(([1.0], first)) < 0.0, -1.0, 1.0)
+        flat = S.reshape(4, -1)
+        signs = np.where(flat[_ROWS, (flat != 0.0).argmax(axis=1)] < 0.0, -1.0, 1.0)
+        signs[0] = 1.0
         return p, signs, np.ldexp(S, -p) * signs[:, None, None]
 
     @property
@@ -153,23 +158,27 @@ class CommutingOperator:
     @cached_property
     def vector_components(self) -> np.ndarray:
         """T1, T2 and T3 stacked, (3, n, n)."""
-        return _frozen(np.stack(self.components[1:]))
+        return self.stack[1:]
 
     @cached_property
     def conjugate(self) -> "CommutingOperator":
-        """conj(T) = T0 - T1 e1 - T2 e2 - T3 e3."""
-        return CommutingOperator(self.T0, -self.T1, -self.T2, -self.T3)
+        """conj(T) = T0 - T1 e1 - T2 e2 - T3 e3, whose components commute
+        as T's do, so they are neither copied nor checked again."""
+        out = object.__new__(CommutingOperator)
+        out._hold(self.stack * _CONJUGATE_SIGNS)
+        return out
 
     @cached_property
     def as_matrix(self) -> QuatMatrix:
         """T as a quaternion matrix acting by left multiplication."""
-        return QuatMatrix(np.stack(self.components, axis=-1))
+        return QuatMatrix._adopt(self.stack.transpose(1, 2, 0).copy())
 
     @cached_property
     def vector_part(self) -> QuatMatrix:
         """underline(T) = T1 e1 + T2 e2 + T3 e3 as a quaternion matrix."""
-        zero = np.zeros_like(self.T0)
-        return QuatMatrix(np.stack((zero, self.T1, self.T2, self.T3), axis=-1))
+        data = self.stack.transpose(1, 2, 0).copy()
+        data[..., 0] = 0.0
+        return QuatMatrix._adopt(data)
 
     @staticmethod
     def zero(n: int) -> "CommutingOperator":
@@ -222,15 +231,19 @@ def _frozen(arr):
     return arr
 
 
+_NAMES = ("T0", "T1", "T2", "T3")
+_ROWS = np.arange(4)
+# conj(T) from T, component by component
+_CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
 # the six pairs (i, j), i < j, of the four components
 _PAIRS = np.triu_indices(4, 1)
 
 
-def _check_commutation(comps):
-    """Raise CommutationError for the first pair T_i, T_j, i < j, whose
-    commutator exceeds COMMUTATION_RTOL ||T_i|| ||T_j|| in Frobenius
-    norm; the six commutators come from one batched product."""
-    S = np.stack(comps)
+def _check_commutation(S):
+    """Raise CommutationError for the first pair T_i, T_j, i < j, of the
+    components S (4, n, n) whose commutator exceeds
+    COMMUTATION_RTOL ||T_i|| ||T_j|| in Frobenius norm; the six
+    commutators come from one batched product."""
     i, j = _PAIRS
     D = S[i] @ S[j] - S[j] @ S[i]
     norms = np.sqrt((S * S).sum(axis=(1, 2)))
@@ -287,22 +300,22 @@ def joint_eigenbasis(T: CommutingOperator) -> Eigenbasis | None:
     C = np.dot(EIGENBASIS_MIX, comps.reshape(4, -1)).reshape(T.n, T.n)
     try:
         V = np.linalg.eig(C)[1]
-        sigma = np.linalg.svd(V, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = float(sigma[0] / sigma[-1])
+        sigma = np.linalg.svd(V, compute_uv=False).tolist()
+        # kappa is infinite for a singular V
+        kappa = sigma[0] / sigma[-1] if sigma[-1] > 0.0 else math.inf
         if not kappa <= EIGENBASIS_KAPPA_LIMIT:
             return None
         W = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         return None
     TV = comps @ V
-    unit = np.sum(W.T * TV, axis=-2)
-    residual = float(np.linalg.norm(TV - V * unit[:, None, :]))
-    if not residual <= EIGENBASIS_RTOL * np.linalg.norm(comps):
+    unit = (W.T * TV).sum(axis=-2)
+    residual = frobenius(TV - V * unit[:, None, :])
+    if not residual <= EIGENBASIS_RTOL * frobenius(comps):
         return None
     with np.errstate(over="ignore"):
         values = _ldexp(unit * signs[:, None], p)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         return None
     return Eigenbasis(V, W, values, kappa, residual)
 
@@ -390,7 +403,7 @@ def _joint_points(lam, weight):
     centre = centre[0]
     real = np.abs(centre.imag) <= PAIRING_RTOL * (1.0 + np.abs(centre))
     upper = ~real & (centre.imag > 0.0)
-    if weight[upper].sum() != weight[~real & ~upper].sum():
+    if weight @ upper != weight @ (~real & ~upper):
         return None
     keep = real | upper
     return _in_order(list(zip(centre.real[keep].tolist(),
@@ -404,7 +417,9 @@ def _merge(X, weight):
     other: the clusters' total weights (k,) and weighted means (d, k)."""
     size = np.sqrt((np.abs(X) ** 2).sum(axis=0))
     reach = PAIRING_RTOL * (1.0 + np.maximum.outer(size, size))
-    gap2 = sum(np.abs(x[:, None] - x) ** 2 for x in X)
+    gap2 = 0.0
+    for x in X:
+        gap2 = gap2 + np.abs(x[:, None] - x) ** 2
     near = gap2 <= reach * reach
     m = len(size)
     if np.count_nonzero(near) == m:
@@ -533,7 +548,7 @@ def _in_order(points):
     for k in range(1, len(points) + 1):
         if k == len(points) or abs(points[k][0] - points[k - 1][0]) > PAIRING_RTOL * (
                 1.0 + max(abs(points[k][0]), abs(points[k - 1][0]))):
-            out.extend(sorted(points[start:k], key=lambda p: (p[1], p[0])))
+            out.extend(sorted(points[start:k], key=itemgetter(1, 0)))
             start = k
     return out
 

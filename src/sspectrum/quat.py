@@ -86,6 +86,19 @@ class Quaternion:
             k >>= 1
         return out
 
+    def powers(self, top: int) -> list:
+        """[q^0, q^1, ..., q^top], each equal bit for bit to q ** i.
+        q ** i multiplies ONE by the squares q^(2^j) at the set bits j
+        of i, in increasing j, so q^i is q^(i - 2^j) q^(2^j) for the
+        highest set bit j of i: one product per power."""
+        out, squares = [ONE], [self]
+        for i in range(1, top + 1):
+            j = i.bit_length() - 1
+            if j == len(squares):
+                squares.append(squares[-1] * squares[-1])
+            out.append(out[i - (1 << j)] * squares[j])
+        return out
+
     # -- structure -------------------------------------------------------
 
     def conjugate(self) -> "Quaternion":

@@ -718,3 +718,20 @@ def test_node_count_is_bounded_on_every_contour():
     with pytest.raises(InputError, match="at most"):
         contour_from_dict({"J": [0, 1, 0, 0], "circles": [{"center": 0.0, "radius": 1.0}],
                            "nodes": MAX_NODES + 1})
+
+
+@pytest.mark.parametrize("boundary", [
+    [(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)],
+    [(2.0, 0.5), (-1.0, 0.5), (0.5, 0.5)],
+    [(0.0, 1.0), (0.0, 4.0), (0.0, 2.0)],
+])
+def test_collinear_triple_gets_the_circle_on_its_farthest_pair(boundary):
+    from sspectrum.contour import _circle_through
+
+    (cu, cv), r = _circle_through(boundary)
+    ends = max(itertools.combinations(boundary, 2),
+               key=lambda pair: math.dist(*pair))
+    assert (cu, cv) == (0.5 * (ends[0][0] + ends[1][0]), 0.5 * (ends[0][1] + ends[1][1]))
+    assert r == pytest.approx(0.5 * math.dist(*ends), rel=1e-15)
+    for u, v in boundary:
+        assert math.hypot(u - cu, v - cv) <= r * (1 + 1e-15)

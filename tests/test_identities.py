@@ -8,7 +8,7 @@ import pytest
 from conftest import pair_per_node, rel
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion,
                        QuatMatrix, calculus, contour, enclosing_circle, identities,
-                       kernel, kernels, qinv, qs_poly, s_spectrum, verify_all,
+                       kernel, kernels, operators, qinv, qs_poly, s_spectrum, verify_all,
                        verify_integral, verify_pointwise, verify_seeded)
 from sspectrum.contour import Circle, Contour
 from sspectrum.errors import GeometryError, InputError
@@ -34,6 +34,32 @@ def test_pseudo_split_at_zero_exact():
     report = verify_pointwise("pseudo_split_left", T, Quaternion(2, 1, 0, 0))
     assert report.passed
     assert report.residual < 1e-15
+
+
+@pytest.mark.parametrize("m, named", [(-1, "-1"), ((2, -3), "-3"), ((), "()"),
+                                      (2.0, "2.0"), ((1, 2.0), "2.0")])
+def test_power_shift_refuses_a_degree_set_it_cannot_sum(rng, m, named):
+    # an empty set, or a negative or non-integer degree, is named in an
+    # InputError, not a KeyError, a vacuous pass or a TypeError
+    T = random_commuting_operator(rng, 2)
+    s = random_resolvent_point(rng, T)
+    for side in ("left", "right"):
+        with pytest.raises(InputError, match="degree") as err:
+            verify_pointwise(f"p2_kernel_power_shift_{side}", T, s, m=m)
+        assert f"got {named}" in str(err.value)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_power_shift_repeated_degree_is_that_degree_once(rng, side):
+    # a degree asked for twice gets the one pair of that degree, twice
+    T = random_commuting_operator(rng, 2)
+    s = random_resolvent_point(rng, T)
+    row = POINTWISE_IDENTITIES[f"p2_kernel_power_shift_{side}"]
+    single = {k: row.pairs(T, s, None, m=k)[0] for k in (1, 2, 5)}
+    for got, k in zip(row.pairs(T, s, None, m=(5, 1, 1, 2, 5)), (5, 1, 1, 2, 5)):
+        assert got[0] == single[k][0] and got[1] == single[k][1]
+    report = verify_pointwise(f"p2_kernel_power_shift_{side}", T, s, m=(2, 2))
+    assert report.passed
 
 
 def test_power_shift_at_zero():
@@ -269,9 +295,11 @@ def counted(monkeypatch):
     """Counts of pencil inversions (kernels._pencil_term), of contour
     passes (integrate, as calculus and identities call it), of the
     distinct stem objects in each pass's requests, summed, of stem
-    weight evaluations (contour._weights) and of enclosure checks
-    (contour._check_encloses)."""
-    counts = {"pencils": 0, "integrate": 0, "stems": 0, "weights": 0, "encloses": 0}
+    weight evaluations (contour._weights), of enclosure checks
+    (contour._check_encloses) and of joint eigenbases
+    (operators.joint_eigenbasis)."""
+    counts = {"pencils": 0, "integrate": 0, "stems": 0, "weights": 0, "encloses": 0,
+              "eigenbases": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -291,6 +319,8 @@ def counted(monkeypatch):
     monkeypatch.setattr(contour, "_weights", counting("weights", contour._weights))
     monkeypatch.setattr(contour, "_check_encloses",
                         counting("encloses", contour._check_encloses))
+    monkeypatch.setattr(operators, "joint_eigenbasis",
+                        counting("eigenbases", operators.joint_eigenbasis))
     monkeypatch.setattr(calculus, "integrate", counting_integrate)
     monkeypatch.setattr(identities, "integrate", counting_integrate)
     return counts
@@ -312,10 +342,15 @@ def test_verify_all_pencil_and_contour_counts(counted, seed):
     # the integral rows make one pass per (operator, contour, side): two
     # per product rule and per left/right row, one or two per vanishing
     # integral, one per projector; each pass evaluates each of its
-    # stems' weights once and checks the enclosure once
+    # stems' weights once and checks the enclosure once; each of the 50
+    # drawn operators (three per pointwise row, one per stem row) takes
+    # one eigenbasis, and the split-spectrum operator, built once per
+    # process, keeps its own
+    split_spectrum_operator().eigenbasis
+    counted["eigenbases"] = 0
     verify_all(seed=seed)
     assert counted == {"pencils": 60, "integrate": 21, "stems": 30, "weights": 30,
-                       "encloses": 21}
+                       "encloses": 21, "eigenbases": 50}
 
 
 def test_closing_rewrite_disagrees(rng):

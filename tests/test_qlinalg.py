@@ -224,3 +224,13 @@ def test_product_matrices_match_the_table_on_every_layout(rng):
         assert R.shape == q.shape + (4,)
         assert _close(np.einsum("...i,...ij->...j", x, R), _table_mul(x, q)), name
         assert _close(np.einsum("...i,...ij->...j", x, L), _table_mul(q, x)), name
+
+
+def test_matrix_times_a_non_number_is_a_type_error():
+    A = QuatMatrix.identity(2)
+    with pytest.raises(TypeError):
+        A * "x"
+
+
+def test_repr_shows_the_dimension():
+    assert repr(QuatMatrix.zeros(3)) == "QuatMatrix(n=3)"

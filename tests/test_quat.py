@@ -179,3 +179,15 @@ def test_malformed_input_is_refused(call, error):
 ])
 def test_numbers_are_real_quaternions(call, expect):
     assert call() == expect
+
+
+def test_product_with_a_non_number_is_a_type_error():
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError):
+        q * "x"
+    with pytest.raises(TypeError):
+        "x" * q
+
+
+def test_repr_shows_the_four_components():
+    assert repr(Quaternion(1.0, -2.5, 0.0, 3.0)) == "Quaternion(1.0, -2.5, 0.0, 3.0)"

@@ -299,3 +299,9 @@ def test_malformed_input_is_refused(call, error):
 
 def test_stem_coefficients_may_be_quaternion_arrays():
     assert SlicePoly.left([0.0, 1.0, 0.0, 0.0], 2).coeffs == (E1, Quaternion(2.0))
+
+
+def test_papoly_repr_lists_its_terms_in_order():
+    P = PAPoly({(1, 0): Quaternion(2.0), (0, 0): Quaternion(0.0, 1.0)}, "right")
+    assert repr(P) == ("PAPoly({q^0 qbar^0: Quaternion(0.0, 1.0, 0.0, 0.0), "
+                       "q^1 qbar^0: Quaternion(2.0, 0.0, 0.0, 0.0)}, side=right)")
