@@ -43,7 +43,7 @@ from .errors import HypothesisError, PreconditionError
 from .kernels import CalculusKind
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix
-from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
+from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply, is_degree
 
 __all__ = [
     "CalculusKind",
@@ -92,10 +92,11 @@ def stem_moment(kind: CalculusKind, T: CommutingOperator, m: int) -> QuatMatrix:
 
     The images have real coefficients, so the same matrix serves left
     stems (coefficient on the right) and right stems (on the left).
+    PreconditionError unless m is a degree (slicefn.is_degree).
     """
     kind = CalculusKind(kind)
-    if m < 0:
-        raise PreconditionError("moment index must be non-negative")
+    if not is_degree(m):
+        raise PreconditionError(f"moment index must be a non-negative integer, got {m!r}")
     if kind is CalculusKind.S:
         return PAPoly({(m, 0): 1.0}).at_operator(T)
     return fueter_apply(SlicePoly.monomial(m), _FUETER[kind]).at_operator(T)

@@ -216,6 +216,9 @@ def run(config: RunConfig):
         raise InputError(f"--tol must be finite and non-negative, got {config.tol}")
     if not 0 <= config.m <= MAX_DEGREE:
         raise InputError(f"--m must be in 0..{MAX_DEGREE}, got {config.m}")
+    # numpy's generators take any non-negative integer seed, 10^23 too
+    if config.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {config.seed}")
     if config.nodes is not None:
         check_nodes(config.nodes)
         if config.nodes < MIN_NODES:

@@ -99,6 +99,9 @@ class Contour:
         for comp in self.components:
             if not isinstance(comp, (Circle, DiskPair)):
                 raise InputError("contour components must be Circle or DiskPair")
+            # a NaN would pass both radius tests below
+            if not _is_finite(comp):
+                raise InputError(f"contour geometry must be finite, got {comp}")
             if comp.radius <= 0.0:
                 raise GeometryError("circle radii must be positive")
             if isinstance(comp, DiskPair) and comp.radius >= comp.v:
@@ -141,6 +144,11 @@ class Contour:
         return turns, np.abs(d - r).min(axis=-1, initial=np.inf)
 
 
+def _is_finite(comp) -> bool:
+    """Whether every centre and radius of a Circle or DiskPair is finite."""
+    return all(math.isfinite(x) for circle in comp.plane_circles() for x in circle)
+
+
 def check_nodes(N) -> None:
     """Raise InputError unless N is an int of at most MAX_NODES: the one
     test of a node count, for contours and --nodes alike."""
@@ -167,17 +175,6 @@ def check_winding(c: Contour, points, turns, what: str) -> None:
             f"{sorted(turns)} and a distance above {clearance[k]:.3e}")
 
 
-def node_arrays(c: Contour):
-    """Vectorized nodes: two (M, 4) arrays of points and weights.
-
-    The node set is exactly closed under conjugation in C_J (see
-    slice_nodes), so a DiskPair's lower circle mirrors its upper circle
-    bit for bit."""
-    z, w, _, _ = slice_nodes(c)
-    J = c.J.as_array()
-    return in_plane(z, J), in_plane(w, J)
-
-
 @lru_cache(maxsize=32)
 def _ring(N):
     """cos and sin of 2 pi k / N, k < N, with the second half the exact
@@ -200,11 +197,11 @@ def slice_nodes(c: Contour):
     C_J, and their pairing under conjugation, from the contour's
     structure: (z, w, upper, mirror).
 
-    z and w are (M,) in node_arrays order.  upper (U,) indexes the nodes
-    on or above the real axis, and mirror (U,) the conjugate node of
-    each, or -1 for a real node: node N - k of a Circle mirrors node k,
-    nodes 0 and N / 2 are real, and node (N - k) mod N of a DiskPair's
-    lower circle mirrors node k of its upper circle.
+    z and w are (M,), N nodes per circle in plane_circles order.  upper
+    (U,) indexes the nodes on or above the real axis, and mirror (U,) the
+    conjugate node of each, or -1 for a real node: node N - k of a Circle
+    mirrors node k, nodes 0 and N / 2 are real, and node (N - k) mod N of
+    a DiskPair's lower circle mirrors node k of its upper circle.
     """
     N = c.nodes_per_circle
     cos, sin = _ring(N)
@@ -472,6 +469,9 @@ def auto_contour(spheres, selection, J: Quaternion = E1,
         components = tuple(DiskPair(float(u), float(v), margin) if v - margin > 0.0
                            else Circle(float(u), float(v) + margin)
                            for u, v in dict.fromkeys(pts))
+    if not all(map(_is_finite, components)):
+        raise NumericError("the contour around the selected spheres "
+                           "overflows the float range")
     contour = Contour(J, components, N)
     slack = margin * (1.0 - 1e-9)
     check_winding(contour, [(sp.u, sp.v, slack) for sp in selected], {1}, "selected sphere")

@@ -38,10 +38,6 @@ class HypothesisError(PreconditionError):
     """Operator violates the hypotheses the requested construction needs."""
 
 
-class DivergenceError(PreconditionError):
-    """Series evaluation requested outside its convergence domain."""
-
-
 class NumericError(CalculusError):
     """Numerical linear algebra failed beyond recovery."""
 

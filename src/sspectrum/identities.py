@@ -44,7 +44,7 @@ from .kernels import kernel, kernel_forms
 from .operators import CommutingOperator
 from .qlinalg import QuatMatrix, eye_arr, frobenius, matmul, qmul_arr
 from .quat import Quaternion, qinv, qs_poly, random_imaginary_unit
-from .slicefn import SlicePoly, stem_product, stem_shift
+from .slicefn import SlicePoly, is_degree, stem_product, stem_shift
 
 __all__ = [
     "IdentityReport",
@@ -249,7 +249,7 @@ def _degrees_of(m) -> list:
     if not degrees:
         raise InputError(f"the power shift needs at least one degree m, got {m!r}")
     for k in degrees:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        if not is_degree(k):
             raise InputError(f"power shift degree m must be a non-negative integer, got {k!r}")
     return [int(k) for k in degrees]
 
@@ -511,7 +511,7 @@ def random_resolvent_point(rng, T: CommutingOperator, min_dist: float = 0.3,
     for _ in range(5000):
         u = rng.uniform(-1.5 * reach, 1.5 * reach)
         v = rng.uniform(0.0, 1.5 * reach)
-        # sp.point_distance(u, v), v >= 0
+        # the distance from u + Jv, v >= 0, to each sphere in the half-plane
         if any(math.hypot(sp.u - u, sp.v - v) < min_dist for sp in spheres):
             continue
         if avoid is not None and math.hypot(u - au, v - av) < 0.25:

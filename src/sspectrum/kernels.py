@@ -60,8 +60,9 @@ n kappa_2(V)^2 max|q| / min|q| on a pencil's condition number exceeds
 COND_LIMIT at some node of any block; it is then the one path that
 raises SingularMatrixError for that node.
 
-Scalar (n = 1) closed forms of the same kernels are provided separately
-as the function-theory oracles.
+The scalar (n = 1) closed forms of the same kernels and their truncated
+Cauchy series, the function-theory oracles, are on the test side
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, SingularMatrixError
+from .errors import InputError, SingularMatrixError
 from .operators import BATCH_ENTRIES, CommutingOperator
 from .qlinalg import PIVOT_RTOL, QuatMatrix, in_plane, product_matrices, qmul_arr
-from .quat import Quaternion, qinv, qs_poly
-from .slicefn import FueterOp, PAPoly, SlicePoly, fueter_apply
+from .quat import Quaternion
 
 __all__ = [
     "CalculusKind",
@@ -82,15 +82,6 @@ __all__ = [
     "kernel_forms",
     "kernel_at_nodes",
     "kernel_sum",
-    "p2_series",
-    "s_series",
-    "cauchy_kernel_left",
-    "cauchy_kernel_right",
-    "f_kernel_left",
-    "f_kernel_right",
-    "p2_kernel_left",
-    "p2_kernel_right",
-    "pseudo_kernel",
 ]
 
 # A pencil whose 1-norm condition number exceeds this counts as singular:
@@ -444,71 +435,3 @@ def kernel(kind: CalculusKind, T: CommutingOperator, s: Quaternion,
     S-resolvent set of T."""
     return kernel_forms(T, s, [(kind, side)])[0]
 
-
-# ---------------------------------------------------------------------------
-# truncated series oracles
-
-
-def _cauchy_series(T: CommutingOperator, s: Quaternion, N: int, side: str) -> SlicePoly:
-    """The truncated Cauchy series sum_{m=0..N} q^m s^(-1-m) as a stem on
-    side, for |s| > ||T||, where it converges at T."""
-    tnorm = T.as_matrix.norm()
-    if tnorm >= s.norm():
-        raise DivergenceError(
-            f"series requires |s| > ||T||; got |s| = {s.norm():.3e}, "
-            f"||T|| = {tnorm:.3e}")
-    s_inv = qinv(s)
-    return SlicePoly(side, [s_inv ** (m + 1) for m in range(N + 1)])
-
-
-def p2_series(T: CommutingOperator, s: Quaternion, N: int,
-              side: str = "left") -> QuatMatrix:
-    """Partial sum sum_{m=1..N} (Dbar q^m)(T) s^(-1-m) of the P2 kernel
-    expansion, Dbar of the truncated Cauchy series at T (scalars left for
-    side='right')."""
-    return fueter_apply(_cauchy_series(T, s, N, side), FueterOp.DBAR).at_operator(T)
-
-
-def s_series(T: CommutingOperator, s: Quaternion, N: int,
-             side: str = "left") -> QuatMatrix:
-    """Partial sum sum_{m=0..N} T^m s^(-1-m) (scalars left for
-    side='right'): the truncated Cauchy series evaluated at T."""
-    f = _cauchy_series(T, s, N, side)
-    return PAPoly({(m, 0): c for m, c in enumerate(f.coeffs)}, side).at_operator(T)
-
-
-# ---------------------------------------------------------------------------
-# scalar function-theory kernels (the n = 1 oracles)
-
-
-def pseudo_kernel(s: Quaternion, q: Quaternion) -> Quaternion:
-    """Commutative pseudo Cauchy kernel (s^2 - 2 Re(q) s + |q|^2)^{-1}."""
-    return qinv(qs_poly(q, s))
-
-
-def cauchy_kernel_left(s: Quaternion, q: Quaternion) -> Quaternion:
-    return (s - q.conjugate()) * pseudo_kernel(s, q)
-
-
-def cauchy_kernel_right(s: Quaternion, q: Quaternion) -> Quaternion:
-    return pseudo_kernel(s, q) * (s - q.conjugate())
-
-
-def f_kernel_left(s: Quaternion, q: Quaternion) -> Quaternion:
-    k = pseudo_kernel(s, q)
-    return (s - q.conjugate()) * k * k * -4.0
-
-
-def f_kernel_right(s: Quaternion, q: Quaternion) -> Quaternion:
-    k = pseudo_kernel(s, q)
-    return k * k * (s - q.conjugate()) * -4.0
-
-
-def p2_kernel_left(s: Quaternion, q: Quaternion) -> Quaternion:
-    fl = f_kernel_left(s, q)
-    return -(fl * s) + fl * q.w
-
-
-def p2_kernel_right(s: Quaternion, q: Quaternion) -> Quaternion:
-    fr = f_kernel_right(s, q)
-    return -(s * fr) + fr * q.w

@@ -23,11 +23,10 @@ import numpy as np
 from .errors import (CommutationError, EigenvalueError, InputError,
                      read_document, read_numbers)
 from .qlinalg import QuatMatrix, frobenius
-from .quat import Quaternion, SpectralSphere
+from .quat import SpectralSphere
 
 __all__ = [
     "CommutingOperator",
-    "qcs_op",
     "s_spectrum",
     "load_operator",
     "save_operator",
@@ -180,16 +179,6 @@ class CommutingOperator:
         data[..., 0] = 0.0
         return QuatMatrix._adopt(data)
 
-    @staticmethod
-    def zero(n: int) -> "CommutingOperator":
-        z = np.zeros((n, n))
-        return CommutingOperator(z, z, z, z)
-
-    @staticmethod
-    def from_quaternion(q: Quaternion) -> "CommutingOperator":
-        """The 1 x 1 operator given by a quaternion scalar."""
-        return CommutingOperator([[q.w]], [[q.x]], [[q.y]], [[q.z]])
-
     def has_zero_e3(self) -> bool:
         scale = max(self.norm(), 1.0)
         return float(np.linalg.norm(self.T3)) <= 1e-10 * scale
@@ -325,15 +314,6 @@ def _ldexp(x, p):
     if np.iscomplexobj(x):
         return np.ldexp(np.ascontiguousarray(x).view(np.float64), p).view(np.complex128)
     return np.ldexp(x, p)
-
-
-def qcs_op(T: CommutingOperator, s: Quaternion) -> QuatMatrix:
-    """The pseudo S-resolvent pencil s^2 I - s (T + conj(T)) + T conj(T).
-
-    T + conj(T) = 2 T0 and T conj(T) = T.gram are real matrices, so the
-    quaternion scalar s acts on real entries and the side is immaterial.
-    """
-    return QuatMatrix(qcs_pencil_at(T, s.as_array()[None, :])[0])
 
 
 def qcs_pencil_at(T: CommutingOperator, s_arr: np.ndarray) -> np.ndarray:

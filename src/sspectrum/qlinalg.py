@@ -12,12 +12,13 @@ on which ``_hamilton`` writes the one Hamilton product, entrywise
 
 Kernel evaluation does not solve here: it inverts pencils in the
 complex slice of each node with LAPACK (see :mod:`sspectrum.kernels`).
-This module keeps two independent references for that path.
-``solve_arr`` is Gaussian elimination with partial pivoting by entry
-modulus; quaternions form a division ring, so elimination with a
-modulus pivot is well defined, and row operations multiply from the
-left throughout, which is what solving A X = B requires.
-``real_adjoint`` is the real 4n x 4n left-regular representation.
+This module keeps one independent reference for that path, which the
+benchmark also traces: ``solve_arr``, Gaussian elimination with partial
+pivoting by entry modulus; quaternions form a division ring, so
+elimination with a modulus pivot is well defined, and row operations
+multiply from the left throughout, which is what solving A X = B
+requires.  The other reference, the real 4n x 4n left-regular
+representation, is on the test side (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import SingularMatrixError
 from .quat import Quaternion
 
-__all__ = ["QuatMatrix", "real_adjoint"]
+__all__ = ["QuatMatrix"]
 
 # Reciprocal of the default condition threshold 1e12: a pivot smaller
 # than PIVOT_RTOL * max|A_ij| aborts the elimination.
@@ -236,18 +237,9 @@ class QuatMatrix:
         out[..., 0] = M
         return QuatMatrix(out)
 
-    @staticmethod
-    def from_scalar(q: Quaternion, n: int = 1) -> "QuatMatrix":
-        out = np.zeros((n, n, 4))
-        out[np.arange(n), np.arange(n), :] = q.as_array()
-        return QuatMatrix(out)
-
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_array(self.data[i, j])
 
     def to_nested(self):
         return self.data.tolist()
@@ -293,28 +285,3 @@ class QuatMatrix:
     def __repr__(self):
         return f"QuatMatrix(n={self.n})"
 
-
-def _left_block(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [w, -x, -y, -z],
-        [x, w, -z, y],
-        [y, z, w, -x],
-        [z, -y, x, w],
-    ])
-
-
-def real_adjoint(A: QuatMatrix) -> np.ndarray:
-    """Real 4n x 4n left-regular representation of A.
-
-    rho is an algebra homomorphism, rho(AB) = rho(A) rho(B), and acts on
-    vectors of stacked quaternion coordinates exactly as A acts on
-    quaternion column vectors.  It serves as an independent oracle for
-    the quaternionic elimination.
-    """
-    n = A.n
-    out = np.zeros((4 * n, 4 * n))
-    for i in range(n):
-        for j in range(n):
-            out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = _left_block(A.data[i, j])
-    return out

@@ -16,7 +16,6 @@ from .errors import InputError
 __all__ = [
     "Quaternion",
     "SpectralSphere",
-    "ZERO",
     "ONE",
     "E1",
     "E2",
@@ -25,7 +24,6 @@ __all__ = [
     "qs_poly",
     "imaginary_unit",
     "random_imaginary_unit",
-    "random_quaternion",
 ]
 
 
@@ -112,28 +110,12 @@ class Quaternion:
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
-    def vec(self) -> "Quaternion":
-        """Vector (imaginary) part x e1 + y e2 + z e3."""
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def vec_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def decompose(self):
-        """Split q = u + J*v with J a unit imaginary direction.
-
-        Returns (u, J, v).  For a real quaternion the direction is
-        undefined and (w, None, 0.0) is returned instead of picking an
-        arbitrary unit.
-        """
-        v = self.vec_norm()
-        if v == 0.0:
-            return self.w, None, 0.0
-        return self.w, Quaternion(0.0, self.x / v, self.y / v, self.z / v), v
-
     @staticmethod
     def embed(u: float, J: "Quaternion", v: float) -> "Quaternion":
-        """Inverse of :meth:`decompose` for non-real points: u + J*v."""
+        """The point u + J*v of the plane through the imaginary unit J."""
         return Quaternion(u, J.x * v, J.y * v, J.z * v)
 
     # -- conversion ------------------------------------------------------
@@ -161,7 +143,6 @@ def _coerce(value) -> Quaternion:
     raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion")
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
 E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -221,11 +202,6 @@ def random_imaginary_unit(rng) -> Quaternion:
             return Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
 
 
-def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    c = rng.standard_normal(4) * scale
-    return Quaternion(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-
-
 @dataclass(frozen=True)
 class SpectralSphere:
     """One S-spectrum component [u + J v]: a 2-sphere for v > 0, a real
@@ -241,17 +217,5 @@ class SpectralSphere:
         if self.multiplicity < 1:
             raise InputError("multiplicity must be a positive integer")
 
-    def trace_points(self, J: Quaternion):
-        """Intersection with the plane through J: one point if real,
-        the conjugate pair u +- J v otherwise."""
-        if self.v == 0.0:
-            return (Quaternion(self.u),)
-        return (Quaternion.embed(self.u, J, self.v),
-                Quaternion.embed(self.u, J, -self.v))
-
     def distance(self, other: "SpectralSphere") -> float:
         return math.hypot(self.u - other.u, self.v - other.v)
-
-    def point_distance(self, u: float, v: float) -> float:
-        """Half-plane distance from (u, v), v >= 0, to this sphere."""
-        return math.hypot(self.u - u, self.v - abs(v))

@@ -15,9 +15,10 @@ on monomials are
 
 with Delta the four-variable Laplacian, Delta = D Dbar = Dbar D.
 These rules are the library's one transcription of them: the calculi's
-closed forms and the series oracles evaluate their images at operators
-with ``PAPoly.at_operator``.  A central finite-difference oracle
-provides the independent check.
+closed forms evaluate their images at operators with
+``PAPoly.at_operator``.  The independent checks, central finite
+differences, a PAPoly's value at a quaternion and the truncated kernel
+series, are on the test side (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,21 +27,19 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
-from operator import matmul, mul
+from operator import matmul
 
 import numpy as np
 
 from .errors import InputError, IntrinsicError, read_document, read_numbers
 from .qlinalg import QuatMatrix, qmul_arr
-from .quat import E1, E2, E3, ONE, Quaternion
+from .quat import Quaternion
 
 __all__ = [
     "FueterOp",
     "SlicePoly",
     "PAPoly",
     "fueter_apply",
-    "dconj_power",
-    "fd_fueter_oracle",
     "stem_product",
     "stem_shift",
     "load_stem",
@@ -48,9 +47,6 @@ __all__ = [
 ]
 
 INTRINSIC_RTOL = 1e-12
-FD_STEP = 1e-4
-
-_UNITS = (ONE, E1, E2, E3)
 
 
 class FueterOp(Enum):
@@ -75,17 +71,12 @@ class SlicePoly:
                 raise InputError("stem coefficients must be Quaternion")
 
     @staticmethod
-    def left(*coeffs) -> "SlicePoly":
-        return SlicePoly("left", [_as_quat(c) for c in coeffs])
-
-    @staticmethod
-    def right(*coeffs) -> "SlicePoly":
-        return SlicePoly("right", [_as_quat(c) for c in coeffs])
-
-    @staticmethod
     def monomial(m: int, coeff=1.0, side: str = "left") -> "SlicePoly":
-        cs = [Quaternion()] * m + [_as_quat(coeff)]
-        return SlicePoly(side, cs)
+        """The stem q^m coeff (left) or coeff q^m (right); InputError
+        unless is_degree(m)."""
+        if not is_degree(m):
+            raise InputError(f"monomial degree must be a non-negative integer, got {m!r}")
+        return SlicePoly(side, [Quaternion()] * m + [_as_quat(coeff)])
 
     @property
     def degree(self) -> int:
@@ -114,11 +105,11 @@ class SlicePoly:
             acc += c.as_array()
         return acc
 
-    def add_constant(self, a) -> "SlicePoly":
-        a = _as_quat(a)
-        cs = list(self.coeffs) or [Quaternion()]
-        cs[0] = cs[0] + a
-        return SlicePoly(self.side, cs)
+
+def is_degree(m) -> bool:
+    """Whether m is a polynomial degree: a non-negative int or numpy
+    integer.  A bool is not one, and neither is 2.0."""
+    return not isinstance(m, bool) and isinstance(m, (int, np.integer)) and m >= 0
 
 
 def _as_quat(c) -> Quaternion:
@@ -151,21 +142,6 @@ class PAPoly:
         self.terms = clean
         self.side = side
 
-    def evaluate(self, q: Quaternion) -> Quaternion:
-        if not self.terms:
-            return Quaternion()
-        amax = max(a for a, _ in self.terms)
-        bmax = max(b for _, b in self.terms)
-        qp = _powers(q, amax, ONE, mul)
-        cp = _powers(q.conjugate(), bmax, ONE, mul)
-        acc = Quaternion()
-        for (a, b), c in self.terms.items():
-            mono = qp[a] * cp[b]
-            acc = acc + (mono * c if self.side == "left" else c * mono)
-        return acc
-
-    __call__ = evaluate
-
     def at_operator(self, T) -> QuatMatrix:
         """The value at an operator T with commuting components: each term
         q^a conj(q)^b c becomes T^a conj(T)^b c, c on the same side."""
@@ -178,24 +154,6 @@ class PAPoly:
             mono = tp[a] @ cp[b]
             acc = acc + (mono.rmul(c) if self.side == "left" else mono.lmul(c))
         return acc
-
-    def has_real_coeffs(self) -> bool:
-        scale = max([c.norm() for c in self.terms.values()] + [1.0])
-        return all(c.vec_norm() <= INTRINSIC_RTOL * scale for c in self.terms.values())
-
-    def conjugate(self) -> "PAPoly":
-        """Pointwise conjugate, valid for real-coefficient polynomials
-        where it reduces to exchanging the exponents of q and conj(q)."""
-        if not self.has_real_coeffs():
-            raise InputError("conjugate is implemented for real coefficients only")
-        return PAPoly({(b, a): c for (a, b), c in self.terms.items()}, self.side)
-
-    def same_terms(self, other: "PAPoly", tol: float = 0.0) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        zero = Quaternion()
-        return all(
-            (self.terms.get(k, zero) - other.terms.get(k, zero)).norm() <= tol
-            for k in keys)
 
     def __repr__(self):
         body = ", ".join(f"q^{a} qbar^{b}: {c}" for (a, b), c in sorted(self.terms.items()))
@@ -249,58 +207,6 @@ def fueter_apply(f: SlicePoly, op: FueterOp) -> PAPoly:
             term = Quaternion(r) * a if f.side == "left" else a * Quaternion(r)
             terms[key] = terms.get(key, Quaternion()) + term
     return PAPoly(terms, f.side)
-
-
-def dconj_power(n: int) -> PAPoly:
-    """D applied to conj(q)^n.
-
-    For n >= 2 this is (2n+2) conj(q)^(n-1) + 2 sum_{k=0..n-2}
-    q^(k+1) conj(q)^(n-k-2); for n = 1 it is the constant 4.
-    """
-    if n < 1:
-        raise InputError("dconj_power needs n >= 1")
-    if n == 1:
-        return PAPoly({(0, 0): Quaternion(4.0)})
-    terms = {(0, n - 1): Quaternion(2.0 * n + 2.0)}
-    for k in range(0, n - 1):
-        key = (k + 1, n - k - 2)
-        prev = terms.get(key, Quaternion())
-        terms[key] = prev + Quaternion(2.0)
-    return PAPoly(terms)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def fd_fueter_oracle(f, q: Quaternion, op: FueterOp, h: float = FD_STEP,
-                     side: str = "left") -> Quaternion:
-    """Central-difference value of the operator at q.
-
-    f is any pointwise evaluator q -> Quaternion.  For D and Dbar the
-    coordinate differences are combined with the imaginary units on the
-    requested side; Delta uses second differences and needs no units.
-    This oracle is kept deliberately independent of the power rules.
-    """
-    if h <= 0.0:
-        raise InputError("step h must be positive")
-    op = FueterOp(op)
-    if op is FueterOp.DELTA:
-        acc = Quaternion()
-        fq2 = f(q) * 2.0
-        for e in _UNITS:
-            step = e * h
-            acc = acc + (f(q + step) - fq2 + f(q - step)) * (1.0 / (h * h))
-        return acc
-    sign = 1.0 if op is FueterOp.D else -1.0
-    inv2h = 1.0 / (2.0 * h)
-    step0 = _UNITS[0] * h
-    acc = (f(q + step0) - f(q - step0)) * inv2h
-    for e in _UNITS[1:]:
-        step = e * h
-        diff = (f(q + step) - f(q - step)) * inv2h
-        acc = acc + (e * diff if side == "left" else diff * e) * sign
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import node_arrays
 from sspectrum import QuatMatrix, Quaternion
-from sspectrum.contour import node_arrays
 from sspectrum.qlinalg import product_matrices, qmul_arr
 
 

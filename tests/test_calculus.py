@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rel
 from corpus import jordbloc, operator
+from oracles import random_quaternion
 from sspectrum import (CalculusKind, CommutingOperator, E1, Quaternion,
                        QuatMatrix, SlicePoly, apply_calculus, auto_contour,
                        enclosing_circle, integrate, riesz_projector,
@@ -12,7 +13,7 @@ from sspectrum.contour import Circle, Contour, DiskPair
 from sspectrum.errors import GeometryError, HypothesisError, PreconditionError
 from sspectrum.identities import (random_commuting_operator, random_stem,
                                   split_spectrum_operator)
-from sspectrum.quat import random_imaginary_unit, random_quaternion
+from sspectrum.quat import random_imaginary_unit
 
 ALL_KINDS = tuple(CalculusKind)
 
@@ -22,7 +23,7 @@ def full_contour(T, margin=0.7, N=256, J=E1):
 
 
 def test_apply_examples_at_zero():
-    Z = CommutingOperator.zero(1)
+    Z = CommutingOperator(*np.zeros((4, 1, 1)))
     c = full_contour(Z, margin=1.0, N=128)
     I = QuatMatrix.identity(1)
     assert rel(apply_calculus(CalculusKind.F, SlicePoly.monomial(2), Z, c), I * -4.0) < 1e-12
@@ -65,7 +66,7 @@ def test_moment_agreement_right(rng):
 
 
 def test_moment_closed_form_values():
-    Z = CommutingOperator.zero(2)
+    Z = CommutingOperator(*np.zeros((4, 2, 2)))
     I = QuatMatrix.identity(2)
     assert rel(stem_moment(CalculusKind.P2, Z, 1), I * 4.0) == 0.0
     assert stem_moment(CalculusKind.Q, Z, 0).norm() == 0.0
@@ -77,7 +78,22 @@ def test_moment_closed_form_values():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_negative_moment_index_is_refused(kind):
     with pytest.raises(PreconditionError, match="non-negative"):
-        stem_moment(kind, CommutingOperator.zero(2), -1)
+        stem_moment(kind, CommutingOperator(*np.zeros((4, 2, 2))), -1)
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, np.float64(2.0)])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_moment_index_that_is_not_an_integer_is_refused(kind, m):
+    # once, 2.5 gave T^2 for S through the int() of the PAPoly key, and
+    # True gave the first moment
+    with pytest.raises(PreconditionError, match="non-negative integer"):
+        stem_moment(kind, random_commuting_operator(np.random.default_rng(5), 2), m)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_numpy_integer_moment_index_is_an_int(kind):
+    T = random_commuting_operator(np.random.default_rng(5), 2)
+    assert stem_moment(kind, T, np.int64(3)) == stem_moment(kind, T, 3)
 
 
 def test_apply_stems_takes_stems_of_one_side():
@@ -138,7 +154,7 @@ def test_stem_moment_matches_the_displayed_sums(rng):
 
 def test_p2_moment_index_alignment(rng):
     # the P2 moment of index m is the value on the stem q^(m+1)
-    Z = CommutingOperator.zero(1)
+    Z = CommutingOperator(*np.zeros((4, 1, 1)))
     c = full_contour(Z, margin=1.0, N=128)
     got = apply_calculus(CalculusKind.P2, SlicePoly.monomial(1), Z, c)
     assert rel(got, stem_moment(CalculusKind.P2, Z, 1)) < 1e-12
@@ -210,7 +226,7 @@ def test_linearity(rng):
 
 
 def test_projectors_identity_at_zero():
-    Z = CommutingOperator.zero(2)
+    Z = CommutingOperator(*np.zeros((4, 2, 2)))
     c = full_contour(Z, margin=1.0, N=128)
     for kind in ALL_KINDS:
         P = riesz_projector(kind, Z, c)
@@ -278,7 +294,7 @@ def test_constant_shift_invariance_connected(rng, kind):
     T = random_commuting_operator(rng, 2)
     c = full_contour(T)
     f = random_stem(rng, 3)
-    shifted = f.add_constant(random_quaternion(rng))
+    shifted = SlicePoly(f.side, (f.coeffs[0] + random_quaternion(rng),) + f.coeffs[1:])
     a = apply_calculus(kind, f, T, c)
     b = apply_calculus(kind, shifted, T, c)
     assert rel(a, b) < 1e-10
@@ -290,7 +306,7 @@ def test_constant_shift_invariance_disconnected(rng, kind):
     c = auto_contour(s_spectrum(T), [0, 1], N=256)
     assert len(c.components) == 2
     f = random_stem(rng, 3)
-    shifted = f.add_constant(random_quaternion(rng))
+    shifted = SlicePoly(f.side, (f.coeffs[0] + random_quaternion(rng),) + f.coeffs[1:])
     assert rel(apply_calculus(kind, f, T, c),
                apply_calculus(kind, shifted, T, c)) < 1e-10
 

@@ -647,6 +647,23 @@ def test_a_projector_whose_contour_overflows_is_a_numeric_error(tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("case", ["projector", "projector --cluster", "apply"])
+def test_an_auto_contour_beyond_the_float_range_is_a_numeric_error(tmp_path, capsys, case):
+    # two real points 2e308 apart: the margin, a quarter of their gap, and
+    # each circle's radius are infinite; once a GeometryError (exit 3)
+    # that put the points "nan from its boundary"
+    op = write_json(tmp_path / "op.json", {"T0": [[1e308, 0.0], [0.0, -1e308]]})
+    f = write_json(tmp_path / "f.json", {"side": "left", "coeffs": [[1, 0, 0, 0]]})
+    argv = {"projector": ["projector", "--operator", op],
+            "projector --cluster": ["projector", "--operator", op, "--cluster", "0"],
+            "apply": ["apply", "--operator", op, "--function", f]}[case]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == {
+        "error": "NumericError", "exit": 4,
+        "message": "the contour around the selected spheres overflows the float range"}
+
+
 def _split_scaled(tmp_path, r):
     return write_json(tmp_path / "op.json", {"n": 2, "T0": [[0.0, 0.0], [0.0, 5.0 * r]],
                                              "T1": [[r, 0.0], [0.0, 0.0]]})
@@ -827,6 +844,7 @@ _FLAGS = {
     "tol": _flag("tol", st.sampled_from(["0", "1e-300", "1e-8", "1"]),
                  ["nan", "inf", "-inf", "-1", "abc", ""]),
     "m": _flag("m", st.integers(0, 6), [-3, -1, MAX_DEGREE + 1, 10 ** 9, "x", "2.5"]),
+    "seed": _flag("seed", st.integers(0, 3), [-1, -10 ** 30, "x", "1.5"]),
     "calculus": _flag("calculus", st.sampled_from(["s", "q", "p2", "f"]), ["x", "", "S"]),
     "contour": st.sampled_from([["--contour", "auto"], ["--contour", "FILE"], []]).map(
         lambda group: (group, False)),
@@ -950,7 +968,8 @@ def test_run_config_holds_every_default():
                                          ("--nodes", 10 ** 12),
                                          ("--nodes", 7),
                                          ("--nodes", 0),
-                                         ("--m", MAX_DEGREE + 1)])
+                                         ("--m", MAX_DEGREE + 1),
+                                         ("--seed", -1)])
 def test_flags_beyond_their_bound_exit_before_the_command(monkeypatch, capsys, split_op,
                                                           command, flag, value):
     def refuse(config):
@@ -961,6 +980,20 @@ def test_flags_beyond_their_bound_exit_before_the_command(monkeypatch, capsys, s
                      flag, str(value)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError" and err["exit"] == 2
+
+
+@pytest.mark.parametrize("argv", [["selftest", "--nodes", "64"],
+                                  ["verify", "--name", "q_resolvent_eq"],
+                                  ["verify", "--name", "q_product_rule", "--nodes", "64"]])
+def test_a_negative_seed_is_a_parse_error_and_a_large_one_runs(capsys, argv):
+    # numpy's ValueError for a negative seed once ended in a traceback, exit 1
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == {
+        "error": "InputError", "message": "--seed must be non-negative, got -1", "exit": 2}
+    assert cli.main([*argv, "--seed", str(10 ** 23)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)
 
 
 def test_m_at_its_bound_is_accepted(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import corpus
 from conftest import pair_per_node, rel
+from oracles import node_arrays
 from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
                        QuatMatrix, SlicePoly, SpectralSphere, apply_calculus,
                        auto_contour, enclosing_circle, integrate, qinv,
@@ -14,7 +15,7 @@ from sspectrum import (CalculusKind, CommutingOperator, E1, E2, Quaternion,
 from sspectrum.contour import (MAX_NODES, Circle, Contour, DiskPair,
                                _axis_centered_radius, _min_enclosing_circle,
                                contour_from_dict, contour_to_dict, default_margin,
-                               load_contour, node_arrays, save_contour)
+                               load_contour, save_contour)
 from sspectrum.errors import GeometryError, InputError
 from sspectrum.identities import random_commuting_operator
 from sspectrum.operators import s_spectrum
@@ -68,9 +69,9 @@ def test_all_nodes_in_plane():
 def test_discrete_orthogonality():
     c = unit_circle(64)
     for k in range(-5, 6):
-        K = lambda s, k=k: QuatMatrix.from_scalar(s ** k if k >= 0 else qinv(s) ** (-k))
+        K = lambda s, k=k: QuatMatrix.identity(1).rmul(s ** k if k >= 0 else qinv(s) ** (-k))
         val, _ = pair_per_node(c, K, lambda s: Quaternion(1.0), "left")
-        got = val.entry(0, 0) * (1.0 / (2.0 * math.pi))
+        got = Quaternion.from_array(val.data[0, 0]) * (1.0 / (2.0 * math.pi))
         expect = Quaternion(1.0) if k == -1 else Quaternion()
         assert (got - expect).norm() < 1e-13, k
 
@@ -78,7 +79,7 @@ def test_discrete_orthogonality():
 def test_orientation_flips_sign():
     plus = Contour(E1, (Circle(0.0, 1.0, 1),), 64)
     minus = Contour(E1, (Circle(0.0, 1.0, -1),), 64)
-    K = lambda s: QuatMatrix.from_scalar(qinv(s))
+    K = lambda s: QuatMatrix.identity(1).rmul(qinv(s))
     f = lambda s: Quaternion(1.0)
     a, _ = pair_per_node(plus, K, f, "left")
     b, _ = pair_per_node(minus, K, f, "left")
@@ -88,7 +89,7 @@ def test_orientation_flips_sign():
 def test_right_pairing_order():
     # f(s) w K(s): with K constant e1 and f constant e2 the order matters
     c = unit_circle(16)
-    K = lambda s: QuatMatrix.from_scalar(E1)
+    K = lambda s: QuatMatrix.identity(1).rmul(E1)
     f = lambda s: E2
     val, _ = pair_per_node(c, K, f, "right")
     # sum of weights is zero, but e2 w e1 does not vanish termwise; the
@@ -106,7 +107,7 @@ def test_vanishing_integral_off_spectrum(rng):
 
 def test_empty_contour():
     c = Contour(E1, (), 64)
-    val = integrate(c, CommutingOperator.zero(2),
+    val = integrate(c, CommutingOperator(*np.zeros((4, 2, 2))),
                     [(CalculusKind.Q, SlicePoly.monomial(0))])[0]
     assert val.norm() == 0.0
     assert enclosing_circle([], 0.5).components == ()
@@ -121,6 +122,26 @@ def test_geometry_validation():
         Contour(E1, (Circle(0.0, 1.0),), 4)
     with pytest.raises(InputError, match="Circle or DiskPair"):
         Contour(E1, ("x",), 64)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda x: Circle(x, 1.0), id="Circle-center"),
+    pytest.param(lambda x: Circle(0.0, x), id="Circle-radius"),
+    pytest.param(lambda x: DiskPair(x, 2.0, 0.5), id="DiskPair-u"),
+    pytest.param(lambda x: DiskPair(0.0, x, 0.5), id="DiskPair-v"),
+    pytest.param(lambda x: DiskPair(0.0, 2.0, x), id="DiskPair-radius"),
+])
+def test_non_finite_geometry_is_refused(make, value):
+    # a NaN passed both radius tests, and the contour failed later, as a
+    # GeometryError "nan from its boundary"
+    with pytest.raises(InputError, match="finite"):
+        Contour(E1, (make(value),), 64)
+
+
+def test_an_enclosing_circle_of_nan_margin_is_refused():
+    with pytest.raises(InputError, match="finite"):
+        enclosing_circle([SpectralSphere(0.0, 1.0)], math.nan)
 
 
 @pytest.mark.parametrize("components, nodes", [
@@ -572,7 +593,7 @@ def test_s_calculus_of_one_is_identity(rng):
 
 def test_j_independence(rng):
     T = random_commuting_operator(rng, 2)
-    f = SlicePoly.left(0.2, 1.0, -0.5, 0.3)
+    f = SlicePoly("left", [Quaternion(c) for c in (0.2, 1.0, -0.5, 0.3)])
     vals = []
     for _ in range(3):
         J = random_imaginary_unit(rng)
@@ -584,7 +605,7 @@ def test_j_independence(rng):
 
 def test_contour_deformation_independence(rng):
     T = random_commuting_operator(rng, 2)
-    f = SlicePoly.left(0.0, 0.0, 1.0)
+    f = SlicePoly.monomial(2)
     spheres = s_spectrum(T)
     a = apply_calculus(CalculusKind.F, f, T, enclosing_circle(spheres, 0.5, N=256))
     b = apply_calculus(CalculusKind.F, f, T, enclosing_circle(spheres, 0.9, N=256))

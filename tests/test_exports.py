@@ -29,3 +29,12 @@ def test_root_imports_resolve():
     for module, name in imported:
         source = importlib.import_module(f"sspectrum.{module}")
         assert hasattr(source, name) and hasattr(sspectrum, name), (module, name)
+
+
+def test_kernels_imports_only_the_modules_below_it():
+    # the hot-path module sits under slicefn, contour and calculus: the
+    # stems and their closed forms are not its business
+    tree = ast.parse((Path(sspectrum.__file__).parent / "kernels.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert imported <= {"errors", "operators", "qlinalg", "quat"}

@@ -30,7 +30,7 @@ def test_registry_matches_manifest():
 
 
 def test_pseudo_split_at_zero_exact():
-    T = CommutingOperator.zero(1)
+    T = CommutingOperator(*np.zeros((4, 1, 1)))
     report = verify_pointwise("pseudo_split_left", T, Quaternion(2, 1, 0, 0))
     assert report.passed
     assert report.residual < 1e-15
@@ -63,7 +63,7 @@ def test_power_shift_repeated_degree_is_that_degree_once(rng, side):
 
 
 def test_power_shift_at_zero():
-    T = CommutingOperator.zero(1)
+    T = CommutingOperator(*np.zeros((4, 1, 1)))
     s = Quaternion(1.5, 0.5, -0.25, 0.0)
     report = verify_pointwise("p2_kernel_power_shift_left", T, s, m=3)
     assert report.residual < 1e-12 * report.scale
@@ -93,7 +93,7 @@ def test_intertwined_reduces_to_plain(rng):
 
 
 def test_unknown_name():
-    T = CommutingOperator.zero(1)
+    T = CommutingOperator(*np.zeros((4, 1, 1)))
     with pytest.raises(InputError):
         verify_pointwise("no_such_identity", T, Quaternion(1))
     with pytest.raises(InputError, match="unknown integral identity"):
@@ -444,11 +444,11 @@ def test_integral_rows_refuse_a_stem_they_do_not_take(rng):
 
 def test_power_shift_example_values():
     # at T = 0 both sides collapse to 4 s^(1-m) scalar multiples
-    T = CommutingOperator.zero(1)
+    T = CommutingOperator(*np.zeros((4, 1, 1)))
     s = Quaternion(2.0, 1.0, 0.0, 0.0)
     row = POINTWISE_IDENTITIES["p2_kernel_power_shift_left"]
     lhs, rhs = row.pairs(T, s, m=3)[0]
-    expect = QuatMatrix.from_scalar(qinv(s * s) * 4.0, 1).rmul(s ** 3)
+    expect = QuatMatrix.identity(1).rmul(qinv(s * s) * 4.0).rmul(s ** 3)
     assert rel(lhs, expect) < 1e-14
     assert rel(rhs, expect) < 1e-14
 

@@ -5,24 +5,23 @@ import numpy as np
 import pytest
 
 from conftest import qrel, rel
+from oracles import (DivergenceError, cauchy_kernel_left, cauchy_kernel_right,
+                     f_kernel_left, f_kernel_right, fd_fueter_oracle, p2_kernel_left,
+                     p2_kernel_right, p2_series, pseudo_kernel, qcs_op, random_quaternion,
+                     real_adjoint, s_series)
 from sspectrum import (CalculusKind, CommutingOperator, Quaternion, QuatMatrix,
-                       SlicePoly, kernel, kernel_forms, kernels, p2_series, qinv,
-                       s_series)
-from sspectrum.errors import DivergenceError, InputError, SingularMatrixError
+                       SlicePoly, kernel, kernel_forms, kernels, qinv)
+from sspectrum.errors import InputError, SingularMatrixError
 from sspectrum.identities import (random_commuting_operator,
                                   random_resolvent_point)
 from sspectrum.contour import Circle, Contour, DiskPair, integrate, slice_nodes
-from sspectrum.kernels import (cauchy_kernel_left, cauchy_kernel_right,
-                               f_kernel_left, f_kernel_right, kernel_at_nodes,
-                               kernel_sum, p2_kernel_left, p2_kernel_right,
-                               pseudo_kernel)
-from sspectrum.operators import qcs_op, qcs_pencil_at, s_spectrum
-from sspectrum.qlinalg import (eye_arr, matmul, real_adjoint, scal_left,
-                               scal_right, solve_arr)
-from sspectrum.quat import E1, qs_poly, random_quaternion
-from sspectrum.slicefn import FueterOp, fd_fueter_oracle
+from sspectrum.kernels import kernel_at_nodes, kernel_sum
+from sspectrum.operators import qcs_pencil_at, s_spectrum
+from sspectrum.qlinalg import eye_arr, matmul, scal_left, scal_right, solve_arr
+from sspectrum.quat import E1, qs_poly
+from sspectrum.slicefn import FueterOp
 
-ZERO1 = CommutingOperator.zero(1)
+ZERO1 = CommutingOperator(*np.zeros((4, 1, 1)))
 Q, S, F, P2 = CalculusKind.Q, CalculusKind.S, CalculusKind.F, CalculusKind.P2
 # Q^-1 (two-sided) and the left and right forms of the S, F and P2 kernels
 KERNELS = [(Q, "left"), (S, "left"), (S, "right"), (F, "left"), (F, "right"),
@@ -42,14 +41,14 @@ def test_closed_forms_at_zero_operator():
         (P2, "right"): si * si * 4.0,
     }
     for (kind, side), expect in cases.items():
-        got = kernel(kind, ZERO1, s, side).entry(0, 0)
+        got = Quaternion.from_array(kernel(kind, ZERO1, s, side).data[0, 0])
         assert qrel(got, expect) < 1e-14, (kind, side)
 
 
 def test_s_left_form_i_form_ii_cross_check():
     # scalar operator e1 at s=2: form II against the noncommutative form I
-    T = CommutingOperator.from_quaternion(E1)
-    got = kernel(S, T, Quaternion(2)).entry(0, 0)
+    T = CommutingOperator(*E1.as_array().reshape(4, 1, 1))
+    got = Quaternion.from_array(kernel(S, T, Quaternion(2)).data[0, 0])
     assert qrel(got, Quaternion(0.4, 0.2, 0, 0)) < 1e-15
     q = E1
     form1 = qinv(q * q - Quaternion(4.0) * q + Quaternion(4.0)) * (Quaternion(2) - q)
@@ -71,9 +70,9 @@ def test_scalar_reduction_all_kinds(rng):
         s = random_quaternion(rng, 2.0)
         if qs_poly(q, s).norm() < 0.5:
             continue
-        T = CommutingOperator.from_quaternion(q)
+        T = CommutingOperator(*q.as_array().reshape(4, 1, 1))
         for (kind, side), fn in fns.items():
-            got = kernel(kind, T, s, side).entry(0, 0)
+            got = Quaternion.from_array(kernel(kind, T, s, side).data[0, 0])
             assert qrel(got, fn(s, q)) < 1e-12, (kind, side)
 
 
@@ -205,10 +204,10 @@ def test_integral_representation_sign_pattern(rng):
     from sspectrum.operators import s_spectrum
 
     q = Quaternion(0.2, 0.3, -0.1, 0.25)
-    T = CommutingOperator.from_quaternion(q)
+    T = CommutingOperator(*q.as_array().reshape(4, 1, 1))
     c = enclosing_circle(s_spectrum(T), margin=1.0, N=256)
-    f = SlicePoly.left(Quaternion(0.5, 1, 0, 0), Quaternion(0, 0, 2, 0),
-                       Quaternion(1, 0, 0, 3))
+    f = SlicePoly("left", [Quaternion(0.5, 1, 0, 0), Quaternion(0, 0, 2, 0),
+                           Quaternion(1, 0, 0, 3)])
     i0 = integrate(c, T, [(F, f)])[0]
     i1 = integrate(c, T, [(F, stem_shift(f))])[0]
     two_term = (i1 * -1.0 + i0.rmul(Quaternion(q.w))) * (1.0 / (2.0 * math.pi))
@@ -221,7 +220,7 @@ def test_integral_representation_sign_pattern(rng):
 
 def test_p2_series_at_zero():
     s = Quaternion(1.1, 0.2, 0.3, -0.4)
-    expect = QuatMatrix.from_scalar(qinv(s * s) * 4.0, 1)
+    expect = QuatMatrix.identity(1).rmul(qinv(s * s) * 4.0)
     for N in (1, 5, 20):
         assert rel(p2_series(ZERO1, s, N), expect) < 1e-14
     assert p2_series(ZERO1, s, 0).norm() == 0.0
@@ -229,7 +228,7 @@ def test_p2_series_at_zero():
 
 def test_s_series_at_zero():
     s = Quaternion(1.4, -0.2, 0.0, 0.3)
-    expect = QuatMatrix.from_scalar(qinv(s), 1)
+    expect = QuatMatrix.identity(1).rmul(qinv(s))
     assert rel(s_series(ZERO1, s, 0), expect) < 1e-15
     assert rel(s_series(ZERO1, s, 25), expect) < 1e-15
 
@@ -283,7 +282,7 @@ def _adjoint_kernel(kind, side, T, s):
     """The same kernel built in the real 4n x 4n representation, where
     every quaternion matrix product is a real one."""
     n = T.n
-    sI = real_adjoint(QuatMatrix.from_scalar(s, n))
+    sI = real_adjoint(QuatMatrix.identity(n).rmul(s))
     Qinv = np.linalg.inv(real_adjoint(qcs_op(T, s)))
     B = sI - real_adjoint(T.conjugate.as_matrix)
     T0 = real_adjoint(QuatMatrix.from_real(T.T0))
@@ -348,7 +347,7 @@ def _real_resolvent_point(rng, T):
     """A real point (b = 0) at distance >= 0.3 from every sphere."""
     while True:
         u = rng.uniform(-2.0, 2.0)
-        if all(sp.point_distance(u, 0.0) >= 0.3 for sp in s_spectrum(T)):
+        if all(math.hypot(sp.u - u, sp.v) >= 0.3 for sp in s_spectrum(T)):
             return Quaternion(u)
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import qcs_op
 from sspectrum import (E1, CalculusKind, CommutingOperator, Quaternion,
-                       QuatMatrix, auto_contour, qcs_op,
-                       riesz_projector, s_spectrum)
+                       QuatMatrix, auto_contour, riesz_projector, s_spectrum)
 from sspectrum import operators
 from sspectrum.errors import (CommutationError, EigenvalueError, InputError,
                               SingularMatrixError)
@@ -82,7 +82,7 @@ def test_components_must_be_square_and_of_one_size():
 
 
 def test_conj_op():
-    T = CommutingOperator.from_quaternion(E1)
+    T = CommutingOperator(*E1.as_array().reshape(4, 1, 1))
     assert np.allclose(T.conjugate.T1, -T.T1)
     Treal = diag_op([1.0, 2.0], [0.0, 0.0])
     assert np.allclose(Treal.conjugate.T0, Treal.T0)
@@ -107,18 +107,18 @@ def test_conj_identities(rng):
 
 
 def test_gram_examples():
-    T = CommutingOperator.from_quaternion(E1)
+    T = CommutingOperator(*E1.as_array().reshape(4, 1, 1))
     assert np.allclose(T.gram, [[1.0]])
-    assert np.allclose(CommutingOperator.zero(2).gram, np.zeros((2, 2)))
+    assert np.allclose(CommutingOperator(*np.zeros((4, 2, 2))).gram, np.zeros((2, 2)))
     T2 = diag_op([0.0, 5.0], [1.0, 0.0])
     assert np.allclose(T2.gram, np.diag([1.0, 25.0]))
 
 
 def test_spectrum_examples():
-    sp = s_spectrum(CommutingOperator.from_quaternion(E1))
+    sp = s_spectrum(CommutingOperator(*E1.as_array().reshape(4, 1, 1)))
     assert len(sp) == 1 and abs(sp[0].u) < 1e-12 and abs(sp[0].v - 1) < 1e-12
 
-    sp = s_spectrum(CommutingOperator.from_quaternion(Quaternion(2.5)))
+    sp = s_spectrum(CommutingOperator(*Quaternion(2.5).as_array().reshape(4, 1, 1)))
     assert len(sp) == 1 and abs(sp[0].u - 2.5) < 1e-12 and sp[0].v == 0.0
 
     sp = s_spectrum(diag_op([0.0, 5.0], [1.0, 0.0]))
@@ -128,7 +128,7 @@ def test_spectrum_examples():
 def test_scalar_spectrum_is_the_quaternion_sphere(rng):
     for _ in range(10):
         q = Quaternion(*rng.standard_normal(4))
-        sp = s_spectrum(CommutingOperator.from_quaternion(q))
+        sp = s_spectrum(CommutingOperator(*q.as_array().reshape(4, 1, 1)))
         assert len(sp) == 1
         assert abs(sp[0].u - q.w) < 1e-9 * (1 + q.norm())
         assert abs(sp[0].v - q.vec_norm()) < 1e-9 * (1 + q.norm())
@@ -145,10 +145,11 @@ def test_spectrum_conj_invariant(rng):
 
 def test_qcs_op():
     s = Quaternion(0.7, -0.3, 0.2, 0.1)
-    assert (qcs_op(CommutingOperator.zero(2), s)
-            - QuatMatrix.from_scalar(s * s, 2)).norm() < 1e-15
-    T = CommutingOperator.from_quaternion(E1)
-    assert (qcs_op(T, Quaternion(2)).entry(0, 0) - Quaternion(5)).norm() < 1e-15
+    assert (qcs_op(CommutingOperator(*np.zeros((4, 2, 2))), s)
+            - QuatMatrix.identity(2).rmul(s * s)).norm() < 1e-15
+    T = CommutingOperator(*E1.as_array().reshape(4, 1, 1))
+    assert (Quaternion.from_array(qcs_op(T, Quaternion(2)).data[0, 0])
+            - Quaternion(5)).norm() < 1e-15
 
 
 def test_qcs_op_real_point_is_real(rng):
@@ -397,14 +398,15 @@ def test_similarity_transformed_spectrum(joint, seed):
     spheres = s_spectrum(T)
     assert len(spheres) == len(expect)
     for (u, v), m in expect.items():
-        sp = min(spheres, key=lambda sp: sp.point_distance(u, v))
-        assert sp.point_distance(u, v) < 1e-8
+        sp = min(spheres, key=lambda sp: math.hypot(sp.u - u, sp.v - v))
+        assert math.hypot(sp.u - u, sp.v - v) < 1e-8
         assert sp.multiplicity == m
         assert (sp.v == 0.0) == (v == 0.0)
     # the S-projector of the first sphere has the rank of its joint eigenvalues
     P = riesz_projector(CalculusKind.S, T, auto_contour(spheres, [0]))
     assert (P @ P - P).norm() <= 1e-8 * max(P.norm(), 1.0)
-    rank = sum(1 for d, b in joint if spheres[0].point_distance(d, b) < 1e-8)
+    rank = sum(1 for d, b in joint
+               if math.hypot(spheres[0].u - d, spheres[0].v - abs(b)) < 1e-8)
     assert abs(np.trace(P.data[..., 0]) - rank) < 1e-6
 
 
@@ -453,8 +455,8 @@ def test_both_routes_give_the_constructed_spheres(draws, seed):
     for spheres in (s_spectrum(T), s_spectrum(without_basis(T))):
         assert len(spheres) == len(expect)
         for (u, v), m in expect.items():
-            sp = min(spheres, key=lambda sp: sp.point_distance(u, v))
-            assert sp.point_distance(u, v) < 1e-8
+            sp = min(spheres, key=lambda sp: math.hypot(sp.u - u, sp.v - v))
+            assert math.hypot(sp.u - u, sp.v - v) < 1e-8
             assert sp.multiplicity == m
             assert (sp.v == 0.0) == (v == 0.0)
 

@@ -9,11 +9,11 @@ import pytest
 
 from conftest import pair_per_node
 from corpus import jordbloc, operator
+from oracles import node_arrays
 from sspectrum import Quaternion, SlicePoly, integrate
 from sspectrum import kernels, operators
 from sspectrum.cli import main
-from sspectrum.contour import (Circle, Contour, DiskPair, contour_to_dict,
-                               node_arrays, slice_nodes)
+from sspectrum.contour import Circle, Contour, DiskPair, contour_to_dict, slice_nodes
 from sspectrum.errors import PreconditionError, SingularMatrixError
 from sspectrum.identities import random_commuting_operator
 from sspectrum.kernels import CalculusKind, kernel
@@ -80,7 +80,7 @@ def test_pairing_matches_stack_oracle_across_chunks(rng):
     # at n = 32 a chunk holds 64 nodes; 130 inverted nodes take three
     T = _jordan_operator(32)
     c = Contour(random_imaginary_unit(rng), (DiskPair(0.0, 3.0, 1.0),), 130)
-    f = SlicePoly.right(Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0))
+    f = SlicePoly("right", [Quaternion(0.3, -1.0, 0.2, 0.5), Quaternion(1.0, 0.0, 2.0, 0.0)])
     for kind in (CalculusKind.P2, CalculusKind.S):
         got = integrate(c, T, [(kind, f)])[0]
         want, scale = pair_per_node(c, partial(kernel, kind, T, side="right"), f, "right")
@@ -90,7 +90,7 @@ def test_pairing_matches_stack_oracle_across_chunks(rng):
 def test_list_of_stems_gives_each_single_value(rng):
     T = random_commuting_operator(rng, 4)
     c = _contours(rng)[2]
-    stems = [SlicePoly.left(*[Quaternion(*rng.standard_normal(4)) for _ in range(3)])
+    stems = [SlicePoly("left", [Quaternion(*rng.standard_normal(4)) for _ in range(3)])
              for _ in range(3)]
     many = integrate(c, T, [(CalculusKind.F, g) for g in stems])
     assert [integrate(c, T, [(CalculusKind.F, g)])[0] for g in stems] == many
@@ -100,8 +100,8 @@ def test_stems_of_two_sides_are_refused(rng):
     T = random_commuting_operator(rng, 3)
     c = _contours(rng)[0]
     assert integrate(c, T, []) == []
-    for stems in ([SlicePoly.left(1.0), SlicePoly.right(1.0)],
-                  [SlicePoly.right(1.0), _Callable(lambda s: s, "left")]):
+    for stems in ([SlicePoly.monomial(0), SlicePoly.monomial(0, side="right")],
+                  [SlicePoly.monomial(0, side="right"), _Callable(lambda s: s, "left")]):
         with pytest.raises(PreconditionError, match="common stem side"):
             integrate(c, T, [(CalculusKind.S, g) for g in stems])
 
@@ -177,7 +177,8 @@ def test_pencil_inversions_halved(monkeypatch, N, comps, expect):
     monkeypatch.setattr(kernels, "_pencil_term", counting)
     T = _jordan_operator(3)
     c = Contour(random_imaginary_unit(np.random.default_rng(6)), comps, N)
-    f, g = SlicePoly.left(1.0, 2.0), SlicePoly.left(0.5, -1.0, 3.0)
+    f = SlicePoly("left", [Quaternion(1.0), Quaternion(2.0)])
+    g = SlicePoly("left", [Quaternion(0.5), Quaternion(-1.0), Quaternion(3.0)])
     for requests in ([(CalculusKind.P2, f)],
                      [(kind, f) for kind in CalculusKind],
                      [(kind, h) for kind in CalculusKind for h in (f, g)]):
@@ -248,7 +249,7 @@ def test_node_on_spectrum_names_its_index(hit, first):
     T = _spectrum_through(slice_nodes(c)[0][hit])
     for kind in (CalculusKind.Q, CalculusKind.P2, CalculusKind.S):
         with pytest.raises(SingularMatrixError) as err:
-            integrate(c, T, [(kind, SlicePoly.left(1.0))])
+            integrate(c, T, [(kind, SlicePoly.monomial(0))])
         assert err.value.batch_index == first
         assert f"node {first} " in str(err.value)
 

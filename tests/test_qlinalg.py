@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import rel
-from sspectrum import E1, E2, E3, Quaternion, QuatMatrix, real_adjoint
+from oracles import real_adjoint
+from sspectrum import E1, E2, E3, Quaternion, QuatMatrix
 from sspectrum.errors import SingularMatrixError
 from sspectrum.qlinalg import matmul, product_matrices, qinv_arr, qmul_arr, solve_arr
 
@@ -19,9 +20,9 @@ def test_identity_neutral(rng):
 
 
 def test_unit_product_diagonal():
-    A = QuatMatrix.from_scalar(E1, 1)
-    B = QuatMatrix.from_scalar(E2, 1)
-    assert (A @ B).entry(0, 0) == E3
+    A = QuatMatrix.identity(1).rmul(E1)
+    B = QuatMatrix.identity(1).rmul(E2)
+    assert Quaternion.from_array((A @ B).data[0, 0]) == E3
 
 
 def test_dimension_mismatch():
@@ -47,10 +48,10 @@ def test_malformed_input_is_refused(call, error):
 
 
 def test_left_right_scalar_actions_differ():
-    A = QuatMatrix.from_scalar(E2, 2)
+    A = QuatMatrix.identity(2).rmul(E2)
     assert (A.lmul(E1) - A.rmul(E1)).norm() > 1.0
-    assert A.lmul(E1).entry(0, 0) == E1 * E2
-    assert A.rmul(E1).entry(0, 0) == E2 * E1
+    assert Quaternion.from_array(A.lmul(E1).data[0, 0]) == E1 * E2
+    assert Quaternion.from_array(A.rmul(E1).data[0, 0]) == E2 * E1
 
 
 def test_solve_identity(rng):
@@ -60,10 +61,10 @@ def test_solve_identity(rng):
 
 
 def test_solve_scalar_example():
-    A = QuatMatrix.from_scalar(Quaternion(1, 1, 0, 0), 1)
+    A = QuatMatrix.identity(1).rmul(Quaternion(1, 1, 0, 0))
     B = QuatMatrix.identity(1)
     X = QuatMatrix(solve_arr(A.data, B.data))
-    assert (X.entry(0, 0) - Quaternion(0.5, -0.5, 0, 0)).norm() < 1e-15
+    assert (Quaternion.from_array(X.data[0, 0]) - Quaternion(0.5, -0.5, 0, 0)).norm() < 1e-15
 
 
 def test_solve_residual(rng):
@@ -107,13 +108,13 @@ def test_batched_solve_matches_single(rng):
 def test_norms():
     assert QuatMatrix.zeros(3).norm() == 0.0
     assert abs(QuatMatrix.identity(4).norm() - 2.0) < 1e-15
-    assert abs(QuatMatrix.from_scalar(Quaternion(1, 1, 0, 0), 1).norm()
+    assert abs(QuatMatrix.identity(1).rmul(Quaternion(1, 1, 0, 0)).norm()
                - np.sqrt(2.0)) < 1e-15
 
 
 def test_real_adjoint_identity_and_unit():
     assert np.allclose(real_adjoint(QuatMatrix.identity(3)), np.eye(12))
-    rho = real_adjoint(QuatMatrix.from_scalar(E1, 1))
+    rho = real_adjoint(QuatMatrix.identity(1).rmul(E1))
     assert np.allclose(rho @ rho, -np.eye(4))
 
 
